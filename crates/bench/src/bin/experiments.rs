@@ -13,7 +13,7 @@
 //!
 //! `--json` runs both composed pipeline routes over the size sweep (the seed
 //! sizes 50/100/200, extended by `--max-n` to decade steps — sizes beyond
-//! 2000 run the Theorem 1.2 route only) and writes sizes, measured vs
+//! 10⁵ run the Theorem 1.2 route only) and writes sizes, measured vs
 //! paper-formula round counts, wall times and the per-phase wall breakdown
 //! to `BENCH_pipeline.json` (or the given path).
 //!

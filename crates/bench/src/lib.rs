@@ -177,7 +177,7 @@ pub fn e3_rounds_vs_n() -> String {
         "2^sqrt(log n loglog n)",
         "size",
     ]));
-    for &n in &[50usize, 100, 200, 400, 800] {
+    for &n in &[50usize, 100, 200, 400, 800, 1600, 3200, 6400] {
         let g = generators::gnp(n, 8.0 / n as f64, 3);
         let result = theorem_1_1(&g, &config);
         out.push_str(&fmt_row(&[
@@ -573,14 +573,6 @@ pub const CHANNELS_BENCH_MAX_N: usize = 1000;
 /// round/message/payload gate does not already pin.
 pub const SYNC_BENCH_MAX_N: usize = 100_000;
 
-/// Largest `n` the Theorem 1.1 (network-decomposition) route runs at in the
-/// benchmark sweep. Its derandomization serializes coin fixing through
-/// clusters — `O(m · steps)` work with `steps = Θ(n)` — so the route is
-/// quadratic-ish in instance size and dominates the sweep long before the
-/// Theorem 1.2 route (whose schedule length is a color count, not `n`)
-/// breaks a sweat. Sizes above the cap benchmark the coloring route only.
-pub const THEOREM_1_1_MAX_N: usize = 2000;
-
 /// The instance a sweep size maps to: the historical `G(n, 8/n)` instances
 /// for the seed sizes (so trend lines stay comparable across PRs) and sparse
 /// `G(n, m=4n)` for the extended sizes, where the `O(n²)` `gnp` pair walk is
@@ -682,8 +674,8 @@ fn bench_entry(
 /// `BENCH_pipeline.json` by `experiments --json` and gated against
 /// `BENCH_baseline.json` by the CI perf-trend job.
 ///
-/// Sizes above [`THEOREM_1_1_MAX_N`] skip the Theorem 1.1 route (see the
-/// constant's docs); sizes at or above [`POOLED_BENCH_MIN_N`] additionally
+/// The Theorem 1.1 route runs on the sequential executor only, so it stops
+/// at [`SYNC_BENCH_MAX_N`]; sizes at or above [`POOLED_BENCH_MIN_N`] additionally
 /// time the Theorem 1.2 route on the 4-thread persistent-pool executor
 /// (`"executor": "pooled4"`) and — up to [`CHANNELS_BENCH_MAX_N`] — on the
 /// serialized channel backend (`"executor": "channels4"`, `"transport":
@@ -702,12 +694,7 @@ pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
     for &n in sizes {
         let family = bench_family(n);
         let g = generators::generate(&family, 3);
-        let routes: &[&str] = if n <= THEOREM_1_1_MAX_N {
-            &["theorem_1_1", "theorem_1_2"]
-        } else {
-            &["theorem_1_2"]
-        };
-        for &route in routes {
+        for route in ["theorem_1_1", "theorem_1_2"] {
             let reference = if n <= SYNC_BENCH_MAX_N {
                 let start = std::time::Instant::now();
                 let r = if route == "theorem_1_1" {
@@ -914,7 +901,8 @@ mod tests {
             bench_family(1000),
             GraphFamily::Gnm { n: 1000, m: 4000 }
         ));
-        // Above the cap only the coloring route runs.
+        // The Theorem 1.1 route runs wherever the sequential reference does;
+        // above SYNC_BENCH_MAX_N only the coloring route's pooled row runs.
         let json = pipeline_benchmark_json(&[30]);
         assert!(json.contains("theorem_1_1"), "below cap: both routes");
     }

@@ -365,9 +365,11 @@ pub mod formulas {
     /// `2S` — the exact round count of the distributed conditional-expectation
     /// schedule over `S` steps: every step spends one round delivering the
     /// owners' estimator replies and one round delivering the deciders'
-    /// announcements. Under a distance-two coloring the steps are the color
-    /// classes, so this equals [`coloring_derandomization_rounds`]; under a
-    /// network decomposition the steps are the per-cluster member slots.
+    /// announcements. The steps follow the conflict order of the processing
+    /// order: under a distance-two coloring they are the color classes, so
+    /// this equals [`coloring_derandomization_rounds`]; under a network
+    /// decomposition there are as many as the longest conflict chain of the
+    /// cluster order.
     pub fn derandomization_schedule_rounds(steps: u64) -> u64 {
         2 * steps
     }

@@ -12,7 +12,7 @@
 //! the round complexity:
 //!
 //! * [`theorem_1_1`] — clusters of a 2-hop network decomposition fix coins
-//!   cluster-by-cluster, color class by color class
+//!   cluster-by-cluster, color class by color class, run in conflict order
 //!   (runtime `2^{O(√(log n log log n))}` in the paper's accounting).
 //! * [`theorem_1_2`] — a distance-two coloring of the degree-reduced
 //!   bipartite representation; color classes fix their coins in parallel
@@ -192,14 +192,13 @@ impl MdsResult {
 }
 
 /// Everything Parts II/III need to know about one derandomization step: the
-/// coin-fixing groups, how they may be parallelized, the paper's round
-/// formula, and the cost of setting the grouping up.
+/// coin-fixing groups, the paper's round formula, and the cost of setting the
+/// grouping up.
 struct DerandPlan {
-    /// Coin-fixing groups in processing order (clusters or color classes).
+    /// Coin-fixing groups in processing order (clusters or color classes);
+    /// the engine runs them in conflict order
+    /// ([`DerandSchedule::conflict_order`]).
     groups: Vec<Vec<usize>>,
-    /// Whether the members of one group may fix their coins in parallel
-    /// (distance-two color classes) or must serialize through their cluster.
-    parallel: bool,
     /// Ledger entry name.
     name: String,
     /// The paper's closed-form round bound for the step.
@@ -239,7 +238,6 @@ fn derandomization_plan(
                 ),
                 name: "derandomization via network decomposition (Lemma 3.4)".to_owned(),
                 messages: problem.values.len() as u64 * 2,
-                parallel: false,
                 setup: RoundLedger::new(),
                 groups,
             }
@@ -281,7 +279,6 @@ fn coloring_route_plan(
         formula,
         name: "derandomization via distance-two coloring (Lemma 3.10)".to_owned(),
         messages: problem.values.len() as u64 * 2,
-        parallel: true,
         setup,
         groups: coloring.classes(),
     }
@@ -344,10 +341,11 @@ pub fn color_problem(problem: &RoundingProblem) -> (BipartiteColoring, Bipartite
 /// [`formulas::measured_coloring_rounds`] rounds, at most the Lemma 3.12
 /// charge, and its assembled output — bit-identical to the central
 /// [`bipartite_distance_two_coloring`] oracle — provides the color classes.
-/// Then the plan's groups become a [`DerandSchedule`] (parallel color
-/// classes, or cluster members serialized in color order) and the scheduled
-/// conditional-expectation program runs as a measured phase. Steps without
-/// any coin to fix fall back to the (free) central evaluation.
+/// Then the plan's groups become a conflict-order [`DerandSchedule`] (the
+/// color classes themselves, or the longest conflict chains of the cluster
+/// order) and the scheduled conditional-expectation program runs as a
+/// measured phase. Steps without any coin to fix fall back to the (free)
+/// central evaluation.
 fn composed_derandomization<E: Executor>(
     composer: &mut ComposedProgram<'_, E>,
     graph: &Graph,
@@ -396,11 +394,12 @@ fn composed_derandomization<E: Executor>(
         _ => derandomization_plan(graph, problem, config, nd_groups, decomposition),
     };
     composer.absorb(plan.setup);
-    let schedule = if plan.parallel {
-        DerandSchedule::parallel_groups(&plan.groups, problem)
-    } else {
-        DerandSchedule::sequential_groups(&plan.groups, problem)
-    };
+    let schedule = DerandSchedule::conflict_order(&plan.groups, problem);
+    debug_assert!(
+        matches!(config.route, DerandRoute::NetworkDecomposition { .. })
+            || schedule.steps == plan.groups,
+        "conflict order of greedy color classes must be the classes themselves"
+    );
     if schedule.is_empty() {
         // No coin flips: phase one is deterministic and phase two is a local
         // check, so nothing needs the network.

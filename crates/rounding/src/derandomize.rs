@@ -16,9 +16,10 @@
 //!   decisions do not interact and a class can decide in `O(1)` CONGEST
 //!   rounds.
 //! * Lemma 3.4: one group per cluster of a 2-hop network decomposition,
-//!   ordered by color class; clusters of the same color are 2-separated and
-//!   decide in parallel, nodes inside a cluster decide sequentially through
-//!   the cluster leader (substitution R3 in `DESIGN.md`).
+//!   ordered by color class; the paper fixes a cluster's decisions one after
+//!   the other through the cluster leader, here every member waits only for
+//!   the earlier members it shares a constraint with (substitution R3 in
+//!   `DESIGN.md`).
 //!
 //! The caller supplies the groups (and the per-group round cost is accounted
 //! by the caller); this module guarantees the size bound regardless of the
@@ -33,11 +34,13 @@
 //!   [`DerandSchedule`], and each step spends exactly two engine rounds —
 //!   constraint owners send the two estimator branches (coin taken / coin
 //!   zeroed) of each deciding member, the deciders pick the branch that does
-//!   not increase the estimator and announce the fixed coin. Under the
-//!   Theorem 1.2 route the steps are distance-two color classes (whole
-//!   classes decide in parallel); under the Theorem 1.1 route the steps
-//!   serialize each cluster's members, cluster by cluster in color order.
-//!   Both paths evaluate the same estimator kernel over the same member
+//!   not increase the estimator and announce the fixed coin. Both routes
+//!   build the schedule with [`DerandSchedule::conflict_order`]: a value
+//!   decides one step after the last earlier-ordered value it shares a
+//!   constraint with. Under the Theorem 1.2 route the steps come out as the
+//!   distance-two color classes; under the Theorem 1.1 route the cluster
+//!   order collapses to its longest conflict chain instead of one coin per
+//!   step. Both paths evaluate the same estimator kernel over the same member
 //!   order — the oracle through the scalar
 //!   [`crate::estimator::member_violation_probability`], the engine through
 //!   the batched [`crate::estimator::member_violation_branches`] (both
@@ -175,37 +178,47 @@ pub struct DerandSchedule {
 }
 
 impl DerandSchedule {
-    /// A schedule processing the groups as parallel steps (the Lemma 3.10
-    /// coloring route: one step per distance-two color class). Members that
-    /// do not participate in the rounding are dropped.
-    pub fn parallel_groups(groups: &[Vec<usize>], problem: &RoundingProblem) -> Self {
-        DerandSchedule {
-            steps: groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .copied()
-                        .filter(|&i| problem.values[i].participates())
-                        .collect()
-                })
-                .filter(|s: &Vec<usize>| !s.is_empty())
-                .collect(),
+    /// The schedule that runs the processing order given by `groups`
+    /// (flattened, groups in order) in *conflict order*: every participating
+    /// value node decides at step `1 + max(step of earlier-listed values
+    /// sharing a constraint with it)`, or at step 0 without such a value.
+    /// Non-participating members and repeated listings are dropped.
+    ///
+    /// A coin decision reads only the coins of values sharing a constraint
+    /// with it, so every linear extension of this conflict order — the
+    /// sequential [`derandomize`] over `groups` included — fixes the same
+    /// coins bit for bit; the schedule is one such extension with as many
+    /// steps as the longest conflict chain of the order. Both routes use it:
+    ///
+    /// * Lemma 3.4 (clusters of a network decomposition, in color order):
+    ///   instead of one coin per step, which costs `Θ(n)` steps, every value
+    ///   waits only for its earlier conflict partners.
+    /// * Lemma 3.10 (distance-two color classes): a greedy smallest-free
+    ///   coloring gives every value of color `c` a conflict partner of color
+    ///   `c − 1`, so the steps are exactly the color classes.
+    pub fn conflict_order(groups: &[Vec<usize>], problem: &RoundingProblem) -> Self {
+        let constraints_of = problem.constraints_of_values();
+        let mut step_of = vec![usize::MAX; problem.values.len()];
+        let mut steps: Vec<Vec<usize>> = Vec::new();
+        for &i in groups.iter().flatten() {
+            if !problem.values[i].participates() || step_of[i] != usize::MAX {
+                continue;
+            }
+            let mut step = 0;
+            for &ci in &constraints_of[i] {
+                for &m in &problem.constraints[ci].members {
+                    if step_of[m] != usize::MAX {
+                        step = step.max(step_of[m] + 1);
+                    }
+                }
+            }
+            step_of[i] = step;
+            if step == steps.len() {
+                steps.push(Vec::new());
+            }
+            steps[step].push(i);
         }
-    }
-
-    /// A schedule fixing one coin per step, in the order the groups list them
-    /// (the Lemma 3.4 decomposition route: members decide sequentially
-    /// through their cluster leader, cluster by cluster in color order).
-    pub fn sequential_groups(groups: &[Vec<usize>], problem: &RoundingProblem) -> Self {
-        DerandSchedule {
-            steps: groups
-                .iter()
-                .flatten()
-                .copied()
-                .filter(|&i| problem.values[i].participates())
-                .map(|i| vec![i])
-                .collect(),
-        }
+        DerandSchedule { steps }
     }
 
     /// Number of steps (each costs two engine rounds).
@@ -842,6 +855,7 @@ mod tests {
     use super::*;
     use crate::problem::RoundingProblem;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn random_problem(seed: u64, n: usize) -> RoundingProblem {
@@ -996,8 +1010,82 @@ mod tests {
             }
             classes[c].push(i);
         }
-        let schedule = DerandSchedule::parallel_groups(&classes, &problem);
+        let schedule = DerandSchedule::conflict_order(&classes, &problem);
         (problem, schedule, classes)
+    }
+
+    /// Whether values `a` and `b` share a constraint.
+    fn conflict(problem: &RoundingProblem, a: usize, b: usize) -> bool {
+        problem
+            .constraints
+            .iter()
+            .any(|c| c.members.contains(&a) && c.members.contains(&b))
+    }
+
+    #[test]
+    fn conflict_order_steps_are_the_longest_conflict_chains() {
+        for seed in 0..6 {
+            let problem = random_problem(seed, 24);
+            // A shuffled processing order split into arbitrary groups.
+            let mut order = problem.participating_values();
+            order.shuffle(&mut StdRng::seed_from_u64(seed + 100));
+            let groups: Vec<Vec<usize>> = order.chunks(5).map(<[usize]>::to_vec).collect();
+            let schedule = DerandSchedule::conflict_order(&groups, &problem);
+            let position = |v: usize| order.iter().position(|&u| u == v).unwrap();
+            let step_of = |v: usize| schedule.steps.iter().position(|s| s.contains(&v));
+            let mut scheduled: Vec<usize> = schedule.steps.concat();
+            scheduled.sort_unstable();
+            assert_eq!(scheduled, problem.participating_values(), "seed {seed}");
+            for (s, step) in schedule.steps.iter().enumerate() {
+                for &v in step {
+                    for &u in &order {
+                        if u == v || !conflict(&problem, u, v) {
+                            continue;
+                        }
+                        // Earlier partners decide strictly before, later ones
+                        // strictly after: the order's conflict edges are kept.
+                        let su = step_of(u).unwrap();
+                        if position(u) < position(v) {
+                            assert!(su < s, "seed {seed}: {u} before {v}");
+                        } else {
+                            assert!(su > s, "seed {seed}: {u} after {v}");
+                        }
+                    }
+                    // And no step is wasted: a value past step 0 waits for an
+                    // earlier partner of the step just before it.
+                    if s > 0 {
+                        assert!(schedule.steps[s - 1]
+                            .iter()
+                            .any(|&u| conflict(&problem, u, v) && position(u) < position(v)));
+                    }
+                }
+            }
+            // Any linear extension fixes the coins of the sequential order.
+            let sequential = derandomize(
+                &problem,
+                &DerandomizeConfig {
+                    groups: Some(groups),
+                    ..DerandomizeConfig::default()
+                },
+            );
+            let by_steps = derandomize(
+                &problem,
+                &DerandomizeConfig {
+                    groups: Some(schedule.as_groups()),
+                    ..DerandomizeConfig::default()
+                },
+            );
+            assert_eq!(sequential.coins, by_steps.coins, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn conflict_order_of_greedy_color_classes_is_the_class_partition() {
+        for seed in 0..5 {
+            let graph = generators::gnp(40, 0.12, seed);
+            let (_, schedule, classes) = one_shot_setup(&graph);
+            assert_eq!(schedule.steps, classes, "seed {seed}");
+        }
     }
 
     #[test]
@@ -1050,24 +1138,26 @@ mod tests {
         for seed in [3u64, 11] {
             let graph = generators::gnp(30, 0.15, seed);
             let (problem, parallel, _) = one_shot_setup(&graph);
-            // Sequential singleton schedule in index order (the Theorem 1.1
-            // shape) against the central oracle with the same order.
+            // Sequential index order (the Theorem 1.1 shape), run in conflict
+            // order, against the central oracle fixing one coin at a time in
+            // that same order.
             let order: Vec<Vec<usize>> = vec![problem.participating_values()];
-            let schedule = DerandSchedule::sequential_groups(&order, &problem);
+            let schedule = DerandSchedule::conflict_order(&order, &problem);
             let central = derandomize(
                 &problem,
                 &DerandomizeConfig {
                     estimator: EstimatorKind::default(),
-                    groups: Some(schedule.as_groups()),
+                    groups: Some(order.clone()),
                 },
             );
             let distributed =
                 distributed_derandomize(&graph, &problem, &schedule, EstimatorKind::default())
                     .unwrap();
             assert_eq!(distributed.output.values(), central.output.values());
-            assert_eq!(
-                distributed.report.rounds,
-                2 * problem.participating_values().len() as u64
+            assert_eq!(distributed.report.rounds, 2 * schedule.len() as u64);
+            assert!(
+                schedule.len() < order[0].len(),
+                "seed {seed}: no step shared"
             );
             // Different schedules may fix different coins, but both respect
             // the expectation bound and stay feasible.
@@ -1129,7 +1219,7 @@ mod tests {
             problem.add_value(v, 0.3, 0.5);
         }
         problem.add_constraint(0, 1.0, vec![0, 3]);
-        let schedule = DerandSchedule::sequential_groups(&[vec![0, 1, 2, 3]], &problem);
+        let schedule = DerandSchedule::conflict_order(&[vec![0, 1, 2, 3]], &problem);
         let err = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
             .unwrap_err();
         assert!(err.contains("inclusive neighborhood"), "{err}");

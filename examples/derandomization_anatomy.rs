@@ -74,9 +74,11 @@ fn main() {
     // The distance-two coloring of the constraint/value graph (Lemma 3.12):
     // same-colored values share no constraint, so a whole class can fix its
     // coins in one parallel step. `color_problem` is the exact grouping the
-    // Theorem 1.2 pipeline route uses.
+    // Theorem 1.2 pipeline route uses; run in conflict order, the greedy
+    // classes come out as the schedule's steps.
     let (coloring, _bipartite) = color_problem(&problem);
-    let schedule = DerandSchedule::parallel_groups(&coloring.classes(), &problem);
+    let schedule = DerandSchedule::conflict_order(&coloring.classes(), &problem);
+    assert_eq!(schedule.steps, coloring.classes());
 
     // (c) The deterministic choice (Lemma 3.10 core), color class by class.
     let det = derandomize(

@@ -98,7 +98,8 @@ fn derandomization_anatomy_example_core_path() {
     use congest_mds::rounding::EstimatorKind;
 
     let (coloring, _bipartite) = color_problem(&problem);
-    let schedule = DerandSchedule::parallel_groups(&coloring.classes(), &problem);
+    let schedule = DerandSchedule::conflict_order(&coloring.classes(), &problem);
+    assert_eq!(schedule.len(), coloring.num_colors);
     let central = derandomize(
         &problem,
         &DerandomizeConfig {

@@ -514,22 +514,30 @@ proptest! {
         prop_assert_eq!(seq.report, par.report);
     }
 
-    // The scheduled conditional-expectation program is bit-identical to the
-    // central derandomizer processing the same groups (R3 made measured).
+    // The scheduled conditional-expectation program, run in conflict order,
+    // is bit-identical to the central derandomizer fixing one coin at a time
+    // in the same processing order (R3 made measured).
     #[test]
     fn scheduled_derandomization_equals_central_oracle(
         graph in graph_strategy(),
         threads in 2usize..6,
+        shuffle in 0u64..1000,
     ) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
         let x = lp::degree_heuristic(&graph);
         let problem = OneShotRounding::on_graph(&graph, &x).into_problem();
-        let order = vec![problem.participating_values()];
-        let schedule = DerandSchedule::sequential_groups(&order, &problem);
+        let mut order = problem.participating_values();
+        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(shuffle));
+        let order = vec![order];
+        let schedule = DerandSchedule::conflict_order(&order, &problem);
+        prop_assert!(schedule.len() <= order[0].len());
         let central = derandomize(
             &problem,
             &DerandomizeConfig {
                 estimator: EstimatorKind::default(),
-                groups: Some(schedule.as_groups()),
+                groups: Some(order.clone()),
             },
         );
         let distributed = distributed_derandomize_on(
