@@ -1,6 +1,6 @@
 //! Criterion benches for the execution engine: rounds/sec of the sequential
-//! and parallel executors on ring, star and random geometric topologies at
-//! n ∈ {10³, 10⁴, 10⁵}.
+//! executor and the worker pool on ring, star and random geometric
+//! topologies at n ∈ {10³, 10⁴, 10⁵}.
 //!
 //! The workload is a fixed-depth min-identifier flood — the engine-bound
 //! regime where mailbox management, not program logic, dominates. Both
@@ -8,7 +8,7 @@
 
 use congest_sim::{
     Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox,
-    ParallelExecutor, RoundAction, SyncExecutor,
+    PooledExecutor, RoundAction, SyncExecutor,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mds_graphs::generators;
@@ -76,7 +76,7 @@ fn bench_executors(c: &mut Criterion) {
         record_round_stats: false,
         ..ExecutorConfig::default()
     };
-    let parallel = ParallelExecutor::default();
+    let pool = PooledExecutor::new(std::thread::available_parallelism().map_or(1, |c| c.get()));
     for &n in &[1_000usize, 10_000, 100_000] {
         for (name, graph) in topologies(n) {
             group.bench_with_input(
@@ -87,10 +87,10 @@ fn bench_executors(c: &mut Criterion) {
                 },
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("parallel{}/{name}", parallel.threads()), n),
+                BenchmarkId::new(format!("pool{}/{name}", pool.threads()), n),
                 &graph,
                 |b, g| {
-                    b.iter(|| parallel.run(g, programs(g.n()), &config).unwrap());
+                    b.iter(|| pool.run(g, programs(g.n()), &config).unwrap());
                 },
             );
         }

@@ -22,8 +22,12 @@
 //! exact drift in rounds/messages/sizes, a wall-time regression beyond the
 //! 30% / 100 ms gate, a schema mismatch, or a missing run.
 //!
+//! `--exp` with no id, or with an id other than `e1`..`e10` / `all`, is a
+//! usage error (exit code 2).
+//!
 //! `--executor-sweep` runs the flood throughput benchmark at decade sizes up
-//! to `max_n` (default 10⁶) on both executors and prints the speedup table.
+//! to `max_n` (default 10⁶) on the sequential executor and the worker pool
+//! and prints the speedup table.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -88,11 +92,21 @@ fn main() {
         println!("wrote {path} (sizes: {sizes:?})");
         return;
     }
-    let exp = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_owned());
-    print!("{}", mds_bench::run_experiment(&exp));
+    let exp = match args.iter().position(|a| a == "--exp") {
+        None => "all",
+        Some(i) => match args.get(i + 1).filter(|a| !a.starts_with("--")) {
+            Some(id) => id.as_str(),
+            None => {
+                eprintln!("usage: experiments --exp <e1..e10|all>");
+                std::process::exit(2);
+            }
+        },
+    };
+    match mds_bench::run_experiment(exp) {
+        Some(tables) => print!("{tables}"),
+        None => {
+            eprintln!("unknown experiment id {exp:?}; expected e1..e10 or all");
+            std::process::exit(2);
+        }
+    }
 }

@@ -3,18 +3,17 @@
 //! commit, inbox construction) rather than by per-node compute.
 //!
 //! `experiments --executor-sweep` drives this up to `n = 10⁶` on the sparse
-//! families and prints a wall-time table over all executors: sequential,
-//! per-round-scoped parallel, and the persistent worker pool at one and at
-//! `T` threads — the pool-vs-scoped and pool-`T`-vs-pool-1 speedup columns
-//! are the headline numbers of the pooled executor. The run also doubles as
-//! a scale test of the bit-identity contract, since every report is asserted
-//! equal to the sequential one at every size.
+//! families and prints a wall-time table over the in-process executors:
+//! sequential, and the persistent worker pool at one and at `T` threads —
+//! the pool-`T`-vs-pool-1 and pool-`T`-vs-sync speedup columns decide
+//! whether the pool earns its place. The run also doubles as a scale test of
+//! the bit-identity contract, since every report is asserted equal to the
+//! sequential one at every size.
 
 use congest_sim::{
-    Executor, ExecutorConfig, Inbox, NodeContext, NodeProgram, Outbox, ParallelExecutor,
-    PooledExecutor, RoundAction, SyncExecutor,
+    Executor, ExecutorConfig, Inbox, NodeContext, NodeProgram, Outbox, PooledExecutor, RoundAction,
+    SyncExecutor,
 };
-use congest_transport::ChannelExecutor;
 use mds_graphs::generators;
 
 /// Rounds every flood run executes — enough to propagate labels a useful
@@ -70,40 +69,33 @@ fn sweep_threads() -> usize {
     std::env::var("PARALLEL_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| ParallelExecutor::auto().threads())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
         .max(1)
 }
 
 /// Runs the flood program on cycles and sparse `G(n, 2n)` instances at decade
 /// sizes up to `max_n` (a single miniature size when `max_n` is below the
 /// first decade, so tests still exercise the cross-executor assertion), on
-/// all executor configurations — sequential, per-round-scoped parallel at
-/// `T` threads, the persistent pool at 1 and `T` threads, and the serialized
-/// channel transport at 2 and 4 node groups (`channels2` / `channels4`,
-/// where every inter-group message crosses the encode → frame → decode
-/// path) — and returns a Markdown table of wall times and speedups. `T`
-/// follows `PARALLEL_THREADS` (else the core count).
+/// the sequential executor and the persistent pool at 1 and `T` threads, and
+/// returns a Markdown table of wall times and speedups. `T` follows
+/// `PARALLEL_THREADS` (else the core count).
 ///
 /// # Panics
 ///
 /// Panics if any executor's report diverges from the sequential one — the
 /// sweep is also a large-`n` regression test of the engine's determinism
-/// contract, now including the byte-level transport backends.
+/// contract.
 pub fn executor_sweep_markdown(max_n: usize) -> String {
     let threads = sweep_threads();
-    let scoped = ParallelExecutor::new(threads);
     let pool1 = PooledExecutor::new(1);
     let pool_t = PooledExecutor::new(threads);
-    let chan2 = ChannelExecutor::new(2, threads);
-    let chan4 = ChannelExecutor::new(4, threads);
     let mut out = format!(
         "## Executor sweep — flood program, {FLOOD_ROUNDS} rounds, T = {threads} threads\n\n",
     );
     out.push_str(&format!(
-        "| graph | n | m | messages | sync (ms) | scoped×{threads} (ms) | pool×1 (ms) \
-         | pool×{threads} (ms) | channels2 (ms) | channels4 (ms) \
-         | pool×{threads} vs pool×1 | pool vs scoped |\n\
-         | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
+        "| graph | n | m | messages | sync (ms) | pool×1 (ms) | pool×{threads} (ms) \
+         | pool×{threads} vs pool×1 | pool×{threads} vs sync |\n\
+         | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
     ));
     let mut n = 10_000usize;
     let mut sizes = Vec::new();
@@ -135,11 +127,6 @@ pub fn executor_sweep_markdown(max_n: usize) -> String {
                     .run(&g, FloodMin::programs(n), &config)
                     .expect("flood program is well-formed")
             });
-            let (scoped_ms, scoped_report) = time(&|| {
-                scoped
-                    .run(&g, FloodMin::programs(n), &config)
-                    .expect("flood program is well-formed")
-            });
             let (pool1_ms, pool1_report) = time(&|| {
                 pool1
                     .run(&g, FloodMin::programs(n), &config)
@@ -150,35 +137,19 @@ pub fn executor_sweep_markdown(max_n: usize) -> String {
                     .run(&g, FloodMin::programs(n), &config)
                     .expect("flood program is well-formed")
             });
-            let (chan2_ms, chan2_report) = time(&|| {
-                chan2
-                    .run(&g, FloodMin::programs(n), &config)
-                    .expect("flood program is well-formed")
-            });
-            let (chan4_ms, chan4_report) = time(&|| {
-                chan4
-                    .run(&g, FloodMin::programs(n), &config)
-                    .expect("flood program is well-formed")
-            });
-            for (name, report) in [
-                ("scoped", &scoped_report),
-                ("pool×1", &pool1_report),
-                ("pool×T", &pool_t_report),
-                ("channels2", &chan2_report),
-                ("channels4", &chan4_report),
-            ] {
+            for (name, report) in [("pool×1", &pool1_report), ("pool×T", &pool_t_report)] {
                 assert_eq!(
                     &seq, report,
                     "{name} diverged from the sequential run at n = {n} on {label}"
                 );
             }
             out.push_str(&format!(
-                "| {label} | {n} | {} | {} | {sync_ms:.1} | {scoped_ms:.1} | {pool1_ms:.1} \
-                 | {pool_t_ms:.1} | {chan2_ms:.1} | {chan4_ms:.1} | {:.2}× | {:.2}× |\n",
+                "| {label} | {n} | {} | {} | {sync_ms:.1} | {pool1_ms:.1} | {pool_t_ms:.1} \
+                 | {:.2}× | {:.2}× |\n",
                 g.m(),
                 seq.messages,
                 pool1_ms / pool_t_ms.max(f64::EPSILON),
-                scoped_ms / pool_t_ms.max(f64::EPSILON),
+                sync_ms / pool_t_ms.max(f64::EPSILON),
             ));
         }
     }
@@ -203,12 +174,11 @@ mod tests {
     #[test]
     fn sweep_table_renders_and_executors_agree() {
         // A miniature sweep (the real one starts at 10⁴) runs one small size,
-        // exercising the six-way bit-identity assertion inside.
+        // exercising the three-way bit-identity assertion inside.
         let table = executor_sweep_markdown(0);
         assert!(table.contains("| graph |"));
-        assert!(table.contains("pool×1"));
-        assert!(table.contains("channels2 (ms)"));
-        assert!(table.contains("channels4 (ms)"));
+        assert!(table.contains("pool×1 (ms)"));
+        assert!(table.contains("vs sync"));
         assert!(table.contains("| 512 |"));
     }
 }

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 use congest_sim::{Graph, PhaseMode, PhaseOutcome, PooledExecutor};
-use congest_transport::ChannelExecutor;
 use mds_cds::build::{connect_dominating_set, CdsConfig};
 use mds_cds::verify::is_connected_dominating_set;
 use mds_core::pipeline::{theorem_1_1, theorem_1_2, theorem_1_2_on, MdsConfig, MdsResult};
@@ -496,8 +495,9 @@ pub fn e10_decomposition_quality() -> String {
 }
 
 /// Runs one experiment by id (`"e1"`..`"e10"`); `"all"` runs every experiment.
-pub fn run_experiment(id: &str) -> String {
-    match id {
+/// Returns `None` for any other id.
+pub fn run_experiment(id: &str) -> Option<String> {
+    Some(match id {
         "e1" => e1_approximation_vs_exact(),
         "e2" => e2_approximation_at_scale(),
         "e3" => e3_rounds_vs_n(),
@@ -508,16 +508,12 @@ pub fn run_experiment(id: &str) -> String {
         "e8" => e8_cds_overhead(),
         "e9" => e9_ablations(),
         "e10" => e10_decomposition_quality(),
-        "all" => {
-            let mut out = String::new();
-            for i in 1..=10 {
-                out.push_str(&run_experiment(&format!("e{i}")));
-                out.push('\n');
-            }
-            out
-        }
-        other => format!("unknown experiment id {other:?}; expected e1..e10 or all\n"),
-    }
+        "all" => (1..=10)
+            .filter_map(|i| run_experiment(&format!("e{i}")))
+            .map(|table| table + "\n")
+            .collect(),
+        _ => return None,
+    })
 }
 
 /// Schema version stamped into the benchmark JSON. The perf-trend CI job
@@ -532,8 +528,7 @@ pub fn run_experiment(id: &str) -> String {
 ///
 /// v4 added the `"transport"` field — `"arena"` for every in-process-arena
 /// executor row, `"channels"` for the serialized channel-backend rows of the
-/// Theorem 1.2 route between [`POOLED_BENCH_MIN_N`] and
-/// [`CHANNELS_BENCH_MAX_N`] nodes (`"executor": "channels4"`) — and made it
+/// Theorem 1.2 route at `n = 10³` (`"executor": "channels4"`) — and made it
 /// the fourth component of the run identity.
 ///
 /// v5 added the `"payloads"` field: payloads *stored* by the engine per the
@@ -552,19 +547,16 @@ pub fn run_experiment(id: &str) -> String {
 /// simulated *charged* phase; now that the carving schedule runs on the
 /// engine, the trend gate pins its per-instance round cost exactly, just
 /// like the coloring rounds.
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+///
+/// v7 removed the `"transport"` field together with the channel backend and
+/// its `"channels4"` row: every remaining row runs over the in-process
+/// arena, so the run identity is `(graph, route, executor)` again.
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Smallest `n` at which the benchmark additionally times the Theorem 1.2
 /// route on the 4-thread persistent-pool executor. Below this the run is
 /// dominated by setup and the pool column would only measure noise.
 pub const POOLED_BENCH_MIN_N: usize = 1000;
-
-/// Largest `n` at which the benchmark times the Theorem 1.2 route on the
-/// serialized channel backend (`ChannelExecutor`, 4 groups × 4 threads).
-/// Every committed message crosses the encode → frame → decode path, so the
-/// row is deliberately capped: one mid-size data point tracks the codec's
-/// cost trend without doubling the sweep's wall time at the top sizes.
-pub const CHANNELS_BENCH_MAX_N: usize = 1000;
 
 /// Largest `n` at which the benchmark runs the sequential `SyncExecutor`
 /// reference alongside the pooled executor. Above this only the `"pooled4"`
@@ -620,7 +612,6 @@ fn bench_entry(
     family_label: &str,
     route: &str,
     executor: &str,
-    transport: &str,
     r: &MdsResult,
     wall_ms: f64,
 ) -> String {
@@ -633,7 +624,7 @@ fn bench_entry(
     format!(
         concat!(
             "    {{\"n\": {}, \"m\": {}, \"max_degree\": {}, \"graph\": \"{}\", ",
-            "\"route\": \"{}\", \"executor\": \"{}\", \"transport\": \"{}\", ",
+            "\"route\": \"{}\", \"executor\": \"{}\", ",
             "\"size\": {}, \"lp_lower_bound\": {:.3}, ",
             "\"measured_engine_rounds\": {}, \"measured_coloring_rounds\": {}, ",
             "\"measured_netdecomp_rounds\": {}, ",
@@ -649,7 +640,6 @@ fn bench_entry(
         family_label,
         route,
         executor,
-        transport,
         r.size(),
         r.lp_lower_bound,
         r.measured_engine_rounds(),
@@ -677,11 +667,9 @@ fn bench_entry(
 /// The Theorem 1.1 route runs on the sequential executor only, so it stops
 /// at [`SYNC_BENCH_MAX_N`]; sizes at or above [`POOLED_BENCH_MIN_N`] additionally
 /// time the Theorem 1.2 route on the 4-thread persistent-pool executor
-/// (`"executor": "pooled4"`) and — up to [`CHANNELS_BENCH_MAX_N`] — on the
-/// serialized channel backend (`"executor": "channels4"`, `"transport":
-/// "channels"`), asserting their rounds, messages and solution bit-identical
-/// to the sequential run so the extra rows can only ever differ in wall
-/// time. Sizes above [`SYNC_BENCH_MAX_N`] drop the sequential reference and
+/// (`"executor": "pooled4"`), asserting its rounds, messages and solution
+/// bit-identical to the sequential run so the extra row can only ever differ
+/// in wall time. Sizes above [`SYNC_BENCH_MAX_N`] drop the sequential reference and
 /// produce the `"pooled4"` row alone; its determinism is pinned by the
 /// baseline's exact field gate. The wall breakdown classifies measured
 /// phases by name:
@@ -704,15 +692,7 @@ pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
                 };
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 assert!(verify::is_dominating_set(&g, &r.dominating_set));
-                entries.push(bench_entry(
-                    &g,
-                    &family.label(),
-                    route,
-                    "sync",
-                    "arena",
-                    &r,
-                    wall_ms,
-                ));
+                entries.push(bench_entry(&g, &family.label(), route, "sync", &r, wall_ms));
                 Some(r)
             } else {
                 None
@@ -738,34 +718,8 @@ pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
                     &family.label(),
                     route,
                     "pooled4",
-                    "arena",
                     &pooled,
                     pooled_ms,
-                ));
-            }
-            if route == "theorem_1_2" && (POOLED_BENCH_MIN_N..=CHANNELS_BENCH_MAX_N).contains(&n) {
-                let r = reference
-                    .as_ref()
-                    .expect("channel-backend sizes stay within the sync cap");
-                let start = std::time::Instant::now();
-                let channels = theorem_1_2_on(&g, &config, &ChannelExecutor::new(4, 4));
-                let channels_ms = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    channels.dominating_set, r.dominating_set,
-                    "channel run diverged from sequential at n = {n}"
-                );
-                assert_eq!(
-                    channels.ledger, r.ledger,
-                    "channel ledger diverged from sequential at n = {n}"
-                );
-                entries.push(bench_entry(
-                    &g,
-                    &family.label(),
-                    route,
-                    "channels4",
-                    "channels",
-                    &channels,
-                    channels_ms,
                 ));
             }
         }
@@ -814,7 +768,7 @@ mod tests {
     #[test]
     fn cheap_experiments_produce_tables() {
         for id in ["e5", "e6", "e10"] {
-            let table = run_experiment(id);
+            let table = run_experiment(id).expect("known experiment id");
             assert!(table.contains('|'), "{id} produced no table");
             assert!(table.contains("##"), "{id} has no heading");
         }
@@ -822,7 +776,7 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_reported() {
-        assert!(run_experiment("e99").contains("unknown experiment"));
+        assert!(run_experiment("e99").is_none());
     }
 
     #[test]
@@ -837,12 +791,11 @@ mod tests {
         let json = pipeline_benchmark_json(&[30]);
         for key in [
             "\"benchmark\": \"pipeline\"",
-            "\"schema_version\": 6",
+            "\"schema_version\": 7",
             "\"graph\": \"gnp_n30_",
             "\"route\": \"theorem_1_1\"",
             "\"route\": \"theorem_1_2\"",
             "\"executor\": \"sync\"",
-            "\"transport\": \"arena\"",
             "\"measured_engine_rounds\"",
             "\"measured_coloring_rounds\"",
             "\"measured_netdecomp_rounds\"",
@@ -858,16 +811,13 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // Two routes over one size; below POOLED_BENCH_MIN_N there is no
-        // extra pooled-executor or channel-backend row.
+        // extra pooled-executor row.
         assert_eq!(json.matches("\"route\"").count(), 2);
         assert!(!json.contains("pooled4"));
-        assert!(!json.contains("channels4"));
+        assert!(!json.contains("\"transport\""));
         // The decomposition route never colors; the coloring route measures
         // its Lemma 3.12 phases on the engine.
-        assert!(json.contains(
-            "\"route\": \"theorem_1_1\", \"executor\": \"sync\", \
-             \"transport\": \"arena\", \"size\""
-        ));
+        assert!(json.contains("\"route\": \"theorem_1_1\", \"executor\": \"sync\", \"size\""));
         let coloring_route = json
             .lines()
             .find(|l| l.contains("theorem_1_2"))

@@ -35,13 +35,8 @@ pub struct BenchRun {
     /// `"theorem_1_1"` or `"theorem_1_2"`.
     pub route: String,
     /// `"sync"` for the sequential rows, `"pooled4"` for the 4-thread
-    /// persistent-pool rows, `"channels4"` for the serialized
-    /// channel-backend rows of the Theorem 1.2 route (schema v3/v4).
+    /// persistent-pool rows of the Theorem 1.2 route (schema v3).
     pub executor: String,
-    /// How committed message batches move between rounds: `"arena"` for the
-    /// in-process executors, `"channels"` for the serialized channel backend
-    /// (schema v4).
-    pub transport: String,
     /// Nodes.
     pub n: u64,
     /// Edges.
@@ -75,12 +70,11 @@ pub struct BenchRun {
 
 impl BenchRun {
     /// The identity a run is matched on across files.
-    pub fn key(&self) -> (String, String, String, String) {
+    pub fn key(&self) -> (String, String, String) {
         (
             self.graph.clone(),
             self.route.clone(),
             self.executor.clone(),
-            self.transport.clone(),
         )
     }
 }
@@ -160,7 +154,6 @@ pub fn parse(json: &str) -> Result<BenchFile, String> {
                 graph: str_field(line, "graph")?,
                 route: str_field(line, "route")?,
                 executor: str_field(line, "executor")?,
-                transport: str_field(line, "transport")?,
                 n: u64_field(line, "n")?,
                 m: u64_field(line, "m")?,
                 max_degree: u64_field(line, "max_degree")?,
@@ -235,22 +228,19 @@ pub fn compare(baseline: &BenchFile, current: &BenchFile) -> TrendReport {
         baseline.runs.iter().map(|r| r.key()).collect();
 
     let mut table = String::from(
-        "| graph | route | executor | transport | rounds (engine) | rounds (sim) | messages | \
-         payloads | wall base (ms) | wall now (ms) | Δ wall | status |\n\
-         | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
+        "| graph | route | executor | rounds (engine) | rounds (sim) | messages | payloads | \
+         wall base (ms) | wall now (ms) | Δ wall | status |\n\
+         | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
     );
     for base in &baseline.runs {
-        let key = format!(
-            "{} / {} / {} / {}",
-            base.graph, base.route, base.executor, base.transport
-        );
+        let key = format!("{} / {} / {}", base.graph, base.route, base.executor);
         let Some(cur) = current_by_key.get(&base.key()) else {
             violations.push(format!(
                 "{key}: present in baseline but missing from current run"
             ));
             table.push_str(&format!(
-                "| {} | {} | {} | {} | - | - | - | - | {:.1} | - | - | MISSING |\n",
-                base.graph, base.route, base.executor, base.transport, base.wall_ms
+                "| {} | {} | {} | - | - | - | - | {:.1} | - | - | MISSING |\n",
+                base.graph, base.route, base.executor, base.wall_ms
             ));
             continue;
         };
@@ -305,11 +295,10 @@ pub fn compare(baseline: &BenchFile, current: &BenchFile) -> TrendReport {
             }
         }
         table.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.1} | {:+.0}% | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.1} | {:+.0}% | {} |\n",
             cur.graph,
             cur.route,
             cur.executor,
-            cur.transport,
             cur.measured_engine_rounds,
             cur.simulated_rounds,
             cur.messages,
@@ -324,11 +313,10 @@ pub fn compare(baseline: &BenchFile, current: &BenchFile) -> TrendReport {
     for cur in &current.runs {
         if !baseline_keys.contains(&cur.key()) {
             table.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | - | {:.1} | - | new |\n",
+                "| {} | {} | {} | {} | {} | {} | {} | - | {:.1} | - | new |\n",
                 cur.graph,
                 cur.route,
                 cur.executor,
-                cur.transport,
                 cur.measured_engine_rounds,
                 cur.simulated_rounds,
                 cur.messages,
@@ -363,11 +351,11 @@ mod tests {
     fn sample(wall: f64, rounds: u64) -> String {
         format!(
             concat!(
-                "{{\n  \"benchmark\": \"pipeline\",\n  \"schema_version\": 6,\n",
+                "{{\n  \"benchmark\": \"pipeline\",\n  \"schema_version\": 7,\n",
                 "  \"runs\": [\n",
                 "    {{\"n\": 50, \"m\": 180, \"max_degree\": 11, ",
                 "\"graph\": \"gnp_n50_p0.16\", \"route\": \"theorem_1_1\", ",
-                "\"executor\": \"sync\", \"transport\": \"arena\", ",
+                "\"executor\": \"sync\", ",
                 "\"size\": 17, \"lp_lower_bound\": 7.1, ",
                 "\"measured_engine_rounds\": {rounds}, ",
                 "\"measured_coloring_rounds\": 0, ",
@@ -393,7 +381,6 @@ mod tests {
         assert_eq!(run.graph, "gnp_n50_p0.16");
         assert_eq!(run.route, "theorem_1_1");
         assert_eq!(run.executor, "sync");
-        assert_eq!(run.transport, "arena");
         assert_eq!(run.n, 50);
         assert_eq!(run.measured_engine_rounds, 700);
         assert_eq!(run.messages, 12345);
@@ -415,14 +402,14 @@ mod tests {
     fn foreign_schema_versions_get_directional_errors_not_field_noise() {
         // A file from a *newer* binary: its lines carry fields this parser
         // has never heard of — the guard must fire before any field error.
-        let newer = sample(1.0, 5).replace("\"schema_version\": 6", "\"schema_version\": 99");
+        let newer = sample(1.0, 5).replace("\"schema_version\": 7", "\"schema_version\": 99");
         let err = parse(&newer).unwrap_err();
         assert!(err.contains("newer than this binary"), "{err}");
         assert!(err.contains("rebuild the binary"), "{err}");
 
         // A file from an *older* binary points at regeneration instead.
         let older = sample(1.0, 5)
-            .replace("\"schema_version\": 6", "\"schema_version\": 5")
+            .replace("\"schema_version\": 7", "\"schema_version\": 6")
             .replace("\"measured_netdecomp_rounds\": 7, ", "");
         let err = parse(&older).unwrap_err();
         assert!(err.contains("older than this binary"), "{err}");
@@ -484,7 +471,7 @@ mod tests {
     fn schema_and_coverage_mismatches_fail() {
         let base = parse(&sample(10.0, 100)).unwrap();
         let mut newer = base.clone();
-        newer.schema_version = 7;
+        newer.schema_version = 8;
         assert!(compare(&base, &newer)
             .violations
             .iter()

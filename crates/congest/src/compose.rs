@@ -13,10 +13,8 @@
 //! (combinatorial constructions simulated centrally, charged with the paper's
 //! closed-form bound) into the same accounting stream, in execution order.
 //! Typed state flows between phases as ordinary Rust values — the outputs of
-//! one phase parameterize the node programs of the next.
-//!
-//! Reusable phases implement [`Phase`]; one-off steps can call
-//! [`ComposedProgram::measured`] / [`ComposedProgram::charged`] directly.
+//! one phase parameterize the node programs of the next. Each step calls
+//! [`ComposedProgram::measured`] or [`ComposedProgram::charged`].
 //!
 //! ```
 //! use congest_sim::compose::{ComposedProgram, PhaseSpec};
@@ -139,30 +137,6 @@ impl CompositionReport {
     }
 }
 
-/// A reusable, typed phase of a composed program.
-///
-/// The input is whatever state the previous phases produced; the output feeds
-/// the next phase. Implementations call back into the composer to run node
-/// programs ([`ComposedProgram::measured`]) or record central work
-/// ([`ComposedProgram::charged`]).
-pub trait Phase {
-    /// State consumed by the phase.
-    type Input;
-    /// State produced by the phase.
-    type Output;
-
-    /// Executes the phase against the composer's graph, executor and ledger.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from measured sub-phases.
-    fn run<E: Executor>(
-        self,
-        composer: &mut ComposedProgram<'_, E>,
-        input: Self::Input,
-    ) -> Result<Self::Output, ExecutionError>;
-}
-
 /// Sequences heterogeneous [`NodeProgram`]s (and charged central steps) as
 /// one multi-phase algorithm run: one graph, one executor, one accounting
 /// stream. See the module documentation for the full story.
@@ -194,27 +168,9 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
         }
     }
 
-    /// The graph the composition runs on.
-    pub fn graph(&self) -> &'a Graph {
-        self.graph
-    }
-
     /// The ledger accumulated so far.
     pub fn ledger(&self) -> &RoundLedger {
         &self.ledger
-    }
-
-    /// Runs a typed [`Phase`] with the given input, returning its output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from the phase's measured sub-phases.
-    pub fn run_phase<P: Phase>(
-        &mut self,
-        phase: P,
-        input: P::Input,
-    ) -> Result<P::Output, ExecutionError> {
-        phase.run(self, input)
     }
 
     /// Runs `programs` on the engine as one measured phase: the resulting
@@ -414,34 +370,6 @@ mod tests {
         assert!(report.phases.iter().all(|p| p.mode == PhaseMode::Charged));
         assert_eq!(report.ledger.total_simulated_rounds(), 14);
         assert_eq!(report.ledger.total_formula_rounds(), 43);
-    }
-
-    struct DoubledMin;
-    impl Phase for DoubledMin {
-        type Input = u64;
-        type Output = (u64, usize);
-        fn run<E: Executor>(
-            self,
-            composer: &mut ComposedProgram<'_, E>,
-            input: u64,
-        ) -> Result<(u64, usize), ExecutionError> {
-            let n = composer.graph().n();
-            let report = composer.measured(
-                PhaseSpec::named("min ids"),
-                (0..n).map(|_| OneShotMin { best: 0 }).collect::<Vec<_>>(),
-            )?;
-            Ok((input * 2, report.outputs[0]))
-        }
-    }
-
-    #[test]
-    fn typed_phase_trait_threads_state_through_the_composer() {
-        let g = path(3);
-        let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
-        let (doubled, min) = composed.run_phase(DoubledMin, 21).unwrap();
-        assert_eq!(doubled, 42);
-        assert_eq!(min, 0);
-        assert_eq!(composed.finish().measured_phase_count(), 1);
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //! delivery is a buffer swap, and inboxes are zero-copy slices sorted by
 //! sender — the steady-state round loop allocates nothing.
 //!
-//! Three deterministic [`Executor`]s drive the loop:
+//! Two deterministic in-process [`Executor`]s drive the loop:
 //!
-//! * [`SyncExecutor`] — runs all nodes on the calling thread.
-//! * [`ParallelExecutor`] — partitions nodes into contiguous blocks executed
-//!   by scoped worker threads (respawned per round), then commits all
-//!   outboxes *in node order* on the calling thread. Outputs, round counts,
-//!   message counts and per-round statistics are bit-identical to sequential
-//!   execution for any thread count.
+//! * [`SyncExecutor`] — runs all nodes on the calling thread; the reference
+//!   semantics every other backend is pinned against.
 //! * [`crate::pool::PooledExecutor`] — spawns workers once per run, keeps
-//!   them synchronized with a barrier, and parallelizes the commit phase as
-//!   well; still bit-identical (see the module docs for the argument).
+//!   them synchronized with a barrier, and lets every worker execute and
+//!   commit its own node block; outputs, round counts, message counts and
+//!   per-round statistics stay bit-identical to [`SyncExecutor`] for any
+//!   thread count (see the module docs for the argument).
 //!
 //! The per-graph routing tables (mirror/slot-owner) are built once and cached
 //! inside [`Graph`] (see `crate::topology`), so repeated runs and
@@ -37,8 +35,6 @@ use crate::topology::TopologyCache;
 use crate::{Graph, NodeId, RoundLedger};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
-use std::thread;
 
 /// Configuration of an [`Executor`] run.
 #[derive(Debug, Clone)]
@@ -303,158 +299,21 @@ impl Executor for SyncExecutor {
         P::Message: Send + Sync,
         P::Output: Send,
     {
-        run_engine(graph, programs, config, 1)
+        run_engine(graph, programs, config)
     }
 }
 
-/// The chunked parallel executor: nodes are partitioned into contiguous
-/// blocks executed by scoped worker threads; outboxes are committed in node
-/// order on the calling thread, so every observable quantity is bit-identical
-/// to [`SyncExecutor`] regardless of thread count.
-///
-/// Workers are (re)spawned per round via [`std::thread::scope`] — the simple
-/// scheme that needs no `unsafe` and no cross-round synchronization; it is
-/// kept as the baseline the persistent-pool [`crate::pool::PooledExecutor`]
-/// is measured against. The spawn cost (tens of microseconds per thread) is
-/// amortized only when the per-round work dominates; the executor therefore
-/// *adapts its fan-out to the node count*: a worker is only spawned for every full `min_chunk`
-/// nodes, so small graphs run on few threads (or one) and large graphs use
-/// the full configured width. [`ParallelExecutor::new`] keeps the historical
-/// exact partition (`min_chunk = 1`) so equivalence tests exercise genuine
-/// multi-block execution even on tiny graphs; [`ParallelExecutor::auto`] and
-/// [`Default`] enable the adaptive policy.
-#[derive(Debug, Clone)]
-pub struct ParallelExecutor {
-    threads: usize,
-    min_chunk: usize,
-}
-
-impl ParallelExecutor {
-    /// Minimum nodes per worker under the adaptive policy
-    /// ([`ParallelExecutor::auto`]): below this, thread-spawn latency beats
-    /// the per-round work a block of typical programs performs.
-    pub const DEFAULT_MIN_CHUNK: usize = 2048;
-
-    /// Creates an executor using exactly `threads` worker threads (at least
-    /// one), regardless of graph size.
-    pub fn new(threads: usize) -> Self {
-        ParallelExecutor {
-            threads: threads.max(1),
-            min_chunk: 1,
-        }
-    }
-
-    /// Creates an executor using the available hardware parallelism with
-    /// adaptive chunking: the fan-out shrinks on small graphs so that every
-    /// worker owns at least [`ParallelExecutor::DEFAULT_MIN_CHUNK`] nodes.
-    pub fn auto() -> Self {
-        ParallelExecutor {
-            threads: thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1),
-            min_chunk: Self::DEFAULT_MIN_CHUNK,
-        }
-    }
-
-    /// Overrides the minimum nodes per worker (at least one).
-    pub fn with_min_chunk(mut self, min_chunk: usize) -> Self {
-        self.min_chunk = min_chunk.max(1);
-        self
-    }
-
-    /// The configured number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The minimum number of nodes assigned to a worker.
-    pub fn min_chunk(&self) -> usize {
-        self.min_chunk
-    }
-}
-
-impl Default for ParallelExecutor {
-    /// [`ParallelExecutor::auto`]: hardware parallelism, adaptive chunking.
-    fn default() -> Self {
-        ParallelExecutor::auto()
-    }
-}
-
-impl Executor for ParallelExecutor {
-    fn run<P>(
-        &self,
-        graph: &Graph,
-        programs: Vec<P>,
-        config: &ExecutorConfig,
-    ) -> Result<RunReport<P::Output>, ExecutionError>
-    where
-        P: NodeProgram + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-    {
-        // Adaptive fan-out: one worker per `min_chunk` nodes, capped at the
-        // configured width. Purely a wall-clock decision — block boundaries
-        // never influence outputs or accounting.
-        let width = (graph.n() / self.min_chunk).clamp(1, self.threads);
-        run_engine(graph, programs, config, width)
-    }
-}
-
-/// How committed `(slot, message)` batches move between rounds — the seam
-/// between the round loop and the message plane.
-///
-/// The engine resolves every send to its *destination* arena slot (through
-/// the [`TopologyCache`] mirror table) before it reaches the delivery layer,
-/// so an implementation only stores, advances and serves slot-indexed
-/// batches; it never consults the graph. The in-process default is
-/// [`ArenaDelivery`]; the `congest_transport` crate builds channel- and
-/// socket-backed executors on the same seam, moving the identical
-/// `(slot, msg)` batches as serialized bytes instead of arena writes.
-///
-/// The contract every implementation must keep for bit-identical reports:
-/// within one round, multiple [`Delivery::queue`] calls for the same slot
-/// keep the *last* message (all writes to one slot come from one sender, in
-/// that sender's send order), and [`Delivery::advance`] publishes exactly
-/// the queued batch as the next round's [`Delivery::current`].
-pub trait Delivery<M> {
-    /// Stages `msg` for delivery into destination arena slot `slot` at the
-    /// start of the next round. A later `queue` to the same slot within the
-    /// same round replaces the message (one message per edge per round).
-    fn queue(&mut self, slot: usize, msg: M);
-
-    /// Stages one broadcast payload into every slot of `slots` — a sender's
-    /// mirror range. Caller contract: the slots are distinct and none of them
-    /// has been queued this round (each arena slot has exactly one writer,
-    /// and a broadcasting sender stages nothing else — `Outbox::broadcast`
-    /// requires an otherwise empty outbox), so implementations may skip the
-    /// per-slot duplicate-occupancy check. The default fans through
-    /// [`Delivery::queue`], moving the last copy instead of cloning it.
-    fn queue_fan(&mut self, slots: &[usize], msg: M)
-    where
-        M: Clone,
-    {
-        if let Some((&last, rest)) = slots.split_last() {
-            for &slot in rest {
-                self.queue(slot, msg.clone());
-            }
-            self.queue(last, msg);
-        }
-    }
-
-    /// Ends the round: queued messages become current, the previous round's
-    /// messages are dropped.
-    fn advance(&mut self);
-
-    /// The messages delivered for the current round, indexed by arena slot.
-    fn current(&self) -> &[Option<M>];
-}
-
-/// CSR-indexed, double-buffered per-edge message arena — the zero-cost
-/// in-process [`Delivery`] backend.
+/// CSR-indexed, double-buffered per-edge message arena: how committed
+/// `(slot, message)` batches move between rounds on the sequential engine
+/// and on each side of the socket backend.
 ///
 /// Slot `slot_range(v).start + i` holds the message *received by* `v` from
 /// its `i`-th CSR neighbor; senders write through the [`TopologyCache`]
-/// mirror so the write side is the receiver's inbox range.
+/// mirror so the write side is the receiver's inbox range. Within one round,
+/// several [`ArenaDelivery::queue`] calls for the same slot keep the *last*
+/// message (all writes to one slot come from one sender, in that sender's
+/// send order), and [`ArenaDelivery::advance`] publishes exactly the queued
+/// batch as the next round's [`ArenaDelivery::current`].
 pub struct ArenaDelivery<M> {
     /// Messages delivered this round (read side).
     cur: Vec<Option<M>>,
@@ -473,12 +332,7 @@ pub struct ArenaDelivery<M> {
 impl<M> ArenaDelivery<M> {
     /// An empty arena with one slot per directed edge of `graph`.
     pub fn new(graph: &Graph) -> Self {
-        Self::with_slots(graph.slot_count())
-    }
-
-    /// An empty arena over an explicit slot count (transport backends size
-    /// shards directly).
-    pub fn with_slots(slots: usize) -> Self {
+        let slots = graph.slot_count();
         ArenaDelivery {
             cur: std::iter::repeat_with(|| None).take(slots).collect(),
             next: std::iter::repeat_with(|| None).take(slots).collect(),
@@ -486,14 +340,13 @@ impl<M> ArenaDelivery<M> {
             next_written: Vec::new(),
         }
     }
-}
 
-impl<M> Delivery<M> for ArenaDelivery<M> {
-    fn queue(&mut self, slot: usize, msg: M) {
-        // A duplicate send to the same neighbor overwrites the slot (the
-        // last message wins — one message per edge per round); record the
-        // slot in `next_written` only on first occupancy so the sparse
-        // clear in `advance` touches each slot once.
+    /// Stages `msg` for delivery into destination arena slot `slot` at the
+    /// start of the next round. A later `queue` to the same slot within the
+    /// same round replaces the message (one message per edge per round).
+    pub fn queue(&mut self, slot: usize, msg: M) {
+        // Record the slot in `next_written` only on first occupancy so the
+        // sparse clear in `advance` touches each slot once.
         if self.next[slot].replace(msg).is_some() {
             debug_assert!(self.next_written.contains(&slot));
         } else {
@@ -501,11 +354,14 @@ impl<M> Delivery<M> for ArenaDelivery<M> {
         }
     }
 
-    /// The broadcast fast path's write side: the caller guarantees the slots
-    /// are distinct first occupancies, so the occupancy check and per-slot
-    /// `push` of [`ArenaDelivery::queue`] collapse into one bulk append plus
-    /// straight stores.
-    fn queue_fan(&mut self, slots: &[usize], msg: M)
+    /// Stages one broadcast payload into every slot of `slots` — a sender's
+    /// mirror range. Caller contract: the slots are distinct and none of them
+    /// has been queued this round (each arena slot has exactly one writer,
+    /// and a broadcasting sender stages nothing else — `Outbox::broadcast`
+    /// requires an otherwise empty outbox), so the occupancy check and
+    /// per-slot `push` of [`ArenaDelivery::queue`] collapse into one bulk
+    /// append plus straight stores.
+    pub fn queue_fan(&mut self, slots: &[usize], msg: M)
     where
         M: Clone,
     {
@@ -519,9 +375,10 @@ impl<M> Delivery<M> for ArenaDelivery<M> {
         }
     }
 
-    /// Makes the queued messages current and empties the write side, clearing
-    /// only the slots that were actually occupied (no allocation).
-    fn advance(&mut self) {
+    /// Ends the round: the queued messages become current and the previous
+    /// round's are dropped, clearing only the slots that were actually
+    /// occupied (no allocation).
+    pub fn advance(&mut self) {
         // Broadcast-heavy rounds occupy most of the arena; above a quarter
         // occupancy a linear sweep beats scattering through the written list
         // in mirror order.
@@ -539,7 +396,8 @@ impl<M> Delivery<M> for ArenaDelivery<M> {
         std::mem::swap(&mut self.cur_written, &mut self.next_written);
     }
 
-    fn current(&self) -> &[Option<M>] {
+    /// The messages delivered for the current round, indexed by arena slot.
+    pub fn current(&self) -> &[Option<M>] {
         &self.cur
     }
 }
@@ -548,9 +406,9 @@ impl<M> Delivery<M> for ArenaDelivery<M> {
 /// LOCAL-model `usize::MAX` budget (or absurdly long runs) cannot overflow.
 /// Saturating `u64` addition is associative (it is ordinary addition clamped
 /// at a ceiling none of the partial sums can exceed without the total also
-/// exceeding it), which is what lets the pooled executor — and every
-/// transport backend — fold per-worker sub-totals and still match the
-/// sequential left-to-right accumulation bit for bit.
+/// exceeding it), which is what lets the pooled executor and the socket
+/// backend fold per-worker sub-totals and still match the sequential
+/// left-to-right accumulation bit for bit.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Accounting {
     /// Messages charged.
@@ -599,7 +457,7 @@ pub enum Committed<M> {
 /// committed unit to `sink` in send order.
 ///
 /// This is the single per-message commit primitive shared by every executor
-/// (sequential, scoped, pooled and the transport backends), so the check
+/// (sequential, pooled and the socket backend), so the check
 /// order — [`INVALID_SLOT`] → [`ExecutionError::NotANeighbor`] first, then
 /// the bandwidth charge and (if enforced) [`ExecutionError::BandwidthExceeded`]
 /// — is identical everywhere and first-error behavior cannot drift between
@@ -690,18 +548,18 @@ pub fn drain_outbox<M: MessageSize>(
 }
 
 /// Commits the staged outputs of all nodes, in node order, into `delivery`,
-/// charging each message. Delivery slots were resolved at send time, so the
-/// hot loop is a straight [`Delivery::queue`] per message; a broadcast
+/// charging each message. Destination slots were resolved at send time, so the
+/// hot loop is a straight [`ArenaDelivery::queue`] per message; a broadcast
 /// arrives as one [`Committed::Fan`] payload and is fanned out here through
 /// the sender's mirror range (same slots, same values the materialized
 /// per-edge copies would have produced). A send to a non-neighbor surfaces
 /// as [`INVALID_SLOT`], with the offending target parked in the sender's
 /// `invalid` scratch slot. Returns `(messages, bits)` sent this round.
 #[allow(clippy::too_many_arguments)]
-fn commit_round<M: MessageSize + Clone, D: Delivery<M>>(
+fn commit_round<M: MessageSize + Clone>(
     graph: &Graph,
     topo: &TopologyCache,
-    delivery: &mut D,
+    delivery: &mut ArenaDelivery<M>,
     pending: &mut [Pending<M>],
     invalid: &[Option<NodeId>],
     acct: &mut Accounting,
@@ -736,90 +594,13 @@ fn commit_round<M: MessageSize + Clone, D: Delivery<M>>(
     Ok((messages, bits_sent))
 }
 
-/// Read-only state shared by every block of one round's execute phase.
-struct RoundView<'e, M> {
-    graph: &'e Graph,
-    round: u64,
-    /// The delivered-message arena (the store's read side).
-    cur: &'e [Option<M>],
-}
-
-/// Runs one round of programs for the contiguous node block starting at
-/// `base`. Shared by the sequential path (one block covering everything) and
-/// the worker threads of the parallel path. Returns the number of nodes that
-/// halted during this round, so the driver can keep a running halted count
-/// instead of rescanning all `n` flags every round.
-fn execute_block<P: NodeProgram>(
-    view: &RoundView<'_, P::Message>,
-    base: usize,
-    programs: &mut [P],
-    halted: &mut [bool],
-    outputs: &mut [Option<P::Output>],
-    pending: &mut [Pending<P::Message>],
-    invalid: &mut [Option<NodeId>],
-) -> usize {
-    let graph = view.graph;
-    let mut newly_halted = 0usize;
-    for i in 0..programs.len() {
-        if halted[i] {
-            continue;
-        }
-        let v = NodeId(base + i);
-        let ctx = NodeContext {
-            id: v,
-            graph,
-            round: view.round,
-        };
-        let inbox = Inbox::over(graph.neighbors(v), &view.cur[graph.slot_range(v)]);
-        pending[i].clear();
-        invalid[i] = None;
-        let mut outbox = Outbox::over(graph.neighbors(v), &mut pending[i], &mut invalid[i]);
-        match programs[i].round(&ctx, &inbox, &mut outbox) {
-            RoundAction::Continue => {}
-            RoundAction::Halt(out) => {
-                outputs[i] = Some(out);
-                halted[i] = true;
-                newly_halted += 1;
-                pending[i].clear();
-            }
-        }
-    }
-    newly_halted
-}
-
-pub(crate) fn run_engine<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: &ExecutorConfig,
-    threads: usize,
-) -> Result<RunReport<P::Output>, ExecutionError>
-where
-    P: NodeProgram + Send,
-    P::Message: Send + Sync,
-    P::Output: Send,
-{
-    let mut delivery: ArenaDelivery<P::Message> = ArenaDelivery::new(graph);
-    run_engine_with(graph, programs, config, threads, &mut delivery)
-}
-
-/// The round loop, generic over the [`Delivery`] backend that moves committed
-/// `(slot, msg)` batches between rounds. `run_engine` instantiates it with
-/// the in-process [`ArenaDelivery`]; tests and transport backends may supply
-/// their own implementation to observe or redirect the message plane without
-/// touching the loop.
-pub fn run_engine_with<P, D>(
+/// The sequential round loop over an [`ArenaDelivery`]: the reference
+/// semantics of every executor.
+pub(crate) fn run_engine<P: NodeProgram>(
     graph: &Graph,
     mut programs: Vec<P>,
     config: &ExecutorConfig,
-    threads: usize,
-    delivery: &mut D,
-) -> Result<RunReport<P::Output>, ExecutionError>
-where
-    P: NodeProgram + Send,
-    P::Message: Send + Sync,
-    P::Output: Send,
-    D: Delivery<P::Message>,
-{
+) -> Result<RunReport<P::Output>, ExecutionError> {
     let n = graph.n();
     if programs.len() != n {
         return Err(ExecutionError::ProgramCountMismatch {
@@ -830,9 +611,9 @@ where
     let bandwidth = config
         .bandwidth_bits
         .unwrap_or_else(|| crate::congest_bandwidth_bits(n));
-    let threads = threads.max(1);
 
-    let topo = Arc::clone(graph.topology());
+    let mut delivery: ArenaDelivery<P::Message> = ArenaDelivery::new(graph);
+    let topo = graph.topology();
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
     let mut halted = vec![false; n];
     let mut halted_count = 0usize;
@@ -857,8 +638,8 @@ where
     }
     let (messages, bits) = commit_round(
         graph,
-        &topo,
-        delivery,
+        topo,
+        &mut delivery,
         &mut pending,
         &invalid,
         &mut acct,
@@ -887,54 +668,36 @@ where
             });
         }
 
-        // Execute phase: run every live node's program against its inbox.
-        let view = RoundView {
-            graph,
-            round,
-            cur: delivery.current(),
-        };
-        let newly_halted = if threads == 1 || n <= 1 {
-            execute_block(
-                &view,
-                0,
-                &mut programs,
-                &mut halted,
-                &mut outputs,
-                &mut pending,
-                &mut invalid,
-            )
-        } else {
-            let chunk = n.div_ceil(threads).max(1);
-            let view = &view;
-            thread::scope(|s| {
-                let blocks = programs
-                    .chunks_mut(chunk)
-                    .zip(halted.chunks_mut(chunk))
-                    .zip(outputs.chunks_mut(chunk))
-                    .zip(pending.chunks_mut(chunk))
-                    .zip(invalid.chunks_mut(chunk))
-                    .enumerate();
-                let handles: Vec<_> = blocks
-                    .map(|(b, ((((progs, halts), outs), pends), invs))| {
-                        s.spawn(move || {
-                            execute_block(view, b * chunk, progs, halts, outs, pends, invs)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("engine worker panicked"))
-                    .sum::<usize>()
-            })
-        };
-        halted_count += newly_halted;
+        // Execute phase: run every live node's program against its inbox,
+        // keeping a running halted count instead of rescanning all `n` flags.
+        let cur = delivery.current();
+        for (v, program) in programs.iter_mut().enumerate() {
+            if halted[v] {
+                continue;
+            }
+            let id = NodeId(v);
+            let ctx = NodeContext { id, graph, round };
+            let inbox = Inbox::over(graph.neighbors(id), &cur[graph.slot_range(id)]);
+            pending[v].clear();
+            invalid[v] = None;
+            let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[v], &mut invalid[v]);
+            match program.round(&ctx, &inbox, &mut outbox) {
+                RoundAction::Continue => {}
+                RoundAction::Halt(out) => {
+                    outputs[v] = Some(out);
+                    halted[v] = true;
+                    halted_count += 1;
+                    pending[v].clear();
+                }
+            }
+        }
 
-        // Commit phase: merge all outboxes in node order (single thread), so
-        // charging order and first-error behavior match sequential execution.
+        // Commit phase: merge all outboxes in node order, so charging order
+        // and first-error behavior are the reference every backend matches.
         let (messages, bits) = commit_round(
             graph,
-            &topo,
-            delivery,
+            topo,
+            &mut delivery,
             &mut pending,
             &invalid,
             &mut acct,
@@ -970,6 +733,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PooledExecutor;
     use crate::program::{Inbox, NodeContext, Outbox, RoundAction};
 
     /// Every node floods its identifier for `k` rounds and outputs the
@@ -1084,7 +848,7 @@ mod tests {
             .run(&g, min_id_programs(17, 20), &ExecutorConfig::default())
             .unwrap();
         for threads in [1usize, 2, 3, 5, 16, 64] {
-            let par = ParallelExecutor::new(threads)
+            let par = PooledExecutor::new(threads)
                 .run(&g, min_id_programs(17, 20), &ExecutorConfig::default())
                 .unwrap();
             assert_eq!(seq, par, "threads={threads}");
@@ -1130,7 +894,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(seq, ExecutionError::NotANeighbor { .. }));
         let programs: Vec<_> = (0..3).map(|_| BadSender).collect();
-        let par = ParallelExecutor::new(4)
+        let par = PooledExecutor::new(4)
             .run(&g, programs, &ExecutorConfig::default())
             .unwrap_err();
         assert_eq!(seq, par, "executors agree on the first error");
@@ -1300,7 +1064,7 @@ mod tests {
         assert_eq!(seq.outputs[1], Some(202));
         assert_eq!(seq.messages, 9, "every duplicate send is charged");
         assert_eq!(seq.rounds, 3);
-        let par = ParallelExecutor::new(3)
+        let par = PooledExecutor::new(3)
             .run(&g, mk(), &ExecutorConfig::default())
             .unwrap();
         assert_eq!(seq, par);

@@ -15,8 +15,8 @@
 //!   reusable [`program::Outbox`].
 //! * [`engine`] — the execution engine: a CSR-indexed, double-buffered
 //!   message arena driven by deterministic [`engine::Executor`]s
-//!   ([`engine::SyncExecutor`], the chunked [`engine::ParallelExecutor`] and
-//!   the persistent worker-pool [`pool::PooledExecutor`], all bit-identical),
+//!   ([`engine::SyncExecutor`] and the persistent worker-pool
+//!   [`pool::PooledExecutor`], bit-identical for any thread count),
 //!   charging every message against the CONGEST bandwidth budget of
 //!   `O(log n)` bits and recording per-round [`engine::RoundStats`]. The
 //!   per-graph routing tables are built once and cached inside [`Graph`], so
@@ -59,10 +59,10 @@ pub mod pool;
 pub mod program;
 pub mod topology;
 
-pub use compose::{ComposedProgram, CompositionReport, Phase, PhaseMode, PhaseOutcome, PhaseSpec};
+pub use compose::{ComposedProgram, CompositionReport, PhaseMode, PhaseOutcome, PhaseSpec};
 pub use engine::{
-    drain_outbox, Accounting, ArenaDelivery, Committed, Delivery, ExecutionError, Executor,
-    ExecutorConfig, ParallelExecutor, RoundStats, RunReport, SyncExecutor,
+    drain_outbox, Accounting, ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig,
+    RoundStats, RunReport, SyncExecutor,
 };
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};

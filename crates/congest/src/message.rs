@@ -4,7 +4,7 @@
 //! [`MessageSize`] is the *model-level* contract: what a message costs against
 //! the `O(log n)` budget. [`Wire`] is the *system-level* contract: how the
 //! message is laid out as bytes when a transport backend (see the
-//! `congest_transport` crate) carries it between node groups or OS processes.
+//! `congest_transport` crate) carries it between OS processes.
 //! Both live here because they are two views of the same object — the encoded
 //! form a real network would transmit.
 //!
@@ -151,7 +151,7 @@ pub fn decode_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Types with a canonical byte encoding, used by transport backends to carry
-/// messages (and halting outputs) between node groups and OS processes.
+/// messages (and halting outputs) between OS processes.
 ///
 /// The contract mirrors what bit-identical execution needs:
 ///

@@ -4,13 +4,14 @@
 //!
 //! # Why a pool
 //!
-//! [`crate::engine::ParallelExecutor`] re-spawns scoped workers *every round*
-//! and commits all outboxes on one thread. For round counts in the thousands
-//! (the measured Theorem 1.2 pipeline runs ~1.3k engine rounds at `n = 10⁵`)
-//! the spawn latency and the serial commit dominate. [`PooledExecutor`]
-//! spawns its workers once per [`Executor::run`], keeps them in lockstep
-//! with one reusable [`Barrier`] (two waits per round), and lets every
-//! worker execute *and commit* its own contiguous node block.
+//! A run takes rounds in the thousands (the measured Theorem 1.2 pipeline
+//! runs ~1.3k engine rounds at `n = 10⁵`), so spawning threads per round,
+//! or committing every outbox on one thread, would eat any parallel gain.
+//! [`PooledExecutor`] spawns its workers once per [`Executor::run`], keeps
+//! them in lockstep with one reusable [`Barrier`] (two waits per round), and
+//! lets every worker execute *and commit* its own contiguous node block.
+//! Whether that beats [`SyncExecutor`] on a given host and graph is an open
+//! measurement; the report is the same either way.
 //!
 //! # Round protocol
 //!
@@ -70,15 +71,14 @@
 //!
 //! The synchronous protocol assumes node programs do not panic: a worker
 //! that unwinds never reaches the barrier and the run would hang rather
-//! than propagate the panic (the per-round scoped executor surfaces it
-//! instead). Engine-facing programs in this workspace are panic-free by
-//! contract.
+//! than propagate the panic ([`SyncExecutor`] surfaces it instead).
+//! Engine-facing programs in this workspace are panic-free by contract.
 //!
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
     drain_outbox, run_engine, Accounting, Committed, ExecutionError, Executor, ExecutorConfig,
-    ParallelExecutor, RoundStats, RunReport,
+    RoundStats, RunReport,
 };
 use crate::message::MessageSize;
 use crate::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
@@ -119,60 +119,21 @@ type RoutedBatch<M> = Vec<Routed<M>>;
 #[derive(Debug, Clone)]
 pub struct PooledExecutor {
     threads: usize,
-    min_chunk: usize,
 }
 
 impl PooledExecutor {
-    /// Minimum nodes per worker under the adaptive policy
-    /// ([`PooledExecutor::auto`]); shared with the scoped executor.
-    pub const DEFAULT_MIN_CHUNK: usize = ParallelExecutor::DEFAULT_MIN_CHUNK;
-
-    /// Creates an executor using exactly `threads` workers (at least one),
-    /// regardless of graph size. With one worker (or a graph smaller than
-    /// two nodes) the run degenerates to the sequential engine — same
-    /// report, no pool.
+    /// Creates an executor using up to `threads` workers (at least one): one
+    /// per node when the graph has fewer nodes than that. With one worker
+    /// the run degenerates to the sequential engine — same report, no pool.
     pub fn new(threads: usize) -> Self {
         PooledExecutor {
             threads: threads.max(1),
-            min_chunk: 1,
         }
-    }
-
-    /// Creates an executor using the available hardware parallelism with
-    /// adaptive chunking: a worker is only spawned for every full
-    /// [`PooledExecutor::DEFAULT_MIN_CHUNK`] nodes, so small graphs run
-    /// sequentially (barrier latency beats the per-round work there) and
-    /// large graphs use the full width.
-    pub fn auto() -> Self {
-        PooledExecutor {
-            threads: thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1),
-            min_chunk: Self::DEFAULT_MIN_CHUNK,
-        }
-    }
-
-    /// Overrides the minimum nodes per worker (at least one).
-    pub fn with_min_chunk(mut self, min_chunk: usize) -> Self {
-        self.min_chunk = min_chunk.max(1);
-        self
     }
 
     /// The configured number of workers.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The minimum number of nodes assigned to a worker.
-    pub fn min_chunk(&self) -> usize {
-        self.min_chunk
-    }
-}
-
-impl Default for PooledExecutor {
-    /// [`PooledExecutor::auto`]: hardware parallelism, adaptive chunking.
-    fn default() -> Self {
-        PooledExecutor::auto()
     }
 }
 
@@ -188,12 +149,11 @@ impl Executor for PooledExecutor {
         P::Message: Send + Sync,
         P::Output: Send,
     {
-        // Adaptive fan-out, same policy as the scoped executor: one worker
-        // per `min_chunk` nodes, capped at the configured width. A width of
-        // one means the pool cannot pay for itself — run sequentially.
-        let width = (graph.n() / self.min_chunk).clamp(1, self.threads);
+        // At most one worker per node. A width of one means there is nothing
+        // to split — run sequentially.
+        let width = graph.n().clamp(1, self.threads);
         if width <= 1 {
-            return run_engine(graph, programs, config, 1);
+            return run_engine(graph, programs, config);
         }
         run_engine_pooled(graph, programs, config, width)
     }
@@ -1002,16 +962,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_and_builders_expose_their_configuration() {
-        let e = PooledExecutor::new(0);
-        assert_eq!(e.threads(), 1);
-        assert_eq!(e.min_chunk(), 1);
-        let e = PooledExecutor::auto().with_min_chunk(0);
-        assert!(e.threads() >= 1);
-        assert_eq!(e.min_chunk(), 1);
-        assert_eq!(
-            PooledExecutor::default().min_chunk(),
-            PooledExecutor::DEFAULT_MIN_CHUNK
-        );
+    fn new_clamps_the_worker_count_to_at_least_one() {
+        assert_eq!(PooledExecutor::new(0).threads(), 1);
+        assert_eq!(PooledExecutor::new(3).threads(), 3);
     }
 }

@@ -303,8 +303,8 @@ pub enum RoundAction<O> {
 pub trait NodeProgram {
     /// Message type exchanged with neighbors. The [`Wire`] bound gives every
     /// message a canonical byte encoding, so any program can run unchanged on
-    /// a transport backend that moves batches between node groups or OS
-    /// processes (see the `congest_transport` crate).
+    /// the socket backend that moves batches between OS processes (see the
+    /// `congest_transport` crate).
     type Message: Clone + MessageSize + Wire;
     /// Local output produced when the node halts. Outputs are [`Wire`] too:
     /// multi-process backends ship each newly-halted node's output to the

@@ -459,7 +459,7 @@ mod tests {
         let seq = distributed_greedy_mds(&g).unwrap();
         let par = distributed_greedy_on(
             &g,
-            &congest_sim::ParallelExecutor::new(3),
+            &congest_sim::PooledExecutor::new(3),
             &ExecutorConfig::default(),
         )
         .unwrap();

@@ -810,7 +810,7 @@ pub fn corollary_1_3(graph: &Graph, config: &MdsConfig) -> MdsResult {
 mod tests {
     use super::*;
     use crate::verify::is_dominating_set;
-    use congest_sim::{ParallelExecutor, PhaseMode};
+    use congest_sim::{PhaseMode, PooledExecutor};
     use mds_graphs::generators;
 
     fn quick_config() -> MdsConfig {
@@ -872,7 +872,7 @@ mod tests {
                     };
                     let oracle = central_oracle(&g, &config);
                     let sync = run(&g, &config);
-                    let par = run_on(&g, &config, &ParallelExecutor::new(3));
+                    let par = run_on(&g, &config, &PooledExecutor::new(3));
                     assert_eq!(
                         sync.dominating_set, oracle.dominating_set,
                         "seed {seed}, route {route:?}"

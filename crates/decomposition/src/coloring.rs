@@ -889,7 +889,7 @@ mod tests {
             &b,
             &owners,
             &targets,
-            &congest_sim::ParallelExecutor::new(3),
+            &congest_sim::PooledExecutor::new(3),
             &ExecutorConfig::default(),
         )
         .unwrap();

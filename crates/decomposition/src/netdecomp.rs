@@ -719,7 +719,7 @@ pub fn distributed_decomposition_on<E: Executor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_sim::ParallelExecutor;
+    use congest_sim::PooledExecutor;
     use mds_graphs::generators;
 
     fn check(graph: &Graph, k: usize) -> NetworkDecomposition {
@@ -921,7 +921,7 @@ mod tests {
                 &g,
                 k,
                 &DecompositionConfig::default(),
-                &ParallelExecutor::new(3),
+                &PooledExecutor::new(3),
                 &ExecutorConfig::default(),
             )
             .unwrap();

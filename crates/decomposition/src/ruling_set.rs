@@ -596,7 +596,7 @@ mod tests {
             &g,
             &candidates,
             3,
-            &congest_sim::ParallelExecutor::new(4),
+            &congest_sim::PooledExecutor::new(4),
             &ExecutorConfig::default(),
         )
         .unwrap();

@@ -279,7 +279,7 @@ mod tests {
         let par = run_on(
             &g,
             k,
-            &congest_sim::ParallelExecutor::new(4),
+            &congest_sim::PooledExecutor::new(4),
             &ExecutorConfig::default(),
         )
         .unwrap();

@@ -754,7 +754,7 @@ mod tests {
             let par = distributed_solve_on(
                 &g,
                 &config,
-                &congest_sim::ParallelExecutor::new(3),
+                &congest_sim::PooledExecutor::new(3),
                 &ExecutorConfig::default(),
             )
             .unwrap();

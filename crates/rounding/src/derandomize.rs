@@ -1180,7 +1180,7 @@ mod tests {
             &problem,
             &schedule,
             EstimatorKind::default(),
-            &congest_sim::ParallelExecutor::new(3),
+            &congest_sim::PooledExecutor::new(3),
             &ExecutorConfig::default(),
         )
         .unwrap();

@@ -1,7 +1,6 @@
-//! The byte-level frame format shared by every transport backend.
+//! The byte-level frame format of the socket backend.
 //!
-//! A frame is the unit both the channel backend (between node groups in one
-//! process) and the socket backend (between OS processes) exchange:
+//! A frame is the unit the two processes of a socket session exchange:
 //!
 //! ```text
 //! +-------+------+-------------+---------+----------+
@@ -21,7 +20,7 @@
 //! Every malformed input surfaces as a typed [`FrameError`]; nothing in this
 //! module panics on bytes from the wire.
 
-use congest_sim::message::{decode_varint, encode_varint};
+use congest_sim::message::encode_varint;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -39,14 +38,9 @@ pub enum FrameKind {
     /// Session handshake: protocol version, topology fingerprint, split and
     /// executor configuration.
     Hello = 0,
-    /// One round's traffic: sub-totals, newly-halted outputs, first error and
-    /// the cross-shard `(slot, msg)` batch.
+    /// One round's traffic: sub-totals, newly-halted outputs, first error,
+    /// the cross-shard `(slot, msg)` batch and the cross-shard broadcasts.
     Round = 1,
-    /// A batch of broadcast payloads, one per broadcasting node (`"CGB1"`
-    /// traffic): `(sender, payload)` entries the receiver fans out over the
-    /// sender's mirror targets it owns, instead of shipping `deg` per-edge
-    /// copies through a [`FrameKind::Round`] frame.
-    Broadcast = 2,
 }
 
 impl FrameKind {
@@ -54,7 +48,6 @@ impl FrameKind {
         match b {
             0 => Some(FrameKind::Hello),
             1 => Some(FrameKind::Round),
-            2 => Some(FrameKind::Broadcast),
             _ => None,
         }
     }
@@ -135,43 +128,6 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&fnv1a64(&[&[kind as u8], payload]).to_le_bytes());
 }
 
-/// Decodes one frame from `buf` at `*pos`, advancing past it. The payload is
-/// returned as a borrowed slice — callers decode it in place.
-pub fn decode_frame<'a>(
-    buf: &'a [u8],
-    pos: &mut usize,
-) -> Result<(FrameKind, &'a [u8]), FrameError> {
-    let magic: [u8; 4] = buf
-        .get(*pos..*pos + 4)
-        .ok_or(FrameError::Truncated)?
-        .try_into()
-        .expect("slice of length 4");
-    *pos += 4;
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    let kind_byte = *buf.get(*pos).ok_or(FrameError::Truncated)?;
-    *pos += 1;
-    let kind = FrameKind::from_byte(kind_byte).ok_or(FrameError::BadKind(kind_byte))?;
-    let len = decode_varint(buf, pos).ok_or(FrameError::Truncated)?;
-    if len > MAX_PAYLOAD as u64 {
-        return Err(FrameError::Oversized { len });
-    }
-    let len = len as usize;
-    let payload = buf.get(*pos..*pos + len).ok_or(FrameError::Truncated)?;
-    *pos += len;
-    let sum: [u8; 8] = buf
-        .get(*pos..*pos + 8)
-        .ok_or(FrameError::Truncated)?
-        .try_into()
-        .expect("slice of length 8");
-    *pos += 8;
-    if u64::from_le_bytes(sum) != fnv1a64(&[&[kind_byte], payload]) {
-        return Err(FrameError::BadChecksum);
-    }
-    Ok((kind, payload))
-}
-
 /// Writes one frame to a byte stream (one buffered `write_all`, so a frame is
 /// a single syscall on a socket).
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), FrameError> {
@@ -246,18 +202,14 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame(FrameKind::Round, b"hello world", &mut buf);
         encode_frame(FrameKind::Hello, b"", &mut buf);
-        encode_frame(FrameKind::Broadcast, b"fan-out", &mut buf);
-        let mut pos = 0;
-        let (kind, payload) = decode_frame(&buf, &mut pos).unwrap();
+        let mut reader = &buf[..];
+        let (kind, payload) = read_frame(&mut reader).unwrap();
         assert_eq!(kind, FrameKind::Round);
         assert_eq!(payload, b"hello world");
-        let (kind, payload) = decode_frame(&buf, &mut pos).unwrap();
+        let (kind, payload) = read_frame(&mut reader).unwrap();
         assert_eq!(kind, FrameKind::Hello);
         assert!(payload.is_empty());
-        let (kind, payload) = decode_frame(&buf, &mut pos).unwrap();
-        assert_eq!(kind, FrameKind::Broadcast);
-        assert_eq!(payload, b"fan-out");
-        assert_eq!(pos, buf.len());
+        assert!(reader.is_empty());
     }
 
     #[test]
@@ -275,38 +227,35 @@ mod tests {
     fn corruption_is_detected_with_typed_errors() {
         let mut good = Vec::new();
         encode_frame(FrameKind::Round, b"payload", &mut good);
+        let read = |bytes: &[u8]| read_frame(&mut &bytes[..]);
 
         // Flip a payload byte: checksum mismatch.
         let mut bad = good.clone();
         bad[8] ^= 0x40;
-        assert!(matches!(
-            decode_frame(&bad, &mut 0),
-            Err(FrameError::BadChecksum)
-        ));
+        assert!(matches!(read(&bad), Err(FrameError::BadChecksum)));
 
         // Break the magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            decode_frame(&bad, &mut 0),
-            Err(FrameError::BadMagic(_))
-        ));
+        assert!(matches!(read(&bad), Err(FrameError::BadMagic(_))));
 
-        // Unknown kind (checksum never consulted).
-        let mut bad = good.clone();
-        bad[4] = 77;
-        assert!(matches!(
-            decode_frame(&bad, &mut 0),
-            Err(FrameError::BadKind(77))
-        ));
-
-        // Truncations at every prefix length.
-        for cut in 0..good.len() {
+        // Unknown kinds, including the retired kind 2 (checksum never
+        // consulted).
+        for kind in [2u8, 77] {
+            let mut bad = good.clone();
+            bad[4] = kind;
             assert!(
-                matches!(
-                    decode_frame(&good[..cut], &mut 0),
-                    Err(FrameError::Truncated)
-                ),
+                matches!(read(&bad), Err(FrameError::BadKind(k)) if k == kind),
+                "kind={kind}"
+            );
+        }
+
+        // Truncations at every prefix length: nothing at all is a clean
+        // close, anything else is a frame cut short.
+        assert!(matches!(read(&[]), Err(FrameError::Closed)));
+        for cut in 1..good.len() {
+            assert!(
+                matches!(read(&good[..cut]), Err(FrameError::Truncated)),
                 "cut={cut}"
             );
         }
@@ -318,10 +267,6 @@ mod tests {
         buf.extend_from_slice(&MAGIC);
         buf.push(FrameKind::Round as u8);
         congest_sim::message::encode_varint(u64::MAX, &mut buf);
-        assert!(matches!(
-            decode_frame(&buf, &mut 0),
-            Err(FrameError::Oversized { .. })
-        ));
         let mut cursor = &buf[..];
         assert!(matches!(
             read_frame(&mut cursor),

@@ -1,45 +1,32 @@
-//! Byte-level transport backends for the CONGEST engine.
+//! The two-process socket backend for the CONGEST engine.
 //!
-//! The engine's round loop is generic over a [`Delivery`] seam: committed
-//! `(destination slot, message)` batches can move between rounds any way a
-//! backend likes, as long as per-slot last-write-wins order and the
-//! block-order accounting fold are preserved. The in-process default is the
-//! zero-cost arena in `congest_sim`; this crate adds two backends that move
-//! the *same* batches as serialized bytes:
+//! [`SocketExecutor`] / [`SocketSession`] split one run across **two OS
+//! processes** over loopback TCP with a replicated control plane: each side
+//! executes its own node block on an `ArenaDelivery`, ships the peer the
+//! cross-shard `(destination slot, message)` batch as serialized bytes, and
+//! both sides fold identical run totals into the complete report.
 //!
-//! * [`ChannelExecutor`] — nodes partitioned into `G` groups multiplexed
-//!   onto `T` threads; inter-group batches are [`Wire`]-encoded, framed and
-//!   exchanged over `std::sync::mpsc` channels. Single-process, exercises
-//!   the full codec path.
-//! * [`SocketExecutor`] / [`SocketSession`] — one run split across **two OS
-//!   processes** over loopback TCP with a replicated control plane: both
-//!   sides fold identical run totals and assemble the complete report.
-//!
-//! Every backend produces [`RunReport`]s bit-identical to
-//! `SyncExecutor` — same outputs, same round count, same message/bit
-//! accounting, same first error — for the same reasons the engine's pooled
-//! executor does (disjoint slots via the mirror bijection, associative
-//! saturating folds in block order, lowest-block-first error), plus a
-//! lossless codec: [`Wire`] round-trips every workspace message type
-//! bit-exactly, including `f64` payloads. The conformance suite in
-//! `tests/transport_conformance.rs` (repo root) proptests this identity
-//! over all graph families and both pipeline routes.
+//! Both sides produce [`RunReport`]s bit-identical to `SyncExecutor` — same
+//! outputs, same round count, same message/bit accounting, same first error
+//! — for the same reasons the engine's pooled executor does (disjoint slots
+//! via the mirror bijection, associative saturating folds in block order,
+//! lowest-block-first error), plus a lossless codec: [`Wire`] round-trips
+//! every workspace message type bit-exactly, including `f64` payloads. The
+//! loopback suite in `tests/transport_conformance.rs` (repo root) proptests
+//! this identity over all graph families and both pipeline routes.
 //!
 //! The wire format is hand-rolled (LEB128 varints, length-prefixed frames,
 //! FNV-1a checksums — see [`frame`]) because this workspace builds fully
 //! offline: no serde, no postcard, no registry dependencies.
 //!
-//! [`Delivery`]: congest_sim::Delivery
 //! [`Wire`]: congest_sim::Wire
 //! [`RunReport`]: congest_sim::RunReport
 
-pub mod channel;
 pub mod frame;
 pub mod proto;
 mod reduce;
 pub mod socket;
 
-pub use channel::ChannelExecutor;
 pub use frame::{FrameError, FrameKind};
 pub use proto::{Hello, RoundPayload, PROTOCOL_VERSION};
 pub use socket::{Role, SocketExecutor, SocketListener, SocketSession};

@@ -1,10 +1,10 @@
-//! Protocol payloads shared by the transport backends.
+//! Protocol payloads of the socket backend.
 //!
-//! Both backends move the same thing per round: the sender shard's
-//! cross-shard `(destination slot, message)` batch, plus — for the socket
-//! backend, where each OS process must assemble the *complete* [`RunReport`]
-//! on its own — the shard's accounting sub-totals, its newly-halted node
-//! outputs, and its first error. [`RoundPayload`] is that round unit;
+//! Per round, each process ships its peer the shard's cross-shard
+//! `(destination slot, message)` batch plus everything the peer needs to
+//! assemble the *complete* [`RunReport`] on its own: the shard's accounting
+//! sub-totals, its newly-halted node outputs, and its first error.
+//! [`RoundPayload`] is that round unit;
 //! [`Hello`] is the handshake that pins protocol version, topology shape and
 //! executor configuration before any round traffic flows.
 //!

@@ -1,10 +1,10 @@
-//! The shard-order fold shared by the channel and socket backends.
+//! The shard-order fold both sides of a socket session run.
 //!
 //! This is the same reduce the engine's pooled executor performs (see
 //! `congest_sim::pool`): per-shard sub-totals folded **in shard order** —
 //! which is node order, because shards are contiguous node blocks — with the
-//! lowest shard's error winning. Replicating it verbatim is what makes every
-//! transport backend's [`RunReport`] bit-identical to `SyncExecutor`:
+//! lowest shard's error winning. Replicating it verbatim is what makes the
+//! socket backend's [`RunReport`] bit-identical to `SyncExecutor`:
 //! saturating-`u64` accumulation is associative, `max_message_bits` is a
 //! max, and the first error in shard order is the first error in global
 //! node order.

@@ -45,7 +45,7 @@ use crate::proto::{Hello, RoundPayload, PROTOCOL_VERSION};
 use crate::reduce::{Reducer, ShardRound, Verdict};
 use crate::TransportError;
 use congest_sim::engine::{
-    ArenaDelivery, Committed, Delivery, ExecutionError, Executor, ExecutorConfig, RunReport,
+    ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RunReport,
 };
 use congest_sim::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
 use congest_sim::{Graph, NodeId};
@@ -799,9 +799,19 @@ mod tests {
         Graph::from_edges(n, &edges).unwrap()
     }
 
+    /// A star with its hub at node 0, so the hub's broadcast reaches both
+    /// shards.
+    fn star_graph(n: usize) -> Graph {
+        let edges: Vec<_> = (1..n).map(|i| (0, i)).collect();
+        Graph::from_edges(n, &edges).unwrap()
+    }
+
+    /// Both sides' results of one loopback run, leader first.
+    type BothSides<O> = [Result<RunReport<O>, TransportError>; 2];
+
     /// Runs the same programs on both ends of a loopback session (the peer
-    /// on a second thread) and returns both complete reports.
-    fn run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [RunReport<P::Output>; 2]
+    /// on a second thread) and returns both sides' results.
+    fn run_both_results<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> BothSides<P::Output>
     where
         P: NodeProgram + Send,
         P::Output: Send,
@@ -820,7 +830,31 @@ mod tests {
             let leader = session.run_program(Role::Leader, graph, mk(), config);
             (leader, follower.join().expect("follower thread"))
         });
-        [leader.unwrap(), follower.unwrap()]
+        [leader, follower]
+    }
+
+    /// [`run_both_results`] for runs that must succeed on both sides.
+    fn run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [RunReport<P::Output>; 2]
+    where
+        P: NodeProgram + Send,
+        P::Output: Send,
+        F: Fn() -> Vec<P> + Sync,
+    {
+        run_both_results(graph, mk, config).map(|r| r.unwrap())
+    }
+
+    /// [`run_both_results`] for runs that must fail with an execution error
+    /// on both sides.
+    fn both_errors<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [ExecutionError; 2]
+    where
+        P: NodeProgram + Send,
+        P::Output: Send + std::fmt::Debug,
+        F: Fn() -> Vec<P> + Sync,
+    {
+        run_both_results(graph, mk, config).map(|r| match r {
+            Err(TransportError::Execution(e)) => e,
+            other => panic!("expected an execution error, got {other:?}"),
+        })
     }
 
     #[test]
@@ -831,6 +865,54 @@ mod tests {
             .unwrap();
         for report in run_both(&g, || min_id_programs(17, 20), &ExecutorConfig::default()) {
             assert_eq!(seq, report);
+        }
+    }
+
+    /// The two-way split moves with `n`: even and odd paths down to one node
+    /// per shard, plus a star whose hub feeds both shards at once — with and
+    /// without per-round stats.
+    #[test]
+    fn socket_matches_sequential_bit_for_bit_across_splits() {
+        for g in (2..=7).map(path_graph).chain([star_graph(9)]) {
+            let n = g.n();
+            for record_round_stats in [true, false] {
+                let config = ExecutorConfig {
+                    record_round_stats,
+                    ..ExecutorConfig::default()
+                };
+                let seq = SyncExecutor
+                    .run(&g, min_id_programs(n, 6), &config)
+                    .unwrap();
+                for report in run_both(&g, || min_id_programs(n, 6), &config) {
+                    assert_eq!(seq, report, "n={n} record_round_stats={record_round_stats}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_match_sequential_on_both_sides() {
+        let config = ExecutorConfig::default();
+        // No nodes at all, and one node, which leaves the follower's block
+        // empty.
+        for n in [0usize, 1] {
+            let g = Graph::empty(n);
+            let seq = SyncExecutor
+                .run(&g, min_id_programs(n, 3), &config)
+                .unwrap();
+            for report in run_both(&g, || min_id_programs(n, 3), &config) {
+                assert_eq!(seq, report, "n={n}");
+            }
+        }
+        // A program list that does not fit the graph fails on both sides
+        // with the sequential error.
+        let g = path_graph(3);
+        let seq = SyncExecutor
+            .run(&g, Vec::<MinId>::new(), &config)
+            .unwrap_err();
+        assert!(matches!(seq, ExecutionError::ProgramCountMismatch { .. }));
+        for err in both_errors(&g, Vec::<MinId>::new, &config) {
+            assert_eq!(err, seq);
         }
     }
 
@@ -929,6 +1011,67 @@ mod tests {
         }
     }
 
+    /// Floods its id every round until round 3, except that every node in
+    /// `bad_nodes` sends to a non-neighbor in `bad_round` (0 = init).
+    struct BadSenderAt {
+        bad_nodes: &'static [usize],
+        bad_round: u64,
+    }
+    impl BadSenderAt {
+        fn act(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, usize>) {
+            if ctx.round == self.bad_round && self.bad_nodes.contains(&ctx.id.0) {
+                outbox.send(NodeId(ctx.id.0 + 2), 1);
+            } else {
+                outbox.broadcast(ctx.id.0);
+            }
+        }
+    }
+    impl NodeProgram for BadSenderAt {
+        type Message = usize;
+        type Output = ();
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, usize>) {
+            self.act(ctx, outbox);
+        }
+        fn round(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            _: &Inbox<'_, usize>,
+            outbox: &mut Outbox<'_, usize>,
+        ) -> RoundAction<()> {
+            if ctx.round >= 3 {
+                return RoundAction::Halt(());
+            }
+            self.act(ctx, outbox);
+            RoundAction::Continue
+        }
+    }
+
+    /// Offenders in either shard, at init or after two rounds of cross-shard
+    /// traffic; with one offender per shard in the same round, the leader's
+    /// (lower) node wins on both sides, as in node order.
+    #[test]
+    fn first_error_matches_sequential_from_either_shard_in_any_round() {
+        let g = path_graph(12);
+        let offenders: [&'static [usize]; 4] = [&[0], &[5], &[9], &[5, 9]];
+        for bad_nodes in offenders {
+            for bad_round in [0u64, 2] {
+                let mk = || {
+                    (0..12)
+                        .map(|_| BadSenderAt {
+                            bad_nodes,
+                            bad_round,
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let config = ExecutorConfig::default();
+                let seq = SyncExecutor.run(&g, mk(), &config).unwrap_err();
+                for err in both_errors(&g, mk, &config) {
+                    assert_eq!(err, seq, "bad_nodes={bad_nodes:?} bad_round={bad_round}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn malformed_peer_bytes_surface_as_a_typed_error_not_a_panic() {
         let g = path_graph(4);
@@ -990,5 +1133,117 @@ mod tests {
                 "got {follower:?}"
             );
         });
+    }
+
+    struct NeverHalts;
+    impl NodeProgram for NeverHalts {
+        type Message = ();
+        type Output = ();
+        fn init(&mut self, _: &NodeContext<'_>, _: &mut Outbox<'_, ()>) {}
+        fn round(
+            &mut self,
+            _: &NodeContext<'_>,
+            _: &Inbox<'_, ()>,
+            _: &mut Outbox<'_, ()>,
+        ) -> RoundAction<()> {
+            RoundAction::Continue
+        }
+    }
+
+    #[test]
+    fn round_limit_matches_sequential() {
+        let g = path_graph(6);
+        let config = ExecutorConfig {
+            max_rounds: 10,
+            ..ExecutorConfig::default()
+        };
+        let mk = || (0..6).map(|_| NeverHalts).collect::<Vec<_>>();
+        let seq = SyncExecutor.run(&g, mk(), &config).unwrap_err();
+        assert_eq!(seq, ExecutionError::RoundLimitExceeded { limit: 10 });
+        for err in both_errors(&g, mk, &config) {
+            assert_eq!(err, seq);
+        }
+    }
+
+    /// Only odd nodes exceed the budget, so violation counts (not just the
+    /// first error) must line up across the two shards.
+    struct FatMessage;
+    impl NodeProgram for FatMessage {
+        type Message = Vec<u64>;
+        type Output = ();
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, Vec<u64>>) {
+            if ctx.id.0 % 2 == 1 {
+                outbox.broadcast(vec![0u64; 64]);
+            } else {
+                outbox.broadcast(vec![0u64; 1]);
+            }
+        }
+        fn round(
+            &mut self,
+            _: &NodeContext<'_>,
+            _: &Inbox<'_, Vec<u64>>,
+            _: &mut Outbox<'_, Vec<u64>>,
+        ) -> RoundAction<()> {
+            RoundAction::Halt(())
+        }
+    }
+
+    #[test]
+    fn bandwidth_counting_and_enforcement_match_sequential() {
+        let g = path_graph(8);
+        let mk = || (0..8).map(|_| FatMessage).collect::<Vec<_>>();
+        let config = ExecutorConfig::default();
+        let seq = SyncExecutor.run(&g, mk(), &config).unwrap();
+        assert!(seq.bandwidth_violations > 0);
+        for report in run_both(&g, mk, &config) {
+            assert_eq!(report, seq);
+        }
+        let strict = ExecutorConfig::strict_congest();
+        let seq = SyncExecutor.run(&g, mk(), &strict).unwrap_err();
+        assert!(matches!(seq, ExecutionError::BandwidthExceeded { .. }));
+        for err in both_errors(&g, mk, &strict) {
+            assert_eq!(err, seq);
+        }
+    }
+
+    /// Node 0 (leader shard) sends twice to node 1 (follower shard) in one
+    /// round, so both sends cross the codec in one batch.
+    struct DoubleSender {
+        heard: Option<u32>,
+    }
+    impl NodeProgram for DoubleSender {
+        type Message = u32;
+        type Output = Option<u32>;
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u32>) {
+            if ctx.id.0 == 0 {
+                outbox.send(NodeId(1), 7);
+                outbox.send(NodeId(1), 9);
+            }
+        }
+        fn round(
+            &mut self,
+            _: &NodeContext<'_>,
+            inbox: &Inbox<'_, u32>,
+            _: &mut Outbox<'_, u32>,
+        ) -> RoundAction<Option<u32>> {
+            if let Some(&m) = inbox.from(NodeId(0)) {
+                self.heard = Some(m);
+            }
+            RoundAction::Halt(self.heard)
+        }
+    }
+
+    #[test]
+    fn duplicate_sends_keep_the_last_message_across_the_codec() {
+        let g = path_graph(2);
+        let mk = || {
+            (0..2)
+                .map(|_| DoubleSender { heard: None })
+                .collect::<Vec<_>>()
+        };
+        for report in run_both(&g, mk, &ExecutorConfig::default()) {
+            assert_eq!(report.outputs[1], Some(9));
+            assert_eq!(report.messages, 2, "both sends are charged");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Wire-format properties: the byte layer under every transport backend.
+//! Wire-format properties: the byte layer under the socket backend.
 //!
 //! Three levels are pinned down here, each by proptests over arbitrary
 //! inputs:
@@ -9,17 +9,17 @@
 //!   NaN payloads and signed zeros; this is what lets the fractional
 //!   pipeline's `f64` messages cross a socket without perturbing the
 //!   derandomized run.
-//! * **Frames** — `encode_frame`/`decode_frame` (buffer) and
-//!   `write_frame`/`read_frame` (stream) are inverses; every truncation of a
-//!   valid frame is a typed [`FrameError`], and no single-byte corruption
-//!   can panic or round-trip back to the original frame.
+//! * **Frames** — `encode_frame`/`write_frame` and `read_frame` are
+//!   inverses; every truncation of a valid frame is a typed [`FrameError`],
+//!   and no single-byte corruption can panic or round-trip back to the
+//!   original frame. Frames are read back off a `&[u8]`, the same `Read`
+//!   path a TCP stream takes.
 
 use congest_sim::message::{decode_varint, encode_varint, Wire};
 use congest_transport::frame::{
-    decode_frame, encode_frame, read_frame, write_frame, FrameError, FrameKind, MAGIC, MAX_PAYLOAD,
+    encode_frame, read_frame, write_frame, FrameError, FrameKind, MAGIC, MAX_PAYLOAD,
 };
 use proptest::prelude::*;
-use std::io::Cursor;
 
 /// Full-range `u64` from two 32-bit halves (plain `Range` excludes its end,
 /// so a single range could never draw `u64::MAX`).
@@ -40,6 +40,11 @@ fn kind_strategy() -> impl Strategy<Value = FrameKind> {
 /// Arbitrary bytes, all 256 values reachable.
 fn bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec((0u32..256).prop_map(|b| b as u8), 0..max_len)
+}
+
+/// Reads one frame off the front of `bytes`.
+fn read(bytes: &[u8]) -> Result<(FrameKind, Vec<u8>), FrameError> {
+    read_frame(&mut &bytes[..])
 }
 
 proptest! {
@@ -77,23 +82,17 @@ proptest! {
         kind in kind_strategy(),
         payload in bytes(2048),
     ) {
-        // Buffer path (what the channel backend decodes in place).
         let mut buf = Vec::new();
         encode_frame(kind, &payload, &mut buf);
-        let mut pos = 0;
-        let (got_kind, got_payload) = decode_frame(&buf, &mut pos).expect("valid frame decodes");
-        prop_assert_eq!(got_kind, kind);
-        prop_assert_eq!(got_payload, &payload[..]);
-        prop_assert_eq!(pos, buf.len(), "decode must consume the whole frame");
-
-        // Stream path (what the socket backend reads off TCP).
         let mut stream = Vec::new();
         write_frame(&mut stream, kind, &payload).expect("write to a Vec succeeds");
         prop_assert_eq!(&stream, &buf, "stream and buffer encodings are the same bytes");
-        let mut cursor = Cursor::new(&stream);
-        let (got_kind, got_payload) = read_frame(&mut cursor).expect("valid frame reads");
+
+        let mut reader = &stream[..];
+        let (got_kind, got_payload) = read_frame(&mut reader).expect("valid frame reads");
         prop_assert_eq!(got_kind, kind);
         prop_assert_eq!(got_payload, payload);
+        prop_assert!(reader.is_empty(), "read must consume the whole frame");
     }
 
     #[test]
@@ -104,16 +103,14 @@ proptest! {
         for (kind, payload) in &frames {
             encode_frame(*kind, payload, &mut buf);
         }
-        let mut pos = 0;
+        let mut reader = &buf[..];
         for (kind, payload) in &frames {
-            let (got_kind, got_payload) = decode_frame(&buf, &mut pos).expect("frame decodes");
+            let (got_kind, got_payload) = read_frame(&mut reader).expect("frame reads");
             prop_assert_eq!(got_kind, *kind);
-            prop_assert_eq!(got_payload, &payload[..]);
+            prop_assert_eq!(&got_payload, payload);
         }
-        prop_assert_eq!(pos, buf.len());
         // One more read off the exhausted stream is a clean close, not junk.
-        let mut cursor = Cursor::new(&buf[pos..]);
-        prop_assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+        prop_assert!(matches!(read_frame(&mut reader), Err(FrameError::Closed)));
     }
 
     #[test]
@@ -125,18 +122,11 @@ proptest! {
         let mut buf = Vec::new();
         encode_frame(kind, &payload, &mut buf);
         let cut = cut_at % buf.len(); // strict prefix: 0..len
-        let prefix = &buf[..cut];
 
-        let mut pos = 0;
-        prop_assert!(
-            matches!(decode_frame(prefix, &mut pos), Err(FrameError::Truncated)),
-            "buffer decode of a {cut}-byte prefix must be Truncated"
-        );
-        // The stream reader distinguishes a peer hanging up *between* frames
-        // (clean close) from one cut off *inside* a frame.
-        let mut cursor = Cursor::new(prefix);
+        // The reader distinguishes a peer hanging up *between* frames (clean
+        // close) from one cut off *inside* a frame.
         let expected_close = cut == 0;
-        match read_frame(&mut cursor) {
+        match read(&buf[..cut]) {
             Err(FrameError::Closed) => prop_assert!(expected_close),
             Err(FrameError::Truncated) => prop_assert!(!expected_close),
             other => prop_assert!(false, "prefix read must fail typed, got {:?}", other),
@@ -159,16 +149,12 @@ proptest! {
         // corrupted frame can never be mistaken for the original: the
         // checksum covers kind + payload, and FNV-1a's update step is
         // injective in its running state, so any in-payload flip changes it.
-        let mut pos = 0;
-        if let Ok((got_kind, got_payload)) = decode_frame(&buf, &mut pos) {
+        let mut reader = &buf[..];
+        if let Ok((got_kind, got_payload)) = read_frame(&mut reader) {
             prop_assert!(
-                got_kind != kind || got_payload != &payload[..] || pos != buf.len(),
+                got_kind != kind || got_payload != payload || !reader.is_empty(),
                 "corruption at byte {at} round-tripped to the original frame"
             );
-        }
-        let mut cursor = Cursor::new(&buf);
-        if let Ok((got_kind, got_payload)) = read_frame(&mut cursor) {
-            prop_assert!(got_kind != kind || got_payload != payload);
         }
     }
 }
@@ -199,29 +185,18 @@ fn oversized_length_prefixes_are_rejected_before_any_payload_is_read() {
     buf.extend_from_slice(&MAGIC);
     buf.push(FrameKind::Round as u8);
     encode_varint(MAX_PAYLOAD as u64 + 1, &mut buf);
-
-    let mut pos = 0;
     assert!(matches!(
-        decode_frame(&buf, &mut pos),
-        Err(FrameError::Oversized { len }) if len == MAX_PAYLOAD as u64 + 1
-    ));
-    let mut cursor = Cursor::new(&buf);
-    assert!(matches!(
-        read_frame(&mut cursor),
+        read(&buf),
         Err(FrameError::Oversized { len }) if len == MAX_PAYLOAD as u64 + 1
     ));
 
-    // A length varint that overflows u64 entirely: the stream reader rejects
-    // it while still reading byte-by-byte, before any allocation.
+    // A length varint that overflows u64 entirely: the reader rejects it
+    // while still reading byte-by-byte, before any allocation.
     let mut overflow = Vec::new();
     overflow.extend_from_slice(&MAGIC);
     overflow.push(FrameKind::Round as u8);
     overflow.extend_from_slice(&[0xff; 10]);
-    let mut cursor = Cursor::new(&overflow);
-    assert!(matches!(
-        read_frame(&mut cursor),
-        Err(FrameError::Oversized { .. })
-    ));
+    assert!(matches!(read(&overflow), Err(FrameError::Oversized { .. })));
 }
 
 #[test]
@@ -231,26 +206,23 @@ fn bad_magic_and_bad_kind_are_reported_as_such() {
 
     let mut wrong_magic = buf.clone();
     wrong_magic[0] = b'X';
-    let mut pos = 0;
     assert!(matches!(
-        decode_frame(&wrong_magic, &mut pos),
+        read(&wrong_magic),
         Err(FrameError::BadMagic(m)) if m == *b"XGT1"
     ));
 
-    let mut wrong_kind = buf.clone();
-    wrong_kind[4] = 0x7e;
-    let mut pos = 0;
-    assert!(matches!(
-        decode_frame(&wrong_kind, &mut pos),
-        Err(FrameError::BadKind(0x7e))
-    ));
+    // Kind 2 was once a broadcast frame; no backend sends it any more.
+    for kind in [2u8, 0x7e] {
+        let mut wrong_kind = buf.clone();
+        wrong_kind[4] = kind;
+        assert!(
+            matches!(read(&wrong_kind), Err(FrameError::BadKind(k)) if k == kind),
+            "kind={kind}"
+        );
+    }
 
     let mut wrong_sum = buf;
     let last = wrong_sum.len() - 1;
     wrong_sum[last] ^= 0xff;
-    let mut pos = 0;
-    assert!(matches!(
-        decode_frame(&wrong_sum, &mut pos),
-        Err(FrameError::BadChecksum)
-    ));
+    assert!(matches!(read(&wrong_sum), Err(FrameError::BadChecksum)));
 }

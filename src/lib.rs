@@ -19,9 +19,9 @@
 //! * [`mds`] — the deterministic dominating-set algorithms of Theorems 1.1
 //!   and 1.2 / Corollary 1.3 plus baselines.
 //! * [`cds`] — the connected dominating set algorithm of Theorem 1.4.
-//! * [`transport`] — byte-level transport backends (sharded channels,
-//!   loopback sockets) that run the same node programs over serialized
-//!   frames, bit-identical to the in-process executors.
+//! * [`transport`] — the socket backend that runs the same node programs
+//!   across two OS processes over serialized frames, bit-identical to the
+//!   in-process executors.
 //!
 //! See `README.md` for a guided tour and `DESIGN.md` for the mapping from the
 //! paper to modules.

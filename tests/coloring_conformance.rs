@@ -7,7 +7,7 @@
 //! generator sweeps, on both executors, honoring `PARALLEL_THREADS`.
 
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{ExecutorConfig, Graph, ParallelExecutor};
+use congest_mds::congest::{ExecutorConfig, Graph, PooledExecutor};
 use congest_mds::decomposition::coloring::{
     bipartite_distance_two_coloring, coloring_schedule, distributed_bipartite_coloring_on,
     verify_bipartite_coloring,
@@ -90,10 +90,10 @@ fn assert_conformance(
         b,
         left_owner,
         targets,
-        &ParallelExecutor::new(threads),
+        &PooledExecutor::new(threads),
         &config,
     )
-    .expect("parallel engine run failed");
+    .expect("pooled engine run failed");
 
     // Bit-identical to the central oracle, on both executors.
     assert_eq!(sync.coloring.colors, oracle.colors);

@@ -12,13 +12,12 @@
 //! What they pin down, beyond the small-graph proptests:
 //!
 //! * the engine run stays **bit-identical to the central oracle** when the
-//!   message arena holds hundreds of millions of slots and the parallel
-//!   executor actually splits nodes across blocks;
+//!   message arena holds hundreds of millions of slots and the worker pool
+//!   actually splits nodes across blocks;
 //! * every measured phase stays **at or below its paper charge** at scale;
-//! * the adaptive chunking of [`ParallelExecutor::auto`] commits in node
-//!   order regardless of thread count.
+//! * the pool commits in node order regardless of thread count.
 
-use congest_mds::congest::{ParallelExecutor, PhaseMode, PooledExecutor};
+use congest_mds::congest::{PhaseMode, PooledExecutor};
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
 use congest_mds::mds::verify;
@@ -31,7 +30,7 @@ fn forced_threads(fallback: usize) -> usize {
         .max(1)
 }
 
-/// Shared assertion block: engine (sync + parallel) vs central oracle,
+/// Shared assertion block: engine (sync + pool) vs central oracle,
 /// feasibility, and the measured-rounds-versus-charges gate.
 fn assert_engine_matches_oracle_at_scale(
     graph: &congest_mds::congest::Graph,
@@ -40,7 +39,7 @@ fn assert_engine_matches_oracle_at_scale(
 ) {
     let oracle = pipeline::central_oracle(graph, config);
     let sync = pipeline::run(graph, config);
-    let par = pipeline::run_on(graph, config, &ParallelExecutor::new(forced_threads(4)));
+    let pooled = pipeline::run_on(graph, config, &PooledExecutor::new(forced_threads(4)));
 
     assert!(
         verify::is_dominating_set(graph, &sync.dominating_set),
@@ -55,12 +54,12 @@ fn assert_engine_matches_oracle_at_scale(
         "{label}: sync engine assignment diverged"
     );
     assert_eq!(
-        par.dominating_set, oracle.dominating_set,
-        "{label}: parallel engine diverged from the central oracle"
+        pooled.dominating_set, oracle.dominating_set,
+        "{label}: pooled engine diverged from the central oracle"
     );
     assert_eq!(
-        par.ledger, sync.ledger,
-        "{label}: parallel ledger diverged from sync"
+        pooled.ledger, sync.ledger,
+        "{label}: pooled ledger diverged from sync"
     );
     assert!(
         sync.measured_engine_rounds() > 0,

@@ -6,7 +6,7 @@
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
     ComposedProgram, ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext,
-    NodeProgram, Outbox, ParallelExecutor, PhaseSpec, PooledExecutor, RoundAction, SyncExecutor,
+    NodeProgram, Outbox, PhaseSpec, PooledExecutor, RoundAction, SyncExecutor,
 };
 use congest_mds::decomposition::coloring::{
     bipartite_distance_two_coloring, distance_two_coloring_programs,
@@ -196,7 +196,7 @@ fn counting_broadcasters(n: usize) -> Vec<CountingBroadcaster> {
 
 #[test]
 fn broadcast_on_isolated_nodes_is_a_free_noop_on_every_backend() {
-    use congest_mds::transport::{ChannelExecutor, Role, SocketListener, SocketSession};
+    use congest_mds::transport::{Role, SocketListener, SocketSession};
     use std::time::Duration;
 
     // Nodes 3 and 4 are isolated: their broadcasts must be no-ops — zero
@@ -224,26 +224,12 @@ fn broadcast_on_isolated_nodes_is_a_free_noop_on_every_backend() {
     assert_eq!(quiet.payloads, 0);
     assert_eq!(quiet.total_bits, 0);
 
-    // Every in-process backend agrees bit for bit on both graphs.
-    macro_rules! check_backend {
-        ($label:literal, $executor:expr) => {
-            let report = $executor
-                .run(&g, counting_broadcasters(5), &config)
-                .unwrap();
-            assert_eq!(
-                seq, report,
-                "{} diverged on the isolated-node graph",
-                $label
-            );
-            let report = $executor
-                .run(&empty, counting_broadcasters(5), &config)
-                .unwrap();
-            assert_eq!(quiet, report, "{} diverged on the edgeless graph", $label);
-        };
-    }
-    check_backend!("parallel", ParallelExecutor::new(2));
-    check_backend!("pooled", PooledExecutor::new(2));
-    check_backend!("channels", ChannelExecutor::new(2, 2));
+    // The worker pool agrees bit for bit on both graphs.
+    let pool = PooledExecutor::new(2);
+    let report = pool.run(&g, counting_broadcasters(5), &config).unwrap();
+    assert_eq!(seq, report, "pool diverged on the isolated-node graph");
+    let report = pool.run(&empty, counting_broadcasters(5), &config).unwrap();
+    assert_eq!(quiet, report, "pool diverged on the edgeless graph");
 
     // And so does the socket backend over loopback, on the mixed graph.
     let listener = SocketListener::bind("127.0.0.1:0").unwrap();

@@ -5,22 +5,19 @@
 //! `O(log n)` chromatic and `k·O(log n)` diameter bounds, spending exactly
 //! `measured_netdecomp_rounds` engine rounds and never more than the
 //! Theorem 3.2 paper charge — across the ring / star / unit-disk / gnp / gnm
-//! generator sweep, on the sync, parallel and pooled executors and the
-//! `TRANSPORT_BACKEND` matrix (plus a loopback-socket smoke), honoring
-//! `PARALLEL_THREADS`.
+//! generator sweep, on the sync and pooled executors (plus a loopback-socket
+//! smoke), honoring `PARALLEL_THREADS`.
 //!
 //! [`NetDecompProgram`]: congest_mds::decomposition::netdecomp::NetDecompProgram
 
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{
-    ExecutorConfig, Graph, NodeId, ParallelExecutor, PooledExecutor, SyncExecutor,
-};
+use congest_mds::congest::{ExecutorConfig, Graph, NodeId, PooledExecutor, SyncExecutor};
 use congest_mds::decomposition::netdecomp::{
     assemble_decomposition, carving_schedule, distributed_decomposition_on, netdecomp_programs,
     strong_diameter_decomposition, DecompositionConfig, NetworkDecomposition,
 };
 use congest_mds::graphs::generators;
-use congest_mds::transport::{ChannelExecutor, Role, SocketListener, SocketSession};
+use congest_mds::transport::{Role, SocketListener, SocketSession};
 use proptest::prelude::*;
 use std::thread;
 use std::time::Duration;
@@ -33,25 +30,6 @@ fn forced_threads(fallback: usize) -> usize {
         .and_then(|s| s.parse().ok())
         .unwrap_or(fallback)
         .max(1)
-}
-
-/// The backend dimension of the CI conformance matrix, as in
-/// `tests/transport_conformance.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// The in-process arena moved by the persistent worker pool.
-    Arena,
-    /// The serialized mpsc-channel backend (`ChannelExecutor`).
-    Channels,
-}
-
-/// Backends selected by `TRANSPORT_BACKEND`; unset exercises both.
-fn selected_backends() -> Vec<Backend> {
-    match std::env::var("TRANSPORT_BACKEND").ok().as_deref() {
-        Some("arena") => vec![Backend::Arena],
-        Some("channels") => vec![Backend::Channels],
-        _ => vec![Backend::Arena, Backend::Channels],
-    }
 }
 
 /// The generator sweep named by the issue: ring, star, unit-disk, G(n,p) and
@@ -90,7 +68,7 @@ fn assert_decomposition_quality(graph: &Graph, nd: &NetworkDecomposition, k: usi
 
 /// Runs the full conformance check for one instance (the vendored proptest
 /// shim is panic-based, so failures assert directly).
-fn assert_conformance(graph: &Graph, k: usize, threads: usize, groups: usize) {
+fn assert_conformance(graph: &Graph, k: usize, threads: usize) {
     let config = DecompositionConfig::default();
     let oracle = strong_diameter_decomposition(graph, k, &config);
     assert_decomposition_quality(graph, &oracle, k);
@@ -135,43 +113,19 @@ fn assert_conformance(graph: &Graph, k: usize, threads: usize, groups: usize) {
     );
     assert_eq!(ledger_phase.formula_rounds, Some(charge));
 
-    // Every executor and selected transport backend reproduces the
-    // sequential report — and hence the oracle's clusters — bit for bit.
-    let par = distributed_decomposition_on(
+    // The worker pool reproduces the sequential report — and hence the
+    // oracle's clusters — bit for bit.
+    let pooled = distributed_decomposition_on(
         graph,
         k,
         &config,
-        &ParallelExecutor::new(threads),
+        &PooledExecutor::new(threads),
         &exec_config,
     )
-    .expect("parallel engine run failed");
-    assert_eq!(par.report, sync.report);
-    assert_eq!(par.decomposition.clusters, oracle.clusters);
-    for backend in selected_backends() {
-        let run = match backend {
-            Backend::Arena => distributed_decomposition_on(
-                graph,
-                k,
-                &config,
-                &PooledExecutor::new(threads),
-                &exec_config,
-            ),
-            Backend::Channels => distributed_decomposition_on(
-                graph,
-                k,
-                &config,
-                &ChannelExecutor::new(groups, threads),
-                &exec_config,
-            ),
-        }
-        .expect("backend engine run failed");
-        assert_eq!(run.report, sync.report, "backend {backend:?}");
-        assert_eq!(
-            run.decomposition.clusters, oracle.clusters,
-            "backend {backend:?}"
-        );
-        assert_eq!(run.ledger, sync.ledger, "backend {backend:?}");
-    }
+    .expect("pooled engine run failed");
+    assert_eq!(pooled.report, sync.report);
+    assert_eq!(pooled.decomposition.clusters, oracle.clusters);
+    assert_eq!(pooled.ledger, sync.ledger);
 }
 
 proptest! {
@@ -186,10 +140,9 @@ proptest! {
         seed in 0u64..500,
         k in 1usize..4,
         threads in 2usize..6,
-        groups in 2usize..6,
     ) {
         let graph = sweep_graph(which, size, seed);
-        assert_conformance(&graph, k, forced_threads(threads), groups);
+        assert_conformance(&graph, k, forced_threads(threads));
     }
 
     // The carving schedule is a pure function of IDs and topology: centers
@@ -222,7 +175,7 @@ proptest! {
     }
 }
 
-/// The socket smoke of the conformance matrix: the decomposition programs
+/// The socket smoke of the conformance suite: the decomposition programs
 /// run across a real loopback TCP session, and both OS-level endpoints
 /// assemble the sequential report — and hence the oracle's clusters — bit
 /// for bit.

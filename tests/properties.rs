@@ -4,7 +4,7 @@
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
     Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox,
-    ParallelExecutor, PooledExecutor, RoundAction, RunReport, SyncExecutor,
+    PooledExecutor, RoundAction, RunReport, SyncExecutor,
 };
 use congest_mds::decomposition::netdecomp::{
     carving_schedule, strong_diameter_decomposition, DecompositionConfig,
@@ -289,7 +289,7 @@ proptest! {
         let seq = SyncExecutor
             .run(&graph, staggered_programs(graph.n(), depth), &config)
             .unwrap();
-        let par = ParallelExecutor::new(threads)
+        let par = PooledExecutor::new(threads)
             .run(&graph, staggered_programs(graph.n(), depth), &config)
             .unwrap();
         // The full report — outputs, rounds, messages, bits, max message
@@ -307,7 +307,7 @@ proptest! {
         let par = congest_mds::fractional::kw05::run_on(
             &graph,
             k,
-            &ParallelExecutor::new(forced_threads(threads)),
+            &PooledExecutor::new(forced_threads(threads)),
             &ExecutorConfig::default(),
         )
         .unwrap();
@@ -407,18 +407,10 @@ proptest! {
         // Every executor reproduces its sync reference bit for bit —
         // payloads included — on both twins.
         let threads = forced_threads(4);
-        let par_b = ParallelExecutor::new(threads)
-            .run(&graph, staggered_programs(graph.n(), depth), &config)
-            .unwrap();
-        prop_assert_eq!(&bcast, &par_b);
         let pool_b = PooledExecutor::new(threads)
             .run(&graph, staggered_programs(graph.n(), depth), &config)
             .unwrap();
         prop_assert_eq!(&bcast, &pool_b);
-        let par_s = ParallelExecutor::new(threads)
-            .run(&graph, sends_programs(graph.n(), depth), &config)
-            .unwrap();
-        prop_assert_eq!(&sends, &par_s);
         let pool_s = PooledExecutor::new(threads)
             .run(&graph, sends_programs(graph.n(), depth), &config)
             .unwrap();
@@ -507,7 +499,7 @@ proptest! {
         let par = lp::distributed_solve_on(
             &graph,
             &config,
-            &ParallelExecutor::new(forced_threads(threads)),
+            &PooledExecutor::new(forced_threads(threads)),
             &ExecutorConfig::default(),
         )
         .unwrap();
@@ -545,7 +537,7 @@ proptest! {
             &problem,
             &schedule,
             EstimatorKind::default(),
-            &ParallelExecutor::new(forced_threads(threads)),
+            &PooledExecutor::new(forced_threads(threads)),
             &ExecutorConfig::default(),
         )
         .unwrap();
@@ -585,11 +577,6 @@ proptest! {
             let config = MdsConfig { route, ..MdsConfig::default() };
             let oracle = pipeline::central_oracle(&graph, &config);
             let sync = pipeline::run(&graph, &config);
-            let par = pipeline::run_on(
-                &graph,
-                &config,
-                &ParallelExecutor::new(forced_threads(threads)),
-            );
             let pooled = pipeline::run_on(
                 &graph,
                 &config,
@@ -597,8 +584,6 @@ proptest! {
             );
             prop_assert_eq!(&sync.dominating_set, &oracle.dominating_set);
             prop_assert_eq!(&sync.assignment, &oracle.assignment);
-            prop_assert_eq!(&par.dominating_set, &oracle.dominating_set);
-            prop_assert_eq!(&par.ledger, &sync.ledger);
             prop_assert_eq!(&pooled.dominating_set, &oracle.dominating_set);
             prop_assert_eq!(&pooled.ledger, &sync.ledger);
             prop_assert!(verify::is_dominating_set(&graph, &sync.dominating_set));
@@ -624,23 +609,16 @@ proptest! {
         let config = MdsConfig { route: DerandRoute::Coloring, ..MdsConfig::default() };
         let oracle = pipeline::central_oracle(&graph, &config);
         let sync = pipeline::theorem_1_2(&graph, &config);
-        let par = pipeline::theorem_1_2_on(
-            &graph,
-            &config,
-            &ParallelExecutor::new(forced_threads(threads)),
-        );
         let pooled = pipeline::theorem_1_2_on(
             &graph,
             &config,
             &PooledExecutor::new(forced_threads(threads)),
         );
 
-        // Bit-for-bit the central oracle, on all three executors.
+        // Bit-for-bit the central oracle, on both executors.
         prop_assert_eq!(&sync.dominating_set, &oracle.dominating_set);
         prop_assert_eq!(&sync.assignment, &oracle.assignment);
         prop_assert_eq!(&sync.stages, &oracle.stages);
-        prop_assert_eq!(&par.dominating_set, &oracle.dominating_set);
-        prop_assert_eq!(&par.ledger, &sync.ledger);
         prop_assert_eq!(&pooled.dominating_set, &oracle.dominating_set);
         prop_assert_eq!(&pooled.ledger, &sync.ledger);
         prop_assert!(verify::is_dominating_set(&graph, &sync.dominating_set));
@@ -691,7 +669,7 @@ proptest! {
     // The end-to-end Theorem 1.1 acceptance property, now that the GK18
     // network decomposition (R2) runs measured alongside the MWU and the
     // conditional-expectation schedules: the composed run is bit-for-bit the
-    // central oracle on all three executors, the decomposition phase spends
+    // central oracle on both executors, the decomposition phase spends
     // exactly the carving schedule's wave rounds (never more than the
     // Theorem 3.2 paper charge), and no round-spending phase on the route is
     // charged.
@@ -711,23 +689,16 @@ proptest! {
         };
         let oracle = pipeline::central_oracle(&graph, &config);
         let sync = pipeline::theorem_1_1(&graph, &config);
-        let par = pipeline::theorem_1_1_on(
-            &graph,
-            &config,
-            &ParallelExecutor::new(forced_threads(threads)),
-        );
         let pooled = pipeline::theorem_1_1_on(
             &graph,
             &config,
             &PooledExecutor::new(forced_threads(threads)),
         );
 
-        // Bit-for-bit the central oracle, on all three executors.
+        // Bit-for-bit the central oracle, on both executors.
         prop_assert_eq!(&sync.dominating_set, &oracle.dominating_set);
         prop_assert_eq!(&sync.assignment, &oracle.assignment);
         prop_assert_eq!(&sync.stages, &oracle.stages);
-        prop_assert_eq!(&par.dominating_set, &oracle.dominating_set);
-        prop_assert_eq!(&par.ledger, &sync.ledger);
         prop_assert_eq!(&pooled.dominating_set, &oracle.dominating_set);
         prop_assert_eq!(&pooled.ledger, &sync.ledger);
         prop_assert!(verify::is_dominating_set(&graph, &sync.dominating_set));

@@ -1,16 +1,14 @@
-//! Transport-conformance suite: every byte-level transport backend must
-//! produce [`RunReport`]s bit-identical to the sequential executor — same
-//! outputs, rounds, message/bit accounting and first error — over the seven
-//! structurally distinct graph families and both pipeline routes.
+//! Transport-conformance suite: every backend must produce [`RunReport`]s
+//! bit-identical to the sequential executor — same outputs, rounds,
+//! message/bit accounting and first error — over the seven structurally
+//! distinct graph families and both pipeline routes. The two-process socket
+//! backend is held to this on *both* endpoints.
 //!
-//! CI runs the non-socket proptests across a backend × `PARALLEL_THREADS`
-//! matrix: `TRANSPORT_BACKEND` (`arena` / `channels`) selects which backend
-//! the equivalence properties exercise (unset runs both, the local default),
-//! while `PARALLEL_THREADS` pins the worker-thread count exactly as in
-//! `tests/properties.rs`. The socket tests (everything prefixed `socket_`)
-//! run as a separate non-matrix CI step — they involve real loopback TCP
-//! between threads/processes, so a flake there is attributable to the socket
-//! backend and not to the matrix dimension.
+//! The backend-matrix properties run the persistent pool (at a width drawn
+//! per case) and the socket side by side; the tests prefixed `socket_` pin
+//! the socket alone. Every socket run opens a real loopback TCP session
+//! between threads; `examples/socket_pipeline.rs --self-spawn` covers real
+//! processes.
 //!
 //! [`RunReport`]: congest_mds::congest::RunReport
 
@@ -19,11 +17,10 @@ use congest_mds::congest::{
     PooledExecutor, RoundAction, RunReport, SyncExecutor,
 };
 use congest_mds::graphs::generators;
-use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
+use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig, MdsResult};
 use congest_mds::mds::verify;
 use congest_mds::transport::{
-    ChannelExecutor, FrameError, Role, SocketExecutor, SocketListener, SocketSession,
-    TransportError,
+    FrameError, Role, SocketExecutor, SocketListener, SocketSession, TransportError,
 };
 use proptest::prelude::*;
 use std::thread;
@@ -31,8 +28,8 @@ use std::time::Duration;
 
 /// Strategy: a graph drawn from one of the seven structurally distinct
 /// families of `tests/properties.rs` — the same sweep the in-process
-/// executor-equivalence suite uses, so the transport backends are held to
-/// the identical bar.
+/// executor-equivalence suite uses, so the socket backend is held to the
+/// identical bar.
 fn family_graph_strategy() -> impl Strategy<Value = Graph> {
     (0usize..7, 2usize..60, 1u32..30, 0u64..1000).prop_map(
         |(family, n, p_num, seed)| match family {
@@ -45,33 +42,6 @@ fn family_graph_strategy() -> impl Strategy<Value = Graph> {
             _ => generators::grid(1 + n / 8, 1 + p_num as usize % 6),
         },
     )
-}
-
-/// Worker-thread count: `PARALLEL_THREADS` when CI pins it, else `fallback`.
-fn forced_threads(fallback: usize) -> usize {
-    std::env::var("PARALLEL_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(fallback)
-        .max(1)
-}
-
-/// The backend dimension of the CI conformance matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// The in-process arena moved by the persistent worker pool.
-    Arena,
-    /// The serialized mpsc-channel backend (`ChannelExecutor`).
-    Channels,
-}
-
-/// Backends selected by `TRANSPORT_BACKEND`; unset exercises both.
-fn selected_backends() -> Vec<Backend> {
-    match std::env::var("TRANSPORT_BACKEND").ok().as_deref() {
-        Some("arena") => vec![Backend::Arena],
-        Some("channels") => vec![Backend::Channels],
-        _ => vec![Backend::Arena, Backend::Channels],
-    }
 }
 
 /// Flood-the-minimum-id workload with staggered halting, the same program
@@ -118,10 +88,10 @@ fn staggered_programs(n: usize, depth: u64) -> Vec<StaggeredFlood> {
 }
 
 /// The per-edge twin of [`StaggeredFlood`]: the same flood expressed as one
-/// explicit `send` per neighbor instead of a `broadcast`. On the framed
-/// backends the broadcast program ships one `Broadcast` frame entry per node
-/// per round where this twin ships `deg(v)` `Round` entries — everything in
-/// the report except `payloads` must still match bit for bit.
+/// explicit `send` per neighbor instead of a `broadcast`. Over a socket the
+/// broadcast program ships one cross-shard broadcast entry per node per
+/// round where this twin ships one batch entry per edge — everything in the
+/// report except `payloads` must still match bit for bit.
 struct StaggeredFloodSends {
     best: usize,
     depth: u64,
@@ -167,136 +137,6 @@ fn sends_programs(n: usize, depth: u64) -> Vec<StaggeredFloodSends> {
         .collect()
 }
 
-/// Asserts two reports agree on everything except `payloads`, then pins the
-/// payload relation itself: the send twin stores one payload per charged
-/// message, the broadcast twin at most that.
-fn assert_twins_agree(bcast: &RunReport<usize>, sends: &RunReport<usize>) {
-    prop_assert_eq!(&bcast.outputs, &sends.outputs);
-    prop_assert_eq!(bcast.rounds, sends.rounds);
-    prop_assert_eq!(bcast.messages, sends.messages);
-    prop_assert_eq!(bcast.total_bits, sends.total_bits);
-    prop_assert_eq!(bcast.max_message_bits, sends.max_message_bits);
-    prop_assert_eq!(bcast.bandwidth_violations, sends.bandwidth_violations);
-    prop_assert_eq!(bcast.bandwidth_bits, sends.bandwidth_bits);
-    prop_assert_eq!(&bcast.round_stats, &sends.round_stats);
-    prop_assert_eq!(sends.payloads, sends.messages);
-    prop_assert!(bcast.payloads <= sends.payloads);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    // Raw node programs: every selected backend's report is bit-for-bit the
-    // sequential one across the graph families, group counts and the pinned
-    // thread count.
-    #[test]
-    fn selected_backends_are_bit_identical_to_sequential(
-        graph in family_graph_strategy(),
-        depth in 1u64..10,
-        groups in 2usize..7,
-    ) {
-        let config = ExecutorConfig::default();
-        let threads = forced_threads(3);
-        let seq = SyncExecutor
-            .run(&graph, staggered_programs(graph.n(), depth), &config)
-            .unwrap();
-        for backend in selected_backends() {
-            let report: RunReport<usize> = match backend {
-                Backend::Arena => PooledExecutor::new(threads)
-                    .run(&graph, staggered_programs(graph.n(), depth), &config)
-                    .unwrap(),
-                Backend::Channels => ChannelExecutor::new(groups, threads)
-                    .run(&graph, staggered_programs(graph.n(), depth), &config)
-                    .unwrap(),
-            };
-            prop_assert_eq!(&seq, &report, "backend {:?}", backend);
-        }
-    }
-
-    // The broadcast program and its per-edge-send twin stay bit-identical
-    // modulo `payloads` on every selected backend: each backend reproduces
-    // its own sync reference exactly (payloads included — one broadcast
-    // frame entry per broadcasting node, not per edge), and the two sync
-    // references differ only in stored payloads.
-    #[test]
-    fn broadcast_and_send_twins_agree_on_selected_backends(
-        graph in family_graph_strategy(),
-        depth in 1u64..10,
-        groups in 2usize..7,
-    ) {
-        let config = ExecutorConfig::default();
-        let threads = forced_threads(3);
-        let bcast = SyncExecutor
-            .run(&graph, staggered_programs(graph.n(), depth), &config)
-            .unwrap();
-        let sends = SyncExecutor
-            .run(&graph, sends_programs(graph.n(), depth), &config)
-            .unwrap();
-        assert_twins_agree(&bcast, &sends);
-        for backend in selected_backends() {
-            let (b, s): (RunReport<usize>, RunReport<usize>) = match backend {
-                Backend::Arena => (
-                    PooledExecutor::new(threads)
-                        .run(&graph, staggered_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                    PooledExecutor::new(threads)
-                        .run(&graph, sends_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                ),
-                Backend::Channels => (
-                    ChannelExecutor::new(groups, threads)
-                        .run(&graph, staggered_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                    ChannelExecutor::new(groups, threads)
-                        .run(&graph, sends_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                ),
-            };
-            prop_assert_eq!(&bcast, &b, "broadcast twin, backend {:?}", backend);
-            prop_assert_eq!(&sends, &s, "send twin, backend {:?}", backend);
-        }
-    }
-}
-
-proptest! {
-    // Each case runs full composed pipelines (several engine executions per
-    // route), so the case count stays low like the pipeline properties.
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    // Both pipeline routes: the composed measured pipeline on every selected
-    // backend reproduces the sequential run's dominating set, assignment and
-    // complete round ledger.
-    #[test]
-    fn pipeline_routes_are_bit_identical_across_backends(
-        n in 2usize..32,
-        p_num in 2u32..30,
-        seed in 0u64..500,
-        groups in 2usize..6,
-    ) {
-        let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
-        let threads = forced_threads(3);
-        for route in [DerandRoute::NetworkDecomposition { k: 2 }, DerandRoute::Coloring] {
-            let config = MdsConfig { route, ..MdsConfig::default() };
-            let sync = pipeline::run(&graph, &config);
-            for backend in selected_backends() {
-                let result = match backend {
-                    Backend::Arena => {
-                        pipeline::run_on(&graph, &config, &PooledExecutor::new(threads))
-                    }
-                    Backend::Channels => {
-                        pipeline::run_on(&graph, &config, &ChannelExecutor::new(groups, threads))
-                    }
-                };
-                prop_assert_eq!(&result.dominating_set, &sync.dominating_set,
-                    "backend {:?}", backend);
-                prop_assert_eq!(&result.assignment, &sync.assignment, "backend {:?}", backend);
-                prop_assert_eq!(&result.ledger, &sync.ledger, "backend {:?}", backend);
-            }
-            prop_assert!(verify::is_dominating_set(&graph, &sync.dominating_set));
-        }
-    }
-}
-
 /// Runs `mk()` programs on both ends of a loopback socket session (the peer
 /// on a second thread) and returns `[leader, follower]` reports.
 fn socket_run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [RunReport<P::Output>; 2]
@@ -319,6 +159,182 @@ where
         (leader, follower.join().expect("follower thread"))
     });
     [leader.unwrap(), follower.unwrap()]
+}
+
+/// Runs the composed pipeline on both ends of one persistent loopback
+/// socket session and returns `[leader, follower]` results.
+fn socket_pipeline_both(graph: &Graph, config: &MdsConfig) -> [MdsResult; 2] {
+    let listener = SocketListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let timeout = Duration::from_secs(120);
+    thread::scope(|s| {
+        let follower = s.spawn(|| {
+            let executor = SocketExecutor::connect(addr.to_string()).with_timeout(timeout);
+            pipeline::run_on(graph, config, &executor)
+        });
+        let session = listener.accept().unwrap();
+        let executor = SocketExecutor::from_session(Role::Leader, session).with_timeout(timeout);
+        let leader = pipeline::run_on(graph, config, &executor);
+        [leader, follower.join().expect("follower thread")]
+    })
+}
+
+/// A backend the matrix properties hold to the sequential executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Backend {
+    /// The persistent pool with this many workers.
+    Pool(usize),
+    /// Both endpoints of a loopback socket session.
+    Socket,
+}
+
+/// The backends every matrix case runs: the pool at `threads` workers and
+/// the socket.
+fn selected_backends(threads: usize) -> [Backend; 2] {
+    [Backend::Pool(threads), Backend::Socket]
+}
+
+/// Runs `mk()` programs on `backend` and returns every report it assembles:
+/// the pool's one, or the socket leader's and follower's.
+fn run_backend<P, F>(
+    backend: Backend,
+    graph: &Graph,
+    mk: F,
+    config: &ExecutorConfig,
+) -> Vec<RunReport<P::Output>>
+where
+    P: NodeProgram + Send,
+    P::Message: Send + Sync,
+    P::Output: Send,
+    F: Fn() -> Vec<P> + Sync,
+{
+    match backend {
+        Backend::Pool(threads) => vec![PooledExecutor::new(threads)
+            .run(graph, mk(), config)
+            .unwrap()],
+        Backend::Socket => socket_run_both(graph, mk, config).into(),
+    }
+}
+
+/// Runs the composed pipeline on `backend` and returns every result it
+/// assembles, as [`run_backend`] does for raw programs.
+fn pipeline_backend(backend: Backend, graph: &Graph, config: &MdsConfig) -> Vec<MdsResult> {
+    match backend {
+        Backend::Pool(threads) => vec![pipeline::run_on(
+            graph,
+            config,
+            &PooledExecutor::new(threads),
+        )],
+        Backend::Socket => socket_pipeline_both(graph, config).into(),
+    }
+}
+
+/// Asserts two reports agree on everything except `payloads`, then pins the
+/// payload relation itself: the send twin stores one payload per charged
+/// message, the broadcast twin at most that.
+fn assert_twins_agree(bcast: &RunReport<usize>, sends: &RunReport<usize>) {
+    prop_assert_eq!(&bcast.outputs, &sends.outputs);
+    prop_assert_eq!(bcast.rounds, sends.rounds);
+    prop_assert_eq!(bcast.messages, sends.messages);
+    prop_assert_eq!(bcast.total_bits, sends.total_bits);
+    prop_assert_eq!(bcast.max_message_bits, sends.max_message_bits);
+    prop_assert_eq!(bcast.bandwidth_violations, sends.bandwidth_violations);
+    prop_assert_eq!(bcast.bandwidth_bits, sends.bandwidth_bits);
+    prop_assert_eq!(&bcast.round_stats, &sends.round_stats);
+    prop_assert_eq!(sends.payloads, sends.messages);
+    prop_assert!(bcast.payloads <= sends.payloads);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    // Raw node programs: every backend's report — on the socket, both
+    // endpoints' — is bit-for-bit the sequential one across the graph
+    // families and pool widths.
+    #[test]
+    fn selected_backends_are_bit_identical_to_sequential(
+        graph in family_graph_strategy(),
+        depth in 1u64..10,
+        threads in 1usize..7,
+    ) {
+        let config = ExecutorConfig::default();
+        let seq = SyncExecutor
+            .run(&graph, staggered_programs(graph.n(), depth), &config)
+            .unwrap();
+        for backend in selected_backends(threads) {
+            for report in run_backend(
+                backend,
+                &graph,
+                || staggered_programs(graph.n(), depth),
+                &config,
+            ) {
+                prop_assert_eq!(&seq, &report, "backend {:?}", backend);
+            }
+        }
+    }
+
+    // The broadcast program and its per-edge-send twin stay bit-identical
+    // modulo `payloads` on every backend: each backend reproduces its own
+    // sync reference exactly (payloads included — the socket ships one
+    // cross-shard broadcast entry per broadcasting node, not per edge), and
+    // the two sync references differ only in stored payloads.
+    #[test]
+    fn broadcast_and_send_twins_agree_on_selected_backends(
+        graph in family_graph_strategy(),
+        depth in 1u64..10,
+        threads in 1usize..7,
+    ) {
+        let config = ExecutorConfig::default();
+        let bcast = SyncExecutor
+            .run(&graph, staggered_programs(graph.n(), depth), &config)
+            .unwrap();
+        let sends = SyncExecutor
+            .run(&graph, sends_programs(graph.n(), depth), &config)
+            .unwrap();
+        assert_twins_agree(&bcast, &sends);
+        for backend in selected_backends(threads) {
+            let n = graph.n();
+            for b in run_backend(backend, &graph, || staggered_programs(n, depth), &config) {
+                prop_assert_eq!(&bcast, &b, "broadcast twin, backend {:?}", backend);
+            }
+            for s in run_backend(backend, &graph, || sends_programs(n, depth), &config) {
+                prop_assert_eq!(&sends, &s, "send twin, backend {:?}", backend);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case runs full composed pipelines (several engine executions per
+    // route), so the case count stays low like the pipeline properties.
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    // Both pipeline routes: the composed measured pipeline on every backend
+    // reproduces the sequential run's dominating set, assignment and
+    // complete round ledger.
+    #[test]
+    fn pipeline_routes_are_bit_identical_across_backends(
+        n in 2usize..32,
+        p_num in 2u32..30,
+        seed in 0u64..500,
+        threads in 1usize..6,
+    ) {
+        let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
+        for route in [DerandRoute::NetworkDecomposition { k: 2 }, DerandRoute::Coloring] {
+            let config = MdsConfig { route, ..MdsConfig::default() };
+            let sync = pipeline::run(&graph, &config);
+            for backend in selected_backends(threads) {
+                for result in pipeline_backend(backend, &graph, &config) {
+                    prop_assert_eq!(&result.dominating_set, &sync.dominating_set,
+                        "backend {:?}", backend);
+                    prop_assert_eq!(&result.assignment, &sync.assignment,
+                        "backend {:?}", backend);
+                    prop_assert_eq!(&result.ledger, &sync.ledger, "backend {:?}", backend);
+                }
+            }
+            prop_assert!(verify::is_dominating_set(&graph, &sync.dominating_set));
+        }
+    }
 }
 
 proptest! {
