@@ -22,8 +22,8 @@ pub const FLOOD_ROUNDS: u64 = 16;
 
 /// Minimum-label flooding: every node repeatedly broadcasts the smallest id
 /// it has heard of and halts after [`FLOOD_ROUNDS`] rounds. Every node
-/// broadcasts every round, so the per-round message volume is exactly `2m` —
-/// the worst case the arena has to sustain.
+/// broadcasts every round, so the per-round charged message volume is
+/// exactly `2m`, stored as `n` broadcast payloads that every inbox gathers.
 #[derive(Debug, Clone)]
 pub struct FloodMin {
     label: u32,

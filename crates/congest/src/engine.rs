@@ -1,11 +1,14 @@
 //! The batched execution engine: drives [`NodeProgram`]s round by round.
 //!
-//! The engine stores in-flight messages in a CSR-indexed, double-buffered
-//! arena: directed edge `(u, v)` owns a fixed slot in a flat `Vec<Option<M>>`,
-//! located inside receiver `v`'s CSR range at the position of `u` in `v`'s
-//! sorted adjacency list. Sending writes through a precomputed mirror index,
-//! delivery is a buffer swap, and inboxes are zero-copy slices sorted by
-//! sender — the steady-state round loop allocates nothing.
+//! The engine stores in-flight messages in two double-buffered stores. An
+//! explicit send goes to a CSR-indexed arena: directed edge `(u, v)` owns a
+//! fixed slot in a flat `Vec<Option<M>>`, located inside receiver `v`'s CSR
+//! range at the position of `u` in `v`'s sorted adjacency list, and the
+//! sender writes it through a precomputed mirror index. A broadcast is
+//! stored once, in a sender-indexed table of `n` entries, and receivers
+//! pull it from there. Delivery is a buffer swap, and inboxes are zero-copy
+//! views over both stores, sorted by sender — the steady-state round loop
+//! allocates nothing.
 //!
 //! Two deterministic in-process [`Executor`]s drive the loop:
 //!
@@ -303,17 +306,23 @@ impl Executor for SyncExecutor {
     }
 }
 
-/// CSR-indexed, double-buffered per-edge message arena: how committed
-/// `(slot, message)` batches move between rounds on the sequential engine
-/// and on each side of the socket backend.
+/// CSR-indexed, double-buffered message store: how committed units move
+/// between rounds on the sequential engine and on each side of the socket
+/// backend. It has two parts, both double-buffered:
 ///
-/// Slot `slot_range(v).start + i` holds the message *received by* `v` from
-/// its `i`-th CSR neighbor; senders write through the [`TopologyCache`]
-/// mirror so the write side is the receiver's inbox range. Within one round,
-/// several [`ArenaDelivery::queue`] calls for the same slot keep the *last*
-/// message (all writes to one slot come from one sender, in that sender's
-/// send order), and [`ArenaDelivery::advance`] publishes exactly the queued
-/// batch as the next round's [`ArenaDelivery::current`].
+/// * the per-edge arena for explicit sends — slot `slot_range(v).start + i`
+///   holds the message *received by* `v` from its `i`-th CSR neighbor;
+///   senders write through the [`TopologyCache`] mirror so the write side is
+///   the receiver's inbox range;
+/// * the sender-indexed broadcast table — entry `u` holds the one payload
+///   node `u` broadcast, which every neighbor's [`Inbox`] reads (a pull, so
+///   a broadcast costs one store instead of `deg(u)` scattered copies).
+///
+/// Within one round, several [`ArenaDelivery::queue`] calls for the same
+/// slot keep the *last* message (all writes to one slot come from one
+/// sender, in that sender's send order), and [`ArenaDelivery::advance`]
+/// publishes exactly the queued units as the next round's
+/// [`ArenaDelivery::inbox`] views.
 pub struct ArenaDelivery<M> {
     /// Messages delivered this round (read side).
     cur: Vec<Option<M>>,
@@ -327,17 +336,30 @@ pub struct ArenaDelivery<M> {
     /// Slots written on the write side this round, each listed exactly once
     /// (duplicate sends to one neighbor overwrite in place).
     next_written: Vec<usize>,
+    /// Broadcast payloads delivered this round, indexed by sender.
+    cur_table: Vec<Option<M>>,
+    /// Broadcast payloads queued for the next round, indexed by sender.
+    next_table: Vec<Option<M>>,
+    /// Senders occupying `cur_table`, cleared through this list.
+    cur_senders: Vec<usize>,
+    /// Senders queued into `next_table` this round, each listed once.
+    next_senders: Vec<usize>,
 }
 
 impl<M> ArenaDelivery<M> {
-    /// An empty arena with one slot per directed edge of `graph`.
+    /// An empty store: one arena slot per directed edge of `graph` and one
+    /// table entry per node, on each side.
     pub fn new(graph: &Graph) -> Self {
-        let slots = graph.slot_count();
+        let none = |len| std::iter::repeat_with(|| None).take(len).collect();
         ArenaDelivery {
-            cur: std::iter::repeat_with(|| None).take(slots).collect(),
-            next: std::iter::repeat_with(|| None).take(slots).collect(),
+            cur: none(graph.slot_count()),
+            next: none(graph.slot_count()),
             cur_written: Vec::new(),
             next_written: Vec::new(),
+            cur_table: none(graph.n()),
+            next_table: none(graph.n()),
+            cur_senders: Vec::new(),
+            next_senders: Vec::new(),
         }
     }
 
@@ -354,52 +376,65 @@ impl<M> ArenaDelivery<M> {
         }
     }
 
-    /// Stages one broadcast payload into every slot of `slots` — a sender's
-    /// mirror range. Caller contract: the slots are distinct and none of them
-    /// has been queued this round (each arena slot has exactly one writer,
-    /// and a broadcasting sender stages nothing else — `Outbox::broadcast`
-    /// requires an otherwise empty outbox), so the occupancy check and
-    /// per-slot `push` of [`ArenaDelivery::queue`] collapse into one bulk
-    /// append plus straight stores.
-    pub fn queue_fan(&mut self, slots: &[usize], msg: M)
-    where
-        M: Clone,
-    {
-        debug_assert!(slots.iter().all(|&s| self.next[s].is_none()));
-        self.next_written.extend_from_slice(slots);
-        if let Some((&last, rest)) = slots.split_last() {
-            for &slot in rest {
-                self.next[slot] = Some(msg.clone());
-            }
-            self.next[last] = Some(msg);
-        }
+    /// Stages `sender`'s broadcast payload: one table entry that every
+    /// neighbor of `sender` reads next round. Caller contract: `sender` has
+    /// staged nothing else this round — no other broadcast and no per-edge
+    /// send (`Outbox::broadcast` keeps a lone payload only on an otherwise
+    /// empty outbox), so each of its neighbors has exactly one source.
+    /// Backends that take senders from untrusted input check
+    /// [`ArenaDelivery::broadcast_staged`] first.
+    pub fn queue_broadcast(&mut self, sender: usize, msg: M) {
+        debug_assert!(!self.broadcast_staged(sender), "one broadcast per sender");
+        self.next_table[sender] = Some(msg);
+        self.next_senders.push(sender);
+    }
+
+    /// Whether `sender` already has a broadcast staged for the next round.
+    pub fn broadcast_staged(&self, sender: usize) -> bool {
+        self.next_table[sender].is_some()
     }
 
     /// Ends the round: the queued messages become current and the previous
-    /// round's are dropped, clearing only the slots that were actually
-    /// occupied (no allocation).
+    /// round's are dropped, clearing only the slots and table entries that
+    /// were actually occupied (no allocation).
     pub fn advance(&mut self) {
-        // Broadcast-heavy rounds occupy most of the arena; above a quarter
-        // occupancy a linear sweep beats scattering through the written list
-        // in mirror order.
-        if self.cur_written.len() >= self.cur.len() / 4 {
-            for slot in self.cur.iter_mut() {
-                *slot = None;
-            }
-        } else {
-            for &slot in &self.cur_written {
-                self.cur[slot] = None;
-            }
+        for &slot in &self.cur_written {
+            self.cur[slot] = None;
+        }
+        for &sender in &self.cur_senders {
+            self.cur_table[sender] = None;
         }
         self.cur_written.clear();
+        self.cur_senders.clear();
         std::mem::swap(&mut self.cur, &mut self.next);
         std::mem::swap(&mut self.cur_written, &mut self.next_written);
+        std::mem::swap(&mut self.cur_table, &mut self.next_table);
+        std::mem::swap(&mut self.cur_senders, &mut self.next_senders);
     }
 
-    /// The messages delivered for the current round, indexed by arena slot.
-    pub fn current(&self) -> &[Option<M>] {
-        &self.cur
+    /// The current round's inbox of node `v`: its delivered arena slots
+    /// merged with the broadcast table.
+    pub fn inbox<'a>(&'a self, graph: &'a Graph, v: NodeId) -> Inbox<'a, M> {
+        let edges_delivered = !self.cur_written.is_empty();
+        let slots = &self.cur[graph.slot_range(v)];
+        merged_inbox(graph, v, slots, edges_delivered, &self.cur_table)
     }
+}
+
+/// Node `v`'s inbox over `slots`, its range of delivered arena slots, and
+/// the sender-indexed broadcast `table`. When `edges_delivered` is false —
+/// no per-edge message reached the store this round, as in every round of
+/// a broadcast-only program — the view gets an empty edge slice and is a
+/// pure gather from the table. Every executor builds its inboxes here.
+pub(crate) fn merged_inbox<'a, M>(
+    graph: &'a Graph,
+    v: NodeId,
+    slots: &'a [Option<M>],
+    edges_delivered: bool,
+    table: &'a [Option<M>],
+) -> Inbox<'a, M> {
+    let slots = if edges_delivered { slots } else { &[] };
+    Inbox::over(graph.neighbors(v), slots, table)
 }
 
 /// Running totals for the charging path. All accumulation is saturating so a
@@ -439,16 +474,16 @@ impl Accounting {
 
 /// One committed unit handed to the commit sink by [`drain_outbox`]: either a
 /// single per-edge message already resolved to its destination arena slot, or
-/// a broadcast payload the backend fans out itself through the sender's
-/// mirror range (the storage/wire fast path — the CONGEST charge for all
-/// `deg` copies has already been applied by the time the sink sees it).
+/// a broadcast payload the backend stores once under the sender's id (the
+/// storage/wire fast path — the CONGEST charge for all `deg` copies has
+/// already been applied by the time the sink sees it).
 #[derive(Debug)]
 pub enum Committed<M> {
     /// One message for one destination arena slot.
     Edge(usize, M),
-    /// One broadcast payload standing for a copy to every neighbor; the
-    /// receiver of this variant resolves the fan-out through the sender's
-    /// slice of the [`TopologyCache`] mirror table.
+    /// One broadcast payload standing for a copy to every neighbor. It is
+    /// stored once in a sender-indexed table; each neighbor's [`Inbox`]
+    /// pulls it from there (see [`ArenaDelivery::queue_broadcast`]).
     Fan(M),
 }
 
@@ -550,13 +585,14 @@ pub fn drain_outbox<M: MessageSize>(
 /// Commits the staged outputs of all nodes, in node order, into `delivery`,
 /// charging each message. Destination slots were resolved at send time, so the
 /// hot loop is a straight [`ArenaDelivery::queue`] per message; a broadcast
-/// arrives as one [`Committed::Fan`] payload and is fanned out here through
-/// the sender's mirror range (same slots, same values the materialized
-/// per-edge copies would have produced). A send to a non-neighbor surfaces
-/// as [`INVALID_SLOT`], with the offending target parked in the sender's
-/// `invalid` scratch slot. Returns `(messages, bits)` sent this round.
+/// arrives as one [`Committed::Fan`] payload and is stored once, under the
+/// sender, with [`ArenaDelivery::queue_broadcast`] (every neighbor's inbox
+/// reads the value the materialized per-edge copies would have carried). A
+/// send to a non-neighbor surfaces as [`INVALID_SLOT`], with the offending
+/// target parked in the sender's `invalid` scratch slot. Returns
+/// `(messages, bits)` sent this round.
 #[allow(clippy::too_many_arguments)]
-fn commit_round<M: MessageSize + Clone>(
+fn commit_round<M: MessageSize>(
     graph: &Graph,
     topo: &TopologyCache,
     delivery: &mut ArenaDelivery<M>,
@@ -583,9 +619,7 @@ fn commit_round<M: MessageSize + Clone>(
             &mut round,
             |unit| match unit {
                 Committed::Edge(slot, msg) => delivery.queue(slot, msg),
-                Committed::Fan(msg) => {
-                    delivery.queue_fan(&topo.mirror[base..base + degree], msg);
-                }
+                Committed::Fan(msg) => delivery.queue_broadcast(v, msg),
             },
         )?;
     }
@@ -670,14 +704,13 @@ pub(crate) fn run_engine<P: NodeProgram>(
 
         // Execute phase: run every live node's program against its inbox,
         // keeping a running halted count instead of rescanning all `n` flags.
-        let cur = delivery.current();
         for (v, program) in programs.iter_mut().enumerate() {
             if halted[v] {
                 continue;
             }
             let id = NodeId(v);
             let ctx = NodeContext { id, graph, round };
-            let inbox = Inbox::over(graph.neighbors(id), &cur[graph.slot_range(id)]);
+            let inbox = delivery.inbox(graph, id);
             pending[v].clear();
             invalid[v] = None;
             let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[v], &mut invalid[v]);

@@ -14,7 +14,8 @@
 //!   zero-copy [`program::Inbox`] sorted by sender and leave through a
 //!   reusable [`program::Outbox`].
 //! * [`engine`] — the execution engine: a CSR-indexed, double-buffered
-//!   message arena driven by deterministic [`engine::Executor`]s
+//!   message arena plus a sender-indexed broadcast table, driven by
+//!   deterministic [`engine::Executor`]s
 //!   ([`engine::SyncExecutor`] and the persistent worker-pool
 //!   [`pool::PooledExecutor`], bit-identical for any thread count),
 //!   charging every message against the CONGEST bandwidth budget of

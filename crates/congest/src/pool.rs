@@ -28,14 +28,18 @@
 //!    protected transfer cell per (sender-block, receiver-block) pair via
 //!    `mem::swap` — no steady-state allocation, and each cell is touched by
 //!    exactly one sender and one receiver per round, so the locks never
-//!    contend. Finally the worker publishes its sub-totals.
+//!    contend. A broadcast is not routed: the worker keeps it as one
+//!    `(sender, payload)` entry. Finally the worker publishes its
+//!    sub-totals.
 //! 2. **barrier A.**
 //! 3. **deliver / reduce** — each worker sparse-clears the slots of its arena
 //!    chunk written last round and drains its incoming transfer cells into
-//!    the chunk (last write per slot wins, in sender order). Concurrently
-//!    the coordinator folds the published sub-totals *in block order* into
-//!    the run totals and decides: continue, stop (all halted), or stop with
-//!    the run's error.
+//!    the chunk (last write per slot wins, in sender order). It then stores
+//!    its own nodes' broadcasts in the run's one sender-indexed broadcast
+//!    table, after clearing the entries it stored last round. Every inbox
+//!    reads its chunk and that table. Concurrently the coordinator folds
+//!    the published sub-totals *in block order* into the run totals and
+//!    decides: continue, stop (all halted), or stop with the run's error.
 //! 4. **barrier B** — after which every worker reads the coordinator's
 //!    command and either loops or exits.
 //!
@@ -52,6 +56,14 @@
 //! slot names the directed edge), are batched in that sender's send order,
 //! and are delivered in that order — so "last message wins" picks the same
 //! message as the sequential commit.
+//!
+//! *Broadcasts.* Only a node's own worker writes its table entry, and only
+//! during delivery, between the barriers; inboxes read the table only
+//! during execute. The table therefore needs no second buffer, and its lock
+//! is never contended by a reader and a writer at once (the write lock only
+//! orders the workers' disjoint stores). A broadcasting node stages nothing
+//! else that round, so its neighbors read exactly the sequential engine's
+//! table entry.
 //!
 //! *Accounting.* Message and bit counters are saturating-`u64` folds;
 //! saturating addition is associative, so folding per-worker sub-totals in
@@ -77,15 +89,15 @@
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
-    drain_outbox, run_engine, Accounting, Committed, ExecutionError, Executor, ExecutorConfig,
-    RoundStats, RunReport,
+    drain_outbox, merged_inbox, run_engine, Accounting, Committed, ExecutionError, Executor,
+    ExecutorConfig, RoundStats, RunReport,
 };
 use crate::message::MessageSize;
 use crate::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
 use crate::topology::TopologyCache;
 use crate::{Graph, NodeId};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, RwLock};
 use std::thread;
 
 /// Coordinator verdict after folding a round: keep going.
@@ -94,21 +106,9 @@ const CMD_RUN: u8 = 0;
 /// halted, or the run ends with an error).
 const CMD_STOP: u8 = 1;
 
-/// One routed unit inside a transfer-cell batch.
-#[derive(Debug)]
-enum Routed<M> {
-    /// One message for one destination arena slot.
-    Edge(usize, M),
-    /// One broadcast payload from the given sender; the receiving block fans
-    /// it out over the sender's mirror targets that fall in its own chunk.
-    /// This is what keeps a broadcast at one transferred payload per touched
-    /// block instead of one per edge.
-    Fan(usize, M),
-}
-
-/// A batch of committed messages routed to one receiver block, in sender
-/// order.
-type RoutedBatch<M> = Vec<Routed<M>>;
+/// A batch of committed `(destination slot, message)` pairs routed to one
+/// receiver block, in sender order.
+type RoutedBatch<M> = Vec<(usize, M)>;
 
 /// The persistent worker-pool executor. See the [module docs](self) for the
 /// protocol and the determinism argument.
@@ -185,6 +185,10 @@ struct PoolShared<'g, M> {
     /// batch sender block `from` committed for receiver block `to`. Each
     /// cell is written by one worker and drained by one worker per round.
     xfer: Vec<Mutex<RoutedBatch<M>>>,
+    /// The sender-indexed broadcast table (`n` entries): read by every
+    /// worker during execute, written by each worker for its own nodes
+    /// during delivery.
+    table: RwLock<Vec<Option<M>>>,
     /// Per-worker published [`WorkerRound`] sub-totals.
     published: Vec<Mutex<WorkerRound>>,
     /// The coordinator's verdict, written between barriers A and B and read
@@ -274,16 +278,16 @@ struct WorkerBlock<'a, P: NodeProgram> {
 /// Drains one node's staged output through the engine's shared
 /// [`drain_outbox`] primitive: charges each message into `report` and routes
 /// it to the destination block's batch, with the exact per-message check
-/// order of the sequential `commit_round`. A broadcast routes one
-/// [`Routed::Fan`] payload per *touched block* (the sender's mirror targets
-/// have nondecreasing owners, so a consecutive-dedupe scan finds them)
-/// instead of one entry per edge.
-fn route_outbox<M: MessageSize + Clone>(
+/// order of the sequential `commit_round`. A broadcast stays one
+/// `(sender, payload)` entry in `bcast`, stored in the shared table at
+/// delivery.
+fn route_outbox<M: MessageSize>(
     shared: &PoolShared<'_, M>,
     from: NodeId,
     staged: &mut Pending<M>,
     invalid_to: &Option<NodeId>,
     local_out: &mut [RoutedBatch<M>],
+    bcast: &mut Vec<(usize, M)>,
     report: &mut WorkerRound,
 ) {
     if report.error.is_some() {
@@ -308,18 +312,9 @@ fn route_outbox<M: MessageSize + Clone>(
         |unit| match unit {
             Committed::Edge(dest, msg) => {
                 let owner = topo.slot_owner[dest] as usize;
-                local_out[owner / chunk].push(Routed::Edge(dest, msg));
+                local_out[owner / chunk].push((dest, msg));
             }
-            Committed::Fan(msg) => {
-                let mut prev = usize::MAX;
-                for &dest in &topo.mirror[base..base + degree] {
-                    let block = topo.slot_owner[dest] as usize / chunk;
-                    if block != prev {
-                        local_out[block].push(Routed::Fan(from.0, msg.clone()));
-                        prev = block;
-                    }
-                }
-            }
+            Committed::Fan(msg) => bcast.push((from.0, msg)),
         },
     ) {
         report.error = Some(e);
@@ -342,54 +337,67 @@ fn flush<M>(shared: &PoolShared<'_, M>, me: usize, local_out: &mut [RoutedBatch<
     }
 }
 
-/// Sparse-clears this worker's arena chunk and drains its incoming transfer
-/// cells into it, in sender-block order. All messages for one slot come from
-/// one sender block in send order, so "last write wins" matches the
-/// sequential arena semantics. A [`Routed::Fan`] payload is expanded here:
-/// the receiver walks the sender's mirror range and writes the slots that
-/// fall inside its own chunk — the same slots and values the materialized
-/// per-edge copies would have carried.
-fn deliver<M: Clone>(
-    shared: &PoolShared<'_, M>,
-    me: usize,
+/// One worker's side of delivery: its chunk of the per-edge arena and the
+/// shared-table entries its own nodes occupy.
+struct Delivered<'a, M> {
+    /// First arena slot of the chunk.
     slot_base: usize,
-    cur: &mut [Option<M>],
-    cur_written: &mut Vec<usize>,
-    scratch: &mut RoutedBatch<M>,
-) {
-    for &s in cur_written.iter() {
-        cur[s] = None;
+    /// The arena slots covering every inbox of the block's nodes.
+    cur: &'a mut [Option<M>],
+    /// Chunk-local slots occupied in `cur`.
+    cur_written: Vec<usize>,
+    /// This block's senders whose entries occupy the shared table.
+    stored: Vec<usize>,
+}
+
+impl<M> Delivered<'_, M> {
+    /// Node `v`'s inbox over the chunk and the shared `table` (see
+    /// [`merged_inbox`]).
+    fn inbox<'b>(&'b self, graph: &'b Graph, v: NodeId, table: &'b [Option<M>]) -> Inbox<'b, M> {
+        let edges_delivered = !self.cur_written.is_empty();
+        let range = graph.slot_range(v);
+        let slots = &self.cur[range.start - self.slot_base..range.end - self.slot_base];
+        merged_inbox(graph, v, slots, edges_delivered, table)
     }
-    cur_written.clear();
-    let chunk_len = cur.len();
-    for from in 0..shared.width {
-        {
-            let mut cell = shared.xfer[from * shared.width + me]
-                .lock()
-                .expect("xfer lock");
-            std::mem::swap(&mut *cell, scratch);
+
+    /// Sparse-clears the chunk, then drains this worker's incoming transfer
+    /// cells into it, in sender-block order. All messages for one slot come
+    /// from one sender block in send order, so "last write wins" matches the
+    /// sequential arena semantics. Finally replaces this block's entries of
+    /// the shared table with the broadcasts in `bcast`.
+    fn deliver(
+        &mut self,
+        shared: &PoolShared<'_, M>,
+        me: usize,
+        scratch: &mut RoutedBatch<M>,
+        bcast: &mut Vec<(usize, M)>,
+    ) {
+        for &s in &self.cur_written {
+            self.cur[s] = None;
         }
-        for routed in scratch.drain(..) {
-            match routed {
-                Routed::Edge(slot, msg) => {
-                    let local = slot - slot_base;
-                    if cur[local].replace(msg).is_none() {
-                        cur_written.push(local);
-                    }
-                }
-                Routed::Fan(sender, msg) => {
-                    let range = shared.graph.slot_range(NodeId(sender));
-                    for &dest in &shared.topo.mirror[range] {
-                        if dest < slot_base || dest >= slot_base + chunk_len {
-                            continue;
-                        }
-                        let local = dest - slot_base;
-                        if cur[local].replace(msg.clone()).is_none() {
-                            cur_written.push(local);
-                        }
-                    }
+        self.cur_written.clear();
+        for from in 0..shared.width {
+            {
+                let mut cell = shared.xfer[from * shared.width + me]
+                    .lock()
+                    .expect("xfer lock");
+                std::mem::swap(&mut *cell, scratch);
+            }
+            for (slot, msg) in scratch.drain(..) {
+                let local = slot - self.slot_base;
+                if self.cur[local].replace(msg).is_none() {
+                    self.cur_written.push(local);
                 }
             }
+        }
+        let mut table = shared.table.write().expect("table lock");
+        for &sender in &self.stored {
+            table[sender] = None;
+        }
+        self.stored.clear();
+        for (sender, msg) in bcast.drain(..) {
+            table[sender] = Some(msg);
+            self.stored.push(sender);
         }
     }
 }
@@ -413,10 +421,15 @@ fn pooled_worker<P: NodeProgram>(
         cur,
     } = block;
     let graph = shared.graph;
-    let slot_base = graph.slot_range(NodeId(first)).start;
-    let mut cur_written: Vec<usize> = Vec::new();
+    let mut delivered = Delivered {
+        slot_base: graph.slot_range(NodeId(first)).start,
+        cur,
+        cur_written: Vec::new(),
+        stored: Vec::new(),
+    };
     let mut local_out: Vec<RoutedBatch<P::Message>> =
         (0..shared.width).map(|_| Vec::new()).collect();
+    let mut bcast: Vec<(usize, P::Message)> = Vec::new();
     let mut scratch: RoutedBatch<P::Message> = Vec::new();
 
     // Round 0: init + commit.
@@ -436,6 +449,7 @@ fn pooled_worker<P: NodeProgram>(
             &mut pending[i],
             &invalid[i],
             &mut local_out,
+            &mut bcast,
             &mut report,
         );
     }
@@ -448,15 +462,17 @@ fn pooled_worker<P: NodeProgram>(
         if let Some(c) = coord.as_deref_mut() {
             c.reduce(shared);
         }
-        deliver(shared, me, slot_base, cur, &mut cur_written, &mut scratch);
+        delivered.deliver(shared, me, &mut scratch, &mut bcast);
         shared.barrier.wait(); // B: delivery done, verdict published.
         if shared.command.load(Ordering::Acquire) == CMD_STOP {
             break;
         }
         round += 1;
 
-        // Execute + commit this round's block.
+        // Execute + commit this round's block. The table guard is dropped
+        // before barrier A, so delivery's write locks never wait on a reader.
         let mut report = WorkerRound::default();
+        let table = shared.table.read().expect("table lock");
         for i in 0..programs.len() {
             if halted[i] {
                 continue;
@@ -467,11 +483,7 @@ fn pooled_worker<P: NodeProgram>(
                 graph,
                 round,
             };
-            let range = graph.slot_range(v);
-            let inbox = Inbox::over(
-                graph.neighbors(v),
-                &cur[range.start - slot_base..range.end - slot_base],
-            );
+            let inbox = delivered.inbox(graph, v, &table);
             pending[i].clear();
             invalid[i] = None;
             let mut outbox = Outbox::over(graph.neighbors(v), &mut pending[i], &mut invalid[i]);
@@ -490,9 +502,11 @@ fn pooled_worker<P: NodeProgram>(
                 &mut pending[i],
                 &invalid[i],
                 &mut local_out,
+                &mut bcast,
                 &mut report,
             );
         }
+        drop(table);
         flush(shared, me, &mut local_out);
         *shared.published[me].lock().expect("publish lock") = report;
     }
@@ -536,6 +550,7 @@ where
         enforce: config.enforce_bandwidth,
         barrier: Barrier::new(width),
         xfer: (0..width * width).map(|_| Mutex::new(Vec::new())).collect(),
+        table: RwLock::new(std::iter::repeat_with(|| None).take(n).collect()),
         published: (0..width)
             .map(|_| Mutex::new(WorkerRound::default()))
             .collect(),

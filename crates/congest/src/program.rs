@@ -48,32 +48,52 @@ impl<'a> NodeContext<'a> {
 
 /// Messages received by a node at the start of a round, tagged by sender.
 ///
-/// An inbox is a zero-copy view into the engine's per-edge message arena:
-/// slot `i` corresponds to the node's `i`-th CSR neighbor, so the senders are
-/// sorted and [`Inbox::from`] is an `O(log deg)` binary search (at most one
-/// message per neighbor per round — the CONGEST contract).
+/// An inbox is a zero-copy view over two delivery sources: the node's range
+/// of the engine's per-edge arena, where slot `i` holds an explicit send
+/// from the node's `i`-th CSR neighbor, and the sender-indexed broadcast
+/// table, where entry `u` holds the one payload node `u` broadcast. The
+/// message from neighbor `u` is its edge slot if `u` sent explicitly and its
+/// table entry otherwise; a broadcasting node sends nothing else in that
+/// round (see [`Pending`]), so at most one of the two is set. Senders are in
+/// CSR order, so iteration is sorted by sender and [`Inbox::from`] is an
+/// `O(log deg)` binary search (at most one message per neighbor per round —
+/// the CONGEST contract).
 #[derive(Debug, Clone, Copy)]
 pub struct Inbox<'a, M> {
     senders: &'a [NodeId],
     slots: &'a [Option<M>],
+    table: &'a [Option<M>],
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Builds the view over a node's (sorted) neighbor slice and the matching
-    /// arena slots. Part of the engine SPI: executors (including external
-    /// transport backends) construct inboxes from their delivered-message
-    /// arenas; programs only ever consume them.
-    pub fn over(senders: &'a [NodeId], slots: &'a [Option<M>]) -> Self {
-        debug_assert_eq!(senders.len(), slots.len());
-        Inbox { senders, slots }
+    /// Builds the view over a node's (sorted) neighbor slice, the matching
+    /// arena slots and the sender-indexed broadcast table (one entry per
+    /// node of the graph). `slots` may be empty when no per-edge message was
+    /// delivered this round; the view is then a pure gather from `table`.
+    /// Part of the engine SPI: executors (including external transport
+    /// backends) construct inboxes from their delivered-message stores;
+    /// programs only ever consume them.
+    pub fn over(senders: &'a [NodeId], slots: &'a [Option<M>], table: &'a [Option<M>]) -> Self {
+        debug_assert!(slots.is_empty() || slots.len() == senders.len());
+        Inbox {
+            senders,
+            slots,
+            table,
+        }
+    }
+
+    /// The message from the `i`-th CSR neighbor `sender`: its edge slot if
+    /// it sent explicitly, its broadcast table entry otherwise.
+    fn get(&self, i: usize, sender: NodeId) -> Option<&'a M> {
+        match self.slots.get(i) {
+            Some(Some(m)) => Some(m),
+            _ => self.table[sender.0].as_ref(),
+        }
     }
 
     /// Iterates over `(sender, message)` pairs, in increasing sender order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a M)> + '_ {
-        self.senders
-            .iter()
-            .zip(self.slots.iter())
-            .filter_map(|(&s, m)| m.as_ref().map(|m| (s, m)))
+        self.iter_slots().filter_map(|(s, m)| m.map(|m| (s, m)))
     }
 
     /// Iterates over every neighbor slot — `(neighbor, received message)` —
@@ -83,21 +103,19 @@ impl<'a, M> Inbox<'a, M> {
     pub fn iter_slots(&self) -> impl Iterator<Item = (NodeId, Option<&'a M>)> + '_ {
         self.senders
             .iter()
-            .zip(self.slots.iter())
-            .map(|(&s, m)| (s, m.as_ref()))
+            .enumerate()
+            .map(|(i, &s)| (s, self.get(i, s)))
     }
 
     /// The message received from `sender`, if any. `O(log deg)`.
     pub fn from(&self, sender: NodeId) -> Option<&'a M> {
         let idx = self.senders.binary_search(&sender).ok()?;
-        self.slots[idx].as_ref()
+        self.get(idx, sender)
     }
 
-    /// Number of messages received this round (`O(deg)`, branchless: a
-    /// straight sum over occupancy bits instead of a predicated count, so the
-    /// scan vectorizes and never mispredicts on mixed inboxes).
+    /// Number of messages received this round (`O(deg)`).
     pub fn len(&self) -> usize {
-        self.slots.iter().map(|m| usize::from(m.is_some())).sum()
+        self.iter_slots().filter(|(_, m)| m.is_some()).count()
     }
 
     /// Whether no messages were received this round.
@@ -132,14 +150,17 @@ pub const INVALID_SLOT: u32 = u32::MAX;
 
 /// A node's staged output for one round: the per-edge send list plus an
 /// optional *pending broadcast* — one stored payload that stands for a copy
-/// to every neighbor, fanned out at delivery time through the cached mirror
-/// table instead of being materialized `deg` times here.
+/// to every neighbor. It is delivered once into the sender-indexed broadcast
+/// table, where every neighbor's [`Inbox`] reads it, instead of being
+/// materialized `deg` times.
 ///
 /// Invariant: `broadcast.is_some()` implies `sends.is_empty()`. The fast
 /// path only engages for a lone [`Outbox::broadcast`] on an otherwise empty
 /// outbox; any subsequent call (a second broadcast, or an explicit send)
 /// first materializes the stored payload into per-edge sends, so the commit
 /// order the sequential engine would have observed is preserved exactly.
+/// This is also what lets an inbox merge the two delivery sources: a sender
+/// either fills its table entry or its edge slots in a round, never both.
 #[derive(Debug)]
 pub struct Pending<M> {
     pub(crate) sends: Vec<OutMsg<M>>,
@@ -179,10 +200,10 @@ impl<M> Default for Pending<M> {
 ///
 /// The [`Pending`] buffer behind an outbox is owned by the engine and reused
 /// across rounds, so the steady-state round loop performs no allocation.
-/// A lone [`Outbox::broadcast`] stores *one* payload (fanned out at delivery
-/// time); mixed with explicit sends it falls back to enumerating the CSR
-/// neighbor list directly, so broadcast messages carry their delivery slot
-/// for free. Explicit [`Outbox::send`]s resolve the slot with one
+/// A lone [`Outbox::broadcast`] stores *one* payload (delivered once, read by
+/// every neighbor); mixed with explicit sends it falls back to enumerating
+/// the CSR neighbor list directly, so broadcast messages carry their
+/// delivery slot for free. Explicit [`Outbox::send`]s resolve the slot with one
 /// `O(log deg)` search. Sending twice to the same neighbor in one round is
 /// allowed; the engine keeps the *last* message (one message per edge per
 /// round, as CONGEST prescribes).
@@ -250,9 +271,10 @@ impl<'a, M> Outbox<'a, M> {
     }
 
     /// Queues a copy of `message` to every neighbor. On an otherwise empty
-    /// outbox this stores the payload *once*; the engine fans it out at
-    /// delivery time (charging `deg` messages against the CONGEST budget all
-    /// the same). On an isolated node (degree 0) this is a complete no-op.
+    /// outbox this stores the payload *once*; the engine delivers it once
+    /// into the sender-indexed broadcast table, where every neighbor's inbox
+    /// reads it (charging `deg` messages against the CONGEST budget all the
+    /// same). On an isolated node (degree 0) this is a complete no-op.
     pub fn broadcast(&mut self, message: M)
     where
         M: Clone,
@@ -333,7 +355,8 @@ mod tests {
     fn inbox_lookup_by_sender_is_binary_search_over_sorted_senders() {
         let senders = [NodeId(1), NodeId(3), NodeId(7)];
         let slots = [None, Some(42usize), Some(7)];
-        let inbox = Inbox::over(&senders, &slots);
+        let table = [None; 8];
+        let inbox = Inbox::over(&senders, &slots, &table);
         assert_eq!(inbox.from(NodeId(3)), Some(&42));
         assert_eq!(inbox.from(NodeId(7)), Some(&7));
         assert_eq!(inbox.from(NodeId(1)), None, "neighbor that sent nothing");
@@ -345,9 +368,54 @@ mod tests {
         assert_eq!(inbox.iter_slots().count(), 3);
     }
 
+    /// Node with neighbors 1, 3, 5, 7: 1 broadcast (table), 3 and 7 sent
+    /// explicitly (edge slots), 5 stayed silent. Table entries of
+    /// non-neighbors 0 and 4 must never show up.
+    #[test]
+    fn inbox_merges_edge_slots_and_the_broadcast_table_in_csr_order() {
+        let senders = [NodeId(1), NodeId(3), NodeId(5), NodeId(7)];
+        let slots = [None, Some(30u32), None, Some(70)];
+        let mut table = [None; 8];
+        table[0] = Some(0);
+        table[1] = Some(10);
+        table[4] = Some(40);
+        let inbox = Inbox::over(&senders, &slots, &table);
+        let heard: Vec<_> = inbox.iter().map(|(s, &m)| (s.0, m)).collect();
+        assert_eq!(heard, vec![(1, 10), (3, 30), (7, 70)]);
+        let slotted: Vec<_> = inbox.iter_slots().map(|(s, m)| (s.0, m.copied())).collect();
+        assert_eq!(
+            slotted,
+            vec![(1, Some(10)), (3, Some(30)), (5, None), (7, Some(70))]
+        );
+        assert_eq!(inbox.from(NodeId(1)), Some(&10), "read from the table");
+        assert_eq!(inbox.from(NodeId(3)), Some(&30), "read from the edge slot");
+        assert_eq!(inbox.from(NodeId(5)), None, "silent neighbor");
+        assert_eq!(inbox.from(NodeId(4)), None, "table entry of a non-neighbor");
+        assert_eq!(inbox.len(), 3);
+    }
+
+    /// With no per-edge message delivered, executors pass an empty edge
+    /// slice and the view is a pure gather from the table.
+    #[test]
+    fn inbox_over_an_empty_edge_slice_reads_only_the_table() {
+        let senders = [NodeId(0), NodeId(2), NodeId(4)];
+        let table = [Some(1u32), Some(5), None, Some(7), Some(9)];
+        let inbox = Inbox::over(&senders, &[], &table);
+        let heard: Vec<_> = inbox.iter().map(|(s, &m)| (s.0, m)).collect();
+        assert_eq!(heard, vec![(0, 1), (4, 9)]);
+        let slotted: Vec<_> = inbox.iter_slots().map(|(s, m)| (s.0, m.copied())).collect();
+        assert_eq!(slotted, vec![(0, Some(1)), (2, None), (4, Some(9))]);
+        assert_eq!(inbox.from(NodeId(4)), Some(&9));
+        assert_eq!(inbox.from(NodeId(2)), None);
+        assert_eq!(inbox.from(NodeId(3)), None, "not a neighbor");
+        assert_eq!(inbox.len(), 2);
+        let silent: [Option<u32>; 5] = [None; 5];
+        assert!(Inbox::over(&senders, &[], &silent).is_empty());
+    }
+
     #[test]
     fn empty_inbox() {
-        let inbox: Inbox<'_, u32> = Inbox::over(&[], &[]);
+        let inbox: Inbox<'_, u32> = Inbox::over(&[], &[], &[]);
         assert!(inbox.is_empty());
         assert_eq!(inbox.len(), 0);
         assert_eq!(inbox.from(NodeId(0)), None);

@@ -23,8 +23,7 @@ use congest_sim::ExecutionError;
 /// changes incompatibly.
 ///
 /// v2: [`Accounting`] gained a `payloads` field and [`RoundPayload`] a
-/// `bcast` batch (one `(sender, payload)` entry per broadcasting node, fanned
-/// out by the receiver over the sender's mirror targets it owns).
+/// `bcast` batch (one `(sender, payload)` entry per broadcasting node).
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The handshake payload. Both endpoints send theirs first and verify the
@@ -131,9 +130,10 @@ pub struct RoundPayload<M, O> {
     /// node/send order — destination slots all belong to the receiver.
     pub batch: Vec<(usize, M)>,
     /// Cross-shard broadcasts: one `(sender node, payload)` entry per
-    /// broadcasting node in sender node order. The receiver fans each entry
-    /// out over the sender's mirror targets that fall in its own slot block,
-    /// so the wire carries one copy instead of `deg(sender)`.
+    /// broadcasting node in sender node order. The receiver stores each
+    /// entry once in its sender-indexed broadcast table, where all of the
+    /// sender's neighbors it owns read it, so the wire carries one copy
+    /// instead of `deg(sender)`.
     pub bcast: Vec<(usize, M)>,
 }
 

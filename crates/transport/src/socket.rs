@@ -11,7 +11,7 @@
 //! cannot compute locally — its accounting sub-totals, its newly-halted
 //! nodes' outputs, its first error, the cross-shard `(slot, message)`
 //! batch, and one `(sender, payload)` entry per cross-shard *broadcast*,
-//! which the receiver fans out over the sender's mirror targets it owns
+//! which the receiver stores once in its sender-indexed broadcast table
 //! ([`RoundPayload`]). Each side then folds `[leader, follower]`
 //! sub-totals through the shared `Reducer` — the same fold
 //! the in-process executors perform in block order — so both processes
@@ -47,7 +47,7 @@ use crate::TransportError;
 use congest_sim::engine::{
     ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RunReport,
 };
-use congest_sim::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
+use congest_sim::program::{NodeContext, NodeProgram, Outbox, Pending, RoundAction};
 use congest_sim::{Graph, NodeId};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -362,8 +362,8 @@ struct Shard<'g, P: NodeProgram> {
     /// Cross-shard batch staged for the peer this round.
     out_batch: Vec<(usize, P::Message)>,
     /// Cross-shard broadcasts staged for the peer this round: one
-    /// `(sender, payload)` entry per local node whose broadcast reaches any
-    /// peer-owned slot; the peer fans it out over the slots it owns.
+    /// `(sender, payload)` entry per local node with a peer-owned neighbor;
+    /// the peer stores it once in its sender-indexed broadcast table.
     out_bcast: Vec<(usize, P::Message)>,
 }
 
@@ -374,8 +374,8 @@ impl<P: NodeProgram> Shard<'_, P> {
 
     /// Routes one node's committed outbox: local-destination messages go
     /// straight into `delivery`, cross-shard ones into the staged batch. A
-    /// broadcast fans its locally-owned mirror targets into `delivery` and
-    /// stages at most one `(sender, payload)` entry for the peer.
+    /// broadcast is stored once in `delivery`'s sender-indexed table and,
+    /// if the node has a peer-owned neighbor, staged once for the peer.
     fn route(
         &mut self,
         v: NodeId,
@@ -391,6 +391,11 @@ impl<P: NodeProgram> Shard<'_, P> {
         let (base, degree) = (range.start, range.len());
         let topo = self.graph.topology();
         let (slot_split, leader) = (self.slot_split, self.leader);
+        // Neighbors are sorted and the peer owns every node outside
+        // `lo..hi`, so the ends of the list tell whether a broadcast crosses.
+        let neighbors = self.graph.neighbors(v);
+        let crosses = neighbors.first().is_some_and(|u| u.0 < self.lo)
+            || neighbors.last().is_some_and(|u| u.0 >= self.hi);
         let out_batch = &mut self.out_batch;
         let out_bcast = &mut self.out_bcast;
         if let Err(e) = congest_sim::engine::drain_outbox(
@@ -412,17 +417,10 @@ impl<P: NodeProgram> Shard<'_, P> {
                     }
                 }
                 Committed::Fan(msg) => {
-                    let mut cross = false;
-                    for &slot in &topo.mirror[base..base + degree] {
-                        if (slot < slot_split) == leader {
-                            delivery.queue(slot, msg.clone());
-                        } else {
-                            cross = true;
-                        }
+                    if crosses {
+                        out_bcast.push((v.0, msg.clone()));
                     }
-                    if cross {
-                        out_bcast.push((v.0, msg));
-                    }
+                    delivery.queue_broadcast(v.0, msg);
                 }
             },
         ) {
@@ -473,7 +471,7 @@ impl<P: NodeProgram> Shard<'_, P> {
                 graph,
                 round,
             };
-            let inbox = Inbox::over(graph.neighbors(v), &delivery.current()[graph.slot_range(v)]);
+            let inbox = delivery.inbox(graph, v);
             self.pending[i].clear();
             self.invalid[i] = None;
             let mut outbox = Outbox::over(
@@ -498,8 +496,9 @@ impl<P: NodeProgram> Shard<'_, P> {
 }
 
 /// Sends this round's payload, receives the peer's, validates it, applies
-/// the peer's halted outputs and cross-shard batch, and returns the peer's
-/// sub-totals.
+/// the peer's halted outputs, cross-shard batch and broadcasts, and returns
+/// the peer's sub-totals. Each peer broadcast is one table write; a sender
+/// the peer does not own, or one listed twice, is a protocol error.
 #[allow(clippy::too_many_arguments)]
 fn exchange<P: NodeProgram>(
     session: &mut SocketSession,
@@ -569,12 +568,12 @@ fn exchange<P: NodeProgram>(
                 "peer broadcast from node {sender} it does not own"
             )));
         }
-        let topo = shard.graph.topology();
-        for &slot in &topo.mirror[shard.graph.slot_range(NodeId(sender))] {
-            if shard.owns_slot(slot) {
-                delivery.queue(slot, msg.clone());
-            }
+        if delivery.broadcast_staged(sender) {
+            return Err(TransportError::Protocol(format!(
+                "peer broadcast from node {sender} twice in one round"
+            )));
         }
+        delivery.queue_broadcast(sender, msg);
     }
     Ok(ShardRound {
         acct: peer.acct,
@@ -749,6 +748,7 @@ fn fold(reducer: &mut Reducer<'_>, role: Role, mine: ShardRound, peer: ShardRoun
 mod tests {
     use super::*;
     use congest_sim::engine::SyncExecutor;
+    use congest_sim::program::Inbox;
     use std::io::Write;
 
     /// Min-id flood with staggered halting so both shards mix live and
@@ -1097,6 +1097,58 @@ mod tests {
                 matches!(err, TransportError::Frame(FrameError::BadMagic(_))),
                 "got {err:?}"
             );
+        });
+    }
+
+    /// A hand-rolled follower completes the handshake, then sends a round
+    /// frame that lists one of its nodes twice as a broadcaster. The leader
+    /// must refuse it with a typed protocol error instead of keeping either
+    /// payload.
+    #[test]
+    fn duplicated_peer_broadcast_is_a_protocol_error() {
+        let g = path_graph(4);
+        let config = ExecutorConfig::default();
+        let listener = SocketListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let slot_count = g.slot_count();
+        thread::scope(|s| {
+            s.spawn(move || {
+                let mut raw = TcpStream::connect(addr).unwrap();
+                let hello = Hello {
+                    version: PROTOCOL_VERSION,
+                    role: 1,
+                    n: 4,
+                    slot_count,
+                    split: 2,
+                    max_rounds: config.max_rounds,
+                    bandwidth_bits: congest_sim::congest_bandwidth_bits(4),
+                    enforce_bandwidth: config.enforce_bandwidth,
+                    record_round_stats: config.record_round_stats,
+                };
+                write_frame(&mut raw, FrameKind::Hello, &hello.encode()).unwrap();
+                let round: RoundPayload<NodeId, usize> = RoundPayload {
+                    round: 0,
+                    acct: Default::default(),
+                    newly_halted: Vec::new(),
+                    error: None,
+                    batch: Vec::new(),
+                    bcast: vec![(3, NodeId(3)), (3, NodeId(1))],
+                };
+                write_frame(&mut raw, FrameKind::Round, &round.encode()).unwrap();
+                // Hold the connection until the leader hangs up.
+                let _ = std::io::copy(&mut raw, &mut std::io::sink());
+            });
+            let err = {
+                let mut session = listener.accept().unwrap();
+                session.set_timeout(Duration::from_secs(30));
+                session
+                    .run_program(Role::Leader, &g, min_id_programs(4, 4), &config)
+                    .unwrap_err()
+            };
+            match err {
+                TransportError::Protocol(msg) => assert!(msg.contains("twice"), "got {msg}"),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
         });
     }
 

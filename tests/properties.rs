@@ -152,6 +152,128 @@ fn sends_programs(n: usize, depth: u64) -> Vec<StaggeredFloodSends> {
         .collect()
 }
 
+/// One node's action in one round of [`MixedFlood`], picked from
+/// `(id, round)` so that a receiver hears some neighbors through the
+/// broadcast table and others through edge slots in the same round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MixedAction {
+    /// A lone broadcast: one stored payload.
+    Broadcast,
+    /// Explicit sends to the neighbors at even positions.
+    Subset,
+    /// A broadcast, then a send to the first neighbor, which materializes
+    /// the broadcast into per-edge sends (the first neighbor keeps the last).
+    BroadcastThenSend,
+    /// Nothing at all.
+    Silent,
+}
+
+impl MixedAction {
+    fn pick(id: usize, round: u64) -> MixedAction {
+        match (id as u64 * 7 + round * 3 + id as u64 * round) % 4 {
+            0 => MixedAction::Broadcast,
+            1 => MixedAction::Subset,
+            2 => MixedAction::BroadcastThenSend,
+            _ => MixedAction::Silent,
+        }
+    }
+}
+
+/// Min-id flood whose nodes mix the four [`MixedAction`]s and halt at
+/// staggered times (`depth + id % 3`). The output digests every
+/// `(sender, message)` pair of every inbox — read through `iter`,
+/// `iter_slots`, `from` and `len` — so any difference in what a node heard
+/// shows up in the outputs. With `sends_only` every broadcast is replaced
+/// by one explicit send per neighbor: the all-sends twin.
+struct MixedFlood {
+    best: u64,
+    digest: usize,
+    depth: u64,
+    sends_only: bool,
+}
+
+impl MixedFlood {
+    fn broadcast(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>, msg: u64) {
+        if self.sends_only {
+            for &to in ctx.neighbors() {
+                outbox.send(to, msg);
+            }
+        } else {
+            outbox.broadcast(msg);
+        }
+    }
+
+    fn act(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
+        let msg = self.best << 8 | (ctx.round & 0xff);
+        match MixedAction::pick(ctx.id.0, ctx.round) {
+            MixedAction::Broadcast => self.broadcast(ctx, outbox, msg),
+            MixedAction::Subset => {
+                for &to in ctx.neighbors().iter().step_by(2) {
+                    outbox.send(to, msg + 1);
+                }
+            }
+            MixedAction::BroadcastThenSend => {
+                self.broadcast(ctx, outbox, msg);
+                if let Some(&first) = ctx.neighbors().first() {
+                    outbox.send(first, msg + 2);
+                }
+            }
+            MixedAction::Silent => {}
+        }
+    }
+}
+
+impl NodeProgram for MixedFlood {
+    type Message = u64;
+    type Output = usize;
+
+    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
+        self.best = ctx.id.0 as u64;
+        self.act(ctx, outbox);
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeContext<'_>,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<'_, u64>,
+    ) -> RoundAction<usize> {
+        // No assertions in here: a panicking program would leave the pool's
+        // workers at their barrier. Everything read goes into the digest.
+        let heard = |m: Option<&u64>| m.map_or(0, |&m| m as usize + 1);
+        let mut digest = self.digest.wrapping_mul(31).wrapping_add(inbox.len());
+        for (i, (sender, msg)) in inbox.iter_slots().enumerate() {
+            digest = digest
+                .wrapping_mul(1_000_003)
+                .wrapping_add(heard(msg) ^ i)
+                .wrapping_mul(31)
+                .wrapping_add(heard(inbox.from(sender)));
+        }
+        for (sender, &m) in inbox.iter() {
+            self.best = self.best.min(m >> 8);
+            digest = digest.wrapping_mul(31).wrapping_add(sender.0);
+        }
+        self.digest = digest;
+        if ctx.round >= self.depth + (ctx.id.0 % 3) as u64 {
+            RoundAction::Halt(self.digest ^ self.best as usize)
+        } else {
+            self.act(ctx, outbox);
+            RoundAction::Continue
+        }
+    }
+}
+
+fn mixed_programs(n: usize, depth: u64, sends_only: bool) -> Vec<MixedFlood> {
+    (0..n)
+        .map(|_| MixedFlood {
+            best: u64::MAX,
+            digest: 0,
+            depth,
+            sends_only,
+        })
+        .collect()
+}
+
 /// Asserts two reports agree on every field *except* `payloads` — the one
 /// field the broadcast fast path is allowed (and expected) to shrink.
 fn assert_identical_modulo_payloads(bcast: &RunReport<usize>, sends: &RunReport<usize>) {
@@ -415,6 +537,41 @@ proptest! {
             .run(&graph, sends_programs(graph.n(), depth), &config)
             .unwrap();
         prop_assert_eq!(&sends, &pool_s);
+    }
+
+    // Mixed inboxes: in one round a receiver hears some neighbors through
+    // the broadcast table and others through edge slots, while halted and
+    // silent neighbors leave their entries empty. The mixed program and its
+    // all-sends twin agree on every field but `payloads` on the sync engine
+    // and on the pool at several widths, and each pool run reproduces its
+    // sync reference exactly.
+    #[test]
+    fn mixed_broadcasts_and_sends_match_their_all_sends_twin(
+        graph in family_graph_strategy(),
+        depth in 1u64..10,
+    ) {
+        let config = ExecutorConfig::default();
+        let n = graph.n();
+        let mixed = SyncExecutor
+            .run(&graph, mixed_programs(n, depth, false), &config)
+            .unwrap();
+        let sends = SyncExecutor
+            .run(&graph, mixed_programs(n, depth, true), &config)
+            .unwrap();
+        assert_identical_modulo_payloads(&mixed, &sends);
+        prop_assert_eq!(sends.payloads, sends.messages);
+        prop_assert!(mixed.payloads <= sends.payloads);
+        for threads in [2, 3, 5, forced_threads(4)] {
+            let pool_m = PooledExecutor::new(threads)
+                .run(&graph, mixed_programs(n, depth, false), &config)
+                .unwrap();
+            let pool_s = PooledExecutor::new(threads)
+                .run(&graph, mixed_programs(n, depth, true), &config)
+                .unwrap();
+            assert_identical_modulo_payloads(&pool_m, &pool_s);
+            prop_assert_eq!(&mixed, &pool_m, "thread count {}", threads);
+            prop_assert_eq!(&sends, &pool_s, "thread count {}", threads);
+        }
     }
 
     // When several nodes misaddress a message in the same round, the pooled
