@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use congest_sim::{Graph, PhaseMode, PhaseOutcome, PooledExecutor};
+use congest_sim::{Graph, PhaseKind, PhaseMode, PooledExecutor, RoundLedger};
 use mds_cds::build::{connect_dominating_set, CdsConfig};
 use mds_cds::verify::is_connected_dominating_set;
 use mds_core::pipeline::{theorem_1_1, theorem_1_2, theorem_1_2_on, MdsConfig, MdsResult};
@@ -551,7 +551,14 @@ pub fn run_experiment(id: &str) -> Option<String> {
 /// v7 removed the `"transport"` field together with the channel backend and
 /// its `"channels4"` row: every remaining row runs over the in-process
 /// arena, so the run identity is `(graph, route, executor)` again.
-pub const BENCH_SCHEMA_VERSION: u32 = 7;
+///
+/// v8 added the `"wall_netdecomp_ms"` field and made every wall bucket a
+/// sum over the ledger's measured phases of one `PhaseKind` instead of a
+/// match on phase names. Until v8 the measured GK18 carving of the
+/// Theorem 1.1 route fell into `"wall_derand_ms"`; now it has its own
+/// bucket, and `"wall_derand_ms"` holds only the coin fixing. Every exact
+/// field is unchanged.
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
 /// Smallest `n` at which the benchmark additionally times the Theorem 1.2
 /// route on the 4-thread persistent-pool executor. Below this the run is
@@ -593,14 +600,14 @@ pub fn sweep_sizes(max_n: usize) -> Vec<usize> {
     sizes
 }
 
-/// Sum of engine wall time over measured phases selected by `pred`, in
-/// milliseconds.
-fn phase_wall_ms(phases: &[PhaseOutcome], pred: impl Fn(&PhaseOutcome) -> bool) -> f64 {
+/// Engine wall time of the measured phases of `kind`, in milliseconds.
+fn kind_wall_ms(ledger: &RoundLedger, kind: PhaseKind) -> f64 {
     // `+ 0.0` normalizes the `-0.0` an empty `Sum<f64>` starts from, so
     // routes without a matching phase print `0.000`, not `-0.000`.
-    phases
+    ledger
+        .phases()
         .iter()
-        .filter(|p| p.mode == PhaseMode::Measured && pred(p))
+        .filter(|p| p.mode == PhaseMode::Measured && p.kind == kind)
         .map(|p| p.wall_nanos as f64 / 1e6)
         .sum::<f64>()
         + 0.0
@@ -615,12 +622,14 @@ fn bench_entry(
     r: &MdsResult,
     wall_ms: f64,
 ) -> String {
-    let mwu_ms = phase_wall_ms(&r.phases, |p| p.name.contains("part I"));
-    let coloring_ms = phase_wall_ms(&r.phases, |p| p.name.contains("Lemma 3.12"));
-    let derand_ms = phase_wall_ms(&r.phases, |p| {
-        !p.name.contains("part I") && !p.name.contains("Lemma 3.12")
-    });
-    let other_ms = (wall_ms - mwu_ms - coloring_ms - derand_ms).max(0.0);
+    let [mwu_ms, coloring_ms, netdecomp_ms, derand_ms] = [
+        PhaseKind::Fractional,
+        PhaseKind::Coloring,
+        PhaseKind::NetDecomp,
+        PhaseKind::Derandomization,
+    ]
+    .map(|kind| kind_wall_ms(&r.ledger, kind));
+    let other_ms = (wall_ms - mwu_ms - coloring_ms - netdecomp_ms - derand_ms).max(0.0);
     format!(
         concat!(
             "    {{\"n\": {}, \"m\": {}, \"max_degree\": {}, \"graph\": \"{}\", ",
@@ -632,6 +641,7 @@ fn bench_entry(
             "\"formula_rounds\": {}, \"messages\": {}, \"payloads\": {}, ",
             "\"wall_ms\": {:.3}, ",
             "\"wall_mwu_ms\": {:.3}, \"wall_coloring_ms\": {:.3}, ",
+            "\"wall_netdecomp_ms\": {:.3}, ",
             "\"wall_derand_ms\": {:.3}, \"wall_other_ms\": {:.3}}}"
         ),
         g.n(),
@@ -652,6 +662,7 @@ fn bench_entry(
         wall_ms,
         mwu_ms,
         coloring_ms,
+        netdecomp_ms,
         derand_ms,
         other_ms,
     )
@@ -671,10 +682,11 @@ fn bench_entry(
 /// bit-identical to the sequential run so the extra row can only ever differ
 /// in wall time. Sizes above [`SYNC_BENCH_MAX_N`] drop the sequential reference and
 /// produce the `"pooled4"` row alone; its determinism is pinned by the
-/// baseline's exact field gate. The wall breakdown classifies measured
-/// phases by name:
-/// `mwu` (Part I LP), `coloring` (Lemma 3.12 distance-two coloring), `derand`
-/// (every other measured phase — the scheduled coin fixing), and `other` (the
+/// baseline's exact field gate. The wall breakdown sums the measured phases'
+/// engine wall time by [`PhaseKind`]: `mwu` (`Fractional`, the Part I LP),
+/// `coloring` (`Coloring`, the Lemma 3.12 distance-two coloring), `netdecomp`
+/// (`NetDecomp`, the GK18 carving of the Theorem 1.1 route), `derand`
+/// (`Derandomization`, the scheduled coin fixing), and `other` (the
 /// remainder: central bookkeeping, charged simulations, graph-local setup).
 pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
     let config = MdsConfig::default();
@@ -791,7 +803,7 @@ mod tests {
         let json = pipeline_benchmark_json(&[30]);
         for key in [
             "\"benchmark\": \"pipeline\"",
-            "\"schema_version\": 7",
+            "\"schema_version\": 8",
             "\"graph\": \"gnp_n30_",
             "\"route\": \"theorem_1_1\"",
             "\"route\": \"theorem_1_2\"",
@@ -805,6 +817,7 @@ mod tests {
             "\"wall_ms\"",
             "\"wall_mwu_ms\"",
             "\"wall_coloring_ms\"",
+            "\"wall_netdecomp_ms\"",
             "\"wall_derand_ms\"",
             "\"wall_other_ms\"",
         ] {
@@ -824,12 +837,49 @@ mod tests {
             .expect("theorem_1_2 entry present");
         assert!(!coloring_route.contains("\"measured_coloring_rounds\": 0"));
         assert!(coloring_route.contains("\"measured_netdecomp_rounds\": 0"));
+        assert!(coloring_route.contains("\"wall_netdecomp_ms\": 0.000"));
         let nd_route = json
             .lines()
             .find(|l| l.contains("theorem_1_1"))
             .expect("theorem_1_1 entry present");
         assert!(nd_route.contains("\"measured_coloring_rounds\": 0"));
         assert!(!nd_route.contains("\"measured_netdecomp_rounds\": 0"));
+        assert!(nd_route.contains("\"wall_coloring_ms\": 0.000"));
+    }
+
+    #[test]
+    fn wall_buckets_take_each_measured_phase_by_kind_and_no_charged_phase() {
+        let field = |line: &str, key: &str| -> f64 {
+            let rest = line.split(&format!("\"{key}\": ")).nth(1).unwrap();
+            rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+        };
+        let g = generators::gnp(40, 0.12, 7);
+        for r in [
+            theorem_1_1(&g, &MdsConfig::default()),
+            theorem_1_2(&g, &MdsConfig::default()),
+        ] {
+            let phases = r.ledger.phases();
+            assert!(phases
+                .iter()
+                .all(|p| (p.mode == PhaseMode::Measured) == (p.wall_nanos > 0)));
+            // One second of wall outside every phase lands in "other" only.
+            let measured_ms = phases.iter().map(|p| p.wall_nanos).sum::<u64>() as f64 / 1e6;
+            let line = bench_entry(&g, "g", "route", "sync", &r, measured_ms + 1000.0);
+            assert!(
+                (field(&line, "wall_other_ms") - 1000.0).abs() < 1e-3,
+                "{line}"
+            );
+            for (kind, key) in [
+                (PhaseKind::Fractional, "wall_mwu_ms"),
+                (PhaseKind::Coloring, "wall_coloring_ms"),
+                (PhaseKind::NetDecomp, "wall_netdecomp_ms"),
+                (PhaseKind::Derandomization, "wall_derand_ms"),
+            ] {
+                let own = phases.iter().filter(|p| p.kind == kind);
+                let want = own.map(|p| p.wall_nanos).sum::<u64>() as f64 / 1e6;
+                assert!((field(&line, key) - want).abs() < 1e-3, "{key}: {line}");
+            }
+        }
     }
 
     #[test]

@@ -351,7 +351,7 @@ mod tests {
     fn sample(wall: f64, rounds: u64) -> String {
         format!(
             concat!(
-                "{{\n  \"benchmark\": \"pipeline\",\n  \"schema_version\": 7,\n",
+                "{{\n  \"benchmark\": \"pipeline\",\n  \"schema_version\": 8,\n",
                 "  \"runs\": [\n",
                 "    {{\"n\": 50, \"m\": 180, \"max_degree\": 11, ",
                 "\"graph\": \"gnp_n50_p0.16\", \"route\": \"theorem_1_1\", ",
@@ -363,7 +363,8 @@ mod tests {
                 "\"formula_rounds\": 5000, \"messages\": 12345, ",
                 "\"payloads\": 678, ",
                 "\"wall_ms\": {wall:.3}, \"wall_mwu_ms\": 1.0, ",
-                "\"wall_coloring_ms\": 0.0, \"wall_derand_ms\": 2.0, ",
+                "\"wall_coloring_ms\": 0.0, \"wall_netdecomp_ms\": 0.5, ",
+                "\"wall_derand_ms\": 2.0, ",
                 "\"wall_other_ms\": 3.0}}\n",
                 "  ]\n}}\n"
             ),
@@ -402,15 +403,17 @@ mod tests {
     fn foreign_schema_versions_get_directional_errors_not_field_noise() {
         // A file from a *newer* binary: its lines carry fields this parser
         // has never heard of — the guard must fire before any field error.
-        let newer = sample(1.0, 5).replace("\"schema_version\": 7", "\"schema_version\": 99");
+        let newer = sample(1.0, 5).replace("\"schema_version\": 8", "\"schema_version\": 99");
         let err = parse(&newer).unwrap_err();
         assert!(err.contains("newer than this binary"), "{err}");
         assert!(err.contains("rebuild the binary"), "{err}");
 
         // A file from an *older* binary points at regeneration instead.
+        // A v5 file predates both netdecomp fields.
         let older = sample(1.0, 5)
-            .replace("\"schema_version\": 7", "\"schema_version\": 6")
-            .replace("\"measured_netdecomp_rounds\": 7, ", "");
+            .replace("\"schema_version\": 8", "\"schema_version\": 5")
+            .replace("\"measured_netdecomp_rounds\": 7, ", "")
+            .replace("\"wall_netdecomp_ms\": 0.5, ", "");
         let err = parse(&older).unwrap_err();
         assert!(err.contains("older than this binary"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -471,7 +474,7 @@ mod tests {
     fn schema_and_coverage_mismatches_fail() {
         let base = parse(&sample(10.0, 100)).unwrap();
         let mut newer = base.clone();
-        newer.schema_version = 8;
+        newer.schema_version = 9;
         assert!(compare(&base, &newer)
             .violations
             .iter()

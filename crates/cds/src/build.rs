@@ -18,7 +18,7 @@
 
 use crate::gs::build_gs;
 use congest_sim::ledger::formulas;
-use congest_sim::{Graph, GraphBuilder, NodeId, RoundLedger};
+use congest_sim::{Graph, GraphBuilder, NodeId, PhaseKind, PhaseSpec, RoundLedger};
 use mds_decomposition::ruling_set::ruling_set;
 use mds_decomposition::spanner::derandomized_spanner;
 use std::collections::{BTreeMap, VecDeque};
@@ -95,10 +95,10 @@ pub fn connect_dominating_set(graph: &Graph, ds: &[NodeId], config: &CdsConfig) 
 
     // Step 1: G_S with witness paths.
     let gs = build_gs(graph, &set);
-    ledger.charge_with_formula(
-        "G_S construction (paths of length ≤ 3)",
+    ledger.charge(
+        PhaseSpec::new(PhaseKind::Other, "G_S construction (paths of length ≤ 3)")
+            .with_formula((3 + (graph.n().max(2) as f64).log2().ceil() as u64).max(3)),
         3,
-        (3 + (graph.n().max(2) as f64).log2().ceil() as u64).max(3),
         3 * graph.m() as u64,
     );
 
@@ -128,10 +128,10 @@ pub fn connect_dominating_set(graph: &Graph, ds: &[NodeId], config: &CdsConfig) 
             }
         }
     }
-    ledger.charge_with_formula(
-        "cluster trees (Lemma 4.2)",
+    ledger.charge(
+        PhaseSpec::new(PhaseKind::Other, "cluster trees (Lemma 4.2)")
+            .with_formula(formulas::cds_clustering_rounds(graph.n().max(2))),
         centers.len().max(1) as u64,
-        formulas::cds_clustering_rounds(graph.n().max(2)),
         gs.graph.m() as u64,
     );
 

@@ -25,11 +25,12 @@
 //! multi-phase compositions share the `O(m log Δ)` setup.
 //!
 //! Every run produces a [`RunReport`] with per-round [`RoundStats`]; the
-//! report feeds the same [`RoundLedger`] machinery used for closed-form
-//! charging via [`RunReport::charge`] / [`RunReport::charge_with_formula`],
-//! so measured and formula-derived round counts flow through one accounting
-//! path.
+//! report feeds the same [`RoundLedger`] used for closed-form charging via
+//! [`RunReport::charge`], which records the run as one measured
+//! [`PhaseCost`], so measured and formula-derived round counts flow through
+//! one accounting path.
 
+use crate::ledger::{PhaseCost, PhaseMode, PhaseSpec};
 use crate::message::MessageSize;
 use crate::program::{
     Inbox, NodeContext, NodeProgram, OutMsg, Outbox, Pending, RoundAction, INVALID_SLOT,
@@ -131,24 +132,28 @@ pub struct RunReport<O> {
 }
 
 impl<O> RunReport<O> {
-    /// Charges the measured cost of this run to `ledger` as one phase. This
-    /// is the unified instrumentation path: algorithms executed on the
+    /// Records this run in `ledger` as one [`PhaseMode::Measured`] phase.
+    /// This is the unified instrumentation path: algorithms executed on the
     /// engine and algorithms charged in closed form land in the same
-    /// [`RoundLedger`] / [`crate::CostReport`].
-    pub fn charge(&self, ledger: &mut RoundLedger, name: &str) {
-        ledger.charge_measured(name, self.rounds, self.messages, self.payloads);
+    /// [`RoundLedger`], and `spec`'s formula becomes the paper column, so
+    /// reports can compare measured vs claimed.
+    pub fn charge(&self, ledger: &mut RoundLedger, spec: PhaseSpec) {
+        ledger.phases.push(self.cost(spec, 0));
     }
 
-    /// Charges the measured cost together with the paper's closed-form round
-    /// bound for the phase, so reports can compare measured vs claimed.
-    pub fn charge_with_formula(&self, ledger: &mut RoundLedger, name: &str, formula_rounds: u64) {
-        ledger.charge_measured_with_formula(
-            name,
-            self.rounds,
-            formula_rounds,
-            self.messages,
-            self.payloads,
-        );
+    /// The measured [`PhaseCost`] of this run under `spec`, stamped with the
+    /// wall time the caller observed around it.
+    pub(crate) fn cost(&self, spec: PhaseSpec, wall_nanos: u64) -> PhaseCost {
+        PhaseCost {
+            name: spec.name,
+            kind: spec.kind,
+            mode: PhaseMode::Measured,
+            simulated_rounds: self.rounds,
+            formula_rounds: spec.formula_rounds,
+            messages: self.messages,
+            payloads: self.payloads,
+            wall_nanos,
+        }
     }
 }
 
@@ -1115,15 +1120,24 @@ mod tests {
 
     #[test]
     fn report_charges_ledger_through_unified_path() {
+        use crate::ledger::PhaseKind;
         let g = path_graph(5);
         let report = SyncExecutor
             .run(&g, min_id_programs(5, 5), &ExecutorConfig::default())
             .unwrap();
         let mut ledger = RoundLedger::new();
-        report.charge(&mut ledger, "min-id flood");
-        report.charge_with_formula(&mut ledger, "min-id flood vs diameter bound", 5);
+        report.charge(
+            &mut ledger,
+            PhaseSpec::new(PhaseKind::Other, "min-id flood"),
+        );
+        report.charge(
+            &mut ledger,
+            PhaseSpec::new(PhaseKind::Other, "min-id flood vs diameter bound").with_formula(5),
+        );
         assert_eq!(ledger.total_simulated_rounds(), 2 * report.rounds);
         assert_eq!(ledger.total_messages(), 2 * report.messages);
+        assert_eq!(ledger.measured_rounds(None), 2 * report.rounds);
         assert_eq!(ledger.phases()[1].formula_rounds, Some(5));
+        assert_eq!(ledger.phases()[1].mode, PhaseMode::Measured);
     }
 }

@@ -3,19 +3,92 @@
 //! The paper's main algorithms are compositions of communication primitives
 //! whose CONGEST round cost is stated in closed form (e.g. "aggregating a sum
 //! along the spanning tree of a cluster with diameter `d` takes `O(d)`
-//! rounds", Lemma 3.4). The [`RoundLedger`] records, per named phase, both
-//! the *simulated* cost (what our implementation of the primitive actually
+//! rounds", Lemma 3.4). The [`RoundLedger`] records, per phase, both the
+//! *simulated* cost (what our implementation of the primitive actually
 //! spends) and the *paper formula* cost (the closed-form bound from the
 //! paper), so experiments can report either view and compare the two.
+//!
+//! Every phase is recorded exactly once, as one [`PhaseCost`], by the code
+//! that runs or composes it. There is one charge path per [`PhaseMode`]:
+//! [`RoundLedger::charge`] records a centrally simulated phase and
+//! [`crate::RunReport::charge`] a phase that ran on the engine;
+//! [`crate::ComposedProgram::measured`] also stamps the engine wall time.
+//! Consumers tell phases apart by [`PhaseKind`], never by name.
 
 use std::fmt;
 
-/// The cost of one named phase of an algorithm.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseCost {
-    /// Human-readable phase name, e.g. `"part II: factor-two rounding"`.
+/// The pipeline component a phase belongs to: what consumers split rounds
+/// and wall time by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhaseKind {
+    /// Part I: the initial fractional solution of Lemma 2.1 and its floor.
+    Fractional,
+    /// The network decomposition of the Theorem 1.1 route (Theorem 3.2).
+    NetDecomp,
+    /// The distance-two coloring of the Theorem 1.2 route (Lemma 3.12).
+    Coloring,
+    /// Coin fixing by conditional expectations (Lemmas 3.4 / 3.10).
+    Derandomization,
+    /// Everything else: CDS, spanner, ruling set and the baselines.
+    Other,
+}
+
+/// How a phase was accounted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhaseMode {
+    /// The phase ran as node programs on the engine; its round count is real.
+    Measured,
+    /// The phase was simulated centrally and charged to the ledger.
+    Charged,
+}
+
+/// Name, kind and optional closed-form round bound of one phase: what the
+/// code recording the phase knows before it runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseSpec {
+    /// Phase name, e.g. `"part II: factor-two rounding"`; printed, never
+    /// matched on.
     pub name: String,
-    /// Rounds spent by the simulated implementation of the phase.
+    /// The component the phase belongs to.
+    pub kind: PhaseKind,
+    /// The paper's closed-form round bound for the phase, if one is stated;
+    /// recorded as the ledger's "paper" column next to the measured or
+    /// simulated cost.
+    pub formula_rounds: Option<u64>,
+}
+
+impl PhaseSpec {
+    /// A spec with the given kind and name and no closed-form bound.
+    pub fn new(kind: PhaseKind, name: impl Into<String>) -> Self {
+        PhaseSpec {
+            name: name.into(),
+            kind,
+            formula_rounds: None,
+        }
+    }
+
+    /// Attaches the paper's closed-form round bound.
+    pub fn with_formula(mut self, formula_rounds: u64) -> Self {
+        self.formula_rounds = Some(formula_rounds);
+        self
+    }
+}
+
+/// The cost of one phase of an algorithm: the one per-phase record.
+///
+/// Equality compares every field except [`PhaseCost::wall_nanos`]: host time
+/// is not accounting, so executor-equivalence asserts on whole ledgers stay
+/// exact.
+#[derive(Debug, Clone)]
+pub struct PhaseCost {
+    /// Human-readable phase name.
+    pub name: String,
+    /// The component the phase belongs to.
+    pub kind: PhaseKind,
+    /// Whether the cost was measured on the engine or charged centrally.
+    pub mode: PhaseMode,
+    /// Rounds spent by the simulated implementation of the phase (the engine
+    /// rounds for a measured phase).
     pub simulated_rounds: u64,
     /// Rounds charged by the paper's closed-form bound for the phase, when one
     /// is stated.
@@ -24,24 +97,46 @@ pub struct PhaseCost {
     pub messages: u64,
     /// Number of payloads actually stored/shipped by the engine during the
     /// phase: a broadcast stores one payload per broadcasting node per round
-    /// while `messages` charges `deg(v)`. Closed-form phases (no engine run)
+    /// while `messages` charges `deg(v)`. Charged phases (no engine run)
     /// record `payloads == messages`.
     pub payloads: u64,
+    /// Wall-clock time spent inside [`crate::engine::Executor::run`], in
+    /// nanoseconds, for a measured phase of a [`crate::ComposedProgram`];
+    /// `0` otherwise. Host-dependent, so excluded from equality and from the
+    /// golden trajectories.
+    pub wall_nanos: u64,
+}
+
+impl PartialEq for PhaseCost {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.kind == other.kind
+            && self.mode == other.mode
+            && self.simulated_rounds == other.simulated_rounds
+            && self.formula_rounds == other.formula_rounds
+            && self.messages == other.messages
+            && self.payloads == other.payloads
+    }
 }
 
 /// Accumulates [`PhaseCost`]s over the course of an algorithm run.
 ///
 /// ```
-/// use congest_sim::RoundLedger;
+/// use congest_sim::{PhaseKind, PhaseSpec, RoundLedger};
 /// let mut ledger = RoundLedger::new();
-/// ledger.charge("neighbor exchange", 1, 24);
-/// ledger.charge_with_formula("cluster aggregation", 12, 40, 64);
+/// ledger.charge(PhaseSpec::new(PhaseKind::Other, "neighbor exchange"), 1, 24);
+/// ledger.charge(
+///     PhaseSpec::new(PhaseKind::Other, "cluster aggregation").with_formula(40),
+///     12,
+///     64,
+/// );
 /// assert_eq!(ledger.total_simulated_rounds(), 13);
 /// assert_eq!(ledger.total_formula_rounds(), 1 + 40);
+/// assert_eq!(ledger.measured_rounds(None), 0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundLedger {
-    phases: Vec<PhaseCost>,
+    pub(crate) phases: Vec<PhaseCost>,
 }
 
 impl RoundLedger {
@@ -50,70 +145,24 @@ impl RoundLedger {
         RoundLedger::default()
     }
 
-    /// Charges a phase for which no separate paper formula is recorded; the
-    /// simulated cost is used for both views. Payloads default to the message
-    /// count (closed-form phases have no broadcast compression to report).
-    pub fn charge(&mut self, name: &str, simulated_rounds: u64, messages: u64) {
-        self.charge_measured(name, simulated_rounds, messages, messages);
-    }
-
-    /// Charges a phase with both a simulated cost and the paper's closed-form
-    /// round bound.
-    pub fn charge_with_formula(
-        &mut self,
-        name: &str,
-        simulated_rounds: u64,
-        formula_rounds: u64,
-        messages: u64,
-    ) {
-        self.charge_measured_with_formula(
-            name,
-            simulated_rounds,
-            formula_rounds,
-            messages,
-            messages,
-        );
-    }
-
-    /// Charges a measured phase with an explicit stored-payload count (the
-    /// engine's `RunReport` uses this so the broadcast fast path's Δ-factor
-    /// compression shows up in the ledger).
-    pub fn charge_measured(
-        &mut self,
-        name: &str,
-        simulated_rounds: u64,
-        messages: u64,
-        payloads: u64,
-    ) {
+    /// Records a centrally simulated phase as [`PhaseMode::Charged`]. Payloads
+    /// equal the message count (no engine run, so no broadcast compression to
+    /// report).
+    pub fn charge(&mut self, spec: PhaseSpec, simulated_rounds: u64, messages: u64) {
         self.phases.push(PhaseCost {
-            name: name.to_owned(),
+            name: spec.name,
+            kind: spec.kind,
+            mode: PhaseMode::Charged,
             simulated_rounds,
-            formula_rounds: None,
+            formula_rounds: spec.formula_rounds,
             messages,
-            payloads,
+            payloads: messages,
+            wall_nanos: 0,
         });
     }
 
-    /// Charges a measured phase with an explicit stored-payload count and the
-    /// paper's closed-form round bound.
-    pub fn charge_measured_with_formula(
-        &mut self,
-        name: &str,
-        simulated_rounds: u64,
-        formula_rounds: u64,
-        messages: u64,
-        payloads: u64,
-    ) {
-        self.phases.push(PhaseCost {
-            name: name.to_owned(),
-            simulated_rounds,
-            formula_rounds: Some(formula_rounds),
-            messages,
-            payloads,
-        });
-    }
-
-    /// Appends all phases of `other` to this ledger.
+    /// Appends all phases of `other` to this ledger, each with its mode and
+    /// kind.
     pub fn absorb(&mut self, other: RoundLedger) {
         self.phases.extend(other.phases);
     }
@@ -121,6 +170,16 @@ impl RoundLedger {
     /// The recorded phases, in charge order.
     pub fn phases(&self) -> &[PhaseCost] {
         &self.phases
+    }
+
+    /// Rounds actually executed on the engine: the simulated rounds of the
+    /// measured phases of `kind`, or of every kind for `None`.
+    pub fn measured_rounds(&self, kind: Option<PhaseKind>) -> u64 {
+        self.phases
+            .iter()
+            .filter(|p| p.mode == PhaseMode::Measured && kind.is_none_or(|k| p.kind == k))
+            .map(|p| p.simulated_rounds)
+            .sum()
     }
 
     /// Total simulated rounds across all phases.
@@ -146,87 +205,33 @@ impl RoundLedger {
     pub fn total_payloads(&self) -> u64 {
         self.phases.iter().map(|p| p.payloads).sum()
     }
-
-    /// Produces an owned summary suitable for experiment output.
-    pub fn report(&self) -> CostReport {
-        CostReport {
-            simulated_rounds: self.total_simulated_rounds(),
-            formula_rounds: self.total_formula_rounds(),
-            messages: self.total_messages(),
-            payloads: self.total_payloads(),
-            phases: self.phases.clone(),
-        }
-    }
 }
 
-/// The one rendering shared by [`RoundLedger`] and [`CostReport`]: a totals
-/// line followed by the per-phase breakdown.
-fn fmt_costs(
-    f: &mut fmt::Formatter<'_>,
-    simulated: u64,
-    formula: u64,
-    messages: u64,
-    payloads: u64,
-    phases: &[PhaseCost],
-) -> fmt::Result {
-    writeln!(
-        f,
-        "rounds(sim)={simulated} rounds(paper)={formula} messages={messages} payloads={payloads}"
-    )?;
-    for p in phases {
-        writeln!(
-            f,
-            "  {:<40} sim={:<10} paper={:<10} msgs={} payloads={}",
-            p.name,
-            p.simulated_rounds,
-            p.formula_rounds
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "-".to_owned()),
-            p.messages,
-            p.payloads
-        )?;
-    }
-    Ok(())
-}
-
+/// A totals line followed by the per-phase breakdown.
 impl fmt::Display for RoundLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_costs(
+        writeln!(
             f,
+            "rounds(sim)={} rounds(paper)={} messages={} payloads={}",
             self.total_simulated_rounds(),
             self.total_formula_rounds(),
             self.total_messages(),
-            self.total_payloads(),
-            &self.phases,
-        )
-    }
-}
-
-/// A frozen summary of a [`RoundLedger`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostReport {
-    /// Total simulated rounds.
-    pub simulated_rounds: u64,
-    /// Total rounds under the paper's closed-form bounds.
-    pub formula_rounds: u64,
-    /// Total messages.
-    pub messages: u64,
-    /// Total stored payloads (see [`PhaseCost::payloads`]).
-    pub payloads: u64,
-    /// Per-phase breakdown.
-    pub phases: Vec<PhaseCost>,
-}
-
-impl fmt::Display for CostReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_costs(
-            f,
-            self.simulated_rounds,
-            self.formula_rounds,
-            self.messages,
-            self.payloads,
-            &self.phases,
-        )
+            self.total_payloads()
+        )?;
+        for p in &self.phases {
+            writeln!(
+                f,
+                "  {:<40} sim={:<10} paper={:<10} msgs={} payloads={}",
+                p.name,
+                p.simulated_rounds,
+                p.formula_rounds
+                    .map(|r| r.to_string())
+                    .unwrap_or_else(|| "-".to_owned()),
+                p.messages,
+                p.payloads
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -479,82 +484,57 @@ pub mod formulas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunReport;
+
+    fn spec(name: &str) -> PhaseSpec {
+        PhaseSpec::new(PhaseKind::Other, name)
+    }
+
+    /// A finished engine run with the given totals and no outputs.
+    fn run(rounds: u64, messages: u64, payloads: u64) -> RunReport<()> {
+        RunReport {
+            outputs: Vec::new(),
+            rounds,
+            messages,
+            payloads,
+            total_bits: 0,
+            max_message_bits: 0,
+            bandwidth_violations: 0,
+            bandwidth_bits: 0,
+            round_stats: Vec::new(),
+        }
+    }
 
     #[test]
     fn ledger_totals_and_merge() {
         let mut a = RoundLedger::new();
-        a.charge("x", 3, 10);
+        a.charge(spec("x"), 3, 10);
         let mut b = RoundLedger::new();
-        b.charge_with_formula("y", 5, 100, 20);
+        b.charge(spec("y").with_formula(100), 5, 20);
         a.absorb(b);
         assert_eq!(a.phases().len(), 2);
         assert_eq!(a.total_simulated_rounds(), 8);
         assert_eq!(a.total_formula_rounds(), 103);
         assert_eq!(a.total_messages(), 30);
-        let report = a.report();
-        assert_eq!(report.simulated_rounds, 8);
-        assert_eq!(report.phases.len(), 2);
     }
 
     #[test]
     fn display_contains_phase_names() {
         let mut a = RoundLedger::new();
-        a.charge("alpha phase", 1, 2);
+        a.charge(spec("alpha phase"), 1, 2);
         let s = a.to_string();
         assert!(s.contains("alpha phase"));
         assert!(s.contains("rounds(sim)=1"));
     }
 
-    #[test]
-    fn measured_charges_record_stored_payloads() {
-        let mut l = RoundLedger::new();
-        l.charge("closed form", 2, 10);
-        l.charge_measured("broadcast phase", 4, 40, 10);
-        l.charge_measured_with_formula("broadcast with bound", 4, 99, 40, 10);
-        assert_eq!(
-            l.phases()[0].payloads,
-            10,
-            "closed-form charge defaults payloads to messages"
-        );
-        assert_eq!(l.total_messages(), 90);
-        assert_eq!(l.total_payloads(), 30);
-        let report = l.report();
-        assert_eq!(report.payloads, 30);
-        assert!(report.to_string().contains("payloads=30"));
-    }
-
-    #[test]
-    fn empty_ledger_is_zero() {
-        let l = RoundLedger::new();
-        assert_eq!(l.total_simulated_rounds(), 0);
-        assert_eq!(l.total_formula_rounds(), 0);
-        assert_eq!(l.total_messages(), 0);
-    }
-
-    #[test]
-    fn formula_total_falls_back_to_simulated_when_no_formula_recorded() {
-        // A phase without a closed-form bound contributes its simulated cost
-        // to the paper view; a phase with one contributes the formula.
-        let mut l = RoundLedger::new();
-        l.charge("measured only", 7, 3);
-        assert_eq!(l.phases()[0].formula_rounds, None);
-        assert_eq!(l.total_formula_rounds(), 7);
-        l.charge_with_formula("with paper bound", 2, 50, 1);
-        assert_eq!(l.total_formula_rounds(), 7 + 50);
-        assert_eq!(l.total_simulated_rounds(), 9);
-        // The frozen report preserves the fallback.
-        let report = l.report();
-        assert_eq!(report.formula_rounds, 57);
-        assert_eq!(report.phases[0].formula_rounds, None);
-    }
-
+    /// The ledger's `Display` is its cost report: totals first, then one
+    /// line per phase.
     #[test]
     fn cost_report_display_formats_totals_and_phases() {
         let mut l = RoundLedger::new();
-        l.charge("alpha phase", 4, 12);
-        l.charge_with_formula("beta phase", 6, 99, 8);
-        let report = l.report();
-        let s = report.to_string();
+        l.charge(spec("alpha phase"), 4, 12);
+        l.charge(spec("beta phase").with_formula(99), 6, 8);
+        let s = l.to_string();
         assert!(s.starts_with("rounds(sim)=10 rounds(paper)=103 messages=20"));
         assert!(s.contains("alpha phase"));
         assert!(s.contains("beta phase"));
@@ -563,7 +543,68 @@ mod tests {
         assert!(s.contains("sim=4"));
         assert!(s.contains("paper=-"));
         assert!(s.contains("paper=99"));
-        // The frozen report and the live ledger render identically.
-        assert_eq!(s, l.to_string());
+    }
+
+    #[test]
+    fn measured_charges_record_stored_payloads() {
+        let mut l = RoundLedger::new();
+        l.charge(PhaseSpec::new(PhaseKind::Coloring, "closed form"), 2, 10);
+        run(4, 40, 10).charge(&mut l, PhaseSpec::new(PhaseKind::Coloring, "broadcast"));
+        run(5, 40, 10).charge(&mut l, spec("broadcast with bound").with_formula(99));
+        assert_eq!(
+            l.phases()[0].payloads,
+            10,
+            "closed-form charge defaults payloads to messages"
+        );
+        let modes: Vec<_> = l.phases().iter().map(|p| p.mode).collect();
+        assert_eq!(
+            modes,
+            [PhaseMode::Charged, PhaseMode::Measured, PhaseMode::Measured]
+        );
+        assert_eq!(l.phases()[2].formula_rounds, Some(99));
+        assert_eq!(l.total_messages(), 90);
+        assert_eq!(l.total_payloads(), 30);
+        assert!(l.to_string().contains("payloads=30"));
+        // Measured rounds skip the charged entry and filter by kind.
+        assert_eq!(l.measured_rounds(None), 9);
+        assert_eq!(l.measured_rounds(Some(PhaseKind::Coloring)), 4);
+        assert_eq!(l.measured_rounds(Some(PhaseKind::NetDecomp)), 0);
+    }
+
+    #[test]
+    fn phase_costs_compare_accounting_but_not_wall_time() {
+        let mut l = RoundLedger::new();
+        run(3, 6, 2).charge(&mut l, spec("phase"));
+        let base = l.phases()[0].clone();
+        let with = |f: fn(&mut PhaseCost)| {
+            let mut p = base.clone();
+            f(&mut p);
+            p
+        };
+        assert_eq!(with(|p| p.wall_nanos = 12_345), base);
+        assert_ne!(with(|p| p.mode = PhaseMode::Charged), base);
+        assert_ne!(with(|p| p.kind = PhaseKind::Coloring), base);
+    }
+
+    #[test]
+    fn empty_ledger_is_zero() {
+        let l = RoundLedger::new();
+        assert_eq!(l.total_simulated_rounds(), 0);
+        assert_eq!(l.total_formula_rounds(), 0);
+        assert_eq!(l.total_messages(), 0);
+        assert_eq!(l.measured_rounds(None), 0);
+    }
+
+    #[test]
+    fn formula_total_falls_back_to_simulated_when_no_formula_recorded() {
+        // A phase without a closed-form bound contributes its simulated cost
+        // to the paper view; a phase with one contributes the formula.
+        let mut l = RoundLedger::new();
+        l.charge(spec("measured only"), 7, 3);
+        assert_eq!(l.phases()[0].formula_rounds, None);
+        assert_eq!(l.total_formula_rounds(), 7);
+        l.charge(spec("with paper bound").with_formula(50), 2, 1);
+        assert_eq!(l.total_formula_rounds(), 7 + 50);
+        assert_eq!(l.total_simulated_rounds(), 9);
     }
 }

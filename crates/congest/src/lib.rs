@@ -25,14 +25,16 @@
 //! * [`compose::ComposedProgram`] — the program composition layer: sequences
 //!   heterogeneous node programs (and centrally simulated, closed-form-charged
 //!   steps) as the phases of one multi-phase algorithm, carrying typed state
-//!   between phases and attributing every phase's cost to a single ledger.
+//!   between phases and recording every phase once in a single ledger.
 //! * [`ledger::RoundLedger`] — round/message accounting for *composite*
 //!   algorithms whose communication pattern is specified by the paper through
 //!   well-defined primitives (e.g. "aggregate a sum along a cluster tree of
-//!   depth `d` costs `O(d)` rounds"). The ledger records both the simulated
-//!   cost and the closed-form cost stated in the paper, so experiments can
-//!   report either; measured engine runs feed the same ledger through
-//!   [`engine::RunReport::charge`].
+//!   depth `d` costs `O(d)` rounds"). Its one per-phase record,
+//!   [`ledger::PhaseCost`], holds the phase's [`ledger::PhaseKind`], whether
+//!   it was measured or charged, the simulated cost and the closed-form cost
+//!   stated in the paper, messages, payloads and engine wall time, so
+//!   experiments can report either cost and split it by component. Measured
+//!   engine runs feed the same ledger through [`engine::RunReport::charge`].
 //!
 //! # Example
 //!
@@ -60,14 +62,14 @@ pub mod pool;
 pub mod program;
 pub mod topology;
 
-pub use compose::{ComposedProgram, CompositionReport, PhaseMode, PhaseOutcome, PhaseSpec};
+pub use compose::ComposedProgram;
 pub use engine::{
     drain_outbox, Accounting, ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig,
     RoundStats, RunReport, SyncExecutor,
 };
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};
-pub use ledger::{CostReport, PhaseCost, RoundLedger};
+pub use ledger::{PhaseCost, PhaseKind, PhaseMode, PhaseSpec, RoundLedger};
 pub use message::{MessageSize, Wire};
 pub use pool::PooledExecutor;
 pub use program::{

@@ -13,12 +13,12 @@
 //! dominating set. Because a selected node's span dominates every node that
 //! could cover one of its newly covered elements, the classical `H(Δ+1)`
 //! analysis applies phase by phase — and the round count is *measured*
-//! against [`formulas::greedy_span_rounds`] instead of only charged.
+//! against [`congest_sim::ledger::formulas::greedy_span_rounds`] instead of
+//! only charged.
 
-use congest_sim::ledger::formulas;
 use congest_sim::{
     ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
+    NodeProgram, Outbox, RoundAction, RunReport, SyncExecutor, Wire,
 };
 
 /// Result of the greedy algorithm.
@@ -293,8 +293,6 @@ pub struct DistributedGreedyResult {
     pub set: Vec<NodeId>,
     /// The engine report (rounds, messages, per-round stats).
     pub report: RunReport<GreedyNodeOutput>,
-    /// Measured accounting through the unified instrumentation path.
-    pub ledger: RoundLedger,
     /// Number of selection phases until global quiescence.
     pub phases: u64,
 }
@@ -317,7 +315,7 @@ pub fn distributed_greedy_mds(graph: &Graph) -> Result<DistributedGreedyResult, 
 }
 
 /// Runs the distributed span-greedy on an arbitrary [`Executor`]. Outputs and
-/// accounting are identical across executors.
+/// reports are identical across executors.
 ///
 /// # Errors
 ///
@@ -338,19 +336,9 @@ pub fn distributed_greedy_on<E: Executor>(
         .map(|(v, _)| NodeId(v))
         .collect();
     let phases = report.outputs.iter().map(|o| o.phases).max().unwrap_or(0);
-    let mut ledger = RoundLedger::new();
-    // On the empty graph the engine runs zero rounds; the phase formula
-    // describes nonempty runs only.
-    let formula = if graph.n() == 0 {
-        0
-    } else {
-        formulas::greedy_span_rounds(phases)
-    };
-    report.charge_with_formula(&mut ledger, "distributed span-greedy (measured)", formula);
     Ok(DistributedGreedyResult {
         set,
         report,
-        ledger,
         phases,
     })
 }
@@ -359,6 +347,7 @@ pub fn distributed_greedy_on<E: Executor>(
 mod tests {
     use super::*;
     use crate::verify::is_dominating_set;
+    use congest_sim::ledger::formulas;
     use mds_graphs::generators;
 
     #[test]
@@ -420,8 +409,6 @@ mod tests {
         // Measured rounds equal the formula exactly: 4 rounds per phase plus
         // the final quiescence round.
         assert_eq!(r.report.rounds, formulas::greedy_span_rounds(1));
-        assert_eq!(r.ledger.total_simulated_rounds(), r.report.rounds);
-        assert_eq!(r.ledger.total_formula_rounds(), r.report.rounds);
     }
 
     #[test]

@@ -42,8 +42,8 @@
 
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    ComposedProgram, Executor, ExecutorConfig, Graph, NodeId, PhaseMode, PhaseOutcome, PhaseSpec,
-    RoundLedger, SyncExecutor,
+    ComposedProgram, Executor, ExecutorConfig, Graph, NodeId, PhaseKind, PhaseSpec, RoundLedger,
+    SyncExecutor,
 };
 use mds_decomposition::coloring::{
     assemble_coloring, bipartite_distance_two_coloring, distance_two_coloring_programs,
@@ -135,15 +135,12 @@ pub struct MdsResult {
     pub dominating_set: Vec<NodeId>,
     /// The final (integral) assignment.
     pub assignment: FractionalAssignment,
-    /// Round/message accounting across all parts.
+    /// Round/message accounting across all parts: one record per phase, in
+    /// execution order, saying whether it ran on the engine (measured) or
+    /// was centrally simulated (charged).
     pub ledger: RoundLedger,
     /// Per-stage size/fractionality trajectory (experiment E5).
     pub stages: Vec<StageRecord>,
-    /// The composed-program phase trace: which phases ran on the engine
-    /// (measured) and which were centrally simulated (charged), in execution
-    /// order. Empty for [`central_oracle`] runs, which never touch the
-    /// engine.
-    pub phases: Vec<PhaseOutcome>,
     /// Certified lower bound on the LP optimum (and hence on OPT).
     pub lp_lower_bound: f64,
     /// The ε the pipeline was run with.
@@ -156,10 +153,12 @@ impl MdsResult {
         self.dominating_set.len()
     }
 
-    /// Rounds actually executed on the engine across all measured phases
-    /// (`0` for a [`central_oracle`] run).
+    /// Rounds actually executed on the engine across all measured phases.
+    /// A [`central_oracle`] run reports only the phases it really runs on
+    /// the engine: the Part I rounds of [`FractionalMethod::Kw05`], `0`
+    /// under every other method.
     pub fn measured_engine_rounds(&self) -> u64 {
-        congest_sim::compose::measured_rounds(&self.phases)
+        self.ledger.measured_rounds(None)
     }
 
     /// Rounds the measured Lemma 3.12 distance-two coloring phases spent on
@@ -167,22 +166,14 @@ impl MdsResult {
     /// network-decomposition route and for [`central_oracle`] runs, which
     /// color centrally).
     pub fn measured_coloring_rounds(&self) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.mode == PhaseMode::Measured && p.name.contains("Lemma 3.12"))
-            .map(|p| p.rounds)
-            .sum()
+        self.ledger.measured_rounds(Some(PhaseKind::Coloring))
     }
 
     /// Rounds the measured GK18-carving network decomposition spent on the
     /// engine (`0` on the coloring routes and for [`central_oracle`] runs,
     /// which decompose centrally).
     pub fn measured_netdecomp_rounds(&self) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.mode == PhaseMode::Measured && p.name.contains("GK18 carving"))
-            .map(|p| p.rounds)
-            .sum()
+        self.ledger.measured_rounds(Some(PhaseKind::NetDecomp))
     }
 
     /// The approximation guarantee `(1+ε)(1+ln(Δ+1))` for this run.
@@ -296,10 +287,9 @@ fn derandomization_groups(
 ) -> (Vec<Vec<usize>>, RoundLedger) {
     let plan = derandomization_plan(graph, problem, config, nd_groups, decomposition);
     let mut ledger = plan.setup;
-    ledger.charge_with_formula(
-        &plan.name,
+    ledger.charge(
+        PhaseSpec::new(PhaseKind::Derandomization, plan.name).with_formula(plan.formula),
         plan.central_simulated,
-        plan.formula,
         plan.messages,
     );
     (plan.groups, ledger)
@@ -367,8 +357,11 @@ fn composed_derandomization<E: Executor>(
             );
             let report = composer
                 .measured(
-                    PhaseSpec::named("distance-two coloring (Lemma 3.12, measured)")
-                        .with_formula(formula),
+                    PhaseSpec::new(
+                        PhaseKind::Coloring,
+                        "distance-two coloring (Lemma 3.12, measured)",
+                    )
+                    .with_formula(formula),
                     programs,
                 )
                 .expect("distance-two coloring program is well-formed");
@@ -411,7 +404,10 @@ fn composed_derandomization<E: Executor>(
             },
         );
         composer.charged(
-            PhaseSpec::named(format!("{} (no coins to fix)", plan.name)),
+            PhaseSpec::new(
+                PhaseKind::Derandomization,
+                format!("{} (no coins to fix)", plan.name),
+            ),
             0,
             plan.messages,
         );
@@ -421,7 +417,11 @@ fn composed_derandomization<E: Executor>(
         .expect("pipeline rounding problems are graph-aligned");
     let report = composer
         .measured(
-            PhaseSpec::named(format!("{} (measured)", plan.name)).with_formula(plan.formula),
+            PhaseSpec::new(
+                PhaseKind::Derandomization,
+                format!("{} (measured)", plan.name),
+            )
+            .with_formula(plan.formula),
             programs,
         )
         .expect("scheduled derandomization program is well-formed");
@@ -588,8 +588,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             };
             let report = composer
                 .measured(
-                    PhaseSpec::named("part I: distributed MWU covering LP (measured)")
-                        .with_formula(formula),
+                    PhaseSpec::new(
+                        PhaseKind::Fractional,
+                        "part I: distributed MWU covering LP (measured)",
+                    )
+                    .with_formula(formula),
                     DistributedLpProgram::programs(graph, &cfg),
                 )
                 .expect("distributed MWU program is well-formed");
@@ -601,7 +604,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                         )
             );
             let (assignment, _floor) = apply_lemma21_floor(graph, report.outputs, eps1, true);
-            composer.charged(PhaseSpec::named("part I: fractionality floor"), 0, 0);
+            composer.charged(
+                PhaseSpec::new(PhaseKind::Fractional, "part I: fractionality floor"),
+                0,
+                0,
+            );
             (assignment, mds_fractional::lp::dual_lower_bound(graph))
         }
         method => {
@@ -635,8 +642,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             let charge = formulas::netdecomp_charge_rounds(graph.n(), k);
             let report = composer
                 .measured(
-                    PhaseSpec::named("network decomposition (GK18 carving, measured)")
-                        .with_formula(charge),
+                    PhaseSpec::new(
+                        PhaseKind::NetDecomp,
+                        "network decomposition (GK18 carving, measured)",
+                    )
+                    .with_formula(charge),
                     programs,
                 )
                 .expect("network decomposition program is well-formed");
@@ -673,14 +683,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
 
     debug_assert!(assignment.is_integral());
     debug_assert!(assignment.is_feasible_dominating_set(graph));
-    let dominating_set = assignment.selected_nodes();
-    let composition = composer.finish();
     MdsResult {
-        dominating_set,
+        dominating_set: assignment.selected_nodes(),
         assignment,
-        ledger: composition.ledger,
+        ledger: composer.finish(),
         stages,
-        phases: composition.phases,
         lp_lower_bound,
         epsilon: config.epsilon,
     }
@@ -742,34 +749,8 @@ pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
         assignment,
         ledger,
         stages,
-        phases: Vec::new(),
         lp_lower_bound: initial.lp_lower_bound,
         epsilon: config.epsilon,
-    }
-}
-
-/// A measured CONGEST baseline run: the distributed span-greedy executed on
-/// the engine, reported through the same ledger machinery as the pipeline so
-/// experiments can put *measured* round counts next to charged ones.
-#[derive(Debug, Clone)]
-pub struct BaselineRun {
-    /// The dominating set found by the distributed greedy.
-    pub dominating_set: Vec<NodeId>,
-    /// Rounds actually executed on the engine.
-    pub rounds: u64,
-    /// Unified accounting (measured rounds vs the `4P+1` phase formula).
-    pub ledger: RoundLedger,
-}
-
-/// Runs the distributed `(1 + ln Δ̃)` greedy baseline on the execution engine
-/// and returns its measured cost in pipeline-compatible form.
-pub fn greedy_baseline(graph: &Graph) -> BaselineRun {
-    let run = crate::greedy::distributed_greedy_mds(graph)
-        .expect("distributed greedy program is well-formed");
-    BaselineRun {
-        rounds: run.report.rounds,
-        ledger: run.ledger.clone(),
-        dominating_set: run.set,
     }
 }
 
@@ -812,6 +793,8 @@ mod tests {
     use crate::verify::is_dominating_set;
     use congest_sim::{PhaseMode, PooledExecutor};
     use mds_graphs::generators;
+    use PhaseKind::{Coloring, Derandomization, Fractional, NetDecomp};
+    use PhaseMode::{Charged, Measured};
 
     fn quick_config() -> MdsConfig {
         MdsConfig::default()
@@ -894,7 +877,7 @@ mod tests {
             .ledger
             .phases()
             .iter()
-            .filter(|p| p.name.contains("coloring (Lemma 3.10) (measured)"))
+            .filter(|p| p.kind == Derandomization && p.mode == Measured)
             .collect();
         assert!(!measured.is_empty(), "no measured derandomization phase");
         for phase in measured {
@@ -916,13 +899,14 @@ mod tests {
             .ledger
             .phases()
             .iter()
-            .filter(|p| p.name == "distance-two coloring (Lemma 3.12, measured)")
+            .filter(|p| p.kind == Coloring)
             .collect();
         assert!(
             !coloring_phases.is_empty(),
-            "no measured coloring phase on the Theorem 1.2 route"
+            "no coloring phase on the Theorem 1.2 route"
         );
         for phase in &coloring_phases {
+            assert_eq!(phase.mode, Measured);
             // Two rounds per reduction step (one observing round when there
             // is nothing to color), never above the Lemma 3.12 charge.
             assert!(phase.simulated_rounds >= 1);
@@ -952,10 +936,11 @@ mod tests {
             .ledger
             .phases()
             .iter()
-            .filter(|p| p.name == "network decomposition (GK18 carving, measured)")
+            .filter(|p| p.kind == NetDecomp)
             .collect();
         assert_eq!(nd_phases.len(), 1, "exactly one decomposition per run");
         let phase = nd_phases[0];
+        assert_eq!(phase.mode, Measured);
         assert!(phase.simulated_rounds >= 1);
         assert!(
             phase.simulated_rounds <= phase.formula_rounds.unwrap(),
@@ -966,14 +951,11 @@ mod tests {
         assert_eq!(result.measured_netdecomp_rounds(), phase.simulated_rounds);
         // With the decomposition measured, every round-spending phase of the
         // Theorem 1.1 route runs on the engine.
-        for p in &result.phases {
-            assert!(
-                p.mode == PhaseMode::Measured || p.rounds == 0,
-                "charged round-spending phase: {} ({} rounds)",
-                p.name,
-                p.rounds
-            );
-        }
+        assert_eq!(
+            result.measured_engine_rounds(),
+            result.ledger.total_simulated_rounds(),
+            "a charged phase spends rounds"
+        );
         // The oracle decomposes centrally; the coloring route never does.
         assert_eq!(
             central_oracle(&g, &quick_config()).measured_netdecomp_rounds(),
@@ -993,16 +975,17 @@ mod tests {
             .ledger
             .phases()
             .iter()
-            .find(|p| p.name == "part I: distributed MWU covering LP (measured)")
+            .find(|p| p.kind == Fractional && p.mode == Measured)
             .expect("measured MWU phase present");
         assert!(mwu.simulated_rounds > 0);
         // Measured rounds stay below the paper's O(ε⁻⁴ log² Δ) bound.
         assert!(mwu.formula_rounds.unwrap() >= mwu.simulated_rounds);
         assert_eq!(mwu.simulated_rounds % 4, 1, "4T + 1 rounds");
-        // The phase trace exposes the same information structurally: the MWU
-        // phase and at least one derandomization phase ran on the engine.
-        assert!(result.phases.iter().any(|p| p.mode == PhaseMode::Measured));
-        assert!(result.measured_engine_rounds() >= mwu.simulated_rounds);
+        assert_eq!(
+            result.ledger.measured_rounds(Some(Fractional)),
+            mwu.simulated_rounds
+        );
+        assert!(result.measured_engine_rounds() > mwu.simulated_rounds);
         assert_eq!(
             central_oracle(&g, &quick_config()).measured_engine_rounds(),
             0,
@@ -1082,21 +1065,67 @@ mod tests {
         assert!(is_dominating_set(&g, &result.dominating_set));
     }
 
+    fn kinds_and_modes(result: &MdsResult) -> Vec<(PhaseKind, PhaseMode)> {
+        result
+            .ledger
+            .phases()
+            .iter()
+            .map(|p| (p.kind, p.mode))
+            .collect()
+    }
+
     #[test]
-    fn greedy_baseline_is_measured_through_the_unified_ledger() {
-        let g = generators::gnp(40, 0.12, 2);
-        let baseline = greedy_baseline(&g);
-        assert!(is_dominating_set(&g, &baseline.dominating_set));
-        assert_eq!(baseline.ledger.total_simulated_rounds(), baseline.rounds);
-        // The measured phase formula is recorded as the "paper" column.
-        assert_eq!(
-            baseline.ledger.total_formula_rounds(),
-            baseline.rounds,
-            "4P+1 formula equals the measured rounds"
+    fn theorem_1_2_phases_are_part_one_then_coloring_and_derandomization_pairs() {
+        let g = generators::gnp(50, 0.1, 4);
+        let trace = kinds_and_modes(&theorem_1_2(&g, &quick_config()));
+        assert_eq!(trace[..2], [(Fractional, Measured), (Fractional, Charged)]);
+        let steps = &trace[2..];
+        assert!(
+            !steps.is_empty() && steps.len().is_multiple_of(2),
+            "{trace:?}"
         );
-        // Comparable against the pipeline's composed ledger.
-        let pipeline = theorem_1_2(&g, &quick_config());
-        assert!(pipeline.ledger.total_formula_rounds() > 0);
+        for step in steps.chunks(2) {
+            assert_eq!(step, [(Coloring, Measured), (Derandomization, Measured)]);
+        }
+    }
+
+    #[test]
+    fn theorem_1_1_phases_are_part_one_then_netdecomp_then_derandomization() {
+        let g = generators::gnp(50, 0.1, 4);
+        let trace = kinds_and_modes(&theorem_1_1(&g, &quick_config()));
+        assert_eq!(
+            trace[..3],
+            [
+                (Fractional, Measured),
+                (Fractional, Charged),
+                (NetDecomp, Measured)
+            ]
+        );
+        let steps = &trace[3..];
+        assert!(!steps.is_empty(), "{trace:?}");
+        assert!(steps.iter().all(|&s| s == (Derandomization, Measured)));
+    }
+
+    #[test]
+    fn kw05_part_one_is_measured_on_the_engine() {
+        let g = generators::gnp(60, 0.1, 3);
+        let config = MdsConfig {
+            route: DerandRoute::Coloring,
+            fractional: FractionalMethod::Kw05 { k: None },
+            ..quick_config()
+        };
+        let result = run(&g, &config);
+        let kw05 = &result.ledger.phases()[0];
+        assert_eq!((kw05.kind, kw05.mode), (Fractional, Measured));
+        // Every round executed is measured: KW05's 32 plus the rounding
+        // steps, so no charged phase spends rounds.
+        assert_eq!(result.measured_engine_rounds(), 98);
+        assert_eq!(result.ledger.total_simulated_rounds(), 98);
+        // The oracle runs KW05 on the engine too, and reports it as measured.
+        assert_eq!(
+            central_oracle(&g, &config).measured_engine_rounds(),
+            kw05.simulated_rounds
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Lemma 3.6/3.7 bounds) and E9 (derandomized vs randomized output quality),
 //! and they demonstrate the `k`-wise independent execution path of Lemma 3.3.
 
-use congest_sim::{Graph, NodeId, RoundLedger};
+use congest_sim::{Graph, NodeId, PhaseKind, PhaseSpec, RoundLedger};
 use mds_fractional::lemma21::{
     initial_fractional_solution, FractionalMethod, InitialSolutionConfig,
 };
@@ -47,7 +47,11 @@ pub fn randomized_one_shot(graph: &Graph, epsilon: f64, seed: u64) -> Randomized
     let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();
     let mut rng = StdRng::seed_from_u64(seed);
     let out = execute_with_rng(&problem, &mut rng);
-    ledger.charge("randomized one-shot rounding", 2, graph.m() as u64);
+    ledger.charge(
+        PhaseSpec::new(PhaseKind::Other, "randomized one-shot rounding"),
+        2,
+        graph.m() as u64,
+    );
     RandomizedResult {
         dominating_set: out.output.selected_nodes(),
         repaired: out.violated_constraints.len(),
@@ -78,7 +82,10 @@ pub fn randomized_one_shot_kwise(
     let generator = KWiseGenerator::from_rng(k.max(1), &mut rng);
     let out = execute_with_kwise(&problem, &generator);
     ledger.charge(
-        "randomized one-shot rounding (k-wise seed)",
+        PhaseSpec::new(
+            PhaseKind::Other,
+            "randomized one-shot rounding (k-wise seed)",
+        ),
         2,
         graph.m() as u64,
     );

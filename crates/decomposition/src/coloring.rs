@@ -27,7 +27,9 @@
 //!   nodes at distance two. Both executions evaluate the same smallest-free
 //!   rule over the same processing order, so the engine output is
 //!   bit-identical to the central oracle (proptest-enforced in
-//!   `tests/coloring_conformance.rs`).
+//!   `tests/coloring_conformance.rs`). It returns the engine's `RunReport`;
+//!   whoever runs it records that as one measured phase (the pipeline's
+//!   composer does).
 //!
 //! **Why the engine output equals the central greedy.** The schedule orders
 //! the targets by `(batch, id)` — batches are the identifier residues modulo
@@ -44,7 +46,8 @@
 use congest_sim::ledger::formulas;
 use congest_sim::{
     ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
+    NodeProgram, Outbox, PhaseKind, PhaseSpec, RoundAction, RoundLedger, RunReport, SyncExecutor,
+    Wire,
 };
 use mds_graphs::BipartiteGraph;
 
@@ -247,10 +250,17 @@ pub fn bipartite_distance_two_coloring(
     }
 
     let mut ledger = RoundLedger::new();
-    ledger.charge_with_formula(
-        "bipartite distance-two coloring (Lemma 3.12)",
+    ledger.charge(
+        PhaseSpec::new(
+            PhaseKind::Coloring,
+            "bipartite distance-two coloring (Lemma 3.12)",
+        )
+        .with_formula(formulas::bipartite_coloring_rounds(
+            b.max_left_degree(),
+            b.max_right_degree(),
+            n.max(2),
+        )),
         targets.len() as u64,
-        formulas::bipartite_coloring_rounds(b.max_left_degree(), b.max_right_degree(), n.max(2)),
         b.edge_count() as u64,
     );
     BipartiteColoring {
@@ -624,8 +634,6 @@ pub struct DistributedColoringOutcome {
     pub coloring: BipartiteColoring,
     /// The engine report (rounds, messages, bandwidth, per-round stats).
     pub report: RunReport<Option<usize>>,
-    /// Measured accounting: `2·steps` rounds against the Lemma 3.12 charge.
-    pub ledger: RoundLedger,
     /// Number of reduction steps that were executed.
     pub steps: usize,
 }
@@ -653,7 +661,7 @@ pub fn distributed_bipartite_coloring(
 }
 
 /// Runs the measured distance-two coloring on an arbitrary [`Executor`].
-/// Outputs and accounting are identical across executors.
+/// Outputs and reports are identical across executors.
 ///
 /// # Errors
 ///
@@ -671,21 +679,9 @@ pub fn distributed_bipartite_coloring_on<E: Executor>(
     let report = executor
         .run(graph, programs, config)
         .map_err(|e: ExecutionError| e.to_string())?;
-    let coloring = assemble_coloring(&report.outputs);
-    let mut ledger = RoundLedger::new();
-    report.charge_with_formula(
-        &mut ledger,
-        "distance-two coloring (Lemma 3.12, measured)",
-        formulas::bipartite_coloring_rounds(
-            b.max_left_degree(),
-            b.max_right_degree(),
-            graph.n().max(2),
-        ),
-    );
     Ok(DistributedColoringOutcome {
-        coloring,
+        coloring: assemble_coloring(&report.outputs),
         report,
-        ledger,
         steps: schedule.num_steps,
     })
 }

@@ -35,7 +35,9 @@
 //!   [`formulas::measured_netdecomp_rounds`] rounds — at most the
 //!   [`formulas::netdecomp_charge_rounds`] paper charge — and its assembled
 //!   output is bit-identical to the central oracle (proptest-enforced in
-//!   `tests/netdecomp_conformance.rs`).
+//!   `tests/netdecomp_conformance.rs`). It returns the engine's `RunReport`;
+//!   whoever runs it records that as one measured phase (the pipeline's
+//!   composer does).
 //!
 //! **Why the engine output equals the central carving.** The schedule fixes,
 //! per node, the phase in which it is clustered and whether it is a carve
@@ -56,8 +58,8 @@
 use crate::cluster::{Cluster, ClusterGraph};
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, RoundAction,
-    RoundLedger, RunReport, SyncExecutor, Wire,
+    Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind,
+    PhaseSpec, RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
 };
 use std::collections::VecDeque;
 
@@ -317,10 +319,13 @@ pub fn strong_diameter_decomposition(
     let schedule = carving_schedule(graph, k, config);
     let clusters = clusters_from_schedule(graph, &schedule);
     let mut ledger = RoundLedger::new();
-    ledger.charge_with_formula(
-        "network decomposition (ball carving vs GK18)",
+    ledger.charge(
+        PhaseSpec::new(
+            PhaseKind::NetDecomp,
+            "network decomposition (ball carving vs GK18)",
+        )
+        .with_formula(formulas::netdecomp_charge_rounds(graph.n(), k)),
         schedule.wave_rounds(),
-        formulas::netdecomp_charge_rounds(graph.n(), k),
         2 * graph.m() as u64,
     );
     NetworkDecomposition {
@@ -656,9 +661,6 @@ pub struct DistributedDecompositionOutcome {
     pub decomposition: NetworkDecomposition,
     /// The engine report (rounds, messages, bandwidth, per-round stats).
     pub report: RunReport<NetDecompOutput>,
-    /// Measured accounting: the schedule's exact wave rounds against the
-    /// Theorem 3.2 charge.
-    pub ledger: RoundLedger,
     /// The carving schedule the programs followed.
     pub schedule: CarvingSchedule,
 }
@@ -681,7 +683,7 @@ pub fn distributed_decomposition(
 }
 
 /// Runs the measured network decomposition on an arbitrary [`Executor`].
-/// Outputs and accounting are identical across executors.
+/// Outputs and reports are identical across executors.
 ///
 /// # Errors
 ///
@@ -701,17 +703,9 @@ pub fn distributed_decomposition_on<E: Executor>(
     let report = executor
         .run(graph, programs, exec_config)
         .map_err(|e| e.to_string())?;
-    let decomposition = assemble_decomposition(&report.outputs, &schedule);
-    let mut ledger = RoundLedger::new();
-    report.charge_with_formula(
-        &mut ledger,
-        "network decomposition (GK18 carving, measured)",
-        formulas::netdecomp_charge_rounds(graph.n(), k),
-    );
     Ok(DistributedDecompositionOutcome {
-        decomposition,
+        decomposition: assemble_decomposition(&report.outputs, &schedule),
         report,
-        ledger,
         schedule,
     })
 }

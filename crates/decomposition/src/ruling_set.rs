@@ -18,12 +18,14 @@
 //!   candidate joins exactly when no smaller unblocked candidate sits within
 //!   distance `α−1`, the fixed point equals the identifier-ordered greedy,
 //!   and the round count is *measured* against
-//!   [`formulas::ruling_set_phase_rounds`].
+//!   [`formulas::ruling_set_phase_rounds`]. The result carries the engine's
+//!   `RunReport` rather than a ledger of its own.
 
 use congest_sim::ledger::formulas;
 use congest_sim::{
     ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
+    NodeProgram, Outbox, PhaseKind, PhaseSpec, RoundAction, RoundLedger, RunReport, SyncExecutor,
+    Wire,
 };
 use std::collections::VecDeque;
 
@@ -80,10 +82,10 @@ pub fn ruling_set(graph: &Graph, candidates: &[NodeId], alpha: usize) -> RulingS
         }
     }
     let mut ledger = RoundLedger::new();
-    ledger.charge_with_formula(
-        "ruling set (greedy vs HKN16)",
+    ledger.charge(
+        PhaseSpec::new(PhaseKind::Other, "ruling set (greedy vs HKN16)")
+            .with_formula(formulas::cds_clustering_rounds(graph.n())),
         selected.len() as u64 * alpha as u64,
-        formulas::cds_clustering_rounds(graph.n()),
         candidates.len() as u64,
     );
     RulingSet {
@@ -299,8 +301,6 @@ pub struct DistributedRulingSet {
     pub alpha: usize,
     /// The engine report (rounds, messages, per-round stats).
     pub report: RunReport<RulingSetNodeOutput>,
-    /// Measured accounting through the unified instrumentation path.
-    pub ledger: RoundLedger,
     /// Number of selection phases until global quiescence.
     pub phases: u64,
 }
@@ -331,7 +331,7 @@ pub fn distributed_ruling_set(
 }
 
 /// Runs the distributed ruling set on an arbitrary [`Executor`]. Outputs and
-/// accounting are identical across executors.
+/// reports are identical across executors.
 ///
 /// # Errors
 ///
@@ -370,22 +370,10 @@ pub fn distributed_ruling_set_on<E: Executor>(
         .map(|o| o.resolved_phase)
         .max()
         .unwrap_or(0);
-    let mut ledger = RoundLedger::new();
-    // The formula column records the exact phase formula (like the other
-    // measured components); the paper's O(log³ n) HKN16 charge lives in the
-    // sequential `ruling_set` and can be far *below* the measured cost of
-    // this id-ordered construction on path-like instances.
-    let formula = if graph.n() == 0 {
-        0
-    } else {
-        formulas::ruling_set_phase_rounds(phases, alpha)
-    };
-    report.charge_with_formula(&mut ledger, "ruling set (measured)", formula);
     Ok(DistributedRulingSet {
         selected,
         alpha,
         report,
-        ledger,
         phases,
     })
 }
@@ -566,8 +554,6 @@ mod tests {
         // O(log³ n) HKN16 charge (not an invariant: long paths with α fixed
         // can exceed it, which is exactly what measuring is for).
         assert!(rs.report.rounds <= formulas::cds_clustering_rounds(g.n()));
-        assert_eq!(rs.ledger.total_simulated_rounds(), rs.report.rounds);
-        assert_eq!(rs.ledger.total_formula_rounds(), rs.report.rounds);
         assert_eq!(rs.report.bandwidth_violations, 0);
     }
 

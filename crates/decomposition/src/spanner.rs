@@ -14,7 +14,7 @@
 //!   R5 in `DESIGN.md`). The edge bound becomes deterministic and
 //!   connectivity is preserved structurally.
 
-use congest_sim::{Graph, NodeId, RoundLedger};
+use congest_sim::{Graph, NodeId, PhaseKind, PhaseSpec, RoundLedger};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -126,7 +126,11 @@ fn run_spanner(graph: &Graph, phases: usize, mut sampling: Sampling<'_>) -> Span
                 cluster[v.0] = None;
             }
         }
-        ledger.charge(&format!("spanner phase {phase}"), 2, added_this_phase);
+        ledger.charge(
+            PhaseSpec::new(PhaseKind::Other, format!("spanner phase {phase}")),
+            2,
+            added_this_phase,
+        );
     }
 
     // Final phase: remaining active nodes connect to every neighboring
@@ -150,7 +154,11 @@ fn run_spanner(graph: &Graph, phases: usize, mut sampling: Sampling<'_>) -> Span
             final_edges += 1;
         }
     }
-    ledger.charge("spanner final inter-cluster edges", 1, final_edges);
+    ledger.charge(
+        PhaseSpec::new(PhaseKind::Other, "spanner final inter-cluster edges"),
+        1,
+        final_edges,
+    );
 
     edges.sort_unstable();
     edges.dedup();

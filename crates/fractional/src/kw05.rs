@@ -13,10 +13,9 @@
 //! still uncovered to 1, so the output is always feasible.
 
 use crate::cfds::FractionalAssignment;
-use congest_sim::ledger::formulas;
 use congest_sim::{
     Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeProgram, Outbox,
-    RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
+    RoundAction, RunReport, SyncExecutor, Wire,
 };
 
 /// Messages exchanged by [`Kw05Program`]: either the sender's current
@@ -177,9 +176,6 @@ pub struct Kw05Outcome {
     pub assignment: FractionalAssignment,
     /// The executor report (rounds, messages, bandwidth, per-round stats).
     pub report: RunReport<f64>,
-    /// Measured round accounting: the engine's `RunReport` charged against
-    /// the paper's `O(k²)` bound through the unified instrumentation path.
-    pub ledger: RoundLedger,
 }
 
 /// Runs the KW05 algorithm with locality parameter `k` on `graph` using the
@@ -194,7 +190,7 @@ pub fn run(graph: &Graph, k: usize) -> Result<Kw05Outcome, congest_sim::Executio
 }
 
 /// Runs the KW05 algorithm on an arbitrary [`Executor`] (e.g. the parallel
-/// engine for large graphs). Outputs and accounting are identical across
+/// engine for large graphs). Outputs and reports are identical across
 /// executors.
 ///
 /// # Errors
@@ -210,17 +206,7 @@ pub fn run_on<E: Executor>(
     let programs: Vec<_> = (0..graph.n()).map(|_| Kw05Program::new(k)).collect();
     let report = executor.run(graph, programs, config)?;
     let assignment = FractionalAssignment::from_values(report.outputs.clone());
-    let mut ledger = RoundLedger::new();
-    report.charge_with_formula(
-        &mut ledger,
-        "KW05 local fractional solution (measured)",
-        formulas::kw05_rounds(k),
-    );
-    Ok(Kw05Outcome {
-        assignment,
-        report,
-        ledger,
-    })
+    Ok(Kw05Outcome { assignment, report })
 }
 
 /// The default locality parameter `k = ceil(log2(Δ̃))`, the choice that gives
@@ -232,6 +218,7 @@ pub fn default_k(graph: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::ledger::formulas;
     use mds_graphs::generators;
 
     #[test]
@@ -263,12 +250,8 @@ mod tests {
         let k = 3;
         let out = run(&g, k).unwrap();
         assert_eq!(out.report.rounds, (k * k * 2) as u64);
-        // The measured round count matches the paper's O(k²) formula exactly
-        // and reaches the ledger through the unified instrumentation path.
+        // The measured round count matches the paper's O(k²) formula exactly.
         assert_eq!(out.report.rounds, formulas::kw05_rounds(k));
-        assert_eq!(out.ledger.total_simulated_rounds(), out.report.rounds);
-        assert_eq!(out.ledger.total_formula_rounds(), formulas::kw05_rounds(k));
-        assert_eq!(out.ledger.total_messages(), out.report.messages);
     }
 
     #[test]

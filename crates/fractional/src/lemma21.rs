@@ -15,7 +15,7 @@ use crate::kw05;
 use crate::lp::{self, LpConfig};
 use crate::transmittable;
 use congest_sim::ledger::formulas;
-use congest_sim::{Graph, RoundLedger};
+use congest_sim::{Graph, PhaseKind, PhaseSpec, RoundLedger};
 
 /// Which fractional solver produces the pre-floor solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,6 +114,11 @@ pub struct InitialSolution {
     pub ledger: RoundLedger,
 }
 
+/// A Part I phase: every ledger entry of Lemma 2.1 is [`PhaseKind::Fractional`].
+fn part_one(name: &str) -> PhaseSpec {
+    PhaseSpec::new(PhaseKind::Fractional, name)
+}
+
 /// Computes the initial fractional dominating set of Lemma 2.1.
 pub fn initial_fractional_solution(
     graph: &Graph,
@@ -131,10 +136,10 @@ pub fn initial_fractional_solution(
             let assignment = lp::central_mwu_reference(graph, &cfg);
             let iterations = cfg.resolve(graph.delta_tilde()).iterations as u64;
             let rounds = formulas::mwu_fractional_rounds(iterations);
-            ledger.charge_with_formula(
-                "part I: distributed MWU covering LP (central oracle)",
+            ledger.charge(
+                part_one("part I: distributed MWU covering LP (central oracle)")
+                    .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
                 rounds,
-                formulas::kmw_fractional_rounds(graph.max_degree(), epsilon),
                 // Every round broadcasts one value per directed edge.
                 rounds * 2 * graph.m() as u64,
             );
@@ -144,10 +149,10 @@ pub fn initial_fractional_solution(
             let mut cfg = lp_config.clone();
             cfg.epsilon = (epsilon / 2.0).min(cfg.epsilon);
             let sol = lp::solve_fractional_mds(graph, &cfg);
-            ledger.charge_with_formula(
-                "part I: KMW06 fractional solution (MWU stand-in)",
+            ledger.charge(
+                part_one("part I: KMW06 fractional solution (MWU stand-in)")
+                    .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
                 sol.iterations as u64 * 2,
-                formulas::kmw_fractional_rounds(graph.max_degree(), epsilon),
                 sol.iterations as u64 * 2 * graph.m() as u64,
             );
             (sol.assignment.values().to_vec(), sol.dual_lower_bound)
@@ -157,10 +162,10 @@ pub fn initial_fractional_solution(
             let out = kw05::run(graph, k).expect("KW05 program is well-formed");
             // Measured on the engine; the RunReport feeds the ledger through
             // the unified instrumentation path.
-            out.report.charge_with_formula(
+            out.report.charge(
                 &mut ledger,
-                "part I: KW05 local fractional solution (measured)",
-                formulas::kw05_rounds(k),
+                part_one("part I: KW05 local fractional solution (measured)")
+                    .with_formula(formulas::kw05_rounds(k)),
             );
             (
                 out.assignment.values().to_vec(),
@@ -168,7 +173,11 @@ pub fn initial_fractional_solution(
             )
         }
         FractionalMethod::DegreeHeuristic => {
-            ledger.charge("part I: degree heuristic", 2, 2 * graph.m() as u64);
+            ledger.charge(
+                part_one("part I: degree heuristic"),
+                2,
+                2 * graph.m() as u64,
+            );
             (
                 lp::degree_heuristic(graph).values().to_vec(),
                 lp::dual_lower_bound(graph),
@@ -179,7 +188,7 @@ pub fn initial_fractional_solution(
     // The fractionality floor of Lemma 2.1's proof.
     let (assignment, floor) =
         apply_lemma21_floor(graph, values, epsilon, config.make_transmittable);
-    ledger.charge("part I: fractionality floor", 0, 0);
+    ledger.charge(part_one("part I: fractionality floor"), 0, 0);
 
     InitialSolution {
         assignment,

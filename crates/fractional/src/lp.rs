@@ -25,10 +25,9 @@
 //! below on instances too large for the exact solver.
 
 use crate::cfds::FractionalAssignment;
-use congest_sim::ledger::formulas;
 use congest_sim::{
     ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeProgram, Outbox,
-    RoundAction, RoundLedger, RunReport, SyncExecutor,
+    RoundAction, RunReport, SyncExecutor,
 };
 
 /// Configuration of the multiplicative-weights fractional solver.
@@ -372,7 +371,7 @@ pub struct MwuParameters {
 /// After the configured number of iterations one completion round raises the
 /// value of any still-uncovered constraint's owner to `1`, so the output is
 /// always feasible. Total: `4T + 1` rounds, measured on the engine and equal
-/// to [`formulas::mwu_fractional_rounds`].
+/// to [`congest_sim::ledger::formulas::mwu_fractional_rounds`].
 ///
 /// All messages are single 64-bit values, charged per the workspace's
 /// convention for fractional payloads ([`congest_sim::MessageSize`] on
@@ -506,10 +505,6 @@ pub struct DistributedLpOutcome {
     pub assignment: FractionalAssignment,
     /// The engine report (rounds, messages, bandwidth, per-round stats).
     pub report: RunReport<f64>,
-    /// Measured accounting through the unified instrumentation path: the
-    /// measured `4T + 1` rounds charged against the paper's
-    /// `O(ε⁻⁴ log² Δ)` bound.
-    pub ledger: RoundLedger,
     /// The number of width-reduction iterations that were executed.
     pub iterations: usize,
 }
@@ -528,7 +523,7 @@ pub fn distributed_solve_fractional_mds(
 }
 
 /// Runs the distributed MWU solver on an arbitrary [`Executor`]. Outputs and
-/// accounting are identical across executors.
+/// reports are identical across executors.
 ///
 /// # Errors
 ///
@@ -545,27 +540,10 @@ pub fn distributed_solve_on<E: Executor>(
         DistributedLpProgram::programs(graph, config),
         exec_config,
     )?;
-    let params = config.resolve(graph.delta_tilde());
-    let iterations = params.iterations;
-    let mut ledger = RoundLedger::new();
-    // Charge the paper bound at the ε the solver actually ran with (the
-    // resolved, clamped value), so the measured-below-charge relation holds
-    // for out-of-range configured epsilons too.
-    let formula = if graph.n() == 0 {
-        0
-    } else {
-        formulas::kmw_fractional_rounds(graph.max_degree(), params.epsilon)
-    };
-    report.charge_with_formula(
-        &mut ledger,
-        "distributed MWU covering LP (measured)",
-        formula,
-    );
     Ok(DistributedLpOutcome {
         assignment: FractionalAssignment::from_values(report.outputs.clone()),
         report,
-        ledger,
-        iterations,
+        iterations: config.resolve(graph.delta_tilde()).iterations,
     })
 }
 
@@ -645,6 +623,7 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Fra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::ledger::formulas;
     use mds_graphs::generators;
 
     #[test]
@@ -731,13 +710,6 @@ mod tests {
             assert!(
                 out.report.rounds
                     <= formulas::kmw_fractional_rounds(g.max_degree(), config.epsilon)
-            );
-            // Unified instrumentation: measured rounds in the ledger, paper
-            // formula in the paper column.
-            assert_eq!(out.ledger.total_simulated_rounds(), out.report.rounds);
-            assert_eq!(
-                out.ledger.total_formula_rounds(),
-                formulas::kmw_fractional_rounds(g.max_degree(), config.epsilon)
             );
             assert_eq!(out.report.bandwidth_violations, 0);
         }
@@ -851,7 +823,6 @@ mod tests {
         let out0 = distributed_solve_fractional_mds(&g0, &DistributedLpConfig::default()).unwrap();
         assert_eq!(out0.assignment.len(), 0);
         assert_eq!(out0.report.rounds, 0);
-        assert_eq!(out0.ledger.total_formula_rounds(), 0);
     }
 
     #[test]

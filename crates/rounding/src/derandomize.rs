@@ -53,10 +53,9 @@ use crate::estimator::{
 };
 use crate::problem::{RoundingProblem, ValueNode};
 use crate::process::{execute_with_coins, RoundedOutcome};
-use congest_sim::ledger::formulas;
 use congest_sim::{
     ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
+    NodeProgram, Outbox, RoundAction, RunReport, SyncExecutor, Wire,
 };
 use mds_fractional::FractionalAssignment;
 
@@ -754,8 +753,6 @@ pub struct DistributedDerandOutcome {
     pub violated_owners: Vec<usize>,
     /// The engine report (rounds, messages, bandwidth, per-round stats).
     pub report: RunReport<ScheduledDerandOutput>,
-    /// Measured accounting: `2·steps` rounds through the unified path.
-    pub ledger: RoundLedger,
     /// Number of schedule steps that were executed.
     pub steps: usize,
 }
@@ -808,7 +805,7 @@ pub fn distributed_derandomize(
 }
 
 /// Runs the distributed conditional-expectation schedule on an arbitrary
-/// [`Executor`]. Outputs and accounting are identical across executors.
+/// [`Executor`]. Outputs and reports are identical across executors.
 ///
 /// # Errors
 ///
@@ -827,25 +824,10 @@ pub fn distributed_derandomize_on<E: Executor>(
         .run(graph, programs, config)
         .map_err(|e: ExecutionError| e.to_string())?;
     let (output, violated_owners) = assemble_derand_outputs(&report.outputs);
-    let mut ledger = RoundLedger::new();
-    // An empty schedule still spends one real round evaluating the
-    // constraints; charge that round rather than the formula's zero so the
-    // paper column never under-reports executed work.
-    let formula = if schedule.is_empty() {
-        report.rounds
-    } else {
-        formulas::derandomization_schedule_rounds(schedule.len() as u64)
-    };
-    report.charge_with_formula(
-        &mut ledger,
-        "scheduled conditional expectations (measured)",
-        formula,
-    );
     Ok(DistributedDerandOutcome {
         output,
         violated_owners,
         report,
-        ledger,
         steps: schedule.len(),
     })
 }

@@ -13,7 +13,7 @@
 //! Run with `cargo run --example derandomization_anatomy`.
 
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{ComposedProgram, ExecutorConfig, PhaseSpec, SyncExecutor};
+use congest_mds::congest::{ComposedProgram, ExecutorConfig, PhaseKind, PhaseSpec, SyncExecutor};
 use congest_mds::fractional::lemma21::{initial_fractional_solution, InitialSolutionConfig};
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::color_problem;
@@ -100,9 +100,13 @@ fn main() {
         .expect("one-shot problems are graph-aligned");
     let report = composed
         .measured(
-            PhaseSpec::named("derandomization via distance-two coloring (measured)").with_formula(
-                formulas::coloring_derandomization_rounds(coloring.num_colors),
-            ),
+            PhaseSpec::new(
+                PhaseKind::Derandomization,
+                "derandomization via distance-two coloring (measured)",
+            )
+            .with_formula(formulas::coloring_derandomization_rounds(
+                coloring.num_colors,
+            )),
             programs,
         )
         .expect("scheduled derandomization program is well-formed");
@@ -112,7 +116,7 @@ fn main() {
         det.output.values(),
         "engine run must be bit-identical to the central oracle"
     );
-    let composition = composed.finish();
+    let ledger = composed.finish();
 
     println!(
         "\nexpectation bound (Lemma 3.1):        {:.2}",
@@ -137,5 +141,5 @@ fn main() {
     );
     println!("which is exactly the guarantee the paper's Lemmas 3.4 and 3.10 formalise.");
     println!("\ncomposed-program accounting (measured phase + charged coloring):");
-    print!("{}", composition.ledger);
+    print!("{ledger}");
 }

@@ -90,7 +90,9 @@ fn derandomization_anatomy_example_core_path() {
 
     // The example's final act: the same decisions as a measured engine run
     // through the composed-program API, bit-identical to the central oracle.
-    use congest_mds::congest::{ComposedProgram, ExecutorConfig, PhaseSpec, SyncExecutor};
+    use congest_mds::congest::{
+        ComposedProgram, ExecutorConfig, PhaseKind, PhaseSpec, SyncExecutor,
+    };
     use congest_mds::mds::pipeline::color_problem;
     use congest_mds::rounding::derandomize::{
         assemble_derand_outputs, scheduled_derand_programs, DerandSchedule,
@@ -112,12 +114,15 @@ fn derandomization_anatomy_example_core_path() {
     let programs = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
         .expect("one-shot problems are graph-aligned");
     let report = composed
-        .measured(PhaseSpec::named("measured schedule"), programs)
+        .measured(
+            PhaseSpec::new(PhaseKind::Derandomization, "measured schedule"),
+            programs,
+        )
         .expect("well-formed program");
     assert_eq!(report.rounds, 2 * schedule.len() as u64);
     let (engine_output, _) = assemble_derand_outputs(&report.outputs);
     assert_eq!(engine_output.values(), central.output.values());
-    assert!(composed.finish().measured_rounds() > 0);
+    assert!(composed.finish().measured_rounds(None) > 0);
 }
 
 /// Core path of `examples/wireless_clustering.rs`: a unit-disk deployment,

@@ -1,8 +1,9 @@
-//! Golden-trajectory regression: the per-stage `CostReport` /
-//! `CompositionReport` of a fixed-seed Theorem 1.1 and Theorem 1.2 run is
-//! serialized field-by-field and compared against the checked-in files under
+//! Golden-trajectory regression: the per-phase ledger records and the stage
+//! trajectory of a fixed-seed Theorem 1.1 and Theorem 1.2 run are serialized
+//! field-by-field and compared against the checked-in files under
 //! `tests/golden/`, so future refactors cannot silently change the round
-//! accounting of either route.
+//! accounting of either route. Wall time is host-dependent and never
+//! serialized.
 //!
 //! On mismatch the actual serialization is written to
 //! `target/golden-actual/<route>.txt` (uploaded as a CI artifact) and the
@@ -34,14 +35,14 @@ fn serialize(route: &str, result: &MdsResult) -> String {
     let _ = writeln!(out, "route={route}");
     let _ = writeln!(out, "graph=gnp n={GRAPH_N} p={GRAPH_P} seed={GRAPH_SEED}");
     let _ = writeln!(out, "set_size={}", result.size());
-    for (i, p) in result.phases.iter().enumerate() {
+    for (i, p) in result.ledger.phases().iter().enumerate() {
         let mode = match p.mode {
             PhaseMode::Measured => "measured",
             PhaseMode::Charged => "charged",
         };
         let _ = writeln!(out, "phase[{i}].name={}", p.name);
         let _ = writeln!(out, "phase[{i}].mode={mode}");
-        let _ = writeln!(out, "phase[{i}].rounds={}", p.rounds);
+        let _ = writeln!(out, "phase[{i}].rounds={}", p.simulated_rounds);
         let _ = writeln!(out, "phase[{i}].messages={}", p.messages);
     }
     for (i, p) in result.ledger.phases().iter().enumerate() {

@@ -71,9 +71,10 @@ fn assert_engine_matches_oracle_at_scale(
         sync.measured_engine_rounds(),
         sync.ledger.total_formula_rounds()
     );
-    for phase in sync.phases.iter().filter(|p| p.mode == PhaseMode::Measured) {
+    let measured = sync.ledger.phases().iter();
+    for phase in measured.filter(|p| p.mode == PhaseMode::Measured) {
         assert!(
-            phase.rounds > 0 || phase.messages == 0,
+            phase.simulated_rounds > 0 || phase.messages == 0,
             "{label}: measured phase {:?} spent messages in zero rounds",
             phase.name
         );

@@ -6,7 +6,8 @@
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
     ComposedProgram, ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext,
-    NodeProgram, Outbox, PhaseSpec, PooledExecutor, RoundAction, SyncExecutor,
+    NodeProgram, Outbox, PhaseKind, PhaseMode, PhaseSpec, PooledExecutor, RoundAction,
+    SyncExecutor,
 };
 use congest_mds::decomposition::coloring::{
     bipartite_distance_two_coloring, distance_two_coloring_programs,
@@ -15,6 +16,10 @@ use congest_mds::decomposition::coloring::{
 use congest_mds::graphs::bipartite::{BipartiteGraph, BipartiteRepresentation};
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
+
+fn spec(name: &str) -> PhaseSpec {
+    PhaseSpec::new(PhaseKind::Other, name)
+}
 
 /// A trivial one-round program for exercising the composer.
 struct Noop;
@@ -43,7 +48,7 @@ fn composer_rejects_phase_graph_misalignment_and_records_nothing() {
     let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
     // A phase sized for a different graph: 2 programs for 4 nodes.
     let err = composed
-        .measured(PhaseSpec::named("misaligned"), vec![Noop, Noop])
+        .measured(spec("misaligned"), vec![Noop, Noop])
         .unwrap_err();
     assert!(matches!(
         err,
@@ -52,19 +57,16 @@ fn composer_rejects_phase_graph_misalignment_and_records_nothing() {
             nodes: 4
         }
     ));
-    // The failed phase leaves no trace in the ledger or the phase list; the
-    // composer remains usable for a correctly sized phase.
+    // The failed phase leaves no trace in the ledger; the composer remains
+    // usable for a correctly sized phase.
     assert_eq!(composed.ledger().phases().len(), 0);
     let ok = composed
-        .measured(
-            PhaseSpec::named("aligned"),
-            (0..4).map(|_| Noop).collect::<Vec<_>>(),
-        )
+        .measured(spec("aligned"), (0..4).map(|_| Noop).collect::<Vec<_>>())
         .unwrap();
     assert_eq!(ok.outputs, vec![0, 1, 2, 3]);
-    let report = composed.finish();
-    assert_eq!(report.phases.len(), 1);
-    assert_eq!(report.measured_phase_count(), 1);
+    let ledger = composed.finish();
+    assert_eq!(ledger.phases().len(), 1);
+    assert_eq!(ledger.phases()[0].mode, PhaseMode::Measured);
 }
 
 #[test]
@@ -73,17 +75,17 @@ fn composer_handles_the_empty_graph() {
     let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
     // A measured phase over zero nodes is legal and spends zero rounds.
     let report = composed
-        .measured(PhaseSpec::named("empty measured"), Vec::<Noop>::new())
+        .measured(spec("empty measured"), Vec::<Noop>::new())
         .unwrap();
     assert_eq!(report.rounds, 0);
     assert!(report.outputs.is_empty());
     // Charged bookkeeping still accumulates normally.
-    composed.charged(PhaseSpec::named("empty charged").with_formula(3), 1, 0);
+    composed.charged(spec("empty charged").with_formula(3), 1, 0);
     let finished = composed.finish();
-    assert_eq!(finished.phases.len(), 2);
-    assert_eq!(finished.measured_rounds(), 0);
+    assert_eq!(finished.phases().len(), 2);
+    assert_eq!(finished.measured_rounds(None), 0);
     // Zero measured rounds plus the charged formula.
-    assert_eq!(finished.ledger.total_formula_rounds(), 3);
+    assert_eq!(finished.total_formula_rounds(), 3);
 }
 
 #[test]
@@ -328,7 +330,10 @@ fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
     let (programs, _) = netdecomp_programs(&generators::path(4), 2, &config);
     let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
     let err = composed
-        .measured(PhaseSpec::named("misaligned netdecomp"), programs)
+        .measured(
+            PhaseSpec::new(PhaseKind::NetDecomp, "misaligned netdecomp"),
+            programs,
+        )
         .unwrap_err();
     assert!(matches!(
         err,
@@ -340,11 +345,18 @@ fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
     assert_eq!(composed.ledger().phases().len(), 0);
     let (programs, schedule) = netdecomp_programs(&g, 2, &config);
     let ok = composed
-        .measured(PhaseSpec::named("aligned netdecomp"), programs)
+        .measured(
+            PhaseSpec::new(PhaseKind::NetDecomp, "aligned netdecomp"),
+            programs,
+        )
         .unwrap();
     assert_eq!(ok.rounds, schedule.wave_rounds());
-    let report = composed.finish();
-    assert_eq!(report.phases.len(), 1);
+    let ledger = composed.finish();
+    assert_eq!(ledger.phases().len(), 1);
+    assert_eq!(
+        ledger.measured_rounds(Some(PhaseKind::NetDecomp)),
+        ok.rounds
+    );
 }
 
 #[test]

@@ -106,12 +106,6 @@ fn assert_conformance(graph: &Graph, k: usize, threads: usize) {
         .filter(|&v| graph.degree(NodeId(v)) == 0)
         .count();
     assert_eq!(sync.report.payloads, (graph.n() - isolated) as u64);
-    let ledger_phase = &sync.ledger.phases()[0];
-    assert_eq!(
-        ledger_phase.name,
-        "network decomposition (GK18 carving, measured)"
-    );
-    assert_eq!(ledger_phase.formula_rounds, Some(charge));
 
     // The worker pool reproduces the sequential report — and hence the
     // oracle's clusters — bit for bit.
@@ -125,7 +119,6 @@ fn assert_conformance(graph: &Graph, k: usize, threads: usize) {
     .expect("pooled engine run failed");
     assert_eq!(pooled.report, sync.report);
     assert_eq!(pooled.decomposition.clusters, oracle.clusters);
-    assert_eq!(pooled.ledger, sync.ledger);
 }
 
 proptest! {

@@ -760,7 +760,7 @@ proptest! {
         seed in 0u64..500,
         threads in 2usize..6,
     ) {
-        use congest_mds::congest::PhaseMode;
+        use congest_mds::congest::{PhaseKind, PhaseMode};
 
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
         let config = MdsConfig { route: DerandRoute::Coloring, ..MdsConfig::default() };
@@ -786,10 +786,11 @@ proptest! {
             .ledger
             .phases()
             .iter()
-            .filter(|p| p.name == "distance-two coloring (Lemma 3.12, measured)")
+            .filter(|p| p.kind == PhaseKind::Coloring)
             .collect();
-        if n > 0 && !sync.phases.is_empty() {
+        if n > 0 {
             for phase in &coloring_phases {
+                prop_assert_eq!(phase.mode, PhaseMode::Measured);
                 prop_assert!(phase.simulated_rounds >= 1);
                 prop_assert!(
                     phase.simulated_rounds <= phase.formula_rounds.unwrap(),
@@ -811,9 +812,10 @@ proptest! {
         // the engine. The measured total stays at or below the summed paper
         // charges.
         prop_assert!(sync
-            .phases
+            .ledger
+            .phases()
             .iter()
-            .all(|p| p.mode == PhaseMode::Measured || p.rounds == 0));
+            .all(|p| p.mode == PhaseMode::Measured || p.simulated_rounds == 0));
         prop_assert_eq!(oracle.measured_engine_rounds(), 0);
         prop_assert!(
             sync.measured_engine_rounds() <= sync.ledger.total_formula_rounds(),
@@ -837,7 +839,7 @@ proptest! {
         seed in 0u64..500,
         threads in 2usize..6,
     ) {
-        use congest_mds::congest::PhaseMode;
+        use congest_mds::congest::{PhaseKind, PhaseMode};
 
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
         let config = MdsConfig {
@@ -867,10 +869,11 @@ proptest! {
             .ledger
             .phases()
             .iter()
-            .filter(|p| p.name == "network decomposition (GK18 carving, measured)")
+            .filter(|p| p.kind == PhaseKind::NetDecomp)
             .collect();
         prop_assert_eq!(nd_phases.len(), 1);
         let nd_phase = nd_phases[0];
+        prop_assert_eq!(nd_phase.mode, PhaseMode::Measured);
         let schedule = carving_schedule(&graph, 2, &DecompositionConfig::default());
         prop_assert_eq!(nd_phase.simulated_rounds, schedule.wave_rounds());
         prop_assert_eq!(
@@ -899,9 +902,10 @@ proptest! {
         // the engine. The measured total stays at or below the summed paper
         // charges.
         prop_assert!(sync
-            .phases
+            .ledger
+            .phases()
             .iter()
-            .all(|p| p.mode == PhaseMode::Measured || p.rounds == 0));
+            .all(|p| p.mode == PhaseMode::Measured || p.simulated_rounds == 0));
         prop_assert_eq!(oracle.measured_engine_rounds(), 0);
         prop_assert!(
             sync.measured_engine_rounds() <= sync.ledger.total_formula_rounds(),
