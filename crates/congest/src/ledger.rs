@@ -379,16 +379,6 @@ pub mod formulas {
         2 * steps
     }
 
-    /// `4P + 1` — the exact round count of the distributed span-greedy
-    /// baseline after `P` selection phases: each phase spends four rounds
-    /// (covered-bits, spans, distance-two maxima, join announcements) and
-    /// one final round lets every node observe that its closed neighborhood
-    /// is covered. The selection rule guarantees `P ≤ n`, matching the
-    /// classical `(1 + ln Δ̃)` greedy analysis phase by phase.
-    pub fn greedy_span_rounds(phases: u64) -> u64 {
-        4 * phases + 1
-    }
-
     /// `2(α−1)P + (α−1)` — the exact round count of the distributed
     /// `(α, α−1)`-ruling set after `P` phases: each phase floods candidate
     /// identifiers for `α−1` rounds and blocking notices for another `α−1`,
@@ -435,8 +425,6 @@ pub mod formulas {
         fn measured_round_formulas() {
             assert_eq!(kw05_rounds(3), 18);
             assert_eq!(kw05_rounds(0), 2);
-            assert_eq!(greedy_span_rounds(0), 1);
-            assert_eq!(greedy_span_rounds(4), 17);
             assert_eq!(ruling_set_phase_rounds(7, 3), 30);
             assert_eq!(ruling_set_phase_rounds(0, 3), 2);
             assert_eq!(ruling_set_phase_rounds(5, 1), 1);

@@ -23,10 +23,11 @@
 //!
 //! [`run`] / [`run_on`] assemble the pipeline as a
 //! [`congest_sim::ComposedProgram`] and execute its hot path on the engine:
-//! the Part I fractional solver (when [`FractionalMethod::DistributedMwu`] is
-//! selected, the default), every Lemma 3.12 distance-two coloring of the
-//! coloring routes, and every conditional-expectation schedule of Parts
-//! II/III run as real node programs with *measured* round counts — and the
+//! the Part I fractional solver (the default
+//! [`FractionalMethod::DistributedMwu`] or the [`FractionalMethod::Kw05`]
+//! ablation), every Lemma 3.12 distance-two coloring of the coloring routes,
+//! and every conditional-expectation schedule of Parts II/III run as real
+//! node programs with *measured* round counts — and the
 //! Theorem 1.1 network decomposition runs as the measured GK18-carving join
 //! waves ([`mds_decomposition::netdecomp::NetDecompProgram`]), so **both**
 //! theorem routes are engine-measured end to end: every round-spending phase
@@ -53,6 +54,7 @@ use mds_decomposition::netdecomp::{
     assemble_decomposition, netdecomp_programs, strong_diameter_decomposition, DecompositionConfig,
 };
 use mds_decomposition::NetworkDecomposition;
+use mds_fractional::kw05::{self, Kw05Program};
 use mds_fractional::lemma21::{
     apply_lemma21_floor, distributed_mwu_config, initial_fractional_solution, FractionalMethod,
     InitialSolutionConfig,
@@ -563,9 +565,9 @@ pub fn run(graph: &Graph, config: &MdsConfig) -> MdsResult {
 }
 
 /// Assembles the pipeline as a [`ComposedProgram`] and executes it end to end
-/// on `executor`: measured node programs for the fractional solver (when
-/// [`FractionalMethod::DistributedMwu`] is selected), for every Lemma 3.12
-/// distance-two coloring of the coloring routes, and for every
+/// on `executor`: measured node programs for the fractional solver (under
+/// [`FractionalMethod::DistributedMwu`] and [`FractionalMethod::Kw05`]), for
+/// every Lemma 3.12 distance-two coloring of the coloring routes, for every
 /// conditional-expectation schedule, and for the Theorem 1.1 network
 /// decomposition (the GK18-carving join waves of
 /// [`mds_decomposition::netdecomp::NetDecompProgram`]) — every round-spending
@@ -578,7 +580,9 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
 
     // ---- Part I: initial fractional solution (Lemma 2.1). ----
     let eps1 = (config.epsilon / 4.0).clamp(1e-3, 0.25);
-    let (assignment, lp_lower_bound) = match &config.fractional {
+    // The node-program solvers run on `executor`; the central ones go
+    // through the Lemma 2.1 wrapper, which charges them in closed form.
+    let measured_values = match &config.fractional {
         FractionalMethod::DistributedMwu(mwu_config) => {
             let cfg = distributed_mwu_config(mwu_config, eps1);
             let formula = if graph.n() == 0 {
@@ -603,7 +607,27 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                             cfg.resolve(graph.delta_tilde()).iterations as u64
                         )
             );
-            let (assignment, _floor) = apply_lemma21_floor(graph, report.outputs, eps1, true);
+            Some(report.outputs)
+        }
+        FractionalMethod::Kw05 { k } => {
+            let k = k.unwrap_or_else(|| kw05::default_k(graph));
+            let report = composer
+                .measured(
+                    PhaseSpec::new(
+                        PhaseKind::Fractional,
+                        "part I: KW05 local fractional solution (measured)",
+                    )
+                    .with_formula(formulas::kw05_rounds(k)),
+                    vec![Kw05Program::new(k); graph.n()],
+                )
+                .expect("KW05 program is well-formed");
+            Some(report.outputs)
+        }
+        FractionalMethod::Mwu(_) | FractionalMethod::DegreeHeuristic => None,
+    };
+    let (assignment, lp_lower_bound) = match measured_values {
+        Some(values) => {
+            let (assignment, _floor) = apply_lemma21_floor(graph, values, eps1, true);
             composer.charged(
                 PhaseSpec::new(PhaseKind::Fractional, "part I: fractionality floor"),
                 0,
@@ -611,12 +635,12 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             );
             (assignment, mds_fractional::lp::dual_lower_bound(graph))
         }
-        method => {
+        None => {
             let initial = initial_fractional_solution(
                 graph,
                 &InitialSolutionConfig {
                     epsilon: eps1,
-                    method: method.clone(),
+                    method: config.fractional.clone(),
                     make_transmittable: true,
                 },
             );
@@ -791,7 +815,7 @@ pub fn corollary_1_3(graph: &Graph, config: &MdsConfig) -> MdsResult {
 mod tests {
     use super::*;
     use crate::verify::is_dominating_set;
-    use congest_sim::{PhaseMode, PooledExecutor};
+    use congest_sim::{ExecutionError, NodeProgram, PhaseMode, PooledExecutor, RunReport};
     use mds_graphs::generators;
     use PhaseKind::{Coloring, Derandomization, Fractional, NetDecomp};
     use PhaseMode::{Charged, Measured};
@@ -1126,6 +1150,69 @@ mod tests {
             central_oracle(&g, &config).measured_engine_rounds(),
             kw05.simulated_rounds
         );
+    }
+
+    /// Forwards every run to [`SyncExecutor`] and counts the calls.
+    #[derive(Default)]
+    struct CountingExecutor {
+        runs: std::cell::Cell<usize>,
+    }
+
+    impl Executor for CountingExecutor {
+        fn run<P>(
+            &self,
+            graph: &Graph,
+            programs: Vec<P>,
+            config: &ExecutorConfig,
+        ) -> Result<RunReport<P::Output>, ExecutionError>
+        where
+            P: NodeProgram + Send,
+            P::Message: Send + Sync,
+            P::Output: Send,
+        {
+            self.runs.set(self.runs.get() + 1);
+            SyncExecutor.run(graph, programs, config)
+        }
+    }
+
+    #[test]
+    fn every_measured_phase_runs_on_the_callers_executor() {
+        let g = generators::gnp(60, 0.1, 3);
+        for fractional in [
+            quick_config().fractional,
+            FractionalMethod::Kw05 { k: None },
+        ] {
+            for route in [
+                DerandRoute::Coloring,
+                DerandRoute::NetworkDecomposition { k: 2 },
+            ] {
+                let config = MdsConfig {
+                    route,
+                    fractional: fractional.clone(),
+                    ..quick_config()
+                };
+                let counting = CountingExecutor::default();
+                let result = run_on(&g, &config, &counting);
+                let measured: Vec<_> = result
+                    .ledger
+                    .phases()
+                    .iter()
+                    .filter(|p| p.mode == Measured)
+                    .collect();
+                assert_eq!(counting.runs.get(), measured.len(), "{config:?}");
+                // Part I ran under the composer, which stamps its wall.
+                assert_eq!(measured[0].kind, Fractional);
+                assert!(measured[0].wall_nanos > 0, "{config:?}");
+                if let FractionalMethod::Kw05 { .. } = fractional {
+                    let pooled = run_on(&g, &config, &PooledExecutor::new(3));
+                    let oracle = central_oracle(&g, &config);
+                    for other in [&pooled, &oracle] {
+                        assert_eq!(other.dominating_set, result.dominating_set);
+                        assert_eq!(other.assignment, result.assignment);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,19 +17,19 @@
 //!   and reduction steps, both functions of the IDs and the topology only)
 //!   and fixes the final colors step by step in one loop; the Lemma 3.12
 //!   formula is charged to its ledger.
-//! * [`DistanceTwoColoringProgram`] / [`distributed_bipartite_coloring_on`] —
-//!   the **measured** CONGEST execution on the original network: every
-//!   reduction step spends exactly two engine rounds. In the odd round the
-//!   step's nodes fix the smallest color not yet taken in their conflict
+//! * [`DistanceTwoColoringProgram`] — the **measured** CONGEST execution on
+//!   the original network, built by [`distance_two_coloring_programs`], run
+//!   by any [`congest_sim::Executor`] and read back by [`assemble_coloring`]:
+//!   every reduction step spends exactly two engine rounds. In the odd round
+//!   the step's nodes fix the smallest color not yet taken in their conflict
 //!   neighborhood and broadcast it; in the even round the constraint owners
 //!   (the left nodes, each hosted by the original node owning the
 //!   constraint) relay the newly fixed colors to the still-undecided right
 //!   nodes at distance two. Both executions evaluate the same smallest-free
 //!   rule over the same processing order, so the engine output is
 //!   bit-identical to the central oracle (proptest-enforced in
-//!   `tests/coloring_conformance.rs`). It returns the engine's `RunReport`;
-//!   whoever runs it records that as one measured phase (the pipeline's
-//!   composer does).
+//!   `tests/coloring_conformance.rs`). Whoever runs it records the engine's
+//!   `RunReport` as one measured phase (the pipeline's composer does).
 //!
 //! **Why the engine output equals the central greedy.** The schedule orders
 //! the targets by `(batch, id)` — batches are the identifier residues modulo
@@ -45,9 +45,8 @@
 
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, PhaseKind, PhaseSpec, RoundAction, RoundLedger, RunReport, SyncExecutor,
-    Wire,
+    Graph, Inbox, MessageSize, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind, PhaseSpec,
+    RoundAction, RoundLedger, Wire,
 };
 use mds_graphs::BipartiteGraph;
 
@@ -626,66 +625,6 @@ pub fn assemble_coloring(outputs: &[Option<usize>]) -> BipartiteColoring {
     }
 }
 
-/// Outcome of a measured distance-two coloring run on the engine.
-#[derive(Debug, Clone)]
-pub struct DistributedColoringOutcome {
-    /// The assembled coloring (identical to the central
-    /// [`bipartite_distance_two_coloring`] oracle).
-    pub coloring: BipartiteColoring,
-    /// The engine report (rounds, messages, bandwidth, per-round stats).
-    pub report: RunReport<Option<usize>>,
-    /// Number of reduction steps that were executed.
-    pub steps: usize,
-}
-
-/// Runs the measured distance-two coloring on the sequential executor.
-///
-/// # Errors
-///
-/// Returns the validation error of [`distance_two_coloring_programs`] or a
-/// formatted engine error.
-pub fn distributed_bipartite_coloring(
-    graph: &Graph,
-    b: &BipartiteGraph,
-    left_owner: &[usize],
-    targets: &[usize],
-) -> Result<DistributedColoringOutcome, String> {
-    distributed_bipartite_coloring_on(
-        graph,
-        b,
-        left_owner,
-        targets,
-        &SyncExecutor,
-        &ExecutorConfig::default(),
-    )
-}
-
-/// Runs the measured distance-two coloring on an arbitrary [`Executor`].
-/// Outputs and reports are identical across executors.
-///
-/// # Errors
-///
-/// Returns the validation error of [`distance_two_coloring_programs`] or a
-/// formatted engine error.
-pub fn distributed_bipartite_coloring_on<E: Executor>(
-    graph: &Graph,
-    b: &BipartiteGraph,
-    left_owner: &[usize],
-    targets: &[usize],
-    executor: &E,
-    config: &ExecutorConfig,
-) -> Result<DistributedColoringOutcome, String> {
-    let (programs, schedule) = distance_two_coloring_programs(graph, b, left_owner, targets)?;
-    let report = executor
-        .run(graph, programs, config)
-        .map_err(|e: ExecutionError| e.to_string())?;
-    Ok(DistributedColoringOutcome {
-        coloring: assemble_coloring(&report.outputs),
-        report,
-        steps: schedule.num_steps,
-    })
-}
-
 /// A distance-two coloring of all nodes of an ordinary graph (i.e. a proper
 /// coloring of `G²`), via the identifier-ordered greedy. Used by the plain
 /// Lemma 3.10 instantiation when no degree reduction is applied.
@@ -720,8 +659,30 @@ pub fn graph_distance_two_coloring(graph: &Graph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::bipartite::BipartiteRepresentation;
     use mds_graphs::generators;
+
+    /// Builds the measured programs, runs them on `executor` and assembles
+    /// the coloring, as the pipeline does; also returns the engine report
+    /// and the number of reduction steps.
+    fn run_measured<E: Executor>(
+        g: &Graph,
+        b: &BipartiteGraph,
+        owners: &[usize],
+        targets: &[usize],
+        executor: &E,
+    ) -> (BipartiteColoring, RunReport<Option<usize>>, usize) {
+        let (programs, schedule) = distance_two_coloring_programs(g, b, owners, targets).unwrap();
+        let report = executor
+            .run(g, programs, &ExecutorConfig::default())
+            .unwrap();
+        (
+            assemble_coloring(&report.outputs),
+            report,
+            schedule.num_steps,
+        )
+    }
 
     /// The representation instance of the measured coloring: `B_G` with every
     /// left node hosted by its own original node.
@@ -844,8 +805,8 @@ mod tests {
             .any(|&r| coloring.colors[r] != schedule.batch[r]));
         // And the engine agrees bit for bit.
         let owners: Vec<usize> = (0..g.n()).collect();
-        let run = distributed_bipartite_coloring(&g, rep.graph(), &owners, &targets).unwrap();
-        assert_eq!(run.coloring.colors, coloring.colors);
+        let (run, _, _) = run_measured(&g, rep.graph(), &owners, &targets, &SyncExecutor);
+        assert_eq!(run.colors, coloring.colors);
     }
 
     #[test]
@@ -854,24 +815,24 @@ mod tests {
         let (b, owners) = representation_instance(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
         let oracle = bipartite_distance_two_coloring(&b, &targets, g.n());
-        let run = distributed_bipartite_coloring(&g, &b, &owners, &targets).unwrap();
-        assert_eq!(run.coloring.colors, oracle.colors);
-        assert_eq!(run.coloring.num_colors, oracle.num_colors);
+        let (coloring, report, steps) = run_measured(&g, &b, &owners, &targets, &SyncExecutor);
+        assert_eq!(coloring.colors, oracle.colors);
+        assert_eq!(coloring.num_colors, oracle.num_colors);
         assert_eq!(
-            run.report.rounds,
-            formulas::measured_coloring_rounds(run.steps as u64)
+            report.rounds,
+            formulas::measured_coloring_rounds(steps as u64)
         );
         // The measured rounds stay below the Lemma 3.12 charge even on the
         // sparse ring, where the budget is tight.
         assert!(
-            run.report.rounds
+            report.rounds
                 <= formulas::bipartite_coloring_rounds(
                     b.max_left_degree(),
                     b.max_right_degree(),
                     g.n()
                 )
         );
-        verify_bipartite_coloring(&b, &run.coloring, &targets).unwrap();
+        verify_bipartite_coloring(&b, &coloring, &targets).unwrap();
     }
 
     #[test]
@@ -879,18 +840,10 @@ mod tests {
         let g = generators::gnp(35, 0.12, 8);
         let (b, owners) = representation_instance(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let seq = distributed_bipartite_coloring(&g, &b, &owners, &targets).unwrap();
-        let par = distributed_bipartite_coloring_on(
-            &g,
-            &b,
-            &owners,
-            &targets,
-            &congest_sim::PooledExecutor::new(3),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.coloring.colors, par.coloring.colors);
+        let (seq, seq_report, _) = run_measured(&g, &b, &owners, &targets, &SyncExecutor);
+        let (par, par_report, _) = run_measured(&g, &b, &owners, &targets, &PooledExecutor::new(3));
+        assert_eq!(seq_report, par_report);
+        assert_eq!(seq.colors, par.colors);
     }
 
     #[test]
@@ -903,22 +856,22 @@ mod tests {
         let oracle = bipartite_distance_two_coloring(&b, &targets, 5);
         assert_eq!(oracle.num_colors, 1);
         assert!(oracle.colors.iter().all(|&c| c == 0));
-        let run = distributed_bipartite_coloring(&g, &b, &[], &targets).unwrap();
-        assert_eq!(run.coloring.colors, oracle.colors);
-        assert_eq!(run.steps, 1);
-        assert_eq!(run.report.rounds, 2);
-        assert!(run.report.rounds <= formulas::bipartite_coloring_rounds(0, 0, 5));
+        let (coloring, report, steps) = run_measured(&g, &b, &[], &targets, &SyncExecutor);
+        assert_eq!(coloring.colors, oracle.colors);
+        assert_eq!(steps, 1);
+        assert_eq!(report.rounds, 2);
+        assert!(report.rounds <= formulas::bipartite_coloring_rounds(0, 0, 5));
     }
 
     #[test]
     fn empty_target_set_spends_the_single_observing_round() {
         let g = generators::path(4);
         let (b, owners) = representation_instance(&g);
-        let run = distributed_bipartite_coloring(&g, &b, &owners, &[]).unwrap();
-        assert_eq!(run.steps, 0);
-        assert_eq!(run.report.rounds, 1);
-        assert_eq!(run.coloring.num_colors, 0);
-        assert!(run.coloring.colors.iter().all(|&c| c == usize::MAX));
+        let (coloring, report, steps) = run_measured(&g, &b, &owners, &[], &SyncExecutor);
+        assert_eq!(steps, 0);
+        assert_eq!(report.rounds, 1);
+        assert_eq!(coloring.num_colors, 0);
+        assert!(coloring.colors.iter().all(|&c| c == usize::MAX));
     }
 
     #[test]

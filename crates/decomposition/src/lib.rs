@@ -41,8 +41,7 @@ pub mod spanner;
 
 pub use cluster::{Cluster, ClusterGraph};
 pub use netdecomp::{
-    assemble_decomposition, carving_schedule, clusters_from_schedule, distributed_decomposition,
-    distributed_decomposition_on, netdecomp_programs, netdecomp_programs_from_schedule,
-    strong_diameter_decomposition, CarvingSchedule, DecompositionConfig,
-    DistributedDecompositionOutcome, NetDecompOutput, NetDecompProgram, NetworkDecomposition,
+    assemble_decomposition, carving_schedule, clusters_from_schedule, netdecomp_programs,
+    netdecomp_programs_from_schedule, strong_diameter_decomposition, CarvingSchedule,
+    DecompositionConfig, NetDecompOutput, NetDecompProgram, NetworkDecomposition,
 };

@@ -26,18 +26,18 @@
 //!   and how deep each phase's join wave runs — all functions of the IDs and
 //!   the topology only) and materializes the clusters from it in one pass;
 //!   the Theorem 3.2 formula is charged to its ledger.
-//! * [`NetDecompProgram`] / [`distributed_decomposition_on`] — the
-//!   **measured** CONGEST execution: phase by phase, the carve centers open
-//!   with a broadcast and the cluster memberships spread as BFS join waves
-//!   through the phase's nodes, each join re-broadcast to the neighbors
-//!   (one stored payload per join via the engine's broadcast fast path).
-//!   The run spends exactly
+//! * [`NetDecompProgram`] — the **measured** CONGEST execution, built by
+//!   [`netdecomp_programs`], run by any [`congest_sim::Executor`] and read
+//!   back by [`assemble_decomposition`]: phase by phase, the carve centers
+//!   open with a broadcast and the cluster memberships spread as BFS join
+//!   waves through the phase's nodes, each join re-broadcast to the
+//!   neighbors (one stored payload per join via the engine's broadcast fast
+//!   path). The run spends exactly
 //!   [`formulas::measured_netdecomp_rounds`] rounds — at most the
 //!   [`formulas::netdecomp_charge_rounds`] paper charge — and its assembled
 //!   output is bit-identical to the central oracle (proptest-enforced in
-//!   `tests/netdecomp_conformance.rs`). It returns the engine's `RunReport`;
-//!   whoever runs it records that as one measured phase (the pipeline's
-//!   composer does).
+//!   `tests/netdecomp_conformance.rs`). Whoever runs it records the engine's
+//!   `RunReport` as one measured phase (the pipeline's composer does).
 //!
 //! **Why the engine output equals the central carving.** The schedule fixes,
 //! per node, the phase in which it is clustered and whether it is a carve
@@ -58,8 +58,8 @@
 use crate::cluster::{Cluster, ClusterGraph};
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind,
-    PhaseSpec, RoundAction, RoundLedger, RunReport, SyncExecutor, Wire,
+    Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind, PhaseSpec, RoundAction,
+    RoundLedger, Wire,
 };
 use std::collections::VecDeque;
 
@@ -653,68 +653,34 @@ pub fn assemble_decomposition(
     }
 }
 
-/// Outcome of a measured network-decomposition run on the engine.
-#[derive(Debug, Clone)]
-pub struct DistributedDecompositionOutcome {
-    /// The assembled decomposition (bit-identical clusters to the central
-    /// [`strong_diameter_decomposition`] oracle).
-    pub decomposition: NetworkDecomposition,
-    /// The engine report (rounds, messages, bandwidth, per-round stats).
-    pub report: RunReport<NetDecompOutput>,
-    /// The carving schedule the programs followed.
-    pub schedule: CarvingSchedule,
-}
-
-/// Runs the measured network decomposition on the sequential executor.
-///
-/// # Errors
-///
-/// Returns a formatted engine error.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn distributed_decomposition(
-    graph: &Graph,
-    k: usize,
-    config: &DecompositionConfig,
-) -> Result<DistributedDecompositionOutcome, String> {
-    distributed_decomposition_on(graph, k, config, &SyncExecutor, &ExecutorConfig::default())
-}
-
-/// Runs the measured network decomposition on an arbitrary [`Executor`].
-/// Outputs and reports are identical across executors.
-///
-/// # Errors
-///
-/// Returns a formatted engine error.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn distributed_decomposition_on<E: Executor>(
-    graph: &Graph,
-    k: usize,
-    config: &DecompositionConfig,
-    executor: &E,
-    exec_config: &ExecutorConfig,
-) -> Result<DistributedDecompositionOutcome, String> {
-    let (programs, schedule) = netdecomp_programs(graph, k, config);
-    let report = executor
-        .run(graph, programs, exec_config)
-        .map_err(|e| e.to_string())?;
-    Ok(DistributedDecompositionOutcome {
-        decomposition: assemble_decomposition(&report.outputs, &schedule),
-        report,
-        schedule,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_sim::PooledExecutor;
+    use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
+
+    /// Builds the measured programs, runs them on `executor` and assembles
+    /// the decomposition, as the pipeline does; also returns the engine
+    /// report and the schedule the programs followed.
+    fn run_measured<E: Executor>(
+        graph: &Graph,
+        k: usize,
+        executor: &E,
+    ) -> (
+        NetworkDecomposition,
+        RunReport<NetDecompOutput>,
+        CarvingSchedule,
+    ) {
+        let (programs, schedule) = netdecomp_programs(graph, k, &DecompositionConfig::default());
+        let report = executor
+            .run(graph, programs, &ExecutorConfig::default())
+            .unwrap();
+        (
+            assemble_decomposition(&report.outputs, &schedule),
+            report,
+            schedule,
+        )
+    }
 
     fn check(graph: &Graph, k: usize) -> NetworkDecomposition {
         let nd = strong_diameter_decomposition(graph, k, &DecompositionConfig::default());
@@ -724,27 +690,34 @@ mod tests {
 
     /// Runs the measured program and pins it bit-identical to the oracle,
     /// with the exact round formula and the paper charge.
-    fn check_measured(graph: &Graph, k: usize) -> DistributedDecompositionOutcome {
+    fn check_measured(
+        graph: &Graph,
+        k: usize,
+    ) -> (
+        NetworkDecomposition,
+        RunReport<NetDecompOutput>,
+        CarvingSchedule,
+    ) {
         let oracle = check(graph, k);
-        let run = distributed_decomposition(graph, k, &DecompositionConfig::default()).unwrap();
-        assert_eq!(run.decomposition.clusters, oracle.clusters);
-        assert_eq!(run.decomposition.k, oracle.k);
-        assert_eq!(run.report.rounds, run.schedule.wave_rounds());
+        let (nd, report, schedule) = run_measured(graph, k, &SyncExecutor);
+        assert_eq!(nd.clusters, oracle.clusters);
+        assert_eq!(nd.k, oracle.k);
+        assert_eq!(report.rounds, schedule.wave_rounds());
         assert_eq!(
-            run.report.rounds,
+            report.rounds,
             formulas::measured_netdecomp_rounds(
-                run.schedule.num_phases as u64,
-                run.schedule.total_wave_depth()
+                schedule.num_phases as u64,
+                schedule.total_wave_depth()
             )
         );
         assert!(
-            run.report.rounds <= formulas::netdecomp_charge_rounds(graph.n(), k),
+            report.rounds <= formulas::netdecomp_charge_rounds(graph.n(), k),
             "measured {} rounds exceed the paper charge {}",
-            run.report.rounds,
+            report.rounds,
             formulas::netdecomp_charge_rounds(graph.n(), k)
         );
-        assert_eq!(run.report.messages, 2 * graph.m() as u64);
-        run
+        assert_eq!(report.messages, 2 * graph.m() as u64);
+        (nd, report, schedule)
     }
 
     #[test]
@@ -782,9 +755,9 @@ mod tests {
         assert_eq!(nd.num_colors(), 1);
         // The degenerate one-center instance on the engine: one phase of
         // depth 1, so the run spends exactly two rounds.
-        let run = check_measured(&g, 2);
-        assert_eq!(run.schedule.num_phases, 1);
-        assert_eq!(run.report.rounds, 2);
+        let (_, report, schedule) = check_measured(&g, 2);
+        assert_eq!(schedule.num_phases, 1);
+        assert_eq!(report.rounds, 2);
     }
 
     #[test]
@@ -804,9 +777,9 @@ mod tests {
         assert!(nd.ledger.total_simulated_rounds() > 0);
         assert!(nd.ledger.total_formula_rounds() > 0);
         // The oracle charges exactly what the engine measures.
-        let run = check_measured(&g, 2);
-        assert_eq!(nd.ledger.total_simulated_rounds(), run.report.rounds);
-        assert_eq!(nd.ledger.total_messages(), run.report.messages);
+        let (_, report, _) = check_measured(&g, 2);
+        assert_eq!(nd.ledger.total_simulated_rounds(), report.rounds);
+        assert_eq!(nd.ledger.total_messages(), report.messages);
     }
 
     #[test]
@@ -822,15 +795,15 @@ mod tests {
         let g = congest_sim::Graph::empty(0);
         let nd = strong_diameter_decomposition(&g, 2, &DecompositionConfig::default());
         assert_eq!(nd.clusters.len(), 0);
-        let run = distributed_decomposition(&g, 2, &DecompositionConfig::default()).unwrap();
-        assert_eq!(run.report.rounds, 0);
-        assert!(run.decomposition.clusters.is_empty());
+        let (measured, report, _) = run_measured(&g, 2, &SyncExecutor);
+        assert_eq!(report.rounds, 0);
+        assert!(measured.clusters.is_empty());
 
         let g = congest_sim::Graph::empty(1);
         let nd = check(&g, 2);
         assert_eq!(nd.clusters.len(), 1);
-        let run = check_measured(&g, 2);
-        assert_eq!(run.report.rounds, 1, "one phase, zero wave depth");
+        let (_, report, _) = check_measured(&g, 2);
+        assert_eq!(report.rounds, 1, "one phase, zero wave depth");
     }
 
     #[test]
@@ -909,18 +882,11 @@ mod tests {
             (generators::gnp(70, 0.06, 11), 2),
             (generators::random_tree(45, 7), 3),
         ] {
-            let run = check_measured(&g, k);
-            run.decomposition.verify(&g).expect("valid decomposition");
-            let par = distributed_decomposition_on(
-                &g,
-                k,
-                &DecompositionConfig::default(),
-                &PooledExecutor::new(3),
-                &ExecutorConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(par.report, run.report);
-            assert_eq!(par.decomposition.clusters, run.decomposition.clusters);
+            let (nd, report, _) = check_measured(&g, k);
+            nd.verify(&g).expect("valid decomposition");
+            let (par, par_report, _) = run_measured(&g, k, &PooledExecutor::new(3));
+            assert_eq!(par_report, report);
+            assert_eq!(par.clusters, nd.clusters);
         }
     }
 
@@ -929,9 +895,9 @@ mod tests {
         // Every node broadcasts its join exactly once: 2m messages charged,
         // one stored payload per non-isolated node.
         let g = generators::gnp(50, 0.1, 3);
-        let run = check_measured(&g, 2);
+        let (_, report, _) = check_measured(&g, 2);
         let isolated = (0..g.n()).filter(|&v| g.degree(NodeId(v)) == 0).count();
-        assert_eq!(run.report.payloads, (g.n() - isolated) as u64);
+        assert_eq!(report.payloads, (g.n() - isolated) as u64);
     }
 
     #[test]

@@ -11,21 +11,21 @@
 //!
 //! * [`ruling_set`] — the centralized identifier-ordered greedy; its round
 //!   cost is *charged* to the ledger via the paper's `O(log³ n)` bound.
-//! * [`distributed_ruling_set`] — the same set computed as a genuine CONGEST
-//!   [`NodeProgram`] on the execution engine: each phase floods the minimum
-//!   active candidate identifier for `α−1` rounds (local minima join the
-//!   set), then floods blocking notices for another `α−1` rounds. Since a
-//!   candidate joins exactly when no smaller unblocked candidate sits within
-//!   distance `α−1`, the fixed point equals the identifier-ordered greedy,
-//!   and the round count is *measured* against
-//!   [`formulas::ruling_set_phase_rounds`]. The result carries the engine's
-//!   `RunReport` rather than a ledger of its own.
+//! * [`RulingSetProgram`] — the same set computed as a genuine CONGEST
+//!   [`NodeProgram`], built by [`ruling_set_programs`], run by any
+//!   [`congest_sim::Executor`] and read back by [`assemble_ruling_set`]:
+//!   each phase floods the minimum active candidate identifier for `α−1`
+//!   rounds (local minima join the set), then floods blocking notices for
+//!   another `α−1` rounds. Since a candidate joins exactly when no smaller
+//!   unblocked candidate sits within distance `α−1`, the fixed point equals
+//!   the identifier-ordered greedy, and the round count is *measured*
+//!   against [`formulas::ruling_set_phase_rounds`]. Whoever runs it records
+//!   the engine's `RunReport`; the programs keep no ledger of their own.
 
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, PhaseKind, PhaseSpec, RoundAction, RoundLedger, RunReport, SyncExecutor,
-    Wire,
+    Graph, Inbox, MessageSize, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind, PhaseSpec,
+    RoundAction, RoundLedger, Wire,
 };
 use std::collections::VecDeque;
 
@@ -48,10 +48,6 @@ pub struct RulingSet {
 /// Panics if `alpha == 0`.
 pub fn ruling_set(graph: &Graph, candidates: &[NodeId], alpha: usize) -> RulingSet {
     assert!(alpha >= 1, "alpha must be at least 1");
-    let mut is_candidate = vec![false; graph.n()];
-    for &v in candidates {
-        is_candidate[v.0] = true;
-    }
     let mut blocked = vec![false; graph.n()];
     let mut selected = Vec::new();
     let mut order: Vec<NodeId> = candidates.to_vec();
@@ -178,23 +174,6 @@ pub struct RulingSetProgram {
 }
 
 impl RulingSetProgram {
-    /// Creates the program; `candidate` marks membership in the input set
-    /// `S`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha == 0`.
-    pub fn new(alpha: usize, candidate: bool) -> Self {
-        assert!(alpha >= 1, "alpha must be at least 1");
-        RulingSetProgram {
-            alpha,
-            active: candidate,
-            selected: false,
-            resolved_phase: 0,
-            best: None,
-        }
-    }
-
     fn output(&self) -> RulingSetNodeOutput {
         RulingSetNodeOutput {
             selected: self.selected,
@@ -291,91 +270,47 @@ impl NodeProgram for RulingSetProgram {
     }
 }
 
-/// Result of a distributed ruling-set run.
-#[derive(Debug, Clone)]
-pub struct DistributedRulingSet {
-    /// The selected nodes, in increasing identifier order. Equals the
-    /// identifier-ordered greedy [`ruling_set`] on the same input.
-    pub selected: Vec<NodeId>,
-    /// The separation parameter α.
-    pub alpha: usize,
-    /// The engine report (rounds, messages, per-round stats).
-    pub report: RunReport<RulingSetNodeOutput>,
-    /// Number of selection phases until global quiescence.
-    pub phases: u64,
-}
-
-/// Runs the distributed `(alpha, alpha-1)`-ruling set on the sequential
-/// executor.
-///
-/// # Errors
-///
-/// Propagates engine errors (these indicate a bug in the program, not a
-/// property of the input).
+/// One [`RulingSetProgram`] per node of `graph` for the
+/// `(alpha, alpha-1)`-ruling set of `candidates`: a candidate starts active,
+/// every other node only relays.
 ///
 /// # Panics
 ///
 /// Panics if `alpha == 0`.
-pub fn distributed_ruling_set(
+pub fn ruling_set_programs(
     graph: &Graph,
     candidates: &[NodeId],
     alpha: usize,
-) -> Result<DistributedRulingSet, ExecutionError> {
-    distributed_ruling_set_on(
-        graph,
-        candidates,
-        alpha,
-        &SyncExecutor,
-        &ExecutorConfig::default(),
-    )
-}
-
-/// Runs the distributed ruling set on an arbitrary [`Executor`]. Outputs and
-/// reports are identical across executors.
-///
-/// # Errors
-///
-/// Propagates engine errors (these indicate a bug in the program, not a
-/// property of the input).
-///
-/// # Panics
-///
-/// Panics if `alpha == 0`.
-pub fn distributed_ruling_set_on<E: Executor>(
-    graph: &Graph,
-    candidates: &[NodeId],
-    alpha: usize,
-    executor: &E,
-    config: &ExecutorConfig,
-) -> Result<DistributedRulingSet, ExecutionError> {
+) -> Vec<RulingSetProgram> {
     assert!(alpha >= 1, "alpha must be at least 1");
-    let mut is_candidate = vec![false; graph.n()];
+    let mut programs = vec![
+        RulingSetProgram {
+            alpha,
+            active: false,
+            selected: false,
+            resolved_phase: 0,
+            best: None,
+        };
+        graph.n()
+    ];
     for &v in candidates {
-        is_candidate[v.0] = true;
+        programs[v.0].active = true;
     }
-    let programs: Vec<_> = (0..graph.n())
-        .map(|v| RulingSetProgram::new(alpha, is_candidate[v]))
-        .collect();
-    let report = executor.run(graph, programs, config)?;
-    let selected: Vec<NodeId> = report
-        .outputs
+    programs
+}
+
+/// Assembles the selected nodes (in increasing identifier order) and the
+/// number of selection phases until quiescence from the per-node engine
+/// outputs.
+pub fn assemble_ruling_set(outputs: &[RulingSetNodeOutput]) -> (Vec<NodeId>, u64) {
+    let selected = outputs
         .iter()
         .enumerate()
         .filter(|(_, o)| o.selected)
         .map(|(v, _)| NodeId(v))
         .collect();
-    let phases = report
-        .outputs
-        .iter()
-        .map(|o| o.resolved_phase)
-        .max()
-        .unwrap_or(0);
-    Ok(DistributedRulingSet {
-        selected,
-        alpha,
-        report,
-        phases,
-    })
+    let phases = outputs.iter().map(|o| o.resolved_phase).max().unwrap_or(0);
+    (selected, phases)
 }
 
 /// Verifies the ruling-set properties: selected nodes are candidates, pairwise
@@ -433,7 +368,24 @@ pub fn verify_ruling_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
+
+    /// Builds the programs, runs them on `executor` and assembles the
+    /// selected set and the phase count.
+    fn run_measured<E: Executor>(
+        g: &Graph,
+        candidates: &[NodeId],
+        alpha: usize,
+        executor: &E,
+    ) -> (Vec<NodeId>, u64, RunReport<RulingSetNodeOutput>) {
+        let programs = ruling_set_programs(g, candidates, alpha);
+        let report = executor
+            .run(g, programs, &ExecutorConfig::default())
+            .unwrap();
+        let (selected, phases) = assemble_ruling_set(&report.outputs);
+        (selected, phases, report)
+    }
 
     #[test]
     fn ruling_set_on_a_path_is_every_alpha_th_node() {
@@ -517,9 +469,9 @@ mod tests {
             let candidates: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 != 0).collect();
             for alpha in [1usize, 2, 3, 5] {
                 let seq = ruling_set(&g, &candidates, alpha);
-                let dist = distributed_ruling_set(&g, &candidates, alpha).unwrap();
+                let (selected, _, _) = run_measured(&g, &candidates, alpha, &SyncExecutor);
                 assert_eq!(
-                    dist.selected, seq.selected,
+                    selected, seq.selected,
                     "seed {seed} alpha {alpha}: engine and greedy disagree"
                 );
                 verify_ruling_set(&g, &candidates, &seq).unwrap();
@@ -531,9 +483,9 @@ mod tests {
     fn distributed_ruling_set_path_matches_round_formula() {
         let g = generators::path(20);
         let candidates: Vec<NodeId> = g.nodes().collect();
-        let rs = distributed_ruling_set(&g, &candidates, 3).unwrap();
+        let (selected, phases, report) = run_measured(&g, &candidates, 3, &SyncExecutor);
         assert_eq!(
-            rs.selected,
+            selected,
             vec![
                 NodeId(0),
                 NodeId(3),
@@ -545,16 +497,13 @@ mod tests {
             ]
         );
         // One selection per phase on a path, then one trailing select flood.
-        assert_eq!(rs.phases, 7);
-        assert_eq!(
-            rs.report.rounds,
-            formulas::ruling_set_phase_rounds(rs.phases, 3)
-        );
+        assert_eq!(phases, 7);
+        assert_eq!(report.rounds, formulas::ruling_set_phase_rounds(phases, 3));
         // On this instance the measured cost also stays below the paper's
         // O(log³ n) HKN16 charge (not an invariant: long paths with α fixed
         // can exceed it, which is exactly what measuring is for).
-        assert!(rs.report.rounds <= formulas::cds_clustering_rounds(g.n()));
-        assert_eq!(rs.report.bandwidth_violations, 0);
+        assert!(report.rounds <= formulas::cds_clustering_rounds(g.n()));
+        assert_eq!(report.bandwidth_violations, 0);
     }
 
     #[test]
@@ -563,10 +512,10 @@ mod tests {
             let g = generators::gnp(40, 0.1, seed + 20);
             let candidates: Vec<NodeId> = g.nodes().filter(|v| v.0 % 2 == 0).collect();
             for alpha in [2usize, 4] {
-                let rs = distributed_ruling_set(&g, &candidates, alpha).unwrap();
+                let (_, phases, report) = run_measured(&g, &candidates, alpha, &SyncExecutor);
                 assert_eq!(
-                    rs.report.rounds,
-                    formulas::ruling_set_phase_rounds(rs.phases, alpha),
+                    report.rounds,
+                    formulas::ruling_set_phase_rounds(phases, alpha),
                     "seed {seed} alpha {alpha}"
                 );
             }
@@ -577,35 +526,28 @@ mod tests {
     fn distributed_ruling_set_is_identical_on_both_executors() {
         let g = generators::gnp(45, 0.09, 5);
         let candidates: Vec<NodeId> = g.nodes().filter(|v| v.0 % 2 == 1).collect();
-        let seq = distributed_ruling_set(&g, &candidates, 3).unwrap();
-        let par = distributed_ruling_set_on(
-            &g,
-            &candidates,
-            3,
-            &congest_sim::PooledExecutor::new(4),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.selected, par.selected);
+        let (seq, _, seq_report) = run_measured(&g, &candidates, 3, &SyncExecutor);
+        let (par, _, par_report) = run_measured(&g, &candidates, 3, &PooledExecutor::new(4));
+        assert_eq!(seq_report, par_report);
+        assert_eq!(seq, par);
     }
 
     #[test]
     fn distributed_alpha_one_selects_all_candidates_in_one_round() {
         let g = generators::cycle(12);
         let candidates: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let rs = distributed_ruling_set(&g, &candidates, 1).unwrap();
-        assert_eq!(rs.selected, candidates);
-        assert_eq!(rs.report.rounds, formulas::ruling_set_phase_rounds(0, 1));
+        let (selected, _, report) = run_measured(&g, &candidates, 1, &SyncExecutor);
+        assert_eq!(selected, candidates);
+        assert_eq!(report.rounds, formulas::ruling_set_phase_rounds(0, 1));
     }
 
     #[test]
     fn distributed_empty_candidates_quiesce_immediately() {
         let g = generators::path(6);
-        let rs = distributed_ruling_set(&g, &[], 4).unwrap();
-        assert!(rs.selected.is_empty());
-        assert_eq!(rs.phases, 0);
-        assert_eq!(rs.report.rounds, formulas::ruling_set_phase_rounds(0, 4));
+        let (selected, phases, report) = run_measured(&g, &[], 4, &SyncExecutor);
+        assert!(selected.is_empty());
+        assert_eq!(phases, 0);
+        assert_eq!(report.rounds, formulas::ruling_set_phase_rounds(0, 4));
     }
 
     #[test]

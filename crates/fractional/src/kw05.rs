@@ -10,13 +10,12 @@
 //! workspace's reference implementation of a non-trivial [`NodeProgram`].
 //!
 //! A final completion round raises the value of any node whose constraint is
-//! still uncovered to 1, so the output is always feasible.
+//! still uncovered to 1, so the output is always feasible. Every node runs
+//! its own [`Kw05Program::new`] on any [`congest_sim::Executor`] and outputs
+//! its value; the Lemma 2.1 wrapper and the composed pipeline both read the
+//! assignment straight off the run's outputs.
 
-use crate::cfds::FractionalAssignment;
-use congest_sim::{
-    Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeProgram, Outbox,
-    RoundAction, RunReport, SyncExecutor, Wire,
-};
+use congest_sim::{Graph, Inbox, MessageSize, NodeContext, NodeProgram, Outbox, RoundAction, Wire};
 
 /// Messages exchanged by [`Kw05Program`]: either the sender's current
 /// fractional value or the sender's "my constraint is covered" bit.
@@ -169,46 +168,6 @@ impl NodeProgram for Kw05Program {
     }
 }
 
-/// Outcome of a [`run`] of the KW05 algorithm.
-#[derive(Debug, Clone)]
-pub struct Kw05Outcome {
-    /// The feasible fractional dominating set.
-    pub assignment: FractionalAssignment,
-    /// The executor report (rounds, messages, bandwidth, per-round stats).
-    pub report: RunReport<f64>,
-}
-
-/// Runs the KW05 algorithm with locality parameter `k` on `graph` using the
-/// sequential executor.
-///
-/// # Errors
-///
-/// Propagates simulator errors (these indicate a bug in the program, not a
-/// property of the input).
-pub fn run(graph: &Graph, k: usize) -> Result<Kw05Outcome, congest_sim::ExecutionError> {
-    run_on(graph, k, &SyncExecutor, &ExecutorConfig::default())
-}
-
-/// Runs the KW05 algorithm on an arbitrary [`Executor`] (e.g. the parallel
-/// engine for large graphs). Outputs and reports are identical across
-/// executors.
-///
-/// # Errors
-///
-/// Propagates simulator errors (these indicate a bug in the program, not a
-/// property of the input).
-pub fn run_on<E: Executor>(
-    graph: &Graph,
-    k: usize,
-    executor: &E,
-    config: &ExecutorConfig,
-) -> Result<Kw05Outcome, congest_sim::ExecutionError> {
-    let programs: Vec<_> = (0..graph.n()).map(|_| Kw05Program::new(k)).collect();
-    let report = executor.run(graph, programs, config)?;
-    let assignment = FractionalAssignment::from_values(report.outputs.clone());
-    Ok(Kw05Outcome { assignment, report })
-}
-
 /// The default locality parameter `k = ceil(log2(Δ̃))`, the choice that gives
 /// the `O(log Δ)` approximation.
 pub fn default_k(graph: &Graph) -> usize {
@@ -218,77 +177,89 @@ pub fn default_k(graph: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfds::FractionalAssignment;
     use congest_sim::ledger::formulas;
+    use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
+
+    /// Runs one [`Kw05Program`] per node on `executor` and assembles the
+    /// node outputs into the fractional assignment.
+    fn run_measured<E: Executor>(
+        g: &Graph,
+        k: usize,
+        executor: &E,
+    ) -> (FractionalAssignment, RunReport<f64>) {
+        let report = executor
+            .run(
+                g,
+                vec![Kw05Program::new(k); g.n()],
+                &ExecutorConfig::default(),
+            )
+            .unwrap();
+        (
+            FractionalAssignment::from_values(report.outputs.clone()),
+            report,
+        )
+    }
 
     #[test]
     fn output_is_always_feasible() {
         for seed in 0..3 {
             let g = generators::gnp(60, 0.08, seed);
-            let out = run(&g, default_k(&g)).unwrap();
-            assert!(out.assignment.is_feasible_dominating_set(&g));
+            let (out, _) = run_measured(&g, default_k(&g), &SyncExecutor);
+            assert!(out.is_feasible_dominating_set(&g));
         }
     }
 
     #[test]
     fn star_output_is_small() {
         let g = generators::star(64);
-        let out = run(&g, default_k(&g)).unwrap();
-        assert!(out.assignment.is_feasible_dominating_set(&g));
+        let (out, _) = run_measured(&g, default_k(&g), &SyncExecutor);
+        assert!(out.is_feasible_dominating_set(&g));
         // The LP optimum is 1; the local algorithm's O(k·Δ̃^{2/k}) guarantee
         // with k = 6 allows roughly 24-48; it must in any case stay far below n.
-        assert!(
-            out.assignment.size() <= 40.0,
-            "size {}",
-            out.assignment.size()
-        );
+        assert!(out.size() <= 40.0, "size {}", out.size());
     }
 
     #[test]
     fn round_complexity_is_quadratic_in_k() {
         let g = generators::cycle(40);
         let k = 3;
-        let out = run(&g, k).unwrap();
-        assert_eq!(out.report.rounds, (k * k * 2) as u64);
+        let (_, report) = run_measured(&g, k, &SyncExecutor);
+        assert_eq!(report.rounds, (k * k * 2) as u64);
         // The measured round count matches the paper's O(k²) formula exactly.
-        assert_eq!(out.report.rounds, formulas::kw05_rounds(k));
+        assert_eq!(report.rounds, formulas::kw05_rounds(k));
     }
 
     #[test]
     fn parallel_executor_reproduces_sequential_outcome() {
         let g = generators::gnp(80, 0.06, 7);
         let k = default_k(&g);
-        let seq = run(&g, k).unwrap();
-        let par = run_on(
-            &g,
-            k,
-            &congest_sim::PooledExecutor::new(4),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.assignment.values(), par.assignment.values());
+        let (seq, seq_report) = run_measured(&g, k, &SyncExecutor);
+        let (par, par_report) = run_measured(&g, k, &PooledExecutor::new(4));
+        assert_eq!(seq_report, par_report);
+        assert_eq!(seq.values(), par.values());
     }
 
     #[test]
     fn messages_fit_congest_bandwidth() {
         let g = generators::gnp(100, 0.05, 1);
-        let out = run(&g, default_k(&g)).unwrap();
-        assert_eq!(out.report.bandwidth_violations, 0);
+        let (_, report) = run_measured(&g, default_k(&g), &SyncExecutor);
+        assert_eq!(report.bandwidth_violations, 0);
     }
 
     #[test]
     fn k_one_still_produces_feasible_solution() {
         let g = generators::path(10);
-        let out = run(&g, 1).unwrap();
-        assert!(out.assignment.is_feasible_dominating_set(&g));
+        let (out, _) = run_measured(&g, 1, &SyncExecutor);
+        assert!(out.is_feasible_dominating_set(&g));
     }
 
     #[test]
     fn larger_k_does_not_hurt_quality_on_cycles() {
         let g = generators::cycle(60);
-        let small = run(&g, 1).unwrap().assignment.size();
-        let large = run(&g, 4).unwrap().assignment.size();
+        let small = run_measured(&g, 1, &SyncExecutor).0.size();
+        let large = run_measured(&g, 4, &SyncExecutor).0.size();
         assert!(large <= small + 1e-9, "k=4 gave {large}, k=1 gave {small}");
     }
 

@@ -11,11 +11,13 @@
 //! the fractionality the gradual rounding of Section 3 starts from.
 
 use crate::cfds::FractionalAssignment;
-use crate::kw05;
+use crate::kw05::{self, Kw05Program};
 use crate::lp::{self, LpConfig};
 use crate::transmittable;
 use congest_sim::ledger::formulas;
-use congest_sim::{Graph, PhaseKind, PhaseSpec, RoundLedger};
+use congest_sim::{
+    Executor, ExecutorConfig, Graph, PhaseKind, PhaseSpec, RoundLedger, SyncExecutor,
+};
 
 /// Which fractional solver produces the pre-floor solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,18 +161,22 @@ pub fn initial_fractional_solution(
         }
         FractionalMethod::Kw05 { k } => {
             let k = k.unwrap_or_else(|| kw05::default_k(graph));
-            let out = kw05::run(graph, k).expect("KW05 program is well-formed");
-            // Measured on the engine; the RunReport feeds the ledger through
-            // the unified instrumentation path.
-            out.report.charge(
+            // Measured on the sequential engine even here: KW05 has no
+            // central replay. The composed pipeline runs the same programs
+            // on the caller's executor.
+            let report = SyncExecutor
+                .run(
+                    graph,
+                    vec![Kw05Program::new(k); graph.n()],
+                    &ExecutorConfig::default(),
+                )
+                .expect("KW05 program is well-formed");
+            report.charge(
                 &mut ledger,
                 part_one("part I: KW05 local fractional solution (measured)")
                     .with_formula(formulas::kw05_rounds(k)),
             );
-            (
-                out.assignment.values().to_vec(),
-                lp::dual_lower_bound(graph),
-            )
+            (report.outputs, lp::dual_lower_bound(graph))
         }
         FractionalMethod::DegreeHeuristic => {
             ledger.charge(

@@ -9,8 +9,9 @@
 //!   multiplicative-weights (Plotkin–Shmoys–Tardos style) solver for pure
 //!   covering LPs combined with a binary search over the budget. Round costs
 //!   can only be *charged* in closed form.
-//! * [`DistributedLpProgram`] / [`distributed_solve_fractional_mds`] — a
-//!   genuine message-passing MWU solver run on the execution engine: every
+//! * [`DistributedLpProgram`] — a genuine message-passing MWU solver,
+//!   built by [`DistributedLpProgram::programs`] and run by any
+//!   [`congest_sim::Executor`]; each node outputs its value. Every
 //!   width-reduction iteration costs exactly four CONGEST rounds (value
 //!   exchange, constraint weights, server scores, best-server maxima), so the
 //!   total round count is **measured** and equals
@@ -25,10 +26,7 @@
 //! below on instances too large for the exact solver.
 
 use crate::cfds::FractionalAssignment;
-use congest_sim::{
-    ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeProgram, Outbox,
-    RoundAction, RunReport, SyncExecutor,
-};
+use congest_sim::{Graph, Inbox, NodeContext, NodeProgram, Outbox, RoundAction};
 
 /// Configuration of the multiplicative-weights fractional solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -498,55 +496,6 @@ impl NodeProgram for DistributedLpProgram {
     }
 }
 
-/// Outcome of a distributed MWU run on the engine.
-#[derive(Debug, Clone)]
-pub struct DistributedLpOutcome {
-    /// The feasible fractional dominating set.
-    pub assignment: FractionalAssignment,
-    /// The engine report (rounds, messages, bandwidth, per-round stats).
-    pub report: RunReport<f64>,
-    /// The number of width-reduction iterations that were executed.
-    pub iterations: usize,
-}
-
-/// Runs the distributed MWU solver on the sequential executor.
-///
-/// # Errors
-///
-/// Propagates engine errors (these indicate a bug in the program, not a
-/// property of the input).
-pub fn distributed_solve_fractional_mds(
-    graph: &Graph,
-    config: &DistributedLpConfig,
-) -> Result<DistributedLpOutcome, ExecutionError> {
-    distributed_solve_on(graph, config, &SyncExecutor, &ExecutorConfig::default())
-}
-
-/// Runs the distributed MWU solver on an arbitrary [`Executor`]. Outputs and
-/// reports are identical across executors.
-///
-/// # Errors
-///
-/// Propagates engine errors (these indicate a bug in the program, not a
-/// property of the input).
-pub fn distributed_solve_on<E: Executor>(
-    graph: &Graph,
-    config: &DistributedLpConfig,
-    executor: &E,
-    exec_config: &ExecutorConfig,
-) -> Result<DistributedLpOutcome, ExecutionError> {
-    let report = executor.run(
-        graph,
-        DistributedLpProgram::programs(graph, config),
-        exec_config,
-    )?;
-    Ok(DistributedLpOutcome {
-        assignment: FractionalAssignment::from_values(report.outputs.clone()),
-        report,
-        iterations: config.resolve(graph.delta_tilde()).iterations,
-    })
-}
-
 /// Replays the distributed MWU update rule centrally, in the same order and
 /// with the same floating-point operations as the engine run — the oracle the
 /// engine execution is property-tested equal to.
@@ -624,7 +573,25 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Fra
 mod tests {
     use super::*;
     use congest_sim::ledger::formulas;
+    use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
+
+    /// Builds the MWU programs, runs them on `executor` and assembles the
+    /// node outputs into the fractional assignment.
+    fn run_measured<E: Executor>(
+        g: &Graph,
+        config: &DistributedLpConfig,
+        executor: &E,
+    ) -> (FractionalAssignment, RunReport<f64>) {
+        let programs = DistributedLpProgram::programs(g, config);
+        let report = executor
+            .run(g, programs, &ExecutorConfig::default())
+            .unwrap();
+        (
+            FractionalAssignment::from_values(report.outputs.clone()),
+            report,
+        )
+    }
 
     #[test]
     fn star_lp_is_one() {
@@ -701,17 +668,15 @@ mod tests {
         for seed in 0..3 {
             let g = generators::gnp(50, 0.1, seed);
             let config = DistributedLpConfig::default();
-            let out = distributed_solve_fractional_mds(&g, &config).unwrap();
+            let (_, report) = run_measured(&g, &config, &SyncExecutor);
             let t = config.resolve(g.delta_tilde()).iterations;
-            assert_eq!(out.iterations, t);
             // Measured: exactly 4T + 1 rounds.
-            assert_eq!(out.report.rounds, formulas::mwu_fractional_rounds(t as u64));
+            assert_eq!(report.rounds, formulas::mwu_fractional_rounds(t as u64));
             // And strictly below the paper's O(ε⁻⁴ log² Δ) charge (R1).
             assert!(
-                out.report.rounds
-                    <= formulas::kmw_fractional_rounds(g.max_degree(), config.epsilon)
+                report.rounds <= formulas::kmw_fractional_rounds(g.max_degree(), config.epsilon)
             );
-            assert_eq!(out.report.bandwidth_violations, 0);
+            assert_eq!(report.bandwidth_violations, 0);
         }
     }
 
@@ -721,16 +686,10 @@ mod tests {
             let g = generators::gnp(40, 0.12, seed);
             let config = DistributedLpConfig::default();
             let oracle = central_mwu_reference(&g, &config);
-            let seq = distributed_solve_fractional_mds(&g, &config).unwrap();
-            assert_eq!(seq.assignment.values(), oracle.values(), "seed {seed}");
-            let par = distributed_solve_on(
-                &g,
-                &config,
-                &congest_sim::PooledExecutor::new(3),
-                &ExecutorConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(seq.report, par.report, "seed {seed}");
+            let (seq, seq_report) = run_measured(&g, &config, &SyncExecutor);
+            assert_eq!(seq.values(), oracle.values(), "seed {seed}");
+            let (_, par_report) = run_measured(&g, &config, &PooledExecutor::new(3));
+            assert_eq!(seq_report, par_report, "seed {seed}");
         }
     }
 
@@ -745,14 +704,10 @@ mod tests {
                 epsilon: 0.25,
                 iterations: Some(iterations),
             };
-            let engine = distributed_solve_fractional_mds(&g, &config).unwrap();
+            let (engine, _) = run_measured(&g, &config, &SyncExecutor);
             let oracle = central_mwu_reference(&g, &config);
-            assert_eq!(
-                engine.assignment.values(),
-                oracle.values(),
-                "iterations {iterations}"
-            );
-            assert!(engine.assignment.is_feasible_dominating_set(&g));
+            assert_eq!(engine.values(), oracle.values(), "iterations {iterations}");
+            assert!(engine.is_feasible_dominating_set(&g));
         }
     }
 
@@ -765,30 +720,29 @@ mod tests {
             generators::cycle(30),
             generators::path(17),
         ] {
-            let out =
-                distributed_solve_fractional_mds(&g, &DistributedLpConfig::default()).unwrap();
-            assert!(out.assignment.is_feasible_dominating_set(&g));
-            assert!(out.assignment.size() >= dual_lower_bound(&g) - 1e-9);
+            let (out, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
+            assert!(out.is_feasible_dominating_set(&g));
+            assert!(out.size() >= dual_lower_bound(&g) - 1e-9);
         }
     }
 
     #[test]
     fn distributed_mwu_star_stays_near_optimal() {
         let g = generators::star(80);
-        let out = distributed_solve_fractional_mds(&g, &DistributedLpConfig::default()).unwrap();
-        assert!(out.assignment.is_feasible_dominating_set(&g));
+        let (out, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
+        assert!(out.is_feasible_dominating_set(&g));
         // The LP optimum is 1: only the center qualifies as a near-best
         // server, so the leaves never raise.
-        assert!(out.assignment.size() <= 1.5, "{}", out.assignment.size());
+        assert!(out.size() <= 1.5, "{}", out.size());
     }
 
     #[test]
     fn distributed_mwu_cycle_is_within_doubling_of_lp() {
         let g = generators::cycle(30);
-        let out = distributed_solve_fractional_mds(&g, &DistributedLpConfig::default()).unwrap();
+        let (out, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
         // LP optimum of C_30 is 10; a (1+ε)-ladder overshoots each value by
         // at most (1+ε), so the size stays close.
-        assert!(out.assignment.size() <= 14.0, "{}", out.assignment.size());
+        assert!(out.size() <= 14.0, "{}", out.size());
     }
 
     #[test]
@@ -796,13 +750,12 @@ mod tests {
         for seed in 0..3 {
             let g = generators::gnp(60, 0.1, seed + 20);
             let central = solve_fractional_mds(&g, &LpConfig::with_epsilon(0.1));
-            let distributed =
-                distributed_solve_fractional_mds(&g, &DistributedLpConfig::with_epsilon(0.1))
-                    .unwrap();
+            let (distributed, _) =
+                run_measured(&g, &DistributedLpConfig::with_epsilon(0.1), &SyncExecutor);
             assert!(
-                distributed.assignment.size() <= central.size * 2.0 + 1.0,
+                distributed.size() <= central.size * 2.0 + 1.0,
                 "seed {seed}: distributed {} vs central {}",
-                distributed.assignment.size(),
+                distributed.size(),
                 central.size
             );
         }
@@ -811,18 +764,18 @@ mod tests {
     #[test]
     fn distributed_mwu_isolated_and_empty_graphs() {
         let g = congest_sim::Graph::empty(5);
-        let out = distributed_solve_fractional_mds(&g, &DistributedLpConfig::default()).unwrap();
-        assert!(out.assignment.is_feasible_dominating_set(&g));
-        assert!((out.assignment.size() - 5.0).abs() < 1e-6);
+        let (out, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
+        assert!(out.is_feasible_dominating_set(&g));
+        assert!((out.size() - 5.0).abs() < 1e-6);
         assert_eq!(
             central_mwu_reference(&g, &DistributedLpConfig::default()).values(),
-            out.assignment.values()
+            out.values()
         );
 
         let g0 = congest_sim::Graph::empty(0);
-        let out0 = distributed_solve_fractional_mds(&g0, &DistributedLpConfig::default()).unwrap();
-        assert_eq!(out0.assignment.len(), 0);
-        assert_eq!(out0.report.rounds, 0);
+        let (out0, report0) = run_measured(&g0, &DistributedLpConfig::default(), &SyncExecutor);
+        assert_eq!(out0.len(), 0);
+        assert_eq!(report0.rounds, 0);
     }
 
     #[test]

@@ -29,24 +29,26 @@
 //!
 //! * [`derandomize`] — the **central oracle**: fixes the coins group by group
 //!   in one loop.
-//! * [`ScheduledDerandProgram`] / [`distributed_derandomize_on`] — the
-//!   **measured** CONGEST execution: the groups become the *steps* of a
-//!   [`DerandSchedule`], and each step spends exactly two engine rounds —
-//!   constraint owners send the two estimator branches (coin taken / coin
-//!   zeroed) of each deciding member, the deciders pick the branch that does
-//!   not increase the estimator and announce the fixed coin. Both routes
-//!   build the schedule with [`DerandSchedule::conflict_order`]: a value
-//!   decides one step after the last earlier-ordered value it shares a
-//!   constraint with. Under the Theorem 1.2 route the steps come out as the
-//!   distance-two color classes; under the Theorem 1.1 route the cluster
-//!   order collapses to its longest conflict chain instead of one coin per
-//!   step. Both paths evaluate the same estimator kernel over the same member
-//!   order — the oracle through the scalar
-//!   [`crate::estimator::member_violation_probability`], the engine through
-//!   the batched [`crate::estimator::member_violation_branches`] (both
-//!   branches of a decision in one member pass over reusable
-//!   [`EstimatorScratch`]) — so the engine output is bit-identical to the
-//!   central oracle (proptest-enforced in `tests/properties.rs`).
+//! * [`ScheduledDerandProgram`] — the **measured** CONGEST execution, built
+//!   by [`scheduled_derand_programs`], run by any [`congest_sim::Executor`]
+//!   and read back by [`assemble_derand_outputs`]: the groups become the
+//!   *steps* of a [`DerandSchedule`], and each step spends exactly two
+//!   engine rounds — constraint owners send the two estimator branches
+//!   (coin taken / coin zeroed) of each deciding member, the deciders pick
+//!   the branch that does not increase the estimator and announce the fixed
+//!   coin. Both routes build the schedule with
+//!   [`DerandSchedule::conflict_order`]: a value decides one step after the
+//!   last earlier-ordered value it shares a constraint with. Under the
+//!   Theorem 1.2 route the steps come out as the distance-two color classes;
+//!   under the Theorem 1.1 route the cluster order collapses to its longest
+//!   conflict chain instead of one coin per step. Both paths evaluate the
+//!   same estimator kernel over the same member order — the oracle through
+//!   the scalar [`crate::estimator::member_violation_probability`], the
+//!   engine through the batched
+//!   [`crate::estimator::member_violation_branches`] (both branches of a
+//!   decision in one member pass over reusable [`EstimatorScratch`]) — so
+//!   the engine output is bit-identical to the central oracle
+//!   (proptest-enforced in `tests/properties.rs`).
 
 use crate::estimator::{
     member_violation_branches, CoinState, Estimator, EstimatorKind, EstimatorScratch,
@@ -54,8 +56,7 @@ use crate::estimator::{
 use crate::problem::{RoundingProblem, ValueNode};
 use crate::process::{execute_with_coins, RoundedOutcome};
 use congest_sim::{
-    ExecutionError, Executor, ExecutorConfig, Graph, Inbox, MessageSize, NodeContext, NodeId,
-    NodeProgram, Outbox, RoundAction, RunReport, SyncExecutor, Wire,
+    Graph, Inbox, MessageSize, NodeContext, NodeId, NodeProgram, Outbox, RoundAction, Wire,
 };
 use mds_fractional::FractionalAssignment;
 
@@ -228,12 +229,6 @@ impl DerandSchedule {
     /// Whether the schedule fixes no coin at all.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-
-    /// The central grouping equivalent to this schedule, for driving the
-    /// [`derandomize`] oracle with exactly the same processing order.
-    pub fn as_groups(&self) -> Vec<Vec<usize>> {
-        self.steps.clone()
     }
 }
 
@@ -743,20 +738,6 @@ pub fn scheduled_derand_programs(
         .collect())
 }
 
-/// Outcome of a distributed derandomization run on the engine.
-#[derive(Debug, Clone)]
-pub struct DistributedDerandOutcome {
-    /// The rounded assignment on the original graph (identical to the central
-    /// oracle's [`DerandomizedOutcome::output`]).
-    pub output: FractionalAssignment,
-    /// Owners whose constraints ended up violated (they joined in phase two).
-    pub violated_owners: Vec<usize>,
-    /// The engine report (rounds, messages, bandwidth, per-round stats).
-    pub report: RunReport<ScheduledDerandOutput>,
-    /// Number of schedule steps that were executed.
-    pub steps: usize,
-}
-
 /// Assembles the output assignment from the per-node engine outputs, exactly
 /// as [`crate::problem::RoundingProblem::assemble_output`] does centrally.
 pub fn assemble_derand_outputs(
@@ -779,57 +760,6 @@ pub fn assemble_derand_outputs(
         .map(|(v, _)| v)
         .collect();
     (FractionalAssignment::from_values(values), violated)
-}
-
-/// Runs the distributed conditional-expectation schedule on the sequential
-/// executor.
-///
-/// # Errors
-///
-/// Returns the validation error of [`scheduled_derand_programs`] or a
-/// formatted engine error.
-pub fn distributed_derandomize(
-    graph: &Graph,
-    problem: &RoundingProblem,
-    schedule: &DerandSchedule,
-    estimator: EstimatorKind,
-) -> Result<DistributedDerandOutcome, String> {
-    distributed_derandomize_on(
-        graph,
-        problem,
-        schedule,
-        estimator,
-        &SyncExecutor,
-        &ExecutorConfig::default(),
-    )
-}
-
-/// Runs the distributed conditional-expectation schedule on an arbitrary
-/// [`Executor`]. Outputs and reports are identical across executors.
-///
-/// # Errors
-///
-/// Returns the validation error of [`scheduled_derand_programs`] or a
-/// formatted engine error.
-pub fn distributed_derandomize_on<E: Executor>(
-    graph: &Graph,
-    problem: &RoundingProblem,
-    schedule: &DerandSchedule,
-    estimator: EstimatorKind,
-    executor: &E,
-    config: &ExecutorConfig,
-) -> Result<DistributedDerandOutcome, String> {
-    let programs = scheduled_derand_programs(graph, problem, schedule, estimator)?;
-    let report = executor
-        .run(graph, programs, config)
-        .map_err(|e: ExecutionError| e.to_string())?;
-    let (output, violated_owners) = assemble_derand_outputs(&report.outputs);
-    Ok(DistributedDerandOutcome {
-        output,
-        violated_owners,
-        report,
-        steps: schedule.len(),
-    })
 }
 
 #[cfg(test)]
@@ -958,7 +888,29 @@ mod tests {
     // ---- distributed schedule ----
 
     use crate::one_shot::OneShotRounding;
+    use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
+
+    /// Builds the schedule's programs, runs them on `executor` and assembles
+    /// the rounded assignment and the violated owners, as the pipeline does.
+    fn run_schedule<E: Executor>(
+        graph: &Graph,
+        problem: &RoundingProblem,
+        schedule: &DerandSchedule,
+        executor: &E,
+    ) -> (
+        FractionalAssignment,
+        Vec<usize>,
+        RunReport<ScheduledDerandOutput>,
+    ) {
+        let programs =
+            scheduled_derand_programs(graph, problem, schedule, EstimatorKind::default()).unwrap();
+        let report = executor
+            .run(graph, programs, &ExecutorConfig::default())
+            .unwrap();
+        let (output, violated_owners) = assemble_derand_outputs(&report.outputs);
+        (output, violated_owners, report)
+    }
 
     /// A graph-aligned one-shot problem plus a parallel schedule derived from
     /// a greedy distance-two coloring of the constraint/value graph.
@@ -1053,7 +1005,7 @@ mod tests {
             let by_steps = derandomize(
                 &problem,
                 &DerandomizeConfig {
-                    groups: Some(schedule.as_groups()),
+                    groups: Some(schedule.steps.clone()),
                     ..DerandomizeConfig::default()
                 },
             );
@@ -1082,16 +1034,11 @@ mod tests {
                     groups: Some(classes),
                 },
             );
-            let distributed =
-                distributed_derandomize(&graph, &problem, &schedule, EstimatorKind::default())
-                    .unwrap();
+            let (output, violated_owners, report) =
+                run_schedule(&graph, &problem, &schedule, &SyncExecutor);
+            assert_eq!(output.values(), central.output.values(), "seed {seed}");
             assert_eq!(
-                distributed.output.values(),
-                central.output.values(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                distributed.violated_owners,
+                violated_owners,
                 central
                     .violated_constraints
                     .iter()
@@ -1101,7 +1048,7 @@ mod tests {
             );
             // Exactly two rounds per schedule step, as the formula states.
             assert_eq!(
-                distributed.report.rounds,
+                report.rounds,
                 congest_sim::ledger::formulas::derandomization_schedule_rounds(
                     schedule.len() as u64
                 ),
@@ -1110,8 +1057,8 @@ mod tests {
             // A reply carries two 64-bit estimator branches, charged
             // honestly; at n = 40 that exceeds the 16-identifier default
             // budget, and the report records (not hides) the violations.
-            assert_eq!(distributed.report.max_message_bits, 2 + 128, "seed {seed}");
-            assert!(distributed.report.bandwidth_violations > 0, "seed {seed}");
+            assert_eq!(report.max_message_bits, 2 + 128, "seed {seed}");
+            assert!(report.bandwidth_violations > 0, "seed {seed}");
         }
     }
 
@@ -1132,22 +1079,18 @@ mod tests {
                     groups: Some(order.clone()),
                 },
             );
-            let distributed =
-                distributed_derandomize(&graph, &problem, &schedule, EstimatorKind::default())
-                    .unwrap();
-            assert_eq!(distributed.output.values(), central.output.values());
-            assert_eq!(distributed.report.rounds, 2 * schedule.len() as u64);
+            let (output, _, report) = run_schedule(&graph, &problem, &schedule, &SyncExecutor);
+            assert_eq!(output.values(), central.output.values());
+            assert_eq!(report.rounds, 2 * schedule.len() as u64);
             assert!(
                 schedule.len() < order[0].len(),
                 "seed {seed}: no step shared"
             );
             // Different schedules may fix different coins, but both respect
             // the expectation bound and stay feasible.
-            let via_parallel =
-                distributed_derandomize(&graph, &problem, &parallel, EstimatorKind::default())
-                    .unwrap();
-            assert!(via_parallel.output.is_feasible_dominating_set(&graph));
-            assert!(distributed.output.is_feasible_dominating_set(&graph));
+            let (via_parallel, _, _) = run_schedule(&graph, &problem, &parallel, &SyncExecutor);
+            assert!(via_parallel.is_feasible_dominating_set(&graph));
+            assert!(output.is_feasible_dominating_set(&graph));
         }
     }
 
@@ -1155,19 +1098,11 @@ mod tests {
     fn distributed_schedule_is_identical_on_both_executors() {
         let graph = generators::gnp(35, 0.12, 8);
         let (problem, schedule, _) = one_shot_setup(&graph);
-        let seq =
-            distributed_derandomize(&graph, &problem, &schedule, EstimatorKind::default()).unwrap();
-        let par = distributed_derandomize_on(
-            &graph,
-            &problem,
-            &schedule,
-            EstimatorKind::default(),
-            &congest_sim::PooledExecutor::new(3),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.output.values(), par.output.values());
+        let (seq, _, seq_report) = run_schedule(&graph, &problem, &schedule, &SyncExecutor);
+        let (par, _, par_report) =
+            run_schedule(&graph, &problem, &schedule, &PooledExecutor::new(3));
+        assert_eq!(seq_report, par_report);
+        assert_eq!(seq.values(), par.values());
     }
 
     #[test]
@@ -1185,11 +1120,10 @@ mod tests {
             problem.add_constraint(v, 1.0, members);
         }
         let schedule = DerandSchedule { steps: vec![] };
-        let out =
-            distributed_derandomize(&graph, &problem, &schedule, EstimatorKind::default()).unwrap();
-        assert_eq!(out.report.rounds, 1);
+        let (output, _, report) = run_schedule(&graph, &problem, &schedule, &SyncExecutor);
+        assert_eq!(report.rounds, 1);
         let central = derandomize(&problem, &DerandomizeConfig::default());
-        assert_eq!(out.output.values(), central.output.values());
+        assert_eq!(output.values(), central.output.values());
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn main() {
         &problem,
         &DerandomizeConfig {
             estimator: EstimatorKind::default(),
-            groups: Some(schedule.as_groups()),
+            groups: Some(schedule.steps.clone()),
         },
     );
     assert!(is_dominating_set(&graph, &det.output.selected_nodes()));

@@ -6,11 +6,14 @@
 //! the Lemma 3.12 round charge — across ring / star / unit-disk / bipartite
 //! generator sweeps, on both executors, honoring `PARALLEL_THREADS`.
 
+#[path = "support/threads.rs"]
+mod threads;
+
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{ExecutorConfig, Graph, PooledExecutor};
+use congest_mds::congest::{Executor, ExecutorConfig, Graph, PooledExecutor, SyncExecutor};
 use congest_mds::decomposition::coloring::{
-    bipartite_distance_two_coloring, coloring_schedule, distributed_bipartite_coloring_on,
-    verify_bipartite_coloring,
+    assemble_coloring, bipartite_distance_two_coloring, coloring_schedule,
+    distance_two_coloring_programs, verify_bipartite_coloring,
 };
 use congest_mds::fractional::lp;
 use congest_mds::graphs::bipartite::{BipartiteGraph, BipartiteRepresentation};
@@ -18,16 +21,7 @@ use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::problem_bipartite;
 use congest_mds::rounding::one_shot::OneShotRounding;
 use proptest::prelude::*;
-
-/// Worker-thread count for the executor-equivalence checks; CI's conformance
-/// job forces `PARALLEL_THREADS=4` on a multicore runner.
-fn forced_threads(fallback: usize) -> usize {
-    std::env::var("PARALLEL_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(fallback)
-        .max(1)
-}
+use threads::forced_threads;
 
 /// The generator sweep named by the issue: ring, star, unit-disk and
 /// (complete-)bipartite topologies, plus a G(n,p) mix.
@@ -74,39 +68,31 @@ fn assert_conformance(
         );
     }
 
-    let schedule = coloring_schedule(b, targets);
     let config = ExecutorConfig::default();
-    let sync = distributed_bipartite_coloring_on(
-        graph,
-        b,
-        left_owner,
-        targets,
-        &congest_mds::congest::SyncExecutor,
-        &config,
-    )
-    .expect("sequential engine run failed");
-    let par = distributed_bipartite_coloring_on(
-        graph,
-        b,
-        left_owner,
-        targets,
-        &PooledExecutor::new(threads),
-        &config,
-    )
-    .expect("pooled engine run failed");
+    let programs = || {
+        distance_two_coloring_programs(graph, b, left_owner, targets)
+            .expect("graph-aligned instance")
+    };
+    let (sync_programs, schedule) = programs();
+    let sync = SyncExecutor
+        .run(graph, sync_programs, &config)
+        .expect("sequential engine run failed");
+    let par = PooledExecutor::new(threads)
+        .run(graph, programs().0, &config)
+        .expect("pooled engine run failed");
+    let coloring = assemble_coloring(&sync.outputs);
 
     // Bit-identical to the central oracle, on both executors.
-    assert_eq!(sync.coloring.colors, oracle.colors);
-    assert_eq!(sync.coloring.num_colors, oracle.num_colors);
-    assert_eq!(sync.report, par.report);
-    assert_eq!(par.coloring.colors, oracle.colors);
-    verify_bipartite_coloring(b, &sync.coloring, targets).expect("engine coloring invalid");
+    assert_eq!(coloring.colors, oracle.colors);
+    assert_eq!(coloring.num_colors, oracle.num_colors);
+    assert_eq!(sync, par);
+    verify_bipartite_coloring(b, &coloring, targets).expect("engine coloring invalid");
 
-    // Exactly two engine rounds per reduction step, at most the Lemma 3.12
-    // paper charge.
-    assert_eq!(sync.steps, schedule.num_steps);
+    // Exactly two engine rounds per reduction step of the central plan, at
+    // most the Lemma 3.12 paper charge.
+    assert_eq!(schedule, coloring_schedule(b, targets));
     assert_eq!(
-        sync.report.rounds,
+        sync.rounds,
         formulas::measured_coloring_rounds(schedule.num_steps as u64)
     );
     let charge = formulas::bipartite_coloring_rounds(
@@ -115,9 +101,9 @@ fn assert_conformance(
         graph.n().max(2),
     );
     assert!(
-        sync.report.rounds <= charge,
+        sync.rounds <= charge,
         "measured {} rounds exceed the Lemma 3.12 charge {charge}",
-        sync.report.rounds
+        sync.rounds
     );
 }
 

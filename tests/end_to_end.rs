@@ -151,33 +151,33 @@ fn explicit_route_selection_matches_wrappers() {
     assert_eq!(direct.dominating_set, wrapper.dominating_set);
 }
 
-/// The three engine-measured algorithms (KW05, span-greedy, ruling set) hit
-/// their paper round formulas exactly on every test family.
+/// The engine-measured KW05 and ruling-set programs hit their paper round
+/// formulas exactly on every test family.
 #[test]
 fn engine_round_counts_match_paper_formulas_across_families() {
     use congest_mds::congest::ledger::formulas;
-    use congest_mds::decomposition::ruling_set::distributed_ruling_set;
-    use congest_mds::fractional::kw05;
-    use congest_mds::mds::greedy::distributed_greedy_mds;
+    use congest_mds::congest::{Executor, ExecutorConfig, SyncExecutor};
+    use congest_mds::decomposition::ruling_set::{
+        assemble_ruling_set, ruling_set, ruling_set_programs,
+    };
+    use congest_mds::fractional::kw05::{self, Kw05Program};
 
+    let config = ExecutorConfig::default();
     for (i, family) in families().into_iter().enumerate() {
         let graph = generators::generate(&family, i as u64);
 
         let k = kw05::default_k(&graph);
-        let frac = kw05::run(&graph, k).unwrap();
-        assert_eq!(frac.report.rounds, formulas::kw05_rounds(k));
+        let frac = SyncExecutor
+            .run(&graph, vec![Kw05Program::new(k); graph.n()], &config)
+            .unwrap();
+        assert_eq!(frac.rounds, formulas::kw05_rounds(k));
 
-        let g = distributed_greedy_mds(&graph).unwrap();
-        assert!(verify::is_dominating_set(&graph, &g.set));
-        assert_eq!(g.report.rounds, formulas::greedy_span_rounds(g.phases));
-
-        let candidates: Vec<_> = g.set.clone();
-        let rs = distributed_ruling_set(&graph, &candidates, 3).unwrap();
-        assert_eq!(
-            rs.report.rounds,
-            formulas::ruling_set_phase_rounds(rs.phases, 3)
-        );
-        let seq = congest_mds::decomposition::ruling_set::ruling_set(&graph, &candidates, 3);
-        assert_eq!(rs.selected, seq.selected);
+        let candidates = greedy::greedy_mds(&graph).set;
+        let rs = SyncExecutor
+            .run(&graph, ruling_set_programs(&graph, &candidates, 3), &config)
+            .unwrap();
+        let (selected, phases) = assemble_ruling_set(&rs.outputs);
+        assert_eq!(rs.rounds, formulas::ruling_set_phase_rounds(phases, 3));
+        assert_eq!(selected, ruling_set(&graph, &candidates, 3).selected);
     }
 }

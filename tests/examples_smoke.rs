@@ -106,7 +106,7 @@ fn derandomization_anatomy_example_core_path() {
         &problem,
         &DerandomizeConfig {
             estimator: EstimatorKind::default(),
-            groups: Some(schedule.as_groups()),
+            groups: Some(schedule.steps.clone()),
         },
     );
     let mut composed = ComposedProgram::new(&graph, &SyncExecutor, ExecutorConfig::default());

@@ -17,18 +17,14 @@
 //! * every measured phase stays **at or below its paper charge** at scale;
 //! * the pool commits in node order regardless of thread count.
 
+#[path = "support/threads.rs"]
+mod threads;
+
 use congest_mds::congest::{PhaseMode, PooledExecutor};
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
 use congest_mds::mds::verify;
-
-fn forced_threads(fallback: usize) -> usize {
-    std::env::var("PARALLEL_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(fallback)
-        .max(1)
-}
+use threads::forced_threads;
 
 /// Shared assertion block: engine (sync + pool) vs central oracle,
 /// feasibility, and the measured-rounds-versus-charges gate.

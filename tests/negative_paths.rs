@@ -6,12 +6,12 @@
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
     ComposedProgram, ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext,
-    NodeProgram, Outbox, PhaseKind, PhaseMode, PhaseSpec, PooledExecutor, RoundAction,
+    NodeProgram, Outbox, PhaseKind, PhaseMode, PhaseSpec, PooledExecutor, RoundAction, RunReport,
     SyncExecutor,
 };
 use congest_mds::decomposition::coloring::{
-    bipartite_distance_two_coloring, distance_two_coloring_programs,
-    distributed_bipartite_coloring, verify_bipartite_coloring,
+    assemble_coloring, bipartite_distance_two_coloring, distance_two_coloring_programs,
+    verify_bipartite_coloring,
 };
 use congest_mds::graphs::bipartite::{BipartiteGraph, BipartiteRepresentation};
 use congest_mds::graphs::generators;
@@ -153,11 +153,14 @@ fn degenerate_bipartite_input_without_left_nodes_is_colored_in_one_step() {
     assert_eq!(oracle.num_colors, 1);
     verify_bipartite_coloring(&b, &oracle, &targets).unwrap();
 
-    let run = distributed_bipartite_coloring(&g, &b, &[], &targets).unwrap();
-    assert_eq!(run.coloring.colors, oracle.colors);
-    assert_eq!(run.steps, 1);
-    assert_eq!(run.report.rounds, formulas::measured_coloring_rounds(1));
-    assert!(run.report.rounds <= formulas::bipartite_coloring_rounds(0, 0, g.n()));
+    let (programs, schedule) = distance_two_coloring_programs(&g, &b, &[], &targets).unwrap();
+    let report = SyncExecutor
+        .run(&g, programs, &ExecutorConfig::default())
+        .unwrap();
+    assert_eq!(assemble_coloring(&report.outputs).colors, oracle.colors);
+    assert_eq!(schedule.num_steps, 1);
+    assert_eq!(report.rounds, formulas::measured_coloring_rounds(1));
+    assert!(report.rounds <= formulas::bipartite_coloring_rounds(0, 0, g.n()));
 }
 
 // ---- the broadcast fast path's degenerate case ----
@@ -255,19 +258,40 @@ fn broadcast_on_isolated_nodes_is_a_free_noop_on_every_backend() {
 
 // ---- the measured network decomposition ----
 
+/// Builds the decomposition programs of `graph` (k = 2), runs them on the
+/// sequential executor and assembles the decomposition, as the pipeline
+/// does.
+fn measured_decomposition(
+    graph: &Graph,
+) -> (
+    congest_mds::decomposition::NetworkDecomposition,
+    RunReport<congest_mds::decomposition::NetDecompOutput>,
+    congest_mds::decomposition::CarvingSchedule,
+) {
+    use congest_mds::decomposition::netdecomp::{
+        assemble_decomposition, netdecomp_programs, DecompositionConfig,
+    };
+
+    let (programs, schedule) = netdecomp_programs(graph, 2, &DecompositionConfig::default());
+    let report = SyncExecutor
+        .run(graph, programs, &ExecutorConfig::default())
+        .unwrap();
+    (
+        assemble_decomposition(&report.outputs, &schedule),
+        report,
+        schedule,
+    )
+}
+
 #[test]
 fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
-    use congest_mds::decomposition::netdecomp::{distributed_decomposition, DecompositionConfig};
-
-    let config = DecompositionConfig::default();
-
     // The empty graph: no phase is scheduled, so the run spends zero rounds
     // and produces zero clusters. The pipeline agrees with its oracle.
     let empty = Graph::empty(0);
-    let run = distributed_decomposition(&empty, 2, &config).unwrap();
-    assert_eq!(run.report.rounds, 0);
-    assert_eq!(run.schedule.num_phases, 0);
-    assert!(run.decomposition.clusters.is_empty());
+    let (nd, report, schedule) = measured_decomposition(&empty);
+    assert_eq!(report.rounds, 0);
+    assert_eq!(schedule.num_phases, 0);
+    assert!(nd.clusters.is_empty());
     let nd_config = MdsConfig {
         route: DerandRoute::NetworkDecomposition { k: 2 },
         ..MdsConfig::default()
@@ -283,12 +307,12 @@ fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
     // depth, one observing round, zero messages; the floored Theorem 3.2
     // charge still covers it.
     let edgeless = Graph::empty(5);
-    let run = distributed_decomposition(&edgeless, 2, &config).unwrap();
-    assert_eq!(run.schedule.num_phases, 1);
-    assert_eq!(run.report.rounds, 1);
-    assert_eq!(run.report.messages, 0);
-    assert_eq!(run.decomposition.clusters.len(), 5);
-    assert!(run.report.rounds <= formulas::netdecomp_charge_rounds(5, 2));
+    let (nd, report, schedule) = measured_decomposition(&edgeless);
+    assert_eq!(schedule.num_phases, 1);
+    assert_eq!(report.rounds, 1);
+    assert_eq!(report.messages, 0);
+    assert_eq!(nd.clusters.len(), 5);
+    assert!(report.rounds <= formulas::netdecomp_charge_rounds(5, 2));
     let pipeline_run = pipeline::run(&edgeless, &nd_config);
     assert_eq!(pipeline_run.dominating_set.len(), 5);
     assert_eq!(
@@ -298,10 +322,10 @@ fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
 
     // A single node: the fully degenerate instance of the same shape.
     let single = Graph::empty(1);
-    let run = distributed_decomposition(&single, 2, &config).unwrap();
-    assert_eq!(run.report.rounds, 1);
-    assert_eq!(run.decomposition.clusters.len(), 1);
-    assert!(run.report.rounds <= formulas::netdecomp_charge_rounds(1, 2));
+    let (nd, report, _) = measured_decomposition(&single);
+    assert_eq!(report.rounds, 1);
+    assert_eq!(nd.clusters.len(), 1);
+    assert!(report.rounds <= formulas::netdecomp_charge_rounds(1, 2));
 }
 
 #[test]
@@ -362,7 +386,7 @@ fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
 #[test]
 fn degenerate_one_center_instance_spends_the_floored_charge() {
     use congest_mds::decomposition::netdecomp::{
-        distributed_decomposition, strong_diameter_decomposition, DecompositionConfig,
+        strong_diameter_decomposition, DecompositionConfig,
     };
 
     // A complete graph is carved in a single phase by a single center (node
@@ -375,21 +399,25 @@ fn degenerate_one_center_instance_spends_the_floored_charge() {
     let oracle = strong_diameter_decomposition(&g, 2, &config);
     assert_eq!(oracle.clusters.len(), 1);
     assert_eq!(oracle.num_colors(), 1);
-    let run = distributed_decomposition(&g, 2, &config).unwrap();
-    assert_eq!(run.decomposition.clusters, oracle.clusters);
-    assert_eq!(run.schedule.num_phases, 1);
-    assert_eq!(run.schedule.total_wave_depth(), 1);
-    assert_eq!(run.report.rounds, formulas::measured_netdecomp_rounds(1, 1));
-    assert_eq!(run.report.rounds, 2);
-    assert!(run.report.rounds <= formulas::netdecomp_charge_rounds(g.n(), 2));
+    let (nd, report, schedule) = measured_decomposition(&g);
+    assert_eq!(nd.clusters, oracle.clusters);
+    assert_eq!(schedule.num_phases, 1);
+    assert_eq!(schedule.total_wave_depth(), 1);
+    assert_eq!(report.rounds, formulas::measured_netdecomp_rounds(1, 1));
+    assert_eq!(report.rounds, 2);
+    assert!(report.rounds <= formulas::netdecomp_charge_rounds(g.n(), 2));
 }
 
 #[test]
 fn coloring_program_on_the_empty_graph_is_a_noop() {
     let g = Graph::empty(0);
     let b = BipartiteGraph::new(0, 0);
-    let run = distributed_bipartite_coloring(&g, &b, &[], &[]).unwrap();
-    assert_eq!(run.report.rounds, 0);
-    assert_eq!(run.coloring.num_colors, 0);
-    assert!(run.coloring.colors.is_empty());
+    let (programs, _) = distance_two_coloring_programs(&g, &b, &[], &[]).unwrap();
+    let report = SyncExecutor
+        .run(&g, programs, &ExecutorConfig::default())
+        .unwrap();
+    assert_eq!(report.rounds, 0);
+    let coloring = assemble_coloring(&report.outputs);
+    assert_eq!(coloring.num_colors, 0);
+    assert!(coloring.colors.is_empty());
 }

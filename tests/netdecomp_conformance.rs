@@ -10,26 +10,30 @@
 //!
 //! [`NetDecompProgram`]: congest_mds::decomposition::netdecomp::NetDecompProgram
 
+#[path = "support/threads.rs"]
+mod threads;
+
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{ExecutorConfig, Graph, NodeId, PooledExecutor, SyncExecutor};
+use congest_mds::congest::{
+    Executor, ExecutorConfig, Graph, NodeId, PooledExecutor, RunReport, SyncExecutor,
+};
 use congest_mds::decomposition::netdecomp::{
-    assemble_decomposition, carving_schedule, distributed_decomposition_on, netdecomp_programs,
-    strong_diameter_decomposition, DecompositionConfig, NetworkDecomposition,
+    assemble_decomposition, carving_schedule, netdecomp_programs, strong_diameter_decomposition,
+    DecompositionConfig, NetDecompOutput, NetworkDecomposition,
 };
 use congest_mds::graphs::generators;
-use congest_mds::transport::{Role, SocketListener, SocketSession};
+use congest_mds::transport::{Role, SocketExecutor, SocketListener};
 use proptest::prelude::*;
 use std::thread;
 use std::time::Duration;
+use threads::forced_threads;
 
-/// Worker-thread count for the executor-equivalence checks; CI's conformance
-/// job forces `PARALLEL_THREADS=4` on a multicore runner.
-fn forced_threads(fallback: usize) -> usize {
-    std::env::var("PARALLEL_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(fallback)
-        .max(1)
+/// Runs the decomposition programs of `graph` on `executor`.
+fn run_programs<E: Executor>(graph: &Graph, k: usize, executor: &E) -> RunReport<NetDecompOutput> {
+    let (programs, _) = netdecomp_programs(graph, k, &DecompositionConfig::default());
+    executor
+        .run(graph, programs, &ExecutorConfig::default())
+        .expect("engine run failed")
 }
 
 /// The generator sweep named by the issue: ring, star, unit-disk, G(n,p) and
@@ -73,23 +77,22 @@ fn assert_conformance(graph: &Graph, k: usize, threads: usize) {
     let oracle = strong_diameter_decomposition(graph, k, &config);
     assert_decomposition_quality(graph, &oracle, k);
 
-    let exec_config = ExecutorConfig::default();
-    let sync = distributed_decomposition_on(graph, k, &config, &SyncExecutor, &exec_config)
-        .expect("sequential engine run failed");
+    let sync = run_programs(graph, k, &SyncExecutor);
+    let schedule = carving_schedule(graph, k, &config);
+    let measured = assemble_decomposition(&sync.outputs, &schedule);
 
     // Bit-identical clusters and colors (the ledgers differ by design: the
     // engine's carries measured payload counts).
-    assert_eq!(sync.decomposition.clusters, oracle.clusters);
-    assert_eq!(sync.decomposition.k, oracle.k);
-    assert_decomposition_quality(graph, &sync.decomposition, k);
+    assert_eq!(measured.clusters, oracle.clusters);
+    assert_eq!(measured.k, oracle.k);
+    assert_decomposition_quality(graph, &measured, k);
 
     // Exactly the carving schedule's wave rounds, at most the Theorem 3.2
     // paper charge; every node broadcasts its join once (2m messages, one
     // stored payload per non-isolated node via the broadcast fast path).
-    let schedule = carving_schedule(graph, k, &config);
-    assert_eq!(sync.report.rounds, sync.schedule.wave_rounds());
+    assert_eq!(sync.rounds, schedule.wave_rounds());
     assert_eq!(
-        sync.report.rounds,
+        sync.rounds,
         formulas::measured_netdecomp_rounds(
             schedule.num_phases as u64,
             schedule.total_wave_depth()
@@ -97,28 +100,20 @@ fn assert_conformance(graph: &Graph, k: usize, threads: usize) {
     );
     let charge = formulas::netdecomp_charge_rounds(graph.n(), k);
     assert!(
-        sync.report.rounds <= charge,
+        sync.rounds <= charge,
         "measured {} rounds exceed the Theorem 3.2 charge {charge}",
-        sync.report.rounds
+        sync.rounds
     );
-    assert_eq!(sync.report.messages, 2 * graph.m() as u64);
+    assert_eq!(sync.messages, 2 * graph.m() as u64);
     let isolated = (0..graph.n())
         .filter(|&v| graph.degree(NodeId(v)) == 0)
         .count();
-    assert_eq!(sync.report.payloads, (graph.n() - isolated) as u64);
+    assert_eq!(sync.payloads, (graph.n() - isolated) as u64);
 
     // The worker pool reproduces the sequential report — and hence the
     // oracle's clusters — bit for bit.
-    let pooled = distributed_decomposition_on(
-        graph,
-        k,
-        &config,
-        &PooledExecutor::new(threads),
-        &exec_config,
-    )
-    .expect("pooled engine run failed");
-    assert_eq!(pooled.report, sync.report);
-    assert_eq!(pooled.decomposition.clusters, oracle.clusters);
+    let pooled = run_programs(graph, k, &PooledExecutor::new(threads));
+    assert_eq!(pooled, sync);
 }
 
 proptest! {
@@ -177,33 +172,25 @@ fn netdecomp_program_over_loopback_socket_matches_the_oracle() {
     let graph = generators::gnp(36, 0.12, 19);
     let k = 2;
     let config = DecompositionConfig::default();
-    let exec_config = ExecutorConfig::default();
     let oracle = strong_diameter_decomposition(&graph, k, &config);
-    let sync = distributed_decomposition_on(&graph, k, &config, &SyncExecutor, &exec_config)
-        .expect("sequential engine run failed");
-    assert_eq!(sync.decomposition.clusters, oracle.clusters);
+    let sync = run_programs(&graph, k, &SyncExecutor);
 
     let listener = SocketListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let timeout = Duration::from_secs(120);
     let (leader, follower) = thread::scope(|s| {
         let follower = s.spawn(|| {
-            let mut session = SocketSession::connect(addr, Duration::from_secs(30)).unwrap();
-            session.set_timeout(Duration::from_secs(120));
-            let (programs, _) = netdecomp_programs(&graph, k, &config);
-            session.run_program(Role::Follower, &graph, programs, &exec_config)
+            let executor = SocketExecutor::connect(addr.to_string()).with_timeout(timeout);
+            run_programs(&graph, k, &executor)
         });
-        let mut session = listener.accept().unwrap();
-        session.set_timeout(Duration::from_secs(120));
-        let (programs, schedule) = netdecomp_programs(&graph, k, &config);
-        let leader = session.run_program(Role::Leader, &graph, programs, &exec_config);
-        (
-            (leader.unwrap(), schedule),
-            follower.join().expect("follower thread").unwrap(),
-        )
+        let session = listener.accept().unwrap();
+        let executor = SocketExecutor::from_session(Role::Leader, session).with_timeout(timeout);
+        let leader = run_programs(&graph, k, &executor);
+        (leader, follower.join().expect("follower thread"))
     });
-    let (leader_report, schedule) = leader;
-    assert_eq!(leader_report, sync.report);
-    assert_eq!(follower, sync.report);
-    let assembled = assemble_decomposition(&leader_report.outputs, &schedule);
+    assert_eq!(leader, sync);
+    assert_eq!(follower, sync);
+    let schedule = carving_schedule(&graph, k, &config);
+    let assembled = assemble_decomposition(&leader.outputs, &schedule);
     assert_eq!(assembled.clusters, oracle.clusters);
 }

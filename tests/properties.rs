@@ -1,6 +1,11 @@
 //! Property-based integration tests (proptest): invariants of the core data
 //! structures and algorithms over randomly generated graphs and assignments.
 
+#[path = "support/threads.rs"]
+mod threads;
+#[path = "support/workloads.rs"]
+mod workloads;
+
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
     Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox,
@@ -10,268 +15,27 @@ use congest_mds::decomposition::netdecomp::{
     carving_schedule, strong_diameter_decomposition, DecompositionConfig,
 };
 use congest_mds::decomposition::spanner::{derandomized_spanner, verify_spanner};
+use congest_mds::fractional::kw05::{self, Kw05Program};
 use congest_mds::fractional::lp;
 use congest_mds::fractional::FractionalAssignment;
 use congest_mds::graphs::{analysis, generators, square};
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
 use congest_mds::mds::{exact, greedy, verify};
 use congest_mds::rounding::derandomize::{
-    derandomize, distributed_derandomize_on, DerandSchedule, DerandomizeConfig,
+    assemble_derand_outputs, derandomize, scheduled_derand_programs, DerandSchedule,
+    DerandomizeConfig,
 };
 use congest_mds::rounding::kwise::KWiseGenerator;
 use congest_mds::rounding::one_shot::OneShotRounding;
 use congest_mds::rounding::EstimatorKind;
 use proptest::prelude::*;
+use threads::forced_threads;
+use workloads::{family_graph_strategy, mixed_programs, sends_programs, staggered_programs};
 
 /// Strategy: a random graph described by (n, edge probability numerator, seed).
 fn graph_strategy() -> impl Strategy<Value = Graph> {
     (2usize..60, 1u32..30, 0u64..1000)
         .prop_map(|(n, p_num, seed)| generators::gnp(n, p_num as f64 / 100.0, seed))
-}
-
-/// Strategy: a graph drawn from one of several structurally distinct
-/// families (sparse and dense random, trees, hubs, geometric, regular),
-/// exercising very different CSR block shapes for the pooled executor.
-fn family_graph_strategy() -> impl Strategy<Value = Graph> {
-    (0usize..7, 2usize..60, 1u32..30, 0u64..1000).prop_map(
-        |(family, n, p_num, seed)| match family {
-            0 => generators::gnp(n, p_num as f64 / 100.0, seed),
-            1 => generators::cycle(n),
-            2 => generators::star(n),
-            3 => generators::random_tree(n, seed),
-            4 => generators::unit_disk(n, 0.05 + p_num as f64 / 60.0, seed),
-            5 => generators::random_regular(n, (p_num as usize % 4 + 1).min(n - 1), seed),
-            _ => generators::grid(1 + n / 8, 1 + p_num as usize % 6),
-        },
-    )
-}
-
-/// Worker-thread count for the executor-equivalence tests. The proptests
-/// always use multi-block partitions, but on the single-core dev container
-/// the worker threads serialize; CI's `parallel-determinism` job forces
-/// `PARALLEL_THREADS=4` on a multicore runner so the same tests run with
-/// genuinely concurrent workers (and a reproducible thread count).
-fn forced_threads(fallback: usize) -> usize {
-    std::env::var("PARALLEL_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(fallback)
-        .max(1)
-}
-
-/// Engine property-test workload: floods the minimum id for `depth` rounds.
-/// Nodes halt at staggered times (`depth + id % 3`), exercising the halted
-/// bookkeeping of both executors.
-struct StaggeredFlood {
-    best: usize,
-    depth: u64,
-}
-
-impl NodeProgram for StaggeredFlood {
-    type Message = NodeId;
-    type Output = usize;
-
-    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, NodeId>) {
-        self.best = ctx.id.0;
-        outbox.broadcast(NodeId(self.best));
-    }
-
-    fn round(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        inbox: &Inbox<'_, NodeId>,
-        outbox: &mut Outbox<'_, NodeId>,
-    ) -> RoundAction<usize> {
-        for (_, m) in inbox.iter() {
-            self.best = self.best.min(m.0);
-        }
-        if ctx.round >= self.depth + (ctx.id.0 % 3) as u64 {
-            RoundAction::Halt(self.best)
-        } else {
-            outbox.broadcast(NodeId(self.best));
-            RoundAction::Continue
-        }
-    }
-}
-
-fn staggered_programs(n: usize, depth: u64) -> Vec<StaggeredFlood> {
-    (0..n)
-        .map(|_| StaggeredFlood {
-            best: usize::MAX,
-            depth,
-        })
-        .collect()
-}
-
-/// The per-edge twin of [`StaggeredFlood`]: identical logic, but every
-/// `broadcast` is replaced by one explicit `send` per neighbor. The engine
-/// stores `deg(v)` payloads per round for this twin where the broadcast
-/// program stores one — everything else it reports must be bit-identical.
-struct StaggeredFloodSends {
-    best: usize,
-    depth: u64,
-}
-
-impl NodeProgram for StaggeredFloodSends {
-    type Message = NodeId;
-    type Output = usize;
-
-    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, NodeId>) {
-        self.best = ctx.id.0;
-        for &to in ctx.neighbors() {
-            outbox.send(to, NodeId(self.best));
-        }
-    }
-
-    fn round(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        inbox: &Inbox<'_, NodeId>,
-        outbox: &mut Outbox<'_, NodeId>,
-    ) -> RoundAction<usize> {
-        for (_, m) in inbox.iter() {
-            self.best = self.best.min(m.0);
-        }
-        if ctx.round >= self.depth + (ctx.id.0 % 3) as u64 {
-            RoundAction::Halt(self.best)
-        } else {
-            for &to in ctx.neighbors() {
-                outbox.send(to, NodeId(self.best));
-            }
-            RoundAction::Continue
-        }
-    }
-}
-
-fn sends_programs(n: usize, depth: u64) -> Vec<StaggeredFloodSends> {
-    (0..n)
-        .map(|_| StaggeredFloodSends {
-            best: usize::MAX,
-            depth,
-        })
-        .collect()
-}
-
-/// One node's action in one round of [`MixedFlood`], picked from
-/// `(id, round)` so that a receiver hears some neighbors through the
-/// broadcast table and others through edge slots in the same round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MixedAction {
-    /// A lone broadcast: one stored payload.
-    Broadcast,
-    /// Explicit sends to the neighbors at even positions.
-    Subset,
-    /// A broadcast, then a send to the first neighbor, which materializes
-    /// the broadcast into per-edge sends (the first neighbor keeps the last).
-    BroadcastThenSend,
-    /// Nothing at all.
-    Silent,
-}
-
-impl MixedAction {
-    fn pick(id: usize, round: u64) -> MixedAction {
-        match (id as u64 * 7 + round * 3 + id as u64 * round) % 4 {
-            0 => MixedAction::Broadcast,
-            1 => MixedAction::Subset,
-            2 => MixedAction::BroadcastThenSend,
-            _ => MixedAction::Silent,
-        }
-    }
-}
-
-/// Min-id flood whose nodes mix the four [`MixedAction`]s and halt at
-/// staggered times (`depth + id % 3`). The output digests every
-/// `(sender, message)` pair of every inbox — read through `iter`,
-/// `iter_slots`, `from` and `len` — so any difference in what a node heard
-/// shows up in the outputs. With `sends_only` every broadcast is replaced
-/// by one explicit send per neighbor: the all-sends twin.
-struct MixedFlood {
-    best: u64,
-    digest: usize,
-    depth: u64,
-    sends_only: bool,
-}
-
-impl MixedFlood {
-    fn broadcast(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>, msg: u64) {
-        if self.sends_only {
-            for &to in ctx.neighbors() {
-                outbox.send(to, msg);
-            }
-        } else {
-            outbox.broadcast(msg);
-        }
-    }
-
-    fn act(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
-        let msg = self.best << 8 | (ctx.round & 0xff);
-        match MixedAction::pick(ctx.id.0, ctx.round) {
-            MixedAction::Broadcast => self.broadcast(ctx, outbox, msg),
-            MixedAction::Subset => {
-                for &to in ctx.neighbors().iter().step_by(2) {
-                    outbox.send(to, msg + 1);
-                }
-            }
-            MixedAction::BroadcastThenSend => {
-                self.broadcast(ctx, outbox, msg);
-                if let Some(&first) = ctx.neighbors().first() {
-                    outbox.send(first, msg + 2);
-                }
-            }
-            MixedAction::Silent => {}
-        }
-    }
-}
-
-impl NodeProgram for MixedFlood {
-    type Message = u64;
-    type Output = usize;
-
-    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
-        self.best = ctx.id.0 as u64;
-        self.act(ctx, outbox);
-    }
-
-    fn round(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        inbox: &Inbox<'_, u64>,
-        outbox: &mut Outbox<'_, u64>,
-    ) -> RoundAction<usize> {
-        // No assertions in here: a panicking program would leave the pool's
-        // workers at their barrier. Everything read goes into the digest.
-        let heard = |m: Option<&u64>| m.map_or(0, |&m| m as usize + 1);
-        let mut digest = self.digest.wrapping_mul(31).wrapping_add(inbox.len());
-        for (i, (sender, msg)) in inbox.iter_slots().enumerate() {
-            digest = digest
-                .wrapping_mul(1_000_003)
-                .wrapping_add(heard(msg) ^ i)
-                .wrapping_mul(31)
-                .wrapping_add(heard(inbox.from(sender)));
-        }
-        for (sender, &m) in inbox.iter() {
-            self.best = self.best.min(m >> 8);
-            digest = digest.wrapping_mul(31).wrapping_add(sender.0);
-        }
-        self.digest = digest;
-        if ctx.round >= self.depth + (ctx.id.0 % 3) as u64 {
-            RoundAction::Halt(self.digest ^ self.best as usize)
-        } else {
-            self.act(ctx, outbox);
-            RoundAction::Continue
-        }
-    }
-}
-
-fn mixed_programs(n: usize, depth: u64, sends_only: bool) -> Vec<MixedFlood> {
-    (0..n)
-        .map(|_| MixedFlood {
-            best: u64::MAX,
-            digest: 0,
-            depth,
-            sends_only,
-        })
-        .collect()
 }
 
 /// Asserts two reports agree on every field *except* `payloads` — the one
@@ -424,16 +188,14 @@ proptest! {
         graph in graph_strategy(),
         threads in 2usize..6,
     ) {
-        let k = congest_mds::fractional::kw05::default_k(&graph);
-        let seq = congest_mds::fractional::kw05::run(&graph, k).unwrap();
-        let par = congest_mds::fractional::kw05::run_on(
-            &graph,
-            k,
-            &PooledExecutor::new(forced_threads(threads)),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(seq.report, par.report);
+        let k = kw05::default_k(&graph);
+        let programs = || vec![Kw05Program::new(k); graph.n()];
+        let config = ExecutorConfig::default();
+        let seq = SyncExecutor.run(&graph, programs(), &config).unwrap();
+        let par = PooledExecutor::new(forced_threads(threads))
+            .run(&graph, programs(), &config)
+            .unwrap();
+        prop_assert_eq!(seq, par);
     }
 }
 
@@ -650,17 +412,17 @@ proptest! {
     ) {
         let config = lp::DistributedLpConfig::default();
         let oracle = lp::central_mwu_reference(&graph, &config);
-        let seq = lp::distributed_solve_fractional_mds(&graph, &config).unwrap();
-        prop_assert_eq!(seq.assignment.values(), oracle.values());
-        prop_assert!(seq.assignment.is_feasible_dominating_set(&graph));
-        let par = lp::distributed_solve_on(
-            &graph,
-            &config,
-            &PooledExecutor::new(forced_threads(threads)),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(seq.report, par.report);
+        let exec_config = ExecutorConfig::default();
+        let seq = SyncExecutor
+            .run(&graph, lp::DistributedLpProgram::programs(&graph, &config), &exec_config)
+            .unwrap();
+        let assignment = FractionalAssignment::from_values(seq.outputs.clone());
+        prop_assert_eq!(assignment.values(), oracle.values());
+        prop_assert!(assignment.is_feasible_dominating_set(&graph));
+        let par = PooledExecutor::new(forced_threads(threads))
+            .run(&graph, lp::DistributedLpProgram::programs(&graph, &config), &exec_config)
+            .unwrap();
+        prop_assert_eq!(seq, par);
     }
 
     // The scheduled conditional-expectation program, run in conflict order,
@@ -689,22 +451,20 @@ proptest! {
                 groups: Some(order.clone()),
             },
         );
-        let distributed = distributed_derandomize_on(
-            &graph,
-            &problem,
-            &schedule,
-            EstimatorKind::default(),
-            &PooledExecutor::new(forced_threads(threads)),
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(distributed.output.values(), central.output.values());
+        let programs =
+            scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
+                .unwrap();
+        let report = PooledExecutor::new(forced_threads(threads))
+            .run(&graph, programs, &ExecutorConfig::default())
+            .unwrap();
+        let (output, _) = assemble_derand_outputs(&report.outputs);
+        prop_assert_eq!(output.values(), central.output.values());
         if schedule.is_empty() {
             // No coin flips: a single round evaluates the constraints.
-            prop_assert_eq!(distributed.report.rounds, 1);
+            prop_assert_eq!(report.rounds, 1);
         } else {
             prop_assert_eq!(
-                distributed.report.rounds,
+                report.rounds,
                 congest_mds::congest::ledger::formulas::derandomization_schedule_rounds(
                     schedule.len() as u64
                 )
