@@ -4,11 +4,10 @@
 //!
 //! `experiments --executor-sweep` drives this up to `n = 10⁶` on the sparse
 //! families and prints a wall-time table over the in-process executors:
-//! sequential, and the persistent worker pool at one and at `T` threads —
-//! the pool-`T`-vs-pool-1 and pool-`T`-vs-sync speedup columns decide
-//! whether the pool earns its place. The run also doubles as a scale test of
-//! the bit-identity contract, since every report is asserted equal to the
-//! sequential one at every size.
+//! sequential, and the persistent worker pool at `T` threads — the
+//! pool-`T`-vs-sync speedup column decides whether the pool earns its place.
+//! The run also doubles as a scale test of the bit-identity contract, since
+//! every pool report is asserted equal to the sequential one at every size.
 
 use congest_sim::{
     Executor, ExecutorConfig, Inbox, NodeContext, NodeProgram, Outbox, PooledExecutor, RoundAction,
@@ -76,26 +75,24 @@ fn sweep_threads() -> usize {
 /// Runs the flood program on cycles and sparse `G(n, 2n)` instances at decade
 /// sizes up to `max_n` (a single miniature size when `max_n` is below the
 /// first decade, so tests still exercise the cross-executor assertion), on
-/// the sequential executor and the persistent pool at 1 and `T` threads, and
-/// returns a Markdown table of wall times and speedups. `T` follows
+/// the sequential executor and the persistent pool at `T` threads, and
+/// returns a Markdown table of wall times and the speedup. `T` follows
 /// `PARALLEL_THREADS` (else the core count).
 ///
 /// # Panics
 ///
-/// Panics if any executor's report diverges from the sequential one — the
+/// Panics if the pool's report diverges from the sequential one — the
 /// sweep is also a large-`n` regression test of the engine's determinism
 /// contract.
 pub fn executor_sweep_markdown(max_n: usize) -> String {
     let threads = sweep_threads();
-    let pool1 = PooledExecutor::new(1);
     let pool_t = PooledExecutor::new(threads);
     let mut out = format!(
         "## Executor sweep — flood program, {FLOOD_ROUNDS} rounds, T = {threads} threads\n\n",
     );
     out.push_str(&format!(
-        "| graph | n | m | messages | sync (ms) | pool×1 (ms) | pool×{threads} (ms) \
-         | pool×{threads} vs pool×1 | pool×{threads} vs sync |\n\
-         | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
+        "| graph | n | m | messages | sync (ms) | pool×{threads} (ms) | pool×{threads} vs sync |\n\
+         | --- | --- | --- | --- | --- | --- | --- |\n",
     ));
     let mut n = 10_000usize;
     let mut sizes = Vec::new();
@@ -127,28 +124,19 @@ pub fn executor_sweep_markdown(max_n: usize) -> String {
                     .run(&g, FloodMin::programs(n), &config)
                     .expect("flood program is well-formed")
             });
-            let (pool1_ms, pool1_report) = time(&|| {
-                pool1
-                    .run(&g, FloodMin::programs(n), &config)
-                    .expect("flood program is well-formed")
-            });
             let (pool_t_ms, pool_t_report) = time(&|| {
                 pool_t
                     .run(&g, FloodMin::programs(n), &config)
                     .expect("flood program is well-formed")
             });
-            for (name, report) in [("pool×1", &pool1_report), ("pool×T", &pool_t_report)] {
-                assert_eq!(
-                    &seq, report,
-                    "{name} diverged from the sequential run at n = {n} on {label}"
-                );
-            }
+            assert_eq!(
+                seq, pool_t_report,
+                "pool×T diverged from the sequential run at n = {n} on {label}"
+            );
             out.push_str(&format!(
-                "| {label} | {n} | {} | {} | {sync_ms:.1} | {pool1_ms:.1} | {pool_t_ms:.1} \
-                 | {:.2}× | {:.2}× |\n",
+                "| {label} | {n} | {} | {} | {sync_ms:.1} | {pool_t_ms:.1} | {:.2}× |\n",
                 g.m(),
                 seq.messages,
-                pool1_ms / pool_t_ms.max(f64::EPSILON),
                 sync_ms / pool_t_ms.max(f64::EPSILON),
             ));
         }
@@ -174,10 +162,9 @@ mod tests {
     #[test]
     fn sweep_table_renders_and_executors_agree() {
         // A miniature sweep (the real one starts at 10⁴) runs one small size,
-        // exercising the three-way bit-identity assertion inside.
+        // exercising the pool-vs-sync bit-identity assertion inside.
         let table = executor_sweep_markdown(0);
         assert!(table.contains("| graph |"));
-        assert!(table.contains("pool×1 (ms)"));
         assert!(table.contains("vs sync"));
         assert!(table.contains("| 512 |"));
     }

@@ -10,15 +10,28 @@
 //! views over both stores, sorted by sender — the steady-state round loop
 //! allocates nothing.
 //!
-//! Two deterministic in-process [`Executor`]s drive the loop:
+//! # The round kernel
 //!
-//! * [`SyncExecutor`] — runs all nodes on the calling thread; the reference
-//!   semantics every other backend is pinned against.
-//! * [`crate::pool::PooledExecutor`] — spawns workers once per run, keeps
-//!   them synchronized with a barrier, and lets every worker execute and
-//!   commit its own node block; outputs, round counts, message counts and
-//!   per-round statistics stay bit-identical to [`SyncExecutor`] for any
-//!   thread count (see the module docs for the argument).
+//! Every executor runs a round the same way. Its nodes live in contiguous
+//! [`NodeBlock`]s; each block runs an **execute pass** (every live node
+//! against the inbox the backend supplies), then a **commit pass** (every
+//! outbox drained in node order into the sink the backend supplies). One
+//! [`RoundFold`] takes the blocks' per-round [`BlockRound`] sub-totals in
+//! block order, applies the halting, round-limit and first-error rules,
+//! records [`RoundStats`] and assembles the [`RunReport`]. Only where
+//! inboxes come from and where committed units go differs per backend:
+//!
+//! * [`SyncExecutor`] — one block over an [`ArenaDelivery`] on the calling
+//!   thread; the reference semantics every other backend is pinned against.
+//! * [`crate::pool::PooledExecutor`] — one block per worker thread, moving
+//!   committed units through transfer cells between two barriers.
+//! * the socket backend of the `congest_transport` crate — one block per
+//!   process, exchanging cross-block units with its peer once per round.
+//!
+//! Reports are bit-identical across backends because block order is node
+//! order, a slot's last write wins in its one sender's send order,
+//! [`Accounting::fold`] is associative, and the lowest block's error is the
+//! first error in node order.
 //!
 //! The per-graph routing tables (mirror/slot-owner) are built once and cached
 //! inside [`Graph`] (see `crate::topology`), so repeated runs and
@@ -35,7 +48,6 @@ use crate::message::MessageSize;
 use crate::program::{
     Inbox, NodeContext, NodeProgram, OutMsg, Outbox, Pending, RoundAction, INVALID_SLOT,
 };
-use crate::topology::TopologyCache;
 use crate::{Graph, NodeId, RoundLedger};
 use std::error::Error;
 use std::fmt;
@@ -317,8 +329,8 @@ impl Executor for SyncExecutor {
 ///
 /// * the per-edge arena for explicit sends — slot `slot_range(v).start + i`
 ///   holds the message *received by* `v` from its `i`-th CSR neighbor;
-///   senders write through the [`TopologyCache`] mirror so the write side is
-///   the receiver's inbox range;
+///   senders write through the [`TopologyCache`](crate::TopologyCache)
+///   mirror so the write side is the receiver's inbox range;
 /// * the sender-indexed broadcast table — entry `u` holds the one payload
 ///   node `u` broadcast, which every neighbor's [`Inbox`] reads (a pull, so
 ///   a broadcast costs one store instead of `deg(u)` scattered copies).
@@ -446,9 +458,8 @@ pub(crate) fn merged_inbox<'a, M>(
 /// LOCAL-model `usize::MAX` budget (or absurdly long runs) cannot overflow.
 /// Saturating `u64` addition is associative (it is ordinary addition clamped
 /// at a ceiling none of the partial sums can exceed without the total also
-/// exceeding it), which is what lets the pooled executor and the socket
-/// backend fold per-worker sub-totals and still match the sequential
-/// left-to-right accumulation bit for bit.
+/// exceeding it), which is what lets [`RoundFold`] fold per-block sub-totals
+/// and still match the sequential left-to-right accumulation bit for bit.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Accounting {
     /// Messages charged.
@@ -477,9 +488,9 @@ impl Accounting {
     }
 }
 
-/// One committed unit handed to the commit sink by [`drain_outbox`]: either a
-/// single per-edge message already resolved to its destination arena slot, or
-/// a broadcast payload the backend stores once under the sender's id (the
+/// One committed unit the commit pass hands to the backend's sink: either a
+/// single per-edge message already resolved to its destination arena slot,
+/// or a broadcast payload the backend stores once under the sender's id (the
 /// storage/wire fast path — the CONGEST charge for all `deg` copies has
 /// already been applied by the time the sink sees it).
 #[derive(Debug)]
@@ -492,280 +503,382 @@ pub enum Committed<M> {
     Fan(M),
 }
 
-/// Drains one node's staged output: resolves each send to its destination
-/// arena slot through `mirror`, charges it into `acct`, and hands each
-/// committed unit to `sink` in send order.
+/// One block's sub-totals for one round, as its commit pass leaves them.
+/// [`RoundFold::fold`] folds them in block order.
+#[derive(Debug, Default)]
+pub struct BlockRound {
+    /// Messages, payloads, bits, largest message and violations charged by
+    /// the block's commit pass.
+    pub acct: Accounting,
+    /// Nodes of the block that halted in the round's execute pass.
+    pub newly_halted: usize,
+    /// The block's first error, in node and send order; the commit pass
+    /// stops there.
+    pub error: Option<ExecutionError>,
+}
+
+/// The round kernel's node block: a contiguous node range with its programs,
+/// halted flags, outputs, staged outboxes and invalid-target slots. The
+/// programs stay in the caller's vector; the block borrows its range.
 ///
-/// This is the single per-message commit primitive shared by every executor
-/// (sequential, pooled and the socket backend), so the check
-/// order — [`INVALID_SLOT`] → [`ExecutionError::NotANeighbor`] first, then
-/// the bandwidth charge and (if enforced) [`ExecutionError::BandwidthExceeded`]
-/// — is identical everywhere and first-error behavior cannot drift between
-/// backends. On an error the remaining queued messages are discarded
-/// uncharged, exactly as in sequential execution.
-///
-/// A pending broadcast (one stored payload — the fast path [`Outbox::broadcast`]
-/// takes on an otherwise empty outbox) is charged in one step that is
-/// arithmetically identical to committing the `deg` materialized copies the
-/// legacy path produced: the max-update is idempotent across identical
-/// messages, the per-message violation/message counts become one `+= deg`,
-/// and the saturating bit sum `deg × bits` clamps at the same ceiling any
-/// sequential partial sum would have clamped at. It then reaches `sink` as a
-/// single [`Committed::Fan`]; per-edge sends arrive as [`Committed::Edge`]
-/// with the destination slot resolved. `acct.payloads` counts stored
-/// payloads — `1` for the whole broadcast versus `deg` for the materialized
-/// equivalent — which is the only field where the two paths differ.
-///
-/// `slot_base` is `graph.slot_range(from).start` and `degree` the length of
-/// that range; `invalid_to` is the outbox's recorded first non-neighbor
-/// target.
-#[allow(clippy::too_many_arguments)]
-pub fn drain_outbox<M: MessageSize>(
-    mirror: &[usize],
-    slot_base: usize,
-    degree: usize,
-    from: NodeId,
-    pending: &mut Pending<M>,
-    invalid_to: Option<NodeId>,
+/// Every executor runs a round as the same two passes over its blocks: the
+/// [execute pass](NodeBlock::execute) runs every live node against the inbox
+/// the backend supplies, then the [commit pass](NodeBlock::commit) drains
+/// every outbox in node order into the sink the backend supplies. Blocks are
+/// built by [`RoundFold::block`].
+pub struct NodeBlock<'a, P: NodeProgram> {
+    graph: &'a Graph,
+    /// First node of the block.
+    first: usize,
     bandwidth: usize,
     enforce: bool,
-    acct: &mut Accounting,
-    mut sink: impl FnMut(Committed<M>),
-) -> Result<(), ExecutionError> {
-    if let Some(msg) = pending.broadcast.take() {
-        debug_assert!(pending.sends.is_empty(), "broadcast implies no sends");
-        if degree == 0 {
+    programs: &'a mut [P],
+    halted: Vec<bool>,
+    outputs: Vec<Option<P::Output>>,
+    pending: Vec<Pending<P::Message>>,
+    invalid: Vec<Option<NodeId>>,
+    /// Block-local indices of the nodes that halted in the last execute
+    /// pass, in node order.
+    newly: Vec<usize>,
+}
+
+impl<P: NodeProgram> NodeBlock<'_, P> {
+    /// The execute pass of round `round`: `init` (round 0) or `round` of
+    /// every live node in node order, each against `inbox(v)` and a fresh
+    /// outbox. A node that halts records its output and stages nothing.
+    pub fn execute<'i>(&mut self, round: u64, inbox: impl Fn(NodeId) -> Inbox<'i, P::Message>)
+    where
+        P::Message: 'i,
+    {
+        let graph = self.graph;
+        self.newly.clear();
+        for (i, program) in self.programs.iter_mut().enumerate() {
+            if self.halted[i] {
+                continue;
+            }
+            let id = NodeId(self.first + i);
+            let ctx = NodeContext { id, graph, round };
+            self.pending[i].clear();
+            self.invalid[i] = None;
+            let mut outbox = Outbox::over(
+                graph.neighbors(id),
+                &mut self.pending[i],
+                &mut self.invalid[i],
+            );
+            if round == 0 {
+                program.init(&ctx, &mut outbox);
+            } else if let RoundAction::Halt(out) = program.round(&ctx, &inbox(id), &mut outbox) {
+                self.outputs[i] = Some(out);
+                self.halted[i] = true;
+                self.newly.push(i);
+                self.pending[i].clear();
+            }
+        }
+    }
+
+    /// The commit pass: drains every staged outbox in node order, charging
+    /// each message and handing each committed unit to `sink` with its
+    /// sender. It stops at the block's first error, which is the first in
+    /// node and send order, and leaves the rest uncharged.
+    pub fn commit(&mut self, mut sink: impl FnMut(NodeId, Committed<P::Message>)) -> BlockRound {
+        let graph = self.graph;
+        let mirror = &graph.topology().mirror;
+        let mut sub = BlockRound {
+            newly_halted: self.newly.len(),
+            ..BlockRound::default()
+        };
+        for i in 0..self.programs.len() {
+            if let Err(e) = self.drain_outbox(i, mirror, &mut sub.acct, &mut sink) {
+                sub.error = Some(e);
+                break;
+            }
+        }
+        sub
+    }
+
+    /// Drains node `i`'s staged output: resolves each send to its destination
+    /// arena slot through `mirror`, charges it into `acct`, and hands each
+    /// committed unit to `sink` in send order.
+    ///
+    /// The check order is [`INVALID_SLOT`] → [`ExecutionError::NotANeighbor`]
+    /// first, then the bandwidth charge and (if enforced)
+    /// [`ExecutionError::BandwidthExceeded`]. On an error the remaining queued
+    /// messages are discarded uncharged.
+    ///
+    /// A pending broadcast (one stored payload — the fast path
+    /// [`Outbox::broadcast`] takes on an otherwise empty outbox) is charged in
+    /// one step that is arithmetically identical to committing the `deg`
+    /// materialized copies: the max-update is idempotent across identical
+    /// messages, the per-message violation/message counts become one
+    /// `+= deg`, and the saturating bit sum `deg × bits` clamps at the same
+    /// ceiling any sequential partial sum would have clamped at. It then
+    /// reaches `sink` as a single [`Committed::Fan`]; per-edge sends arrive as
+    /// [`Committed::Edge`] with the destination slot resolved. `acct.payloads`
+    /// counts stored payloads — `1` for the whole broadcast versus `deg` for
+    /// the materialized equivalent — which is the only field where the two
+    /// paths differ.
+    fn drain_outbox(
+        &mut self,
+        i: usize,
+        mirror: &[usize],
+        acct: &mut Accounting,
+        sink: &mut impl FnMut(NodeId, Committed<P::Message>),
+    ) -> Result<(), ExecutionError> {
+        let from = NodeId(self.first + i);
+        let budget = self.bandwidth;
+        let targets = &mirror[self.graph.slot_range(from)];
+        let pending = &mut self.pending[i];
+        if let Some(msg) = pending.broadcast.take() {
+            debug_assert!(pending.sends.is_empty(), "broadcast implies no sends");
+            let degree = targets.len() as u64;
+            if degree == 0 {
+                return Ok(());
+            }
+            let bits = msg.size_bits();
+            acct.max_message_bits = acct.max_message_bits.max(bits);
+            if bits > budget {
+                if self.enforce {
+                    // Sequential execution errors on the first copy: one
+                    // violation charged, no messages.
+                    acct.violations += 1;
+                    return Err(ExecutionError::BandwidthExceeded { from, bits, budget });
+                }
+                acct.violations += degree;
+            }
+            acct.messages += degree;
+            acct.bits = acct
+                .bits
+                .saturating_add((bits as u64).saturating_mul(degree));
+            acct.payloads += 1;
+            sink(from, Committed::Fan(msg));
             return Ok(());
         }
-        let bits = msg.size_bits();
-        acct.max_message_bits = acct.max_message_bits.max(bits);
-        if bits > bandwidth {
-            if enforce {
-                // Sequential execution errors on the first copy: one
-                // violation charged, no messages.
+        for OutMsg { slot, msg } in pending.sends.drain(..) {
+            if slot == INVALID_SLOT {
+                // The outbox records the first non-neighbor target, which is
+                // exactly the send this first sentinel belongs to.
+                let to = self.invalid[i].expect("invalid slot without recorded target");
+                return Err(ExecutionError::NotANeighbor { from, to });
+            }
+            let bits = msg.size_bits();
+            acct.max_message_bits = acct.max_message_bits.max(bits);
+            if bits > budget {
                 acct.violations += 1;
-                return Err(ExecutionError::BandwidthExceeded {
-                    from,
-                    bits,
-                    budget: bandwidth,
-                });
+                if self.enforce {
+                    return Err(ExecutionError::BandwidthExceeded { from, bits, budget });
+                }
             }
-            acct.violations += degree as u64;
+            acct.messages += 1;
+            acct.payloads += 1;
+            acct.bits = acct.bits.saturating_add(bits as u64);
+            sink(from, Committed::Edge(targets[slot as usize], msg));
         }
-        acct.messages += degree as u64;
-        acct.bits = acct
-            .bits
-            .saturating_add((bits as u64).saturating_mul(degree as u64));
-        acct.payloads += 1;
-        sink(Committed::Fan(msg));
-        return Ok(());
+        Ok(())
     }
-    for OutMsg { slot: i, msg } in pending.sends.drain(..) {
-        if i == INVALID_SLOT {
-            // The outbox records the first non-neighbor target, which is
-            // exactly the send this first sentinel belongs to.
-            let to = invalid_to.expect("invalid slot without recorded target");
-            return Err(ExecutionError::NotANeighbor { from, to });
-        }
-        let bits = msg.size_bits();
-        acct.max_message_bits = acct.max_message_bits.max(bits);
-        if bits > bandwidth {
-            acct.violations += 1;
-            if enforce {
-                return Err(ExecutionError::BandwidthExceeded {
-                    from,
-                    bits,
-                    budget: bandwidth,
-                });
-            }
-        }
-        acct.messages += 1;
-        acct.payloads += 1;
-        acct.bits = acct.bits.saturating_add(bits as u64);
-        sink(Committed::Edge(mirror[slot_base + i as usize], msg));
+
+    /// The nodes that halted in the last execute pass, in node order, with
+    /// their outputs.
+    pub fn newly_halted(&self) -> impl Iterator<Item = (NodeId, &P::Output)> + '_ {
+        self.newly.iter().map(|&i| {
+            let out = self.outputs[i].as_ref().expect("halted node has output");
+            (NodeId(self.first + i), out)
+        })
     }
-    Ok(())
+
+    /// The block's outputs in node order; `None` for a node still running.
+    pub fn into_outputs(self) -> Vec<Option<P::Output>> {
+        self.outputs
+    }
 }
 
-/// Commits the staged outputs of all nodes, in node order, into `delivery`,
-/// charging each message. Destination slots were resolved at send time, so the
-/// hot loop is a straight [`ArenaDelivery::queue`] per message; a broadcast
-/// arrives as one [`Committed::Fan`] payload and is stored once, under the
-/// sender, with [`ArenaDelivery::queue_broadcast`] (every neighbor's inbox
-/// reads the value the materialized per-edge copies would have carried). A
-/// send to a non-neighbor surfaces as [`INVALID_SLOT`], with the offending
-/// target parked in the sender's `invalid` scratch slot. Returns
-/// `(messages, bits)` sent this round.
-#[allow(clippy::too_many_arguments)]
-fn commit_round<M: MessageSize>(
-    graph: &Graph,
-    topo: &TopologyCache,
-    delivery: &mut ArenaDelivery<M>,
-    pending: &mut [Pending<M>],
-    invalid: &[Option<NodeId>],
-    acct: &mut Accounting,
+/// What [`RoundFold::fold`] decided about the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// A node is still live and the round limit allows another round.
+    Continue,
+    /// The run is over: every node halted, or it ends with an error.
+    Stop,
+}
+
+/// The run-level half of the round kernel, shared by every executor. It
+/// checks the program count and resolves the bandwidth budget once, builds
+/// the run's [`NodeBlock`]s, folds their per-round [`BlockRound`]s in block
+/// order, applies the halting, round-limit and lowest-block-first error
+/// rules, records [`RoundStats`] and assembles the [`RunReport`].
+#[derive(Debug)]
+pub struct RoundFold<'g> {
+    graph: &'g Graph,
+    max_rounds: u64,
+    record_round_stats: bool,
     bandwidth: usize,
     enforce: bool,
-) -> Result<(u64, u64), ExecutionError> {
-    let mut round = Accounting::default();
-    for (v, staged) in pending.iter_mut().enumerate() {
-        let from = NodeId(v);
-        let range = graph.slot_range(from);
-        let (base, degree) = (range.start, range.len());
-        drain_outbox(
-            &topo.mirror,
-            base,
-            degree,
-            from,
-            staged,
-            invalid[v],
-            bandwidth,
-            enforce,
-            &mut round,
-            |unit| match unit {
-                Committed::Edge(slot, msg) => delivery.queue(slot, msg),
-                Committed::Fan(msg) => delivery.queue_broadcast(v, msg),
-            },
-        )?;
-    }
-    let (messages, bits_sent) = (round.messages, round.bits);
-    acct.fold(&round);
-    Ok((messages, bits_sent))
+    acct: Accounting,
+    round_stats: Vec<RoundStats>,
+    halted: usize,
+    /// The round the next [`RoundFold::fold`] folds (`0` = init).
+    rounds: u64,
+    error: Option<ExecutionError>,
 }
 
-/// The sequential round loop over an [`ArenaDelivery`]: the reference
-/// semantics of every executor.
+impl<'g> RoundFold<'g> {
+    /// Starts a run of `programs` node programs on `graph` under `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecutionError::ProgramCountMismatch`] unless there is exactly one
+    /// program per node.
+    pub fn new(
+        graph: &'g Graph,
+        programs: usize,
+        config: &ExecutorConfig,
+    ) -> Result<Self, ExecutionError> {
+        let n = graph.n();
+        if programs != n {
+            return Err(ExecutionError::ProgramCountMismatch { programs, nodes: n });
+        }
+        Ok(RoundFold {
+            graph,
+            max_rounds: config.max_rounds,
+            record_round_stats: config.record_round_stats,
+            bandwidth: config
+                .bandwidth_bits
+                .unwrap_or_else(|| crate::congest_bandwidth_bits(n)),
+            enforce: config.enforce_bandwidth,
+            acct: Accounting::default(),
+            round_stats: Vec::new(),
+            halted: 0,
+            rounds: 0,
+            error: None,
+        })
+    }
+
+    /// The bandwidth budget the run is charged against, in bits.
+    pub fn bandwidth(&self) -> usize {
+        self.bandwidth
+    }
+
+    /// The block of nodes `first..first + programs.len()`, running
+    /// `programs` in node order.
+    pub fn block<'a, P: NodeProgram>(&self, first: usize, programs: &'a mut [P]) -> NodeBlock<'a, P>
+    where
+        'g: 'a,
+    {
+        let len = programs.len();
+        NodeBlock {
+            graph: self.graph,
+            first,
+            bandwidth: self.bandwidth,
+            enforce: self.enforce,
+            programs,
+            halted: vec![false; len],
+            outputs: std::iter::repeat_with(|| None).take(len).collect(),
+            // Outboxes start empty: a lone broadcast stores one payload, and
+            // mixed send patterns grow their vec once and keep the capacity.
+            pending: std::iter::repeat_with(Pending::new).take(len).collect(),
+            invalid: vec![None; len],
+            newly: Vec::new(),
+        }
+    }
+
+    /// Folds the sub-totals of the round that just committed; `blocks` must
+    /// arrive in block order, which is node order. The lowest block's error
+    /// ends the run. Otherwise the round is charged and recorded, and the run
+    /// stops once every node has halted or fails once the next round would
+    /// exceed the limit.
+    pub fn fold(&mut self, blocks: impl IntoIterator<Item = BlockRound>) -> Verdict {
+        let mut round = Accounting::default();
+        let mut newly = 0;
+        for block in blocks {
+            if let Some(e) = block.error {
+                self.error = Some(e);
+                return Verdict::Stop;
+            }
+            round.fold(&block.acct);
+            newly += block.newly_halted;
+        }
+        self.acct.fold(&round);
+        self.halted += newly;
+        if self.record_round_stats {
+            self.round_stats.push(RoundStats {
+                round: self.rounds,
+                messages: round.messages,
+                bits: round.bits,
+                halted: self.halted,
+            });
+        }
+        if self.halted == self.graph.n() {
+            Verdict::Stop
+        } else if self.rounds >= self.max_rounds {
+            self.error = Some(ExecutionError::RoundLimitExceeded {
+                limit: self.max_rounds,
+            });
+            Verdict::Stop
+        } else {
+            self.rounds += 1;
+            Verdict::Continue
+        }
+    }
+
+    /// Finishes the run: the folded error if there is one, otherwise the
+    /// report over `outputs`, one per node in node order.
+    ///
+    /// # Errors
+    ///
+    /// The error that stopped the run.
+    pub fn finish<O>(
+        self,
+        outputs: impl IntoIterator<Item = Option<O>>,
+    ) -> Result<RunReport<O>, ExecutionError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        // Sized up front: a concatenation of block outputs gives no exact
+        // length hint, and a growing vector would briefly hold two copies.
+        let mut all = Vec::with_capacity(self.graph.n());
+        all.extend(
+            outputs
+                .into_iter()
+                .map(|o| o.expect("halted node has output")),
+        );
+        Ok(RunReport {
+            outputs: all,
+            rounds: self.rounds,
+            messages: self.acct.messages,
+            payloads: self.acct.payloads,
+            total_bits: self.acct.bits,
+            max_message_bits: self.acct.max_message_bits,
+            bandwidth_violations: self.acct.violations,
+            bandwidth_bits: self.bandwidth,
+            round_stats: self.round_stats,
+        })
+    }
+}
+
+/// The sequential executor's run: one [`NodeBlock`] over an
+/// [`ArenaDelivery`]. It is the reference semantics of every executor.
 pub(crate) fn run_engine<P: NodeProgram>(
     graph: &Graph,
     mut programs: Vec<P>,
     config: &ExecutorConfig,
 ) -> Result<RunReport<P::Output>, ExecutionError> {
-    let n = graph.n();
-    if programs.len() != n {
-        return Err(ExecutionError::ProgramCountMismatch {
-            programs: programs.len(),
-            nodes: n,
-        });
-    }
-    let bandwidth = config
-        .bandwidth_bits
-        .unwrap_or_else(|| crate::congest_bandwidth_bits(n));
-
-    let mut delivery: ArenaDelivery<P::Message> = ArenaDelivery::new(graph);
-    let topo = graph.topology();
-    let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut halted = vec![false; n];
-    let mut halted_count = 0usize;
-    // Outboxes start empty: a lone broadcast stores one payload (no per-edge
-    // materialization), and mixed send patterns grow their vec once and keep
-    // the capacity across rounds.
-    let mut pending: Vec<Pending<P::Message>> =
-        std::iter::repeat_with(Pending::new).take(n).collect();
-    let mut invalid: Vec<Option<NodeId>> = vec![None; n];
-    let mut acct = Accounting::default();
-    let mut round_stats = Vec::new();
-
-    // Round 0: init.
-    for (v, program) in programs.iter_mut().enumerate() {
-        let ctx = NodeContext {
-            id: NodeId(v),
-            graph,
-            round: 0,
-        };
-        let mut outbox = Outbox::over(graph.neighbors(NodeId(v)), &mut pending[v], &mut invalid[v]);
-        program.init(&ctx, &mut outbox);
-    }
-    let (messages, bits) = commit_round(
-        graph,
-        topo,
-        &mut delivery,
-        &mut pending,
-        &invalid,
-        &mut acct,
-        bandwidth,
-        config.enforce_bandwidth,
-    )?;
-    if config.record_round_stats {
-        round_stats.push(RoundStats {
-            round: 0,
-            messages,
-            bits,
-            halted: 0,
-        });
-    }
-
-    let mut round = 0u64;
+    let mut fold = RoundFold::new(graph, programs.len(), config)?;
+    let mut block = fold.block(0, &mut programs);
+    let mut delivery = ArenaDelivery::new(graph);
+    let mut round = 0;
     loop {
+        block.execute(round, |v| delivery.inbox(graph, v));
+        let sub = block.commit(|from, unit| match unit {
+            Committed::Edge(slot, msg) => delivery.queue(slot, msg),
+            Committed::Fan(msg) => delivery.queue_broadcast(from.0, msg),
+        });
+        let verdict = fold.fold([sub]);
         delivery.advance();
-        if halted_count == n {
+        if verdict == Verdict::Stop {
             break;
         }
         round += 1;
-        if round > config.max_rounds {
-            return Err(ExecutionError::RoundLimitExceeded {
-                limit: config.max_rounds,
-            });
-        }
-
-        // Execute phase: run every live node's program against its inbox,
-        // keeping a running halted count instead of rescanning all `n` flags.
-        for (v, program) in programs.iter_mut().enumerate() {
-            if halted[v] {
-                continue;
-            }
-            let id = NodeId(v);
-            let ctx = NodeContext { id, graph, round };
-            let inbox = delivery.inbox(graph, id);
-            pending[v].clear();
-            invalid[v] = None;
-            let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[v], &mut invalid[v]);
-            match program.round(&ctx, &inbox, &mut outbox) {
-                RoundAction::Continue => {}
-                RoundAction::Halt(out) => {
-                    outputs[v] = Some(out);
-                    halted[v] = true;
-                    halted_count += 1;
-                    pending[v].clear();
-                }
-            }
-        }
-
-        // Commit phase: merge all outboxes in node order, so charging order
-        // and first-error behavior are the reference every backend matches.
-        let (messages, bits) = commit_round(
-            graph,
-            topo,
-            &mut delivery,
-            &mut pending,
-            &invalid,
-            &mut acct,
-            bandwidth,
-            config.enforce_bandwidth,
-        )?;
-        if config.record_round_stats {
-            round_stats.push(RoundStats {
-                round,
-                messages,
-                bits,
-                halted: halted_count,
-            });
-        }
     }
-
-    Ok(RunReport {
-        outputs: outputs
-            .into_iter()
-            .map(|o| o.expect("halted node has output"))
-            .collect(),
-        rounds: round,
-        messages: acct.messages,
-        payloads: acct.payloads,
-        total_bits: acct.bits,
-        max_message_bits: acct.max_message_bits,
-        bandwidth_violations: acct.violations,
-        bandwidth_bits: bandwidth,
-        round_stats,
-    })
+    fold.finish(block.into_outputs())
 }
 
 #[cfg(test)]

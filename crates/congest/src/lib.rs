@@ -17,7 +17,8 @@
 //!   message arena plus a sender-indexed broadcast table, driven by
 //!   deterministic [`engine::Executor`]s
 //!   ([`engine::SyncExecutor`] and the persistent worker-pool
-//!   [`pool::PooledExecutor`], bit-identical for any thread count),
+//!   [`pool::PooledExecutor`], bit-identical for any thread count) that
+//!   all run one round kernel ([`engine::NodeBlock`], [`engine::RoundFold`]),
 //!   charging every message against the CONGEST bandwidth budget of
 //!   `O(log n)` bits and recording per-round [`engine::RoundStats`]. The
 //!   per-graph routing tables are built once and cached inside [`Graph`], so
@@ -64,8 +65,8 @@ pub mod topology;
 
 pub use compose::ComposedProgram;
 pub use engine::{
-    drain_outbox, Accounting, ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig,
-    RoundStats, RunReport, SyncExecutor,
+    Accounting, ArenaDelivery, BlockRound, Committed, ExecutionError, Executor, ExecutorConfig,
+    NodeBlock, RoundFold, RoundStats, RunReport, SyncExecutor, Verdict,
 };
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};

@@ -1,6 +1,6 @@
 //! The persistent worker-pool executor: threads spawned once per run, a
 //! reusable barrier instead of per-round thread churn, and a parallelized
-//! outbox-commit phase — all bit-identical to [`SyncExecutor`].
+//! commit pass — all bit-identical to [`SyncExecutor`].
 //!
 //! # Why a pool
 //!
@@ -9,75 +9,51 @@
 //! or committing every outbox on one thread, would eat any parallel gain.
 //! [`PooledExecutor`] spawns its workers once per [`Executor::run`], keeps
 //! them in lockstep with one reusable [`Barrier`] (two waits per round), and
-//! lets every worker execute *and commit* its own contiguous node block.
-//! Whether that beats [`SyncExecutor`] on a given host and graph is an open
-//! measurement; the report is the same either way.
+//! lets every worker run the engine's round kernel on its own contiguous
+//! [`NodeBlock`]. Whether that beats [`SyncExecutor`] on a given host and
+//! graph is an open measurement; the report is the same either way.
 //!
 //! # Round protocol
 //!
-//! Worker 0 is the calling thread; it doubles as the coordinator. Each
-//! worker owns a contiguous block of nodes, the matching slice of every
-//! per-node table, and the contiguous receiver-side chunk of the message
-//! arena covering its nodes' CSR ranges. One round proceeds as:
+//! Worker 0 is the calling thread; it also holds the run's [`RoundFold`].
+//! Each worker owns one node block and the contiguous receiver-side chunk
+//! of the message arena covering its nodes' CSR ranges. One round proceeds
+//! as:
 //!
-//! 1. **execute + commit** — each worker runs its live programs, then drains
-//!    each outbox in node order: it resolves the delivery slot through the
-//!    shared `TopologyCache` mirror, charges the message into its private
-//!    `WorkerRound` sub-totals, and routes `(slot, msg)` into a per-
-//!    destination-block batch. Batches are handed over through one mutex-
-//!    protected transfer cell per (sender-block, receiver-block) pair via
-//!    `mem::swap` — no steady-state allocation, and each cell is touched by
-//!    exactly one sender and one receiver per round, so the locks never
-//!    contend. A broadcast is not routed: the worker keeps it as one
-//!    `(sender, payload)` entry. Finally the worker publishes its
-//!    sub-totals.
+//! 1. **execute pass, then commit pass** — each worker runs its block's
+//!    live programs against its chunk and the shared broadcast table, then
+//!    commits the block. Its commit sink routes each `(slot, msg)` into a
+//!    per-destination-block batch and keeps each broadcast as one
+//!    `(sender, payload)` entry. Batches are handed over through one
+//!    mutex-protected transfer cell per (sender-block, receiver-block) pair
+//!    via `mem::swap` — no steady-state allocation, and each cell is touched
+//!    by exactly one sender and one receiver per round, so the locks never
+//!    contend. Finally the worker publishes its block's [`BlockRound`].
 //! 2. **barrier A.**
-//! 3. **deliver / reduce** — each worker sparse-clears the slots of its arena
+//! 3. **deliver / fold** — each worker sparse-clears the slots of its arena
 //!    chunk written last round and drains its incoming transfer cells into
 //!    the chunk (last write per slot wins, in sender order). It then stores
 //!    its own nodes' broadcasts in the run's one sender-indexed broadcast
-//!    table, after clearing the entries it stored last round. Every inbox
-//!    reads its chunk and that table. Concurrently the coordinator folds
-//!    the published sub-totals *in block order* into the run totals and
-//!    decides: continue, stop (all halted), or stop with the run's error.
-//! 4. **barrier B** — after which every worker reads the coordinator's
-//!    command and either loops or exits.
+//!    table, after clearing the entries it stored last round. Concurrently
+//!    worker 0 folds the published sub-totals in block order and stores
+//!    the verdict in the stop flag.
+//! 4. **barrier B** — after which every worker reads the stop flag and
+//!    either loops or exits.
 //!
 //! # Why the report is bit-identical to [`SyncExecutor`]
 //!
-//! *Disjoint slots.* The mirror table is a bijection between directed-edge
-//! slots; distinct senders therefore write **disjoint** arena slots, and all
-//! slots of one receiver block land in that block's chunk. Routing a message
-//! touches only the sender's private batch; delivery touches only the
-//! receiver's own chunk — no write is ever racy, which is why the whole
-//! scheme works under `#![forbid(unsafe_code)]`.
-//!
-//! *Per-slot order.* All messages for one slot come from one sender (the
-//! slot names the directed edge), are batched in that sender's send order,
-//! and are delivered in that order — so "last message wins" picks the same
-//! message as the sequential commit.
-//!
-//! *Broadcasts.* Only a node's own worker writes its table entry, and only
-//! during delivery, between the barriers; inboxes read the table only
-//! during execute. The table therefore needs no second buffer, and its lock
-//! is never contended by a reader and a writer at once (the write lock only
-//! orders the workers' disjoint stores). A broadcasting node stages nothing
-//! else that round, so its neighbors read exactly the sequential engine's
-//! table entry.
-//!
-//! *Accounting.* Message and bit counters are saturating-`u64` folds;
-//! saturating addition is associative, so folding per-worker sub-totals in
-//! block order equals the sequential left-to-right accumulation exactly
-//! (see `engine::Accounting`). `max_message_bits` is a max; violation
-//! counts are sums.
-//!
-//! *First error.* Within a worker, the first error is found in node order
-//! (outboxes drain in node order, messages in send order, with the same
-//! check order as the sequential `commit_round`). Across workers, the
-//! coordinator keeps the error of the **lowest block**, which is exactly
-//! the first error in global node order. Everything a higher node did after
-//! that point is discarded along with the report, just as in the sequential
-//! engine.
+//! The passes and the fold are the engine's round kernel, so the argument
+//! is the kernel's (see the [engine docs](crate::engine)); what the pool
+//! adds is delivery. The mirror table is a bijection between directed-edge
+//! slots, so distinct senders write **disjoint** arena slots, and all slots
+//! of one receiver block land in that block's chunk: routing touches only
+//! the sender's private batch and delivery only the receiver's own chunk,
+//! which is why the scheme works under `#![forbid(unsafe_code)]`. All
+//! messages for one slot come from one sender, in its send order, so the
+//! last write is the sequential engine's. Only a node's own worker writes
+//! its broadcast table entry, and only between the barriers; inboxes read
+//! the table only during the execute pass, so the table needs no second
+//! buffer and its write lock only orders the workers' disjoint stores.
 //!
 //! # Caveats
 //!
@@ -89,22 +65,15 @@
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
-    drain_outbox, merged_inbox, run_engine, Accounting, Committed, ExecutionError, Executor,
-    ExecutorConfig, RoundStats, RunReport,
+    merged_inbox, run_engine, BlockRound, Committed, ExecutionError, Executor, ExecutorConfig,
+    NodeBlock, RoundFold, RunReport, Verdict,
 };
-use crate::message::MessageSize;
-use crate::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
+use crate::program::{Inbox, NodeProgram};
 use crate::topology::TopologyCache;
 use crate::{Graph, NodeId};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 use std::thread;
-
-/// Coordinator verdict after folding a round: keep going.
-const CMD_RUN: u8 = 0;
-/// Coordinator verdict after folding a round: exit the round loop (all nodes
-/// halted, or the run ends with an error).
-const CMD_STOP: u8 = 1;
 
 /// A batch of committed `(destination slot, message)` pairs routed to one
 /// receiver block, in sender order.
@@ -159,16 +128,6 @@ impl Executor for PooledExecutor {
     }
 }
 
-/// One worker's sub-totals for one round, published to the coordinator
-/// through a mutex and folded in block order.
-#[derive(Default)]
-struct WorkerRound {
-    acct: Accounting,
-    newly_halted: usize,
-    /// First error this worker's block produced, in node/send order.
-    error: Option<ExecutionError>,
-}
-
 /// State shared (read-only or synchronized) by all workers of one run.
 struct PoolShared<'g, M> {
     graph: &'g Graph,
@@ -177,8 +136,6 @@ struct PoolShared<'g, M> {
     width: usize,
     /// Nodes per block (the last block may be smaller).
     chunk: usize,
-    bandwidth: usize,
-    enforce: bool,
     /// One reusable barrier, waited on twice per round (A and B).
     barrier: Barrier,
     /// `width × width` transfer cells; `xfer[from * width + to]` carries the
@@ -189,136 +146,11 @@ struct PoolShared<'g, M> {
     /// worker during execute, written by each worker for its own nodes
     /// during delivery.
     table: RwLock<Vec<Option<M>>>,
-    /// Per-worker published [`WorkerRound`] sub-totals.
-    published: Vec<Mutex<WorkerRound>>,
-    /// The coordinator's verdict, written between barriers A and B and read
-    /// by workers only after B.
-    command: AtomicU8,
-}
-
-/// The coordinator's run-level state (held by worker 0, the calling thread).
-struct Coordinator<'c> {
-    config: &'c ExecutorConfig,
-    n: usize,
-    acct: Accounting,
-    round_stats: Vec<RoundStats>,
-    halted: usize,
-    /// The round whose sub-totals the next `reduce` folds (0 = init).
-    rounds: u64,
-    error: Option<ExecutionError>,
-}
-
-impl Coordinator<'_> {
-    /// Folds the per-worker sub-totals of the round that just committed, in
-    /// block (= node) order, and decides whether the pool continues. Runs
-    /// between barriers A and B, concurrently with delivery.
-    fn reduce<M>(&mut self, shared: &PoolShared<'_, M>) {
-        let mut messages = 0u64;
-        let mut payloads = 0u64;
-        let mut bits = 0u64;
-        let mut newly = 0usize;
-        let mut error: Option<ExecutionError> = None;
-        for cell in &shared.published {
-            let rep = std::mem::take(&mut *cell.lock().expect("publish lock"));
-            messages += rep.acct.messages;
-            payloads += rep.acct.payloads;
-            bits = bits.saturating_add(rep.acct.bits);
-            self.acct.max_message_bits = self.acct.max_message_bits.max(rep.acct.max_message_bits);
-            self.acct.violations += rep.acct.violations;
-            newly += rep.newly_halted;
-            if error.is_none() {
-                // Lowest block wins: the first error in global node order.
-                error = rep.error;
-            }
-        }
-        if let Some(e) = error {
-            self.error = Some(e);
-            shared.command.store(CMD_STOP, Ordering::Release);
-            return;
-        }
-        self.acct.messages = self.acct.messages.saturating_add(messages);
-        self.acct.payloads = self.acct.payloads.saturating_add(payloads);
-        self.acct.bits = self.acct.bits.saturating_add(bits);
-        self.halted += newly;
-        if self.config.record_round_stats {
-            self.round_stats.push(RoundStats {
-                round: self.rounds,
-                messages,
-                bits,
-                halted: self.halted,
-            });
-        }
-        if self.halted == self.n {
-            shared.command.store(CMD_STOP, Ordering::Release);
-        } else if self.rounds + 1 > self.config.max_rounds {
-            self.error = Some(ExecutionError::RoundLimitExceeded {
-                limit: self.config.max_rounds,
-            });
-            shared.command.store(CMD_STOP, Ordering::Release);
-        } else {
-            self.rounds += 1;
-        }
-    }
-}
-
-/// One worker's slice of the run state: a contiguous node block plus the
-/// matching contiguous chunk of the delivered-message arena.
-struct WorkerBlock<'a, P: NodeProgram> {
-    /// First node of the block.
-    first: usize,
-    programs: &'a mut [P],
-    halted: &'a mut [bool],
-    outputs: &'a mut [Option<P::Output>],
-    pending: &'a mut [Pending<P::Message>],
-    invalid: &'a mut [Option<NodeId>],
-    /// The arena slots covering every inbox of the block's nodes.
-    cur: &'a mut [Option<P::Message>],
-}
-
-/// Drains one node's staged output through the engine's shared
-/// [`drain_outbox`] primitive: charges each message into `report` and routes
-/// it to the destination block's batch, with the exact per-message check
-/// order of the sequential `commit_round`. A broadcast stays one
-/// `(sender, payload)` entry in `bcast`, stored in the shared table at
-/// delivery.
-fn route_outbox<M: MessageSize>(
-    shared: &PoolShared<'_, M>,
-    from: NodeId,
-    staged: &mut Pending<M>,
-    invalid_to: &Option<NodeId>,
-    local_out: &mut [RoutedBatch<M>],
-    bcast: &mut Vec<(usize, M)>,
-    report: &mut WorkerRound,
-) {
-    if report.error.is_some() {
-        // A lower node of this block already errored; everything after it is
-        // discarded with the report, so don't route or charge.
-        staged.clear();
-        return;
-    }
-    let range = shared.graph.slot_range(from);
-    let (base, degree) = (range.start, range.len());
-    let (topo, chunk) = (shared.topo, shared.chunk);
-    if let Err(e) = drain_outbox(
-        &topo.mirror,
-        base,
-        degree,
-        from,
-        staged,
-        *invalid_to,
-        shared.bandwidth,
-        shared.enforce,
-        &mut report.acct,
-        |unit| match unit {
-            Committed::Edge(dest, msg) => {
-                let owner = topo.slot_owner[dest] as usize;
-                local_out[owner / chunk].push((dest, msg));
-            }
-            Committed::Fan(msg) => bcast.push((from.0, msg)),
-        },
-    ) {
-        report.error = Some(e);
-    }
+    /// Per-worker published [`BlockRound`] sub-totals.
+    published: Vec<Mutex<BlockRound>>,
+    /// Worker 0's verdict, written between barriers A and B and read by
+    /// workers only after B.
+    stop: AtomicBool,
 }
 
 /// Hands this worker's routed batches to the transfer cells via `mem::swap`
@@ -402,113 +234,56 @@ impl<M> Delivered<'_, M> {
     }
 }
 
-/// The per-worker round loop. Worker 0 passes a [`Coordinator`] and folds
-/// the published sub-totals between the barriers; everyone delivers their
-/// own chunk there.
+/// One worker's run: the kernel's two passes over `block` per round, then
+/// the hand-over between the barriers. Worker 0 passes the run's `fold` and
+/// folds the published sub-totals there; everyone delivers their own chunk.
 fn pooled_worker<P: NodeProgram>(
     shared: &PoolShared<'_, P::Message>,
     me: usize,
-    block: WorkerBlock<'_, P>,
-    mut coord: Option<&mut Coordinator<'_>>,
+    block: &mut NodeBlock<'_, P>,
+    mut delivered: Delivered<'_, P::Message>,
+    mut fold: Option<&mut RoundFold<'_>>,
 ) {
-    let WorkerBlock {
-        first,
-        programs,
-        halted,
-        outputs,
-        pending,
-        invalid,
-        cur,
-    } = block;
-    let graph = shared.graph;
-    let mut delivered = Delivered {
-        slot_base: graph.slot_range(NodeId(first)).start,
-        cur,
-        cur_written: Vec::new(),
-        stored: Vec::new(),
-    };
+    let (graph, topo, chunk) = (shared.graph, shared.topo, shared.chunk);
     let mut local_out: Vec<RoutedBatch<P::Message>> =
         (0..shared.width).map(|_| Vec::new()).collect();
     let mut bcast: Vec<(usize, P::Message)> = Vec::new();
     let mut scratch: RoutedBatch<P::Message> = Vec::new();
-
-    // Round 0: init + commit.
-    let mut report = WorkerRound::default();
-    for (i, program) in programs.iter_mut().enumerate() {
-        let v = NodeId(first + i);
-        let ctx = NodeContext {
-            id: v,
-            graph,
-            round: 0,
-        };
-        let mut outbox = Outbox::over(graph.neighbors(v), &mut pending[i], &mut invalid[i]);
-        program.init(&ctx, &mut outbox);
-        route_outbox(
-            shared,
-            v,
-            &mut pending[i],
-            &invalid[i],
-            &mut local_out,
-            &mut bcast,
-            &mut report,
-        );
-    }
-    flush(shared, me, &mut local_out);
-    *shared.published[me].lock().expect("publish lock") = report;
-
     let mut round = 0u64;
     loop {
+        {
+            // The table guard is dropped before barrier A, so delivery's
+            // write locks never wait on a reader.
+            let table = shared.table.read().expect("table lock");
+            block.execute(round, |v| delivered.inbox(graph, v, &table));
+        }
+        let sub = block.commit(|from, unit| match unit {
+            Committed::Edge(dest, msg) => {
+                let owner = topo.slot_owner[dest] as usize;
+                local_out[owner / chunk].push((dest, msg));
+            }
+            Committed::Fan(msg) => bcast.push((from.0, msg)),
+        });
+        flush(shared, me, &mut local_out);
+        *shared.published[me].lock().expect("publish lock") = sub;
+
         shared.barrier.wait(); // A: all commits of this round are flushed.
-        if let Some(c) = coord.as_deref_mut() {
-            c.reduce(shared);
+        if let Some(fold) = fold.as_deref_mut() {
+            let subs = shared
+                .published
+                .iter()
+                .map(|cell| std::mem::take(&mut *cell.lock().expect("publish lock")));
+            let verdict = fold.fold(subs);
+            shared
+                .stop
+                .store(verdict == Verdict::Stop, Ordering::Release);
         }
         delivered.deliver(shared, me, &mut scratch, &mut bcast);
         shared.barrier.wait(); // B: delivery done, verdict published.
-        if shared.command.load(Ordering::Acquire) == CMD_STOP {
+        if shared.stop.load(Ordering::Acquire) {
             break;
         }
         round += 1;
-
-        // Execute + commit this round's block. The table guard is dropped
-        // before barrier A, so delivery's write locks never wait on a reader.
-        let mut report = WorkerRound::default();
-        let table = shared.table.read().expect("table lock");
-        for i in 0..programs.len() {
-            if halted[i] {
-                continue;
-            }
-            let v = NodeId(first + i);
-            let ctx = NodeContext {
-                id: v,
-                graph,
-                round,
-            };
-            let inbox = delivered.inbox(graph, v, &table);
-            pending[i].clear();
-            invalid[i] = None;
-            let mut outbox = Outbox::over(graph.neighbors(v), &mut pending[i], &mut invalid[i]);
-            match programs[i].round(&ctx, &inbox, &mut outbox) {
-                RoundAction::Continue => {}
-                RoundAction::Halt(out) => {
-                    outputs[i] = Some(out);
-                    halted[i] = true;
-                    report.newly_halted += 1;
-                    pending[i].clear();
-                }
-            }
-            route_outbox(
-                shared,
-                v,
-                &mut pending[i],
-                &invalid[i],
-                &mut local_out,
-                &mut bcast,
-                &mut report,
-            );
-        }
-        drop(table);
-        flush(shared, me, &mut local_out);
-        *shared.published[me].lock().expect("publish lock") = report;
     }
 }
 
@@ -525,127 +300,68 @@ where
     P::Message: Send + Sync,
     P::Output: Send,
 {
+    let mut fold = RoundFold::new(graph, programs.len(), config)?;
     let n = graph.n();
-    if programs.len() != n {
-        return Err(ExecutionError::ProgramCountMismatch {
-            programs: programs.len(),
-            nodes: n,
-        });
-    }
-    let bandwidth = config
-        .bandwidth_bits
-        .unwrap_or_else(|| crate::congest_bandwidth_bits(n));
-    let chunk = n.div_ceil(width).max(1);
+    let chunk = n.div_ceil(width);
     // Effective width: drop trailing empty blocks (width <= n keeps >= 2).
     let width = n.div_ceil(chunk);
     debug_assert!(width >= 2);
+    let mut blocks: Vec<NodeBlock<'_, P>> = programs
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(w, programs)| fold.block(w * chunk, programs))
+        .collect();
 
-    let topo = graph.topology();
     let shared = PoolShared::<P::Message> {
         graph,
-        topo,
+        topo: graph.topology(),
         width,
         chunk,
-        bandwidth,
-        enforce: config.enforce_bandwidth,
         barrier: Barrier::new(width),
         xfer: (0..width * width).map(|_| Mutex::new(Vec::new())).collect(),
         table: RwLock::new(std::iter::repeat_with(|| None).take(n).collect()),
-        published: (0..width)
-            .map(|_| Mutex::new(WorkerRound::default()))
-            .collect(),
-        command: AtomicU8::new(CMD_RUN),
+        published: (0..width).map(|_| Mutex::default()).collect(),
+        stop: AtomicBool::new(false),
     };
-
-    let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut halted = vec![false; n];
-    // Empty outboxes, as in the sequential engine: a lone broadcast stores
-    // one payload and never grows the per-edge vec.
-    let mut pending: Vec<Pending<P::Message>> =
-        std::iter::repeat_with(Pending::new).take(n).collect();
-    let mut invalid: Vec<Option<NodeId>> = vec![None; n];
-    // Single delivered-message arena: the transfer cells play the role of
-    // the sequential engine's write side.
+    // One delivered-message arena, carved into per-worker chunks: the
+    // transfer cells play the role of the sequential engine's write side.
     let mut cur: Vec<Option<P::Message>> = std::iter::repeat_with(|| None)
         .take(graph.slot_count())
         .collect();
 
-    let mut coord = Coordinator {
-        config,
-        n,
-        acct: Accounting::default(),
-        round_stats: Vec::new(),
-        halted: 0,
-        rounds: 0,
-        error: None,
-    };
-
     let shared_ref = &shared;
     thread::scope(|s| {
-        // Carve the flat state into per-worker blocks: node-indexed tables
-        // by `chunk`, the arena at the matching CSR boundaries.
-        let mut blocks: Vec<WorkerBlock<'_, P>> = Vec::with_capacity(width);
-        let mut cur_rest: &mut [Option<P::Message>] = &mut cur;
-        let mut carved = 0usize;
-        let node_tables = programs
-            .chunks_mut(chunk)
-            .zip(halted.chunks_mut(chunk))
-            .zip(outputs.chunks_mut(chunk))
-            .zip(pending.chunks_mut(chunk))
-            .zip(invalid.chunks_mut(chunk))
-            .enumerate();
-        for (w, ((((progs, halts), outs), pends), invs)) in node_tables {
-            let first = w * chunk;
-            let last = first + progs.len();
-            let hi = if last == n {
-                graph.slot_count()
-            } else {
-                graph.slot_range(NodeId(last)).start
-            };
-            let (mine, rest) = cur_rest.split_at_mut(hi - carved);
-            cur_rest = rest;
-            carved = hi;
-            blocks.push(WorkerBlock {
-                first,
-                programs: progs,
-                halted: halts,
-                outputs: outs,
-                pending: pends,
-                invalid: invs,
+        // Each block's chunk ends where its last node's CSR range ends.
+        let mut rest: &mut [Option<P::Message>] = &mut cur;
+        let mut workers = blocks.iter_mut().enumerate().map(|(w, block)| {
+            let slot_base = graph.slot_range(NodeId(w * chunk)).start;
+            let last = ((w + 1) * chunk).min(n) - 1;
+            let len = graph.slot_range(NodeId(last)).end - slot_base;
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            let delivered = Delivered {
+                slot_base,
                 cur: mine,
-            });
+                cur_written: Vec::new(),
+                stored: Vec::new(),
+            };
+            (w, block, delivered)
+        });
+        let (_, block0, delivered0) = workers.next().expect("width >= 2");
+        for (me, block, delivered) in workers {
+            s.spawn(move || pooled_worker(shared_ref, me, block, delivered, None));
         }
-        let mut iter = blocks.into_iter();
-        let block0 = iter.next().expect("width >= 2");
-        for (i, block) in iter.enumerate() {
-            s.spawn(move || pooled_worker::<P>(shared_ref, i + 1, block, None));
-        }
-        pooled_worker::<P>(shared_ref, 0, block0, Some(&mut coord));
+        pooled_worker(shared_ref, 0, block0, delivered0, Some(&mut fold));
     });
 
-    if let Some(e) = coord.error {
-        return Err(e);
-    }
-    Ok(RunReport {
-        outputs: outputs
-            .into_iter()
-            .map(|o| o.expect("halted node has output"))
-            .collect(),
-        rounds: coord.rounds,
-        messages: coord.acct.messages,
-        payloads: coord.acct.payloads,
-        total_bits: coord.acct.bits,
-        max_message_bits: coord.acct.max_message_bits,
-        bandwidth_violations: coord.acct.violations,
-        bandwidth_bits: bandwidth,
-        round_stats: coord.round_stats,
-    })
+    fold.finish(blocks.into_iter().flat_map(NodeBlock::into_outputs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::SyncExecutor;
+    use crate::program::{NodeContext, Outbox, RoundAction};
 
     /// Every node floods its identifier and outputs the smallest it heard,
     /// with staggered halting so blocks mix live and halted nodes.

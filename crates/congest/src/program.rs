@@ -70,9 +70,8 @@ impl<'a, M> Inbox<'a, M> {
     /// arena slots and the sender-indexed broadcast table (one entry per
     /// node of the graph). `slots` may be empty when no per-edge message was
     /// delivered this round; the view is then a pure gather from `table`.
-    /// Part of the engine SPI: executors (including external transport
-    /// backends) construct inboxes from their delivered-message stores;
-    /// programs only ever consume them.
+    /// Part of the engine SPI: the executors' delivered-message stores
+    /// construct inboxes; programs only ever consume them.
     pub fn over(senders: &'a [NodeId], slots: &'a [Option<M>], table: &'a [Option<M>]) -> Self {
         debug_assert!(slots.is_empty() || slots.len() == senders.len());
         Inbox {
@@ -168,9 +167,9 @@ pub struct Pending<M> {
 }
 
 impl<M> Pending<M> {
-    /// An empty staging area. Engine SPI: executors keep one per node and
-    /// reuse it across rounds, so the steady-state loop performs no
-    /// allocation.
+    /// An empty staging area. Engine SPI: the round kernel keeps one per
+    /// node and reuses it across rounds, so the steady-state loop performs
+    /// no allocation.
     pub fn new() -> Self {
         Pending {
             sends: Vec::new(),
@@ -220,9 +219,8 @@ pub struct Outbox<'a, M> {
 
 impl<'a, M> Outbox<'a, M> {
     /// Wraps a reusable staging area (and invalid-target scratch) for the
-    /// node whose neighbor list is given. Part of the engine SPI, used by
-    /// every executor (including external transport backends) to stage
-    /// sends.
+    /// node whose neighbor list is given. Part of the engine SPI: the round
+    /// kernel's execute pass hands one to every node it runs.
     pub fn over(
         neighbors: &'a [NodeId],
         pending: &'a mut Pending<M>,

@@ -2,15 +2,16 @@
 //!
 //! [`SocketExecutor`] / [`SocketSession`] split one run across **two OS
 //! processes** over loopback TCP with a replicated control plane: each side
-//! executes its own node block on an `ArenaDelivery`, ships the peer the
-//! cross-shard `(destination slot, message)` batch as serialized bytes, and
-//! both sides fold identical run totals into the complete report.
+//! runs its own node block through the engine's round kernel on an
+//! `ArenaDelivery`, ships the peer the cross-shard
+//! `(destination slot, message)` batch as serialized bytes, and both sides
+//! fold the two blocks' sub-totals through the engine's `RoundFold` into
+//! the complete report.
 //!
 //! Both sides produce [`RunReport`]s bit-identical to `SyncExecutor` — same
 //! outputs, same round count, same message/bit accounting, same first error
-//! — for the same reasons the engine's pooled executor does (disjoint slots
-//! via the mirror bijection, associative saturating folds in block order,
-//! lowest-block-first error), plus a lossless codec: [`Wire`] round-trips
+//! — for the reasons every executor does (see the round kernel in
+//! `congest_sim::engine`), plus a lossless codec: [`Wire`] round-trips
 //! every workspace message type bit-exactly, including `f64` payloads. The
 //! loopback suite in `tests/transport_conformance.rs` (repo root) proptests
 //! this identity over all graph families and both pipeline routes.
@@ -24,7 +25,6 @@
 
 pub mod frame;
 pub mod proto;
-mod reduce;
 pub mod socket;
 
 pub use frame::{FrameError, FrameKind};

@@ -6,19 +6,20 @@
 //! Both processes load the same graph and build all `n` programs, but each
 //! *executes* only its own contiguous block: the **leader** owns nodes
 //! `[0, split)`, the **follower** owns `[split, n)`, with
-//! `split = ceil(n / 2)`. Per round, each side ships the peer a single
+//! `split = ceil(n / 2)`. Each side runs its block through the engine's
+//! round kernel ([`NodeBlock`]'s execute and commit passes) on an
+//! [`ArenaDelivery`]. Per round, it then ships the peer a single
 //! checksummed frame (see [`crate::frame`]) carrying everything the peer
-//! cannot compute locally — its accounting sub-totals, its newly-halted
+//! cannot compute locally — its block's sub-totals, its newly-halted
 //! nodes' outputs, its first error, the cross-shard `(slot, message)`
 //! batch, and one `(sender, payload)` entry per cross-shard *broadcast*,
 //! which the receiver stores once in its sender-indexed broadcast table
-//! ([`RoundPayload`]). Each side then folds `[leader, follower]`
-//! sub-totals through the shared `Reducer` — the same fold
-//! the in-process executors perform in block order — so both processes
-//! assemble the *complete*, identical [`RunReport`] without a separate
-//! coordinator process. The round barrier is the exchange itself: neither
-//! side can advance past round `r` before holding the peer's round-`r`
-//! frame.
+//! ([`RoundPayload`]). Each side then folds the `[leader, follower]`
+//! sub-totals through the engine's [`RoundFold`], the fold every executor
+//! runs in block order, so both processes assemble the *complete*,
+//! identical [`RunReport`] without a separate coordinator process. The
+//! round barrier is the exchange itself: neither side can advance past
+//! round `r` before holding the peer's round-`r` frame.
 //!
 //! # Deadlock freedom and failure surface
 //!
@@ -30,7 +31,7 @@
 //! peer (timeout) — surfaces as a typed [`TransportError`] from
 //! [`SocketSession::run_program`], never a panic. Program misbehavior
 //! (non-neighbor send, enforced bandwidth overrun, round limit) folds
-//! through the reducer exactly as in-process and comes back as
+//! through [`RoundFold`] exactly as in-process and comes back as
 //! [`TransportError::Execution`] on **both** sides.
 //!
 //! A session persists across runs: a composed pipeline issues one
@@ -42,12 +43,12 @@
 
 use crate::frame::{read_frame, write_frame, FrameError, FrameKind};
 use crate::proto::{Hello, RoundPayload, PROTOCOL_VERSION};
-use crate::reduce::{Reducer, ShardRound, Verdict};
 use crate::TransportError;
 use congest_sim::engine::{
-    ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RunReport,
+    ArenaDelivery, BlockRound, Committed, ExecutionError, Executor, ExecutorConfig, NodeBlock,
+    RoundFold, RunReport, Verdict,
 };
-use congest_sim::program::{NodeContext, NodeProgram, Outbox, Pending, RoundAction};
+use congest_sim::program::NodeProgram;
 use congest_sim::{Graph, NodeId};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -340,7 +341,9 @@ impl Executor for SocketExecutor {
     }
 }
 
-/// The per-run state of this side's shard.
+/// This side's delivery state for one run, around its [`NodeBlock`]: where
+/// the block ends, the cross-shard units staged for the peer, and the
+/// peer's outputs.
 struct Shard<'g, P: NodeProgram> {
     graph: &'g Graph,
     /// First node of the local block.
@@ -351,20 +354,15 @@ struct Shard<'g, P: NodeProgram> {
     /// it belong to the leader.
     slot_split: usize,
     leader: bool,
-    bandwidth: usize,
-    enforce: bool,
-    programs: Vec<P>,
-    halted: Vec<bool>,
-    pending: Vec<Pending<P::Message>>,
-    invalid: Vec<Option<NodeId>>,
-    /// Global node ids of local nodes that halted this round.
-    newly: Vec<usize>,
     /// Cross-shard batch staged for the peer this round.
     out_batch: Vec<(usize, P::Message)>,
     /// Cross-shard broadcasts staged for the peer this round: one
     /// `(sender, payload)` entry per local node with a peer-owned neighbor;
     /// the peer stores it once in its sender-indexed broadcast table.
     out_bcast: Vec<(usize, P::Message)>,
+    /// Outputs of the peer's halted nodes, indexed by node id; the local
+    /// block's entries stay `None` until the run ends.
+    outputs: Vec<Option<P::Output>>,
 }
 
 impl<P: NodeProgram> Shard<'_, P> {
@@ -372,126 +370,36 @@ impl<P: NodeProgram> Shard<'_, P> {
         (slot < self.slot_split) == self.leader
     }
 
-    /// Routes one node's committed outbox: local-destination messages go
-    /// straight into `delivery`, cross-shard ones into the staged batch. A
-    /// broadcast is stored once in `delivery`'s sender-indexed table and,
-    /// if the node has a peer-owned neighbor, staged once for the peer.
+    /// The shard's commit sink: a local-destination message goes straight
+    /// into `delivery`, a cross-shard one into the staged batch. A broadcast
+    /// is stored once in `delivery`'s sender-indexed table and, if the node
+    /// has a peer-owned neighbor, staged once for the peer.
     fn route(
         &mut self,
-        v: NodeId,
-        i: usize,
+        from: NodeId,
+        unit: Committed<P::Message>,
         delivery: &mut ArenaDelivery<P::Message>,
-        report: &mut ShardRound,
     ) {
-        if report.error.is_some() {
-            self.pending[i].clear();
-            return;
-        }
-        let range = self.graph.slot_range(v);
-        let (base, degree) = (range.start, range.len());
-        let topo = self.graph.topology();
-        let (slot_split, leader) = (self.slot_split, self.leader);
-        // Neighbors are sorted and the peer owns every node outside
-        // `lo..hi`, so the ends of the list tell whether a broadcast crosses.
-        let neighbors = self.graph.neighbors(v);
-        let crosses = neighbors.first().is_some_and(|u| u.0 < self.lo)
-            || neighbors.last().is_some_and(|u| u.0 >= self.hi);
-        let out_batch = &mut self.out_batch;
-        let out_bcast = &mut self.out_bcast;
-        if let Err(e) = congest_sim::engine::drain_outbox(
-            &topo.mirror,
-            base,
-            degree,
-            v,
-            &mut self.pending[i],
-            self.invalid[i],
-            self.bandwidth,
-            self.enforce,
-            &mut report.acct,
-            |unit| match unit {
-                Committed::Edge(slot, msg) => {
-                    if (slot < slot_split) == leader {
-                        delivery.queue(slot, msg);
-                    } else {
-                        out_batch.push((slot, msg));
-                    }
-                }
-                Committed::Fan(msg) => {
-                    if crosses {
-                        out_bcast.push((v.0, msg.clone()));
-                    }
-                    delivery.queue_broadcast(v.0, msg);
-                }
-            },
-        ) {
-            report.error = Some(e);
-        }
-    }
-
-    /// Runs `init` for every local node and routes the commits.
-    fn init_round(&mut self, delivery: &mut ArenaDelivery<P::Message>) -> ShardRound {
-        let mut report = ShardRound::default();
-        let graph = self.graph;
-        for i in 0..self.programs.len() {
-            let v = NodeId(self.lo + i);
-            let ctx = NodeContext {
-                id: v,
-                graph,
-                round: 0,
-            };
-            let mut outbox = Outbox::over(
-                graph.neighbors(v),
-                &mut self.pending[i],
-                &mut self.invalid[i],
-            );
-            self.programs[i].init(&ctx, &mut outbox);
-            self.route(v, i, delivery, &mut report);
-        }
-        report
-    }
-
-    /// Runs one round for every live local node and routes the commits;
-    /// halting nodes land in `outputs` and `self.newly`.
-    fn execute_round(
-        &mut self,
-        round: u64,
-        delivery: &mut ArenaDelivery<P::Message>,
-        outputs: &mut [Option<P::Output>],
-    ) -> ShardRound {
-        let mut report = ShardRound::default();
-        let graph = self.graph;
-        self.newly.clear();
-        for i in 0..self.programs.len() {
-            if self.halted[i] {
-                continue;
-            }
-            let v = NodeId(self.lo + i);
-            let ctx = NodeContext {
-                id: v,
-                graph,
-                round,
-            };
-            let inbox = delivery.inbox(graph, v);
-            self.pending[i].clear();
-            self.invalid[i] = None;
-            let mut outbox = Outbox::over(
-                graph.neighbors(v),
-                &mut self.pending[i],
-                &mut self.invalid[i],
-            );
-            match self.programs[i].round(&ctx, &inbox, &mut outbox) {
-                RoundAction::Continue => {}
-                RoundAction::Halt(out) => {
-                    outputs[v.0] = Some(out);
-                    self.halted[i] = true;
-                    self.newly.push(v.0);
-                    report.newly_halted += 1;
-                    self.pending[i].clear();
+        match unit {
+            Committed::Edge(slot, msg) => {
+                if self.owns_slot(slot) {
+                    delivery.queue(slot, msg);
+                } else {
+                    self.out_batch.push((slot, msg));
                 }
             }
-            self.route(v, i, delivery, &mut report);
+            Committed::Fan(msg) => {
+                // Neighbors are sorted and the peer owns every node outside
+                // `lo..hi`, so the ends of the list tell whether it crosses.
+                let neighbors = self.graph.neighbors(from);
+                let crosses = neighbors.first().is_some_and(|u| u.0 < self.lo)
+                    || neighbors.last().is_some_and(|u| u.0 >= self.hi);
+                if crosses {
+                    self.out_bcast.push((from.0, msg.clone()));
+                }
+                delivery.queue_broadcast(from.0, msg);
+            }
         }
-        report
     }
 }
 
@@ -499,24 +407,22 @@ impl<P: NodeProgram> Shard<'_, P> {
 /// the peer's halted outputs, cross-shard batch and broadcasts, and returns
 /// the peer's sub-totals. Each peer broadcast is one table write; a sender
 /// the peer does not own, or one listed twice, is a protocol error.
-#[allow(clippy::too_many_arguments)]
 fn exchange<P: NodeProgram>(
     session: &mut SocketSession,
     shard: &mut Shard<'_, P>,
     round: u64,
-    report: &ShardRound,
+    block: &NodeBlock<'_, P>,
+    mine: &BlockRound,
     delivery: &mut ArenaDelivery<P::Message>,
-    outputs: &mut [Option<P::Output>],
-) -> Result<ShardRound, TransportError> {
+) -> Result<BlockRound, TransportError> {
     let payload = RoundPayload {
         round,
-        acct: report.acct.clone(),
-        newly_halted: shard
-            .newly
-            .iter()
-            .map(|&v| (v, outputs[v].clone().expect("halted node has output")))
+        acct: mine.acct.clone(),
+        newly_halted: block
+            .newly_halted()
+            .map(|(v, out)| (v.0, out.clone()))
             .collect(),
-        error: report.error.clone(),
+        error: mine.error.clone(),
         batch: std::mem::take(&mut shard.out_batch),
         bcast: std::mem::take(&mut shard.out_bcast),
     };
@@ -546,12 +452,12 @@ fn exchange<P: NodeProgram>(
     let peer_newly = peer.newly_halted.len();
     for (v, out) in peer.newly_halted {
         let peer_owned = v < n && !(shard.lo..shard.hi).contains(&v);
-        if !peer_owned || outputs[v].is_some() {
+        if !peer_owned || shard.outputs[v].is_some() {
             return Err(TransportError::Protocol(format!(
                 "peer reported a halt for node {v} it does not own"
             )));
         }
-        outputs[v] = Some(out);
+        shard.outputs[v] = Some(out);
     }
     for (slot, msg) in peer.batch {
         if slot >= shard.graph.slot_count() || !shard.owns_slot(slot) {
@@ -575,7 +481,7 @@ fn exchange<P: NodeProgram>(
         }
         delivery.queue_broadcast(sender, msg);
     }
-    Ok(ShardRound {
+    Ok(BlockRound {
         acct: peer.acct,
         newly_halted: peer_newly,
         error: peer.error,
@@ -587,21 +493,11 @@ fn run_session<P: NodeProgram>(
     session: &mut SocketSession,
     role: Role,
     graph: &Graph,
-    programs: Vec<P>,
+    mut programs: Vec<P>,
     config: &ExecutorConfig,
 ) -> Result<RunReport<P::Output>, TransportError> {
     let n = graph.n();
-    if programs.len() != n {
-        return Err(TransportError::Execution(
-            ExecutionError::ProgramCountMismatch {
-                programs: programs.len(),
-                nodes: n,
-            },
-        ));
-    }
-    let bandwidth = config
-        .bandwidth_bits
-        .unwrap_or_else(|| congest_sim::congest_bandwidth_bits(n));
+    let mut fold = RoundFold::new(graph, programs.len(), config)?;
     let split = n.div_ceil(2);
     let slot_split = if split >= n {
         graph.slot_count()
@@ -620,7 +516,7 @@ fn run_session<P: NodeProgram>(
         slot_count: graph.slot_count(),
         split,
         max_rounds: config.max_rounds,
-        bandwidth_bits: bandwidth,
+        bandwidth_bits: fold.bandwidth(),
         enforce_bandwidth: config.enforce_bandwidth,
         record_round_stats: config.record_round_stats,
     };
@@ -670,85 +566,49 @@ fn run_session<P: NodeProgram>(
         Role::Leader => (0, split),
         Role::Follower => (split, n),
     };
+    // Only the local block runs here; the peer executes the rest.
+    let mut block = fold.block(lo, &mut programs[lo..hi]);
     let mut shard = Shard {
         graph,
         lo,
         hi,
         slot_split,
         leader: role == Role::Leader,
-        bandwidth,
-        enforce: config.enforce_bandwidth,
-        programs: {
-            let mut programs = programs;
-            // Keep only the local block; the peer executes the rest.
-            programs.truncate(hi);
-            programs.drain(..lo);
-            programs
-        },
-        halted: vec![false; hi - lo],
-        pending: std::iter::repeat_with(Pending::new).take(hi - lo).collect(),
-        invalid: vec![None; hi - lo],
-        newly: Vec::new(),
         out_batch: Vec::new(),
         out_bcast: Vec::new(),
+        outputs: std::iter::repeat_with(|| None).take(n).collect(),
     };
-    let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
     let mut delivery: ArenaDelivery<P::Message> = ArenaDelivery::new(graph);
-    let mut reducer = Reducer::new(config, n);
 
-    // Round 0: init, exchange, fold.
-    let report = shard.init_round(&mut delivery);
-    let peer_report = exchange(session, &mut shard, 0, &report, &mut delivery, &mut outputs)?;
-    let mut verdict = fold(&mut reducer, role, report, peer_report);
-
+    let mut round = 0;
     loop {
+        block.execute(round, |v| delivery.inbox(graph, v));
+        let mine = block.commit(|from, unit| shard.route(from, unit, &mut delivery));
+        let peer = exchange(session, &mut shard, round, &block, &mine, &mut delivery)?;
+        // `[leader, follower]` is block order, so both sides fold alike.
+        let verdict = match role {
+            Role::Leader => fold.fold([mine, peer]),
+            Role::Follower => fold.fold([peer, mine]),
+        };
         delivery.advance();
         if verdict == Verdict::Stop {
             break;
         }
-        let round = reducer.rounds;
-        let report = shard.execute_round(round, &mut delivery, &mut outputs);
-        let peer_report = exchange(
-            session,
-            &mut shard,
-            round,
-            &report,
-            &mut delivery,
-            &mut outputs,
-        )?;
-        verdict = fold(&mut reducer, role, report, peer_report);
+        round += 1;
     }
 
-    if let Some(e) = reducer.error.take() {
-        return Err(TransportError::Execution(e));
-    }
-    // Both shards' halts were folded and both output lists applied, so a
+    // Both shards' halts were folded and the peer's outputs applied, so a
     // successful run has every output present on both sides.
-    reducer
-        .into_report(
-            outputs
-                .into_iter()
-                .map(|o| o.expect("halted node has output"))
-                .collect(),
-            bandwidth,
-        )
-        .map_err(TransportError::Execution)
-}
-
-/// Folds the two shards' sub-totals in `[leader, follower]` order — the
-/// block order of the in-process executors.
-fn fold(reducer: &mut Reducer<'_>, role: Role, mine: ShardRound, peer: ShardRound) -> Verdict {
-    match role {
-        Role::Leader => reducer.fold_round([mine, peer]),
-        Role::Follower => reducer.fold_round([peer, mine]),
-    }
+    let mut outputs = shard.outputs;
+    outputs.splice(lo..hi, block.into_outputs());
+    fold.finish(outputs).map_err(TransportError::Execution)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use congest_sim::engine::SyncExecutor;
-    use congest_sim::program::Inbox;
+    use congest_sim::program::{Inbox, NodeContext, Outbox, RoundAction};
     use std::io::Write;
 
     /// Min-id flood with staggered halting so both shards mix live and

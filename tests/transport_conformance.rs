@@ -16,7 +16,8 @@
 mod workloads;
 
 use congest_mds::congest::{
-    Executor, ExecutorConfig, Graph, NodeProgram, PooledExecutor, RunReport, SyncExecutor,
+    ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram,
+    Outbox, PooledExecutor, RoundAction, RunReport, SyncExecutor,
 };
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig, MdsResult};
@@ -29,9 +30,13 @@ use std::thread;
 use std::time::Duration;
 use workloads::{family_graph_strategy, mixed_programs, sends_programs, staggered_programs};
 
+/// A run's outcome on one endpoint or executor.
+type Outcome<O> = Result<RunReport<O>, ExecutionError>;
+
 /// Runs `mk()` programs on both ends of a loopback socket session (the peer
-/// on a second thread) and returns `[leader, follower]` reports.
-fn socket_run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [RunReport<P::Output>; 2]
+/// on a second thread) and returns `[leader, follower]` outcomes. A
+/// wire-level failure panics: only program errors are outcomes.
+fn socket_run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [Outcome<P::Output>; 2]
 where
     P: NodeProgram + Send,
     P::Output: Send,
@@ -50,7 +55,12 @@ where
         let leader = session.run_program(Role::Leader, graph, mk(), config);
         (leader, follower.join().expect("follower thread"))
     });
-    [leader.unwrap(), follower.unwrap()]
+    [leader, follower].map(|result| {
+        result.map_err(|e| match e {
+            TransportError::Execution(e) => e,
+            other => panic!("socket transport failure: {other}"),
+        })
+    })
 }
 
 /// Runs the composed pipeline on both ends of one persistent loopback
@@ -86,14 +96,14 @@ fn selected_backends(threads: usize) -> [Backend; 2] {
     [Backend::Pool(threads), Backend::Socket]
 }
 
-/// Runs `mk()` programs on `backend` and returns every report it assembles:
+/// Runs `mk()` programs on `backend` and returns every outcome it reaches:
 /// the pool's one, or the socket leader's and follower's.
 fn run_backend<P, F>(
     backend: Backend,
     graph: &Graph,
     mk: F,
     config: &ExecutorConfig,
-) -> Vec<RunReport<P::Output>>
+) -> Vec<Outcome<P::Output>>
 where
     P: NodeProgram + Send,
     P::Message: Send + Sync,
@@ -101,9 +111,7 @@ where
     F: Fn() -> Vec<P> + Sync,
 {
     match backend {
-        Backend::Pool(threads) => vec![PooledExecutor::new(threads)
-            .run(graph, mk(), config)
-            .unwrap()],
+        Backend::Pool(threads) => vec![PooledExecutor::new(threads).run(graph, mk(), config)],
         Backend::Socket => socket_run_both(graph, mk, config).into(),
     }
 }
@@ -160,7 +168,7 @@ proptest! {
                 || staggered_programs(graph.n(), depth),
                 &config,
             ) {
-                prop_assert_eq!(&seq, &report, "backend {:?}", backend);
+                prop_assert_eq!(&seq, &report.unwrap(), "backend {:?}", backend);
             }
         }
     }
@@ -187,10 +195,92 @@ proptest! {
         for backend in selected_backends(threads) {
             let n = graph.n();
             for b in run_backend(backend, &graph, || staggered_programs(n, depth), &config) {
-                prop_assert_eq!(&bcast, &b, "broadcast twin, backend {:?}", backend);
+                prop_assert_eq!(&bcast, &b.unwrap(), "broadcast twin, backend {:?}", backend);
             }
             for s in run_backend(backend, &graph, || sends_programs(n, depth), &config) {
-                prop_assert_eq!(&sends, &s, "send twin, backend {:?}", backend);
+                prop_assert_eq!(&sends, &s.unwrap(), "send twin, backend {:?}", backend);
+            }
+        }
+    }
+}
+
+/// The round every [`Offender`] halts in.
+const OFFENDER_HALT: u64 = 4;
+
+/// Broadcasts an empty payload every round until [`OFFENDER_HALT`], except
+/// that node `node` misbehaves in round `round` (0 = init): it sends to
+/// `NodeId(n)`, which is never a neighbor, or, with `fat`, broadcasts 64
+/// bytes. An empty payload costs 32 bits, within every budget (at least 32
+/// bits); 64 bytes exceed the budget of every graph here.
+struct Offender {
+    node: usize,
+    round: u64,
+    fat: bool,
+}
+
+impl Offender {
+    fn act(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, Vec<u8>>) {
+        if (ctx.id.0, ctx.round) != (self.node, self.round) {
+            outbox.broadcast(Vec::new());
+        } else if self.fat {
+            outbox.broadcast(vec![0; 64]);
+        } else {
+            outbox.send(NodeId(ctx.n()), Vec::new());
+        }
+    }
+}
+
+impl NodeProgram for Offender {
+    type Message = Vec<u8>;
+    type Output = ();
+
+    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, Vec<u8>>) {
+        self.act(ctx, outbox);
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeContext<'_>,
+        _: &Inbox<'_, Vec<u8>>,
+        outbox: &mut Outbox<'_, Vec<u8>>,
+    ) -> RoundAction<()> {
+        if ctx.round >= OFFENDER_HALT {
+            return RoundAction::Halt(());
+        }
+        self.act(ctx, outbox);
+        RoundAction::Continue
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    // Every backend returns the sequential executor's first error, whichever
+    // block the offender sits in and whichever round it misbehaves in: a
+    // send to a non-neighbor under the default configuration, or a message
+    // over the budget under strict CONGEST. A fat broadcast from an isolated
+    // node sends nothing, so that run alone succeeds, identically everywhere.
+    #[test]
+    fn selected_backends_return_the_sequential_first_error(
+        graph in family_graph_strategy(),
+        node in 0usize..64,
+        round in 0..OFFENDER_HALT,
+        fat in 0usize..2,
+        threads in 1usize..7,
+    ) {
+        let n = graph.n();
+        let (node, fat) = (node % n, fat == 1);
+        let config = if fat {
+            ExecutorConfig::strict_congest()
+        } else {
+            ExecutorConfig::default()
+        };
+        let mk = || (0..n).map(|_| Offender { node, round, fat }).collect::<Vec<_>>();
+        let seq = SyncExecutor.run(&graph, mk(), &config);
+        prop_assert_eq!(seq.is_err(), !fat || graph.degree(NodeId(node)) > 0);
+        for backend in selected_backends(threads) {
+            for outcome in run_backend(backend, &graph, mk, &config) {
+                prop_assert_eq!(&seq, &outcome, "backend {:?}", backend);
             }
         }
     }
@@ -247,7 +337,7 @@ proptest! {
             .run(&graph, staggered_programs(graph.n(), depth), &config)
             .unwrap();
         for report in socket_run_both(&graph, || staggered_programs(graph.n(), depth), &config) {
-            prop_assert_eq!(&seq, &report);
+            prop_assert_eq!(&seq, &report.unwrap());
         }
     }
 }
@@ -272,10 +362,10 @@ fn socket_broadcast_and_send_twins_agree_over_loopback() {
     assert_eq!(sends.payloads, sends.messages);
     assert!(bcast.payloads < sends.payloads);
     for report in socket_run_both(&graph, || staggered_programs(graph.n(), 4), &config) {
-        assert_eq!(bcast, report);
+        assert_eq!(bcast, report.unwrap());
     }
     for report in socket_run_both(&graph, || sends_programs(graph.n(), 4), &config) {
-        assert_eq!(sends, report);
+        assert_eq!(sends, report.unwrap());
     }
 }
 
@@ -301,10 +391,10 @@ fn socket_mixed_inbox_matches_its_all_sends_twin_over_loopback() {
             .unwrap();
         assert_twins_agree(&mixed, &sends);
         for report in socket_run_both(&graph, || mixed_programs(n, 6, false), &config) {
-            assert_eq!(mixed, report, "n={n}");
+            assert_eq!(mixed, report.unwrap(), "n={n}");
         }
         for report in socket_run_both(&graph, || mixed_programs(n, 6, true), &config) {
-            assert_eq!(sends, report, "n={n}");
+            assert_eq!(sends, report.unwrap(), "n={n}");
         }
     }
 }
