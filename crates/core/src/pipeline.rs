@@ -31,8 +31,10 @@
 //! Theorem 1.1 network decomposition runs as the measured GK18-carving join
 //! waves ([`mds_decomposition::netdecomp::NetDecompProgram`]), so **both**
 //! theorem routes are engine-measured end to end: every round-spending phase
-//! is measured, with one interleaved accounting stream either way.
-//! [`central_oracle`] retains the pure in-memory implementation; the engine
+//! is measured, with one interleaved accounting stream either way. That
+//! engine run is the pipeline's only cost model.
+//! [`central_oracle`] retains the pure in-memory implementation of the same
+//! decisions and charges nothing beyond its Part I record; the engine
 //! execution is property-tested bit-identical to it on both executors
 //! (`tests/properties.rs`).
 //!
@@ -139,7 +141,8 @@ pub struct MdsResult {
     pub assignment: FractionalAssignment,
     /// Round/message accounting across all parts: one record per phase, in
     /// execution order, saying whether it ran on the engine (measured) or
-    /// was centrally simulated (charged).
+    /// was centrally simulated (charged). A [`central_oracle`] ledger holds
+    /// only the Part I record.
     pub ledger: RoundLedger,
     /// Per-stage size/fractionality trajectory (experiment E5).
     pub stages: Vec<StageRecord>,
@@ -156,24 +159,23 @@ impl MdsResult {
     }
 
     /// Rounds actually executed on the engine across all measured phases.
-    /// A [`central_oracle`] run reports only the phases it really runs on
-    /// the engine: the Part I rounds of [`FractionalMethod::Kw05`], `0`
-    /// under every other method.
+    /// A [`central_oracle`] run reports its Part I record only: the rounds
+    /// of [`FractionalMethod::Kw05`], `0` under every other method.
     pub fn measured_engine_rounds(&self) -> u64 {
         self.ledger.measured_rounds(None)
     }
 
     /// Rounds the measured Lemma 3.12 distance-two coloring phases spent on
     /// the engine, summed over all rounding steps (`0` on the
-    /// network-decomposition route and for [`central_oracle`] runs, which
-    /// color centrally).
+    /// network-decomposition route and for [`central_oracle`] runs, whose
+    /// ledger is their Part I record).
     pub fn measured_coloring_rounds(&self) -> u64 {
         self.ledger.measured_rounds(Some(PhaseKind::Coloring))
     }
 
     /// Rounds the measured GK18-carving network decomposition spent on the
     /// engine (`0` on the coloring routes and for [`central_oracle`] runs,
-    /// which decompose centrally).
+    /// whose ledger is their Part I record).
     pub fn measured_netdecomp_rounds(&self) -> u64 {
         self.ledger.measured_rounds(Some(PhaseKind::NetDecomp))
     }
@@ -182,119 +184,6 @@ impl MdsResult {
     pub fn guarantee(&self, graph: &Graph) -> f64 {
         (1.0 + self.epsilon) * (1.0 + (graph.delta_tilde().max(2) as f64).ln())
     }
-}
-
-/// Everything Parts II/III need to know about one derandomization step: the
-/// coin-fixing groups, the paper's round formula, and the cost of setting the
-/// grouping up.
-struct DerandPlan {
-    /// Coin-fixing groups in processing order (clusters or color classes);
-    /// the engine runs them in conflict order
-    /// ([`DerandSchedule::conflict_order`]).
-    groups: Vec<Vec<usize>>,
-    /// Ledger entry name.
-    name: String,
-    /// The paper's closed-form round bound for the step.
-    formula: u64,
-    /// Rounds the pre-engine central implementation used to charge.
-    central_simulated: u64,
-    /// Messages charged for the step.
-    messages: u64,
-    /// Construction cost of the grouping (coloring ledger; empty for the
-    /// precomputed decomposition).
-    setup: RoundLedger,
-}
-
-/// Computes the derandomization plan for one rounding step of the configured
-/// route — shared by the composed engine execution and the central oracle, so
-/// both process exactly the same groups in the same order.
-fn derandomization_plan(
-    graph: &Graph,
-    problem: &RoundingProblem,
-    config: &MdsConfig,
-    nd_groups: Option<&[Vec<usize>]>,
-    decomposition: Option<&NetworkDecomposition>,
-) -> DerandPlan {
-    let n = graph.n().max(2);
-    match &config.route {
-        DerandRoute::NetworkDecomposition { .. } => {
-            let nd = decomposition.expect("decomposition precomputed for this route");
-            let groups = nd_groups.expect("groups precomputed").to_vec();
-            let central_simulated =
-                groups.iter().map(|g| g.len() as u64).sum::<u64>() * (nd.diameter() as u64 + 1);
-            DerandPlan {
-                central_simulated,
-                formula: formulas::netdecomp_derandomization_rounds(
-                    n,
-                    nd.num_colors(),
-                    nd.diameter() + 1,
-                ),
-                name: "derandomization via network decomposition (Lemma 3.4)".to_owned(),
-                messages: problem.values.len() as u64 * 2,
-                setup: RoundLedger::new(),
-                groups,
-            }
-        }
-        DerandRoute::Coloring | DerandRoute::ColoringLocal => {
-            let (coloring, bipartite) = color_problem(problem);
-            let setup = coloring.ledger.clone();
-            coloring_route_plan(graph, problem, config, &coloring, &bipartite, setup)
-        }
-    }
-}
-
-/// The Lemma 3.10 derandomization plan of the coloring route for an
-/// already-computed Lemma 3.12 coloring — shared by the central oracle
-/// (which colors centrally and passes the charged coloring ledger as
-/// `setup`) and the composed engine execution (which ran the coloring as a
-/// measured phase and passes an empty `setup`).
-fn coloring_route_plan(
-    graph: &Graph,
-    problem: &RoundingProblem,
-    config: &MdsConfig,
-    coloring: &BipartiteColoring,
-    bipartite: &BipartiteGraph,
-    setup: RoundLedger,
-) -> DerandPlan {
-    let n = graph.n().max(2);
-    let local = matches!(config.route, DerandRoute::ColoringLocal);
-    let formula = if local {
-        // Corollary 1.3: the coloring can be computed in
-        // O(F·Δ + log* n) rounds in the LOCAL model.
-        (bipartite.max_left_degree() * graph.max_degree().max(1)) as u64
-            + formulas::log_star(n) as u64
-            + formulas::coloring_derandomization_rounds(coloring.num_colors)
-    } else {
-        formulas::coloring_derandomization_rounds(coloring.num_colors)
-    };
-    DerandPlan {
-        central_simulated: coloring.num_colors as u64 * 2,
-        formula,
-        name: "derandomization via distance-two coloring (Lemma 3.10)".to_owned(),
-        messages: problem.values.len() as u64 * 2,
-        setup,
-        groups: coloring.classes(),
-    }
-}
-
-/// Computes the coin-fixing groups for one rounding step and the round charge
-/// for setting them up and using them — the central oracle's view of
-/// [`derandomization_plan`].
-fn derandomization_groups(
-    graph: &Graph,
-    problem: &RoundingProblem,
-    config: &MdsConfig,
-    nd_groups: Option<&[Vec<usize>]>,
-    decomposition: Option<&NetworkDecomposition>,
-) -> (Vec<Vec<usize>>, RoundLedger) {
-    let plan = derandomization_plan(graph, problem, config, nd_groups, decomposition);
-    let mut ledger = plan.setup;
-    ledger.charge(
-        PhaseSpec::new(PhaseKind::Derandomization, plan.name).with_formula(plan.formula),
-        plan.central_simulated,
-        plan.messages,
-    );
-    (plan.groups, ledger)
 }
 
 /// Builds the constraint/value bipartite graph of a rounding problem together
@@ -320,42 +209,50 @@ pub fn problem_bipartite(problem: &RoundingProblem) -> (BipartiteGraph, Vec<usiz
 /// examples and tests color problems exactly as the pipeline does.
 pub fn color_problem(problem: &RoundingProblem) -> (BipartiteColoring, BipartiteGraph) {
     let (b, _owners, targets) = problem_bipartite(problem);
-    let coloring = bipartite_distance_two_coloring(&b, &targets, problem.n_original.max(2));
-    (coloring, b)
+    (bipartite_distance_two_coloring(&b, &targets), b)
 }
 
-/// Executes one derandomization step on the engine through the composer.
+/// Executes one derandomization step on the engine through the composer: the
+/// one place where a step's coin-fixing groups, ledger name and paper formula
+/// are decided for each route.
 ///
-/// On the coloring routes the Lemma 3.12 distance-two coloring itself runs
-/// first, as a measured engine phase (substitution R4 made measured): the
+/// `decomposition` is the run's measured network decomposition with its
+/// coin-fixing groups, present exactly on the Theorem 1.1 route. On the
+/// coloring routes the Lemma 3.12 distance-two coloring itself runs first,
+/// as a measured engine phase (substitution R4 made measured): the
 /// [`DistanceTwoColoringProgram`](mds_decomposition::coloring::DistanceTwoColoringProgram)
 /// executes the iterative color reduction in exactly
 /// [`formulas::measured_coloring_rounds`] rounds, at most the Lemma 3.12
 /// charge, and its assembled output — bit-identical to the central
 /// [`bipartite_distance_two_coloring`] oracle — provides the color classes.
-/// Then the plan's groups become a conflict-order [`DerandSchedule`] (the
-/// color classes themselves, or the longest conflict chains of the cluster
-/// order) and the scheduled conditional-expectation program runs as a
-/// measured phase. Steps without any coin to fix fall back to the (free)
-/// central evaluation.
+/// Then the groups become a conflict-order [`DerandSchedule`] (the color
+/// classes themselves, or the longest conflict chains of the cluster order)
+/// and the scheduled conditional-expectation program runs as a measured
+/// phase. Steps without any coin to fix fall back to the (free) central
+/// evaluation.
 fn composed_derandomization<E: Executor>(
     composer: &mut ComposedProgram<'_, E>,
     graph: &Graph,
     problem: &RoundingProblem,
     config: &MdsConfig,
-    nd_groups: Option<&[Vec<usize>]>,
-    decomposition: Option<&NetworkDecomposition>,
+    decomposition: Option<&(NetworkDecomposition, Vec<Vec<usize>>)>,
 ) -> FractionalAssignment {
-    let plan = match &config.route {
-        DerandRoute::Coloring | DerandRoute::ColoringLocal if graph.n() > 0 => {
+    let n = graph.n().max(2);
+    let (groups, name, formula) = match decomposition {
+        Some((nd, groups)) => (
+            groups.clone(),
+            "derandomization via network decomposition (Lemma 3.4)",
+            formulas::netdecomp_derandomization_rounds(n, nd.num_colors(), nd.diameter() + 1),
+        ),
+        None => {
             let (bipartite, left_owner, targets) = problem_bipartite(problem);
             let (programs, schedule) =
                 distance_two_coloring_programs(graph, &bipartite, &left_owner, &targets)
                     .expect("pipeline rounding problems are graph-aligned");
-            let formula = formulas::bipartite_coloring_rounds(
+            let charge = formulas::bipartite_coloring_rounds(
                 bipartite.max_left_degree(),
                 bipartite.max_right_degree(),
-                graph.n().max(2),
+                n,
             );
             let report = composer
                 .measured(
@@ -363,7 +260,7 @@ fn composed_derandomization<E: Executor>(
                         PhaseKind::Coloring,
                         "distance-two coloring (Lemma 3.12, measured)",
                     )
-                    .with_formula(formula),
+                    .with_formula(charge),
                     programs,
                 )
                 .expect("distance-two coloring program is well-formed");
@@ -372,27 +269,28 @@ fn composed_derandomization<E: Executor>(
                 formulas::measured_coloring_rounds(schedule.num_steps as u64)
             );
             debug_assert!(
-                report.rounds <= formula,
-                "measured coloring rounds {} exceed the Lemma 3.12 charge {formula}",
+                report.rounds <= charge,
+                "measured coloring rounds {} exceed the Lemma 3.12 charge {charge}",
                 report.rounds
             );
             let coloring = assemble_coloring(&report.outputs);
-            coloring_route_plan(
-                graph,
-                problem,
-                config,
-                &coloring,
-                &bipartite,
-                RoundLedger::new(),
+            let mut formula = formulas::coloring_derandomization_rounds(coloring.num_colors);
+            if matches!(config.route, DerandRoute::ColoringLocal) {
+                // Corollary 1.3: the coloring can be computed in
+                // O(F·Δ + log* n) rounds in the LOCAL model.
+                formula += (bipartite.max_left_degree() * graph.max_degree().max(1)) as u64
+                    + formulas::log_star(n) as u64;
+            }
+            (
+                coloring.classes(),
+                "derandomization via distance-two coloring (Lemma 3.10)",
+                formula,
             )
         }
-        _ => derandomization_plan(graph, problem, config, nd_groups, decomposition),
     };
-    composer.absorb(plan.setup);
-    let schedule = DerandSchedule::conflict_order(&plan.groups, problem);
+    let schedule = DerandSchedule::conflict_order(&groups, problem);
     debug_assert!(
-        matches!(config.route, DerandRoute::NetworkDecomposition { .. })
-            || schedule.steps == plan.groups,
+        decomposition.is_some() || schedule.steps == groups,
         "conflict order of greedy color classes must be the classes themselves"
     );
     if schedule.is_empty() {
@@ -402,16 +300,16 @@ fn composed_derandomization<E: Executor>(
             problem,
             &DerandomizeConfig {
                 estimator: config.estimator,
-                groups: Some(plan.groups),
+                groups: Some(groups),
             },
         );
         composer.charged(
             PhaseSpec::new(
                 PhaseKind::Derandomization,
-                format!("{} (no coins to fix)", plan.name),
+                format!("{name} (no coins to fix)"),
             ),
             0,
-            plan.messages,
+            problem.values.len() as u64 * 2,
         );
         return out.output;
     }
@@ -419,11 +317,8 @@ fn composed_derandomization<E: Executor>(
         .expect("pipeline rounding problems are graph-aligned");
     let report = composer
         .measured(
-            PhaseSpec::new(
-                PhaseKind::Derandomization,
-                format!("{} (measured)", plan.name),
-            )
-            .with_formula(plan.formula),
+            PhaseSpec::new(PhaseKind::Derandomization, format!("{name} (measured)"))
+                .with_formula(formula),
             programs,
         )
         .expect("scheduled derandomization program is well-formed");
@@ -436,19 +331,24 @@ fn composed_derandomization<E: Executor>(
 }
 
 /// The shared Part II/III control flow: builds each rounding problem exactly
-/// as the paper prescribes and hands it to `round_step` for derandomization.
-/// Both execution modes instantiate this with their own `round_step`, so the
-/// engine run and the central oracle follow bit-identical control flow.
+/// as the paper prescribes and hands it to `round_step` for derandomization,
+/// recording the stage trajectory from the Part I solution on. Both execution
+/// modes instantiate this with their own `round_step`, so the engine run and
+/// the central oracle follow bit-identical control flow.
 fn rounding_parts<F>(
     graph: &Graph,
     config: &MdsConfig,
     mut assignment: FractionalAssignment,
-    stages: &mut Vec<StageRecord>,
     mut round_step: F,
-) -> FractionalAssignment
+) -> (FractionalAssignment, Vec<StageRecord>)
 where
     F: FnMut(&RoundingProblem) -> FractionalAssignment,
 {
+    let mut stages = vec![StageRecord {
+        name: "part I: initial fractional solution".to_owned(),
+        size: assignment.size(),
+        fractionality: assignment.fractionality(),
+    }];
     let delta_tilde = graph.delta_tilde().max(2);
 
     // ---- Part II: factor-two doubling loop (Lemmas 3.9 / 3.14). ----
@@ -516,12 +416,12 @@ where
         size: assignment.size(),
         fractionality: assignment.fractionality(),
     });
-    assignment
+    (assignment, stages)
 }
 
 /// Flattens a decomposition's clusters, in color order, into the coin-fixing
 /// groups of the Theorem 1.1 route (member identifiers per cluster) — shared
-/// by the measured engine phase and the central oracle.
+/// by the measured engine run and the central oracle.
 fn nd_groups_of(nd: &NetworkDecomposition) -> Vec<Vec<usize>> {
     nd.clusters_by_color()
         .into_iter()
@@ -536,26 +436,14 @@ fn nd_groups_of(nd: &NetworkDecomposition) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Precomputes the network decomposition (and its flattened coin-fixing
-/// groups) for the Theorem 1.1 route; charges its construction to `ledger`.
-/// Used by [`central_oracle`] — composed runs execute the decomposition as a
-/// measured engine phase instead.
-fn precompute_decomposition(
-    graph: &Graph,
-    config: &MdsConfig,
-    ledger: &mut RoundLedger,
-) -> (Option<NetworkDecomposition>, Option<Vec<Vec<usize>>>) {
-    let decomposition = match &config.route {
-        DerandRoute::NetworkDecomposition { k } => {
-            let nd =
-                strong_diameter_decomposition(graph, (*k).max(1), &DecompositionConfig::default());
-            ledger.absorb(nd.ledger.clone());
-            Some(nd)
-        }
-        _ => None,
-    };
-    let nd_groups = decomposition.as_ref().map(nd_groups_of);
-    (decomposition, nd_groups)
+/// The Lemma 2.1 configuration of Part I: `ε/4`, clamped, with the solver the
+/// pipeline is configured with and transmittable values.
+fn part_one_config(config: &MdsConfig) -> InitialSolutionConfig {
+    InitialSolutionConfig {
+        epsilon: (config.epsilon / 4.0).clamp(1e-3, 0.25),
+        method: config.fractional.clone(),
+        make_transmittable: true,
+    }
 }
 
 /// Runs the pipeline as a composed engine execution on the sequential
@@ -572,14 +460,14 @@ pub fn run(graph: &Graph, config: &MdsConfig) -> MdsResult {
 /// decomposition (the GK18-carving join waves of
 /// [`mds_decomposition::netdecomp::NetDecompProgram`]) — every round-spending
 /// phase runs measured on the engine. The result is bit-identical to
-/// [`central_oracle`] (property-tested), only the ledger differs — it now
-/// carries *measured* round counts for the hot path.
+/// [`central_oracle`] (property-tested); only this run's ledger carries the
+/// pipeline's round accounting.
 pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> MdsResult {
     let mut composer = ComposedProgram::new(graph, executor, ExecutorConfig::default());
-    let mut stages = Vec::new();
 
     // ---- Part I: initial fractional solution (Lemma 2.1). ----
-    let eps1 = (config.epsilon / 4.0).clamp(1e-3, 0.25);
+    let part_one = part_one_config(config);
+    let eps1 = part_one.epsilon;
     // The node-program solvers run on `executor`; the central ones go
     // through the Lemma 2.1 wrapper, which charges them in closed form.
     let measured_values = match &config.fractional {
@@ -636,29 +524,17 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             (assignment, mds_fractional::lp::dual_lower_bound(graph))
         }
         None => {
-            let initial = initial_fractional_solution(
-                graph,
-                &InitialSolutionConfig {
-                    epsilon: eps1,
-                    method: config.fractional.clone(),
-                    make_transmittable: true,
-                },
-            );
-            composer.absorb(initial.ledger.clone());
+            let initial = initial_fractional_solution(graph, &part_one);
+            composer.absorb(initial.ledger);
             (initial.assignment, initial.lp_lower_bound)
         }
     };
-    stages.push(StageRecord {
-        name: "part I: initial fractional solution".to_owned(),
-        size: assignment.size(),
-        fractionality: assignment.fractionality(),
-    });
 
     // ---- Network decomposition (Theorem 1.1 route), measured on the
     // engine: the pure carving schedule runs as per-phase BFS join waves
     // (substitution R2 made measured), bit-identical to the central
     // [`strong_diameter_decomposition`] oracle by construction. ----
-    let (decomposition, nd_groups) = match &config.route {
+    let decomposition = match &config.route {
         DerandRoute::NetworkDecomposition { k } => {
             let k = (*k).max(1);
             let (programs, schedule) =
@@ -688,19 +564,18 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             );
             let nd = assemble_decomposition(&report.outputs, &schedule);
             let groups = nd_groups_of(&nd);
-            (Some(nd), Some(groups))
+            Some((nd, groups))
         }
-        _ => (None, None),
+        DerandRoute::Coloring | DerandRoute::ColoringLocal => None,
     };
 
     // ---- Parts II and III, every rounding step measured on the engine. ----
-    let assignment = rounding_parts(graph, config, assignment, &mut stages, |problem| {
+    let (assignment, stages) = rounding_parts(graph, config, assignment, |problem| {
         composed_derandomization(
             &mut composer,
             graph,
             problem,
             config,
-            nd_groups.as_deref(),
             decomposition.as_ref(),
         )
     });
@@ -718,43 +593,31 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
 }
 
 /// The pure in-memory implementation of the pipeline: identical decisions,
-/// no engine. Retained as the oracle every composed run is property-tested
-/// equal to (`tests/properties.rs`), and usable where no executor is wanted.
+/// no engine. Part I runs through [`initial_fractional_solution`]; every
+/// rounding step takes its groups from the central decomposition
+/// ([`strong_diameter_decomposition`]) or from the problem's central coloring
+/// ([`color_problem`]) and fixes its coins with the central [`derandomize`].
+/// Retained as the oracle every composed run is property-tested equal to
+/// (`tests/properties.rs`), and usable where no executor is wanted.
+///
+/// The pipeline's round accounting is the engine run of [`run_on`]; the
+/// oracle charges nothing of its own. Its ledger is the record
+/// [`initial_fractional_solution`] returns, which holds measured engine
+/// rounds only under [`FractionalMethod::Kw05`] (KW05 has no central replay,
+/// so Lemma 2.1 runs it on the engine).
 pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
-    let mut ledger = RoundLedger::new();
-    let mut stages = Vec::new();
-
-    // ---- Part I: initial fractional solution (Lemma 2.1). ----
-    let eps1 = (config.epsilon / 4.0).clamp(1e-3, 0.25);
-    let initial = initial_fractional_solution(
-        graph,
-        &InitialSolutionConfig {
-            epsilon: eps1,
-            method: config.fractional.clone(),
-            make_transmittable: true,
-        },
-    );
-    ledger.absorb(initial.ledger.clone());
-    let assignment = initial.assignment;
-    stages.push(StageRecord {
-        name: "part I: initial fractional solution".to_owned(),
-        size: assignment.size(),
-        fractionality: assignment.fractionality(),
-    });
-
-    // Precompute the derandomization structure shared by all rounding steps.
-    let (decomposition, nd_groups) = precompute_decomposition(graph, config, &mut ledger);
-
-    // ---- Parts II and III, every rounding step evaluated centrally. ----
-    let assignment = rounding_parts(graph, config, assignment, &mut stages, |problem| {
-        let (groups, charge) = derandomization_groups(
-            graph,
-            problem,
-            config,
-            nd_groups.as_deref(),
-            decomposition.as_ref(),
-        );
-        ledger.absorb(charge);
+    let initial = initial_fractional_solution(graph, &part_one_config(config));
+    let nd_groups = match &config.route {
+        DerandRoute::NetworkDecomposition { k } => Some(nd_groups_of(
+            &strong_diameter_decomposition(graph, (*k).max(1), &DecompositionConfig::default()),
+        )),
+        DerandRoute::Coloring | DerandRoute::ColoringLocal => None,
+    };
+    let (assignment, stages) = rounding_parts(graph, config, initial.assignment, |problem| {
+        let groups = match &nd_groups {
+            Some(groups) => groups.clone(),
+            None => color_problem(problem).0.classes(),
+        };
         derandomize(
             problem,
             &DerandomizeConfig {
@@ -767,11 +630,10 @@ pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
 
     debug_assert!(assignment.is_integral());
     debug_assert!(assignment.is_feasible_dominating_set(graph));
-    let dominating_set = assignment.selected_nodes();
     MdsResult {
-        dominating_set,
+        dominating_set: assignment.selected_nodes(),
         assignment,
-        ledger,
+        ledger: initial.ledger,
         stages,
         lp_lower_bound: initial.lp_lower_bound,
         epsilon: config.epsilon,
@@ -1150,6 +1012,32 @@ mod tests {
             central_oracle(&g, &config).measured_engine_rounds(),
             kw05.simulated_rounds
         );
+    }
+
+    #[test]
+    fn central_oracle_ledger_is_its_part_one_record() {
+        let g = generators::gnp(60, 0.1, 3);
+        for fractional in [
+            quick_config().fractional,
+            FractionalMethod::Kw05 { k: None },
+        ] {
+            for route in [
+                DerandRoute::Coloring,
+                DerandRoute::NetworkDecomposition { k: 2 },
+            ] {
+                let config = MdsConfig {
+                    route,
+                    fractional: fractional.clone(),
+                    ..quick_config()
+                };
+                let part_one = initial_fractional_solution(&g, &part_one_config(&config));
+                assert_eq!(
+                    central_oracle(&g, &config).ledger,
+                    part_one.ledger,
+                    "{config:?}"
+                );
+            }
+        }
     }
 
     /// Forwards every run to [`SyncExecutor`] and counts the calls.

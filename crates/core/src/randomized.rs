@@ -4,7 +4,7 @@
 //! Lemma 3.6/3.7 bounds) and E9 (derandomized vs randomized output quality),
 //! and they demonstrate the `k`-wise independent execution path of Lemma 3.3.
 
-use congest_sim::{Graph, NodeId, PhaseKind, PhaseSpec, RoundLedger};
+use congest_sim::{Graph, NodeId};
 use mds_fractional::lemma21::{
     initial_fractional_solution, FractionalMethod, InitialSolutionConfig,
 };
@@ -21,8 +21,6 @@ pub struct RandomizedResult {
     pub dominating_set: Vec<NodeId>,
     /// Number of constraints repaired in phase two.
     pub repaired: usize,
-    /// Round accounting.
-    pub ledger: RoundLedger,
 }
 
 impl RandomizedResult {
@@ -43,19 +41,12 @@ pub fn randomized_one_shot(graph: &Graph, epsilon: f64, seed: u64) -> Randomized
             make_transmittable: true,
         },
     );
-    let mut ledger = initial.ledger.clone();
     let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();
     let mut rng = StdRng::seed_from_u64(seed);
     let out = execute_with_rng(&problem, &mut rng);
-    ledger.charge(
-        PhaseSpec::new(PhaseKind::Other, "randomized one-shot rounding"),
-        2,
-        graph.m() as u64,
-    );
     RandomizedResult {
         dominating_set: out.output.selected_nodes(),
         repaired: out.violated_constraints.len(),
-        ledger,
     }
 }
 
@@ -76,23 +67,13 @@ pub fn randomized_one_shot_kwise(
             make_transmittable: true,
         },
     );
-    let mut ledger = initial.ledger.clone();
     let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();
     let mut rng = StdRng::seed_from_u64(seed);
     let generator = KWiseGenerator::from_rng(k.max(1), &mut rng);
     let out = execute_with_kwise(&problem, &generator);
-    ledger.charge(
-        PhaseSpec::new(
-            PhaseKind::Other,
-            "randomized one-shot rounding (k-wise seed)",
-        ),
-        2,
-        graph.m() as u64,
-    );
     RandomizedResult {
         dominating_set: out.output.selected_nodes(),
         repaired: out.violated_constraints.len(),
-        ledger,
     }
 }
 

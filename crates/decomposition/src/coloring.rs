@@ -15,8 +15,8 @@
 //! * [`bipartite_distance_two_coloring`] — the **central oracle**: computes
 //!   the [`ColoringSchedule`] (residue batches of the trivial ID coloring
 //!   and reduction steps, both functions of the IDs and the topology only)
-//!   and fixes the final colors step by step in one loop; the Lemma 3.12
-//!   formula is charged to its ledger.
+//!   and fixes the final colors step by step in one loop. It charges no
+//!   rounds: the measured engine run below is the only cost model.
 //! * [`DistanceTwoColoringProgram`] — the **measured** CONGEST execution on
 //!   the original network, built by [`distance_two_coloring_programs`], run
 //!   by any [`congest_sim::Executor`] and read back by [`assemble_coloring`]:
@@ -43,10 +43,8 @@
 //! messages (the schedule only says when a node decides, never what it
 //! decides).
 
-use congest_sim::ledger::formulas;
 use congest_sim::{
-    Graph, Inbox, MessageSize, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind, PhaseSpec,
-    RoundAction, RoundLedger, Wire,
+    Graph, Inbox, MessageSize, NodeContext, NodeId, NodeProgram, Outbox, RoundAction, Wire,
 };
 use mds_graphs::BipartiteGraph;
 
@@ -59,10 +57,6 @@ pub struct BipartiteColoring {
     pub colors: Vec<usize>,
     /// Number of colors used.
     pub num_colors: usize,
-    /// Round accounting (the Lemma 3.12 formula for the central oracle;
-    /// empty for colorings assembled from engine outputs, whose cost is
-    /// accounted by the run that produced them).
-    pub ledger: RoundLedger,
 }
 
 impl BipartiteColoring {
@@ -221,18 +215,13 @@ pub fn coloring_schedule(b: &BipartiteGraph, targets: &[usize]) -> ColoringSched
 
 /// Colors the right nodes listed in `targets` of the bipartite graph `b` so
 /// that no two targets sharing a left neighbor get the same color
-/// (Lemma 3.12). `n` is the size of the underlying network, used only for the
-/// round formula.
+/// (Lemma 3.12).
 ///
 /// This is the central oracle of the measured [`DistanceTwoColoringProgram`]:
 /// it fixes the final colors in the schedule's `(initial class, id)` order
 /// with the smallest-free rule, which is exactly what the engine execution
 /// computes step by step.
-pub fn bipartite_distance_two_coloring(
-    b: &BipartiteGraph,
-    targets: &[usize],
-    n: usize,
-) -> BipartiteColoring {
+pub fn bipartite_distance_two_coloring(b: &BipartiteGraph, targets: &[usize]) -> BipartiteColoring {
     let (schedule, is_target) = schedule_and_targets(b, targets);
     let mut colors = vec![usize::MAX; b.right_count()];
     let mut num_colors = 0usize;
@@ -247,26 +236,7 @@ pub fn bipartite_distance_two_coloring(
         colors[r] = color;
         num_colors = num_colors.max(color + 1);
     }
-
-    let mut ledger = RoundLedger::new();
-    ledger.charge(
-        PhaseSpec::new(
-            PhaseKind::Coloring,
-            "bipartite distance-two coloring (Lemma 3.12)",
-        )
-        .with_formula(formulas::bipartite_coloring_rounds(
-            b.max_left_degree(),
-            b.max_right_degree(),
-            n.max(2),
-        )),
-        targets.len() as u64,
-        b.edge_count() as u64,
-    );
-    BipartiteColoring {
-        colors,
-        num_colors,
-        ledger,
-    }
+    BipartiteColoring { colors, num_colors }
 }
 
 /// Verifies that `coloring` is a proper distance-two coloring of `targets`.
@@ -613,16 +583,12 @@ pub fn distance_two_coloring_programs(
     Ok((programs, schedule))
 }
 
-/// Assembles a [`BipartiteColoring`] from the per-node engine outputs (the
-/// ledger is left empty; the run that produced the outputs carries the cost).
+/// Assembles a [`BipartiteColoring`] from the per-node engine outputs; the
+/// run that produced them is the coloring's cost.
 pub fn assemble_coloring(outputs: &[Option<usize>]) -> BipartiteColoring {
     let colors: Vec<usize> = outputs.iter().map(|c| c.unwrap_or(usize::MAX)).collect();
     let num_colors = outputs.iter().flatten().map(|&c| c + 1).max().unwrap_or(0);
-    BipartiteColoring {
-        colors,
-        num_colors,
-        ledger: RoundLedger::new(),
-    }
+    BipartiteColoring { colors, num_colors }
 }
 
 /// A distance-two coloring of all nodes of an ordinary graph (i.e. a proper
@@ -659,6 +625,7 @@ pub fn graph_distance_two_coloring(graph: &Graph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::ledger::formulas;
     use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::bipartite::BipartiteRepresentation;
     use mds_graphs::generators;
@@ -697,7 +664,7 @@ mod tests {
         let g = generators::gnp(60, 0.1, 4);
         let rep = BipartiteRepresentation::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets, g.n());
+        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
         verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
         let bound = rep.graph().max_left_degree() * rep.graph().max_right_degree();
         assert!(
@@ -705,7 +672,6 @@ mod tests {
             "{} colors > Δ_L·Δ_R = {bound}",
             coloring.num_colors
         );
-        assert!(coloring.ledger.total_formula_rounds() > 0);
     }
 
     #[test]
@@ -713,7 +679,7 @@ mod tests {
         let g = generators::path(6);
         let rep = BipartiteRepresentation::from_graph(&g);
         let targets = vec![0, 2, 4];
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets, g.n());
+        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
         verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
         assert_eq!(coloring.colors[1], usize::MAX);
         let classes = coloring.classes();
@@ -728,7 +694,7 @@ mod tests {
         let g = generators::star(12);
         let rep = BipartiteRepresentation::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets, g.n());
+        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
         assert_eq!(coloring.num_colors, 12);
         verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
     }
@@ -762,7 +728,7 @@ mod tests {
         let g = generators::star(4);
         let rep = BipartiteRepresentation::from_graph(&g);
         let targets: Vec<usize> = (0..4).collect();
-        let mut coloring = bipartite_distance_two_coloring(rep.graph(), &targets, 4);
+        let mut coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
         // Corrupt: give two conflicting nodes the same color.
         coloring.colors[1] = coloring.colors[2];
         assert!(verify_bipartite_coloring(rep.graph(), &coloring, &targets).is_err());
@@ -795,7 +761,7 @@ mod tests {
         let rep = BipartiteRepresentation::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
         let schedule = coloring_schedule(rep.graph(), &targets);
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets, g.n());
+        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
         verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
         assert!(targets
             .iter()
@@ -814,7 +780,7 @@ mod tests {
         let g = generators::cycle(50);
         let (b, owners) = representation_instance(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let oracle = bipartite_distance_two_coloring(&b, &targets, g.n());
+        let oracle = bipartite_distance_two_coloring(&b, &targets);
         let (coloring, report, steps) = run_measured(&g, &b, &owners, &targets, &SyncExecutor);
         assert_eq!(coloring.colors, oracle.colors);
         assert_eq!(coloring.num_colors, oracle.num_colors);
@@ -853,7 +819,7 @@ mod tests {
         let g = generators::path(5);
         let b = BipartiteGraph::new(0, 5);
         let targets: Vec<usize> = (0..5).collect();
-        let oracle = bipartite_distance_two_coloring(&b, &targets, 5);
+        let oracle = bipartite_distance_two_coloring(&b, &targets);
         assert_eq!(oracle.num_colors, 1);
         assert!(oracle.colors.iter().all(|&c| c == 0));
         let (coloring, report, steps) = run_measured(&g, &b, &[], &targets, &SyncExecutor);

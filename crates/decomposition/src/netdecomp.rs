@@ -24,8 +24,9 @@
 //! * [`strong_diameter_decomposition`] — the **central oracle**: computes the
 //!   [`CarvingSchedule`] (which node is clustered in which phase, who carves,
 //!   and how deep each phase's join wave runs — all functions of the IDs and
-//!   the topology only) and materializes the clusters from it in one pass;
-//!   the Theorem 3.2 formula is charged to its ledger.
+//!   the topology only) and materializes the clusters from it in one pass.
+//!   It charges no rounds: the measured engine run below is the only cost
+//!   model.
 //! * [`NetDecompProgram`] — the **measured** CONGEST execution, built by
 //!   [`netdecomp_programs`], run by any [`congest_sim::Executor`] and read
 //!   back by [`assemble_decomposition`]: phase by phase, the carve centers
@@ -57,10 +58,7 @@
 
 use crate::cluster::{Cluster, ClusterGraph};
 use congest_sim::ledger::formulas;
-use congest_sim::{
-    Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, PhaseKind, PhaseSpec, RoundAction,
-    RoundLedger, Wire,
-};
+use congest_sim::{Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, RoundAction, Wire};
 use std::collections::VecDeque;
 
 /// Configuration of the decomposition construction.
@@ -84,11 +82,6 @@ pub struct NetworkDecomposition {
     pub k: usize,
     /// The colored cluster graph.
     pub clusters: ClusterGraph,
-    /// Round/message accounting (the carving-schedule wave rounds vs the
-    /// paper's GK18 formula for the central oracle; empty for decompositions
-    /// assembled from engine outputs, whose cost is accounted by the run
-    /// that produced them).
-    pub ledger: RoundLedger,
 }
 
 impl NetworkDecomposition {
@@ -303,10 +296,8 @@ pub fn clusters_from_schedule(graph: &Graph, schedule: &CarvingSchedule) -> Clus
 ///
 /// This is the central oracle of the measured [`NetDecompProgram`]: it
 /// computes the [`CarvingSchedule`] and replays its join waves centrally, so
-/// the engine execution is bit-identical by construction. Its ledger charges
-/// the schedule's exact wave rounds against the Theorem 3.2 paper formula,
-/// with the measured program's message count (every node broadcasts its join
-/// once: `2m` messages).
+/// the engine execution is bit-identical by construction. It charges no
+/// rounds; the measured run's [`CarvingSchedule::wave_rounds`] is the cost.
 ///
 /// # Panics
 ///
@@ -317,21 +308,9 @@ pub fn strong_diameter_decomposition(
     config: &DecompositionConfig,
 ) -> NetworkDecomposition {
     let schedule = carving_schedule(graph, k, config);
-    let clusters = clusters_from_schedule(graph, &schedule);
-    let mut ledger = RoundLedger::new();
-    ledger.charge(
-        PhaseSpec::new(
-            PhaseKind::NetDecomp,
-            "network decomposition (ball carving vs GK18)",
-        )
-        .with_formula(formulas::netdecomp_charge_rounds(graph.n(), k)),
-        schedule.wave_rounds(),
-        2 * graph.m() as u64,
-    );
     NetworkDecomposition {
         k,
-        clusters,
-        ledger,
+        clusters: clusters_from_schedule(graph, &schedule),
     }
 }
 
@@ -608,10 +587,10 @@ pub fn netdecomp_programs(
     (programs, schedule)
 }
 
-/// Assembles a [`NetworkDecomposition`] from the per-node engine outputs
-/// (the ledger is left empty; the run that produced the outputs carries the
-/// cost). Clusters are grouped by their announced leader and ordered by
-/// `(phase, leader)` — the carving order of the central oracle.
+/// Assembles a [`NetworkDecomposition`] from the per-node engine outputs; the
+/// run that produced them is the decomposition's cost. Clusters are grouped
+/// by their announced leader and ordered by `(phase, leader)` — the carving
+/// order of the central oracle.
 pub fn assemble_decomposition(
     outputs: &[NetDecompOutput],
     schedule: &CarvingSchedule,
@@ -649,7 +628,6 @@ pub fn assemble_decomposition(
             cluster_of,
             colors,
         },
-        ledger: RoundLedger::new(),
     }
 }
 
@@ -768,18 +746,6 @@ mod tests {
         let total: usize = by_color.iter().map(Vec::len).sum();
         assert_eq!(total, nd.clusters.len());
         assert_eq!(by_color.len(), nd.num_colors());
-    }
-
-    #[test]
-    fn ledger_records_both_cost_views() {
-        let g = generators::cycle(64);
-        let nd = check(&g, 2);
-        assert!(nd.ledger.total_simulated_rounds() > 0);
-        assert!(nd.ledger.total_formula_rounds() > 0);
-        // The oracle charges exactly what the engine measures.
-        let (_, report, _) = check_measured(&g, 2);
-        assert_eq!(nd.ledger.total_simulated_rounds(), report.rounds);
-        assert_eq!(nd.ledger.total_messages(), report.messages);
     }
 
     #[test]

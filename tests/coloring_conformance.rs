@@ -57,7 +57,7 @@ fn assert_conformance(
     targets: &[usize],
     threads: usize,
 ) {
-    let oracle = bipartite_distance_two_coloring(b, targets, graph.n().max(2));
+    let oracle = bipartite_distance_two_coloring(b, targets);
     verify_bipartite_coloring(b, &oracle, targets).expect("oracle coloring invalid");
     if !targets.is_empty() {
         let bound = (b.max_left_degree() * b.max_right_degree()).max(1);

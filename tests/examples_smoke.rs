@@ -110,7 +110,6 @@ fn derandomization_anatomy_example_core_path() {
         },
     );
     let mut composed = ComposedProgram::new(&graph, &SyncExecutor, ExecutorConfig::default());
-    composed.absorb(coloring.ledger.clone());
     let programs = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
         .expect("one-shot problems are graph-aligned");
     let report = composed

@@ -1,8 +1,8 @@
 //! Golden-trajectory regression: the per-phase ledger records and the stage
-//! trajectory of a fixed-seed Theorem 1.1 and Theorem 1.2 run are serialized
-//! field-by-field and compared against the checked-in files under
-//! `tests/golden/`, so future refactors cannot silently change the round
-//! accounting of either route. Wall time is host-dependent and never
+//! trajectory of a fixed-seed Theorem 1.1, Theorem 1.2 and Corollary 1.3 run
+//! are serialized field-by-field and compared against the checked-in files
+//! under `tests/golden/`, so future refactors cannot silently change the
+//! round accounting of any route. Wall time is host-dependent and never
 //! serialized.
 //!
 //! On mismatch the actual serialization is written to
@@ -16,7 +16,7 @@
 
 use congest_mds::congest::PhaseMode;
 use congest_mds::graphs::generators;
-use congest_mds::mds::pipeline::{theorem_1_1, theorem_1_2, MdsConfig, MdsResult};
+use congest_mds::mds::pipeline::{corollary_1_3, theorem_1_1, theorem_1_2, MdsConfig, MdsResult};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -168,4 +168,11 @@ fn theorem_1_2_trajectory_matches_golden() {
     let g = generators::gnp(GRAPH_N, GRAPH_P, GRAPH_SEED);
     let result = theorem_1_2(&g, &MdsConfig::default());
     compare_against_golden("theorem_1_2", &result);
+}
+
+#[test]
+fn corollary_1_3_trajectory_matches_golden() {
+    let g = generators::gnp(GRAPH_N, GRAPH_P, GRAPH_SEED);
+    let result = corollary_1_3(&g, &MdsConfig::default());
+    compare_against_golden("corollary_1_3", &result);
 }

@@ -149,7 +149,7 @@ fn degenerate_bipartite_input_without_left_nodes_is_colored_in_one_step() {
     let targets: Vec<usize> = (0..6).collect();
     assert_eq!(b.max_left_degree(), 0);
 
-    let oracle = bipartite_distance_two_coloring(&b, &targets, g.n());
+    let oracle = bipartite_distance_two_coloring(&b, &targets);
     assert_eq!(oracle.num_colors, 1);
     verify_bipartite_coloring(&b, &oracle, &targets).unwrap();
 
