@@ -1,6 +1,6 @@
-//! Experiment driver: regenerates the tables of `EXPERIMENTS.md`, the
-//! machine-readable pipeline benchmark, the perf-trend comparison and the
-//! raw-executor scale sweep.
+//! Experiment driver: prints the E1–E10 experiment tables as Markdown on
+//! stdout, writes the machine-readable pipeline benchmark, prints the
+//! perf-trend comparison and the raw-executor scale sweep.
 //!
 //! Usage:
 //!
@@ -25,9 +25,10 @@
 //! `--exp` with no id, or with an id other than `e1`..`e10` / `all`, is a
 //! usage error (exit code 2).
 //!
-//! `--executor-sweep` runs the flood throughput benchmark at decade sizes up
-//! to `max_n` (default 10⁶) on the sequential executor and the worker pool
-//! and prints the speedup table.
+//! `--executor-sweep` runs the flood throughput benchmark on cycles, sparse
+//! `G(n, 2n)` graphs, stars and unit-disk graphs at decade sizes up to
+//! `max_n` (default 10⁶) on the sequential executor and the worker pool and
+//! prints the speedup table.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -2,8 +2,9 @@
 //! the measurement is dominated by the engine's round loop (arena swap,
 //! commit, inbox construction) rather than by per-node compute.
 //!
-//! `experiments --executor-sweep` drives this up to `n = 10⁶` on the sparse
-//! families and prints a wall-time table over the in-process executors:
+//! `experiments --executor-sweep` drives this up to `n = 10⁶` on four
+//! topologies (cycles, sparse `G(n, 2n)`, stars and random geometric graphs)
+//! and prints a wall-time table over the in-process executors:
 //! sequential, and the persistent worker pool at `T` threads — the
 //! pool-`T`-vs-sync speedup column decides whether the pool earns its place.
 //! The run also doubles as a scale test of the bit-identity contract, since
@@ -72,12 +73,19 @@ fn sweep_threads() -> usize {
         .max(1)
 }
 
-/// Runs the flood program on cycles and sparse `G(n, 2n)` instances at decade
-/// sizes up to `max_n` (a single miniature size when `max_n` is below the
-/// first decade, so tests still exercise the cross-executor assertion), on
-/// the sequential executor and the persistent pool at `T` threads, and
-/// returns a Markdown table of wall times and the speedup. `T` follows
-/// `PARALLEL_THREADS` (else the core count).
+/// Radius giving a unit-disk graph on `n` nodes an expected average degree
+/// of about 8 on the unit square.
+fn geometric_radius(n: usize) -> f64 {
+    (8.0 / (std::f64::consts::PI * n as f64)).sqrt()
+}
+
+/// Runs the flood program on cycles, sparse `G(n, 2n)` instances, stars
+/// (one hub whose inbox holds every other node) and unit-disk graphs of
+/// average degree about 8 at decade sizes up to `max_n` (a single miniature
+/// size when `max_n` is below the first decade, so tests still exercise the
+/// cross-executor assertion), on the sequential executor and the persistent
+/// pool at `T` threads, and returns a Markdown table of wall times and the
+/// speedup. `T` follows `PARALLEL_THREADS` (else the core count).
 ///
 /// # Panics
 ///
@@ -109,9 +117,14 @@ pub fn executor_sweep_markdown(max_n: usize) -> String {
         for (label, g) in [
             ("cycle", generators::cycle(n)),
             ("gnm_2n", generators::gnm(n, 2 * n, 3)),
+            ("star", generators::star(n)),
+            (
+                "geometric",
+                generators::unit_disk(n, geometric_radius(n), 7),
+            ),
         ] {
             let config = ExecutorConfig::default();
-            // Warm the per-graph routing tables up front so every executor
+            // Warm the per-graph routing table up front so every executor
             // column measures the round loop, not the one-off setup.
             g.warm_topology();
             let time = |run: &dyn Fn() -> congest_sim::RunReport<u32>| {
@@ -166,6 +179,8 @@ mod tests {
         let table = executor_sweep_markdown(0);
         assert!(table.contains("| graph |"));
         assert!(table.contains("vs sync"));
-        assert!(table.contains("| 512 |"));
+        for label in ["cycle", "gnm_2n", "star", "geometric"] {
+            assert!(table.contains(&format!("| {label} | 512 |")), "{label}");
+        }
     }
 }

@@ -1,6 +1,8 @@
-//! Experiment harness regenerating every experiment listed in `DESIGN.md`
-//! (E1–E10). Each function returns a Markdown table; the `experiments` binary
-//! prints them and `EXPERIMENTS.md` records a reference run.
+//! Experiment harness for every experiment listed in `DESIGN.md` (E1–E10).
+//! Each function returns a Markdown table, which the `experiments` binary
+//! prints on stdout; the same binary writes the pipeline benchmark JSON
+//! ([`pipeline_benchmark_json`]), compares two of them ([`trend`]) and runs
+//! the raw-executor sweep ([`flood`]).
 //!
 //! The paper itself has no measurement section (it is a theory paper), so the
 //! experiments validate the *stated bounds*: approximation guarantees, round
@@ -763,16 +765,6 @@ pub const JSON_BENCH_SIZES: [usize; 3] = [50, 100, 200];
 pub mod flood;
 pub mod trend;
 
-/// Convenience used by the Criterion benches: a small graph per family label.
-pub fn bench_graph(label: &str) -> Graph {
-    match label {
-        "gnp" => generators::gnp(120, 0.06, 1),
-        "grid" => generators::grid(10, 10),
-        "udg" => generators::unit_disk(100, 0.2, 1),
-        _ => generators::random_tree(100, 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,13 +781,6 @@ mod tests {
     #[test]
     fn unknown_experiment_is_reported() {
         assert!(run_experiment("e99").is_none());
-    }
-
-    #[test]
-    fn bench_graphs_are_nonempty() {
-        for label in ["gnp", "grid", "udg", "tree"] {
-            assert!(bench_graph(label).n() > 0);
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
     /// Creates a composition over `graph` driven by `executor`; every
     /// measured phase runs under `config`.
     ///
-    /// Eagerly builds the graph's shared `crate::topology` routing tables,
+    /// Eagerly builds the graph's shared `crate::topology` routing table,
     /// so every measured phase (and any later run on the same graph) reuses
     /// one `O(m log Δ)` setup *and* the build cost is attributed to
     /// composition setup rather than to the first phase's wall time.

@@ -33,9 +33,9 @@
 //! [`Accounting::fold`] is associative, and the lowest block's error is the
 //! first error in node order.
 //!
-//! The per-graph routing tables (mirror/slot-owner) are built once and cached
-//! inside [`Graph`] (see `crate::topology`), so repeated runs and
-//! multi-phase compositions share the `O(m log Δ)` setup.
+//! The per-graph mirror table is built once and cached inside [`Graph`]
+//! (see `crate::topology`), so repeated runs and multi-phase compositions
+//! share the `O(m log Δ)` setup.
 //!
 //! Every run produces a [`RunReport`] with per-round [`RoundStats`]; the
 //! report feeds the same [`RoundLedger`] used for closed-form charging via

@@ -50,7 +50,7 @@ pub struct Graph {
     neighbors: Vec<NodeId>,
     m: usize,
     max_degree: usize,
-    /// Lazily built engine routing tables ([`TopologyCache`]), shared across
+    /// Lazily built engine routing table ([`TopologyCache`]), shared across
     /// runs and across clones made after the first build. Not part of the
     /// graph's identity: equality compares structure only.
     topo: OnceLock<Arc<TopologyCache>>,
@@ -193,7 +193,7 @@ impl Graph {
         })
     }
 
-    /// The engine's routing tables for this graph, built on first use and
+    /// The engine's routing table for this graph, built on first use and
     /// cached. Every executor run, every phase of a composed program and
     /// every clone taken after the first build shares one allocation. Part
     /// of the engine SPI, exposed so external transport backends route
@@ -203,7 +203,7 @@ impl Graph {
             .get_or_init(|| Arc::new(TopologyCache::build(self)))
     }
 
-    /// Eagerly builds the engine's per-graph routing tables (`O(m log Δ)`)
+    /// Eagerly builds the engine's per-graph routing table (`O(m log Δ)`)
     /// so that subsequent executor runs pay no setup cost. Idempotent; called
     /// automatically on first use, so this only controls *when* the cost is
     /// paid (e.g. outside a measured phase's wall time).
@@ -211,7 +211,7 @@ impl Graph {
         let _ = self.topology();
     }
 
-    /// Returns `true` if the engine routing tables have already been built
+    /// Returns `true` if the engine routing table has already been built
     /// for this graph instance (directly, via [`Graph::warm_topology`], or by
     /// a previous executor run).
     pub fn topology_cached(&self) -> bool {

@@ -372,11 +372,17 @@ pub mod formulas {
     /// owners' estimator replies and one round delivering the deciders'
     /// announcements. The steps follow the conflict order of the processing
     /// order: under a distance-two coloring they are the color classes, so
-    /// this equals [`coloring_derandomization_rounds`]; under a network
-    /// decomposition there are as many as the longest conflict chain of the
-    /// cluster order.
+    /// for `S ≥ 1` this equals [`coloring_derandomization_rounds`]; under a
+    /// network decomposition there are as many as the longest conflict chain
+    /// of the cluster order. A schedule with no step (no coin to fix) still
+    /// spends the single round in which every node evaluates its constraint
+    /// (cf. [`measured_coloring_rounds`]).
     pub fn derandomization_schedule_rounds(steps: u64) -> u64 {
-        2 * steps
+        if steps == 0 {
+            1
+        } else {
+            2 * steps
+        }
     }
 
     /// `2(α−1)P + (α−1)` — the exact round count of the distributed
@@ -432,7 +438,8 @@ pub mod formulas {
             assert_eq!(mwu_fractional_rounds(0), 1);
             assert_eq!(derandomization_schedule_rounds(6), 12);
             assert_eq!(measured_coloring_rounds(7), 14);
-            // Zero reduction steps still cost the one observing round.
+            // Zero steps still cost the one observing round.
+            assert_eq!(derandomization_schedule_rounds(0), 1);
             assert_eq!(measured_coloring_rounds(0), 1);
             // One wave round per unit of depth plus one opening round per
             // phase; an empty graph runs no phase at all.

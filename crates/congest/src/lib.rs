@@ -21,7 +21,7 @@
 //!   all run one round kernel ([`engine::NodeBlock`], [`engine::RoundFold`]),
 //!   charging every message against the CONGEST bandwidth budget of
 //!   `O(log n)` bits and recording per-round [`engine::RoundStats`]. The
-//!   per-graph routing tables are built once and cached inside [`Graph`], so
+//!   per-graph routing table is built once and cached inside [`Graph`], so
 //!   repeated runs and multi-phase compositions share the setup.
 //! * [`compose::ComposedProgram`] — the program composition layer: sequences
 //!   heterogeneous node programs (and centrally simulated, closed-form-charged

@@ -17,8 +17,9 @@
 //!
 //! Worker 0 is the calling thread; it also holds the run's [`RoundFold`].
 //! Each worker owns one node block and the contiguous receiver-side chunk
-//! of the message arena covering its nodes' CSR ranges. One round proceeds
-//! as:
+//! of the message arena covering its nodes' CSR ranges; a destination slot's
+//! receiver block is the last block whose chunk starts at or before it. One
+//! round proceeds as:
 //!
 //! 1. **execute pass, then commit pass** — each worker runs its block's
 //!    live programs against its chunk and the shared broadcast table, then
@@ -69,7 +70,6 @@ use crate::engine::{
     NodeBlock, RoundFold, RunReport, Verdict,
 };
 use crate::program::{Inbox, NodeProgram};
-use crate::topology::TopologyCache;
 use crate::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
@@ -131,11 +131,12 @@ impl Executor for PooledExecutor {
 /// State shared (read-only or synchronized) by all workers of one run.
 struct PoolShared<'g, M> {
     graph: &'g Graph,
-    topo: &'g TopologyCache,
     /// Number of worker blocks.
     width: usize,
-    /// Nodes per block (the last block may be smaller).
-    chunk: usize,
+    /// `first_slots[w]` is the first arena slot of block `w`'s chunk
+    /// (`width` entries, nondecreasing). A block of isolated nodes has an
+    /// empty chunk that starts where the next one does.
+    first_slots: Vec<usize>,
     /// One reusable barrier, waited on twice per round (A and B).
     barrier: Barrier,
     /// `width × width` transfer cells; `xfer[from * width + to]` carries the
@@ -151,6 +152,14 @@ struct PoolShared<'g, M> {
     /// Worker 0's verdict, written between barriers A and B and read by
     /// workers only after B.
     stop: AtomicBool,
+}
+
+impl<M> PoolShared<'_, M> {
+    /// The block whose chunk holds arena slot `slot`: the last one starting
+    /// at or before it, which skips the empty chunks of isolated blocks.
+    fn receiver_block(&self, slot: usize) -> usize {
+        self.first_slots.partition_point(|&start| start <= slot) - 1
+    }
 }
 
 /// Hands this worker's routed batches to the transfer cells via `mem::swap`
@@ -244,7 +253,7 @@ fn pooled_worker<P: NodeProgram>(
     mut delivered: Delivered<'_, P::Message>,
     mut fold: Option<&mut RoundFold<'_>>,
 ) {
-    let (graph, topo, chunk) = (shared.graph, shared.topo, shared.chunk);
+    let graph = shared.graph;
     let mut local_out: Vec<RoutedBatch<P::Message>> =
         (0..shared.width).map(|_| Vec::new()).collect();
     let mut bcast: Vec<(usize, P::Message)> = Vec::new();
@@ -258,10 +267,7 @@ fn pooled_worker<P: NodeProgram>(
             block.execute(round, |v| delivered.inbox(graph, v, &table));
         }
         let sub = block.commit(|from, unit| match unit {
-            Committed::Edge(dest, msg) => {
-                let owner = topo.slot_owner[dest] as usize;
-                local_out[owner / chunk].push((dest, msg));
-            }
+            Committed::Edge(dest, msg) => local_out[shared.receiver_block(dest)].push((dest, msg)),
             Committed::Fan(msg) => bcast.push((from.0, msg)),
         });
         flush(shared, me, &mut local_out);
@@ -314,9 +320,10 @@ where
 
     let shared = PoolShared::<P::Message> {
         graph,
-        topo: graph.topology(),
         width,
-        chunk,
+        first_slots: (0..width)
+            .map(|w| graph.slot_range(NodeId(w * chunk)).start)
+            .collect(),
         barrier: Barrier::new(width),
         xfer: (0..width * width).map(|_| Mutex::new(Vec::new())).collect(),
         table: RwLock::new(std::iter::repeat_with(|| None).take(n).collect()),
@@ -331,13 +338,16 @@ where
 
     let shared_ref = &shared;
     thread::scope(|s| {
-        // Each block's chunk ends where its last node's CSR range ends.
+        // Each block's chunk ends where the next one starts.
         let mut rest: &mut [Option<P::Message>] = &mut cur;
         let mut workers = blocks.iter_mut().enumerate().map(|(w, block)| {
-            let slot_base = graph.slot_range(NodeId(w * chunk)).start;
-            let last = ((w + 1) * chunk).min(n) - 1;
-            let len = graph.slot_range(NodeId(last)).end - slot_base;
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            let slot_base = shared.first_slots[w];
+            let end = shared
+                .first_slots
+                .get(w + 1)
+                .copied()
+                .unwrap_or(graph.slot_count());
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end - slot_base);
             rest = tail;
             let delivered = Delivered {
                 slot_base,
@@ -656,6 +666,75 @@ mod tests {
             .unwrap();
         assert_eq!(report.outputs[1], Some(9));
         assert_eq!(report.messages, 2, "both sends are charged");
+    }
+
+    /// Sends every neighbor its own message with explicit `send`s, so every
+    /// unit is routed per edge, and folds what it hears.
+    struct EdgeRelay {
+        acc: u64,
+    }
+
+    impl EdgeRelay {
+        fn send_all(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
+            for &u in ctx.neighbors() {
+                outbox.send(u, self.acc.wrapping_add(u.0 as u64));
+            }
+        }
+    }
+
+    impl NodeProgram for EdgeRelay {
+        type Message = u64;
+        type Output = u64;
+
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
+            self.acc = ctx.id.0 as u64;
+            self.send_all(ctx, outbox);
+        }
+
+        fn round(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<'_, u64>,
+        ) -> RoundAction<u64> {
+            for (from, &m) in inbox.iter() {
+                self.acc = self.acc.wrapping_mul(31).wrapping_add(m ^ from.0 as u64);
+            }
+            if ctx.round >= 4 {
+                return RoundAction::Halt(self.acc);
+            }
+            self.send_all(ctx, outbox);
+            RoundAction::Continue
+        }
+    }
+
+    #[test]
+    fn edge_sends_skip_blocks_of_isolated_nodes() {
+        // Nodes 4..8 are isolated: at widths 3 and 6 whole middle blocks own
+        // no arena slot, and the units past them must reach the next block.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 8),
+            (0, 11),
+            (8, 9),
+            (9, 10),
+            (10, 11),
+        ];
+        let g = Graph::from_edges(12, &edges).unwrap();
+        let mk = || (0..12).map(|_| EdgeRelay { acc: 0 }).collect::<Vec<_>>();
+        let seq = SyncExecutor
+            .run(&g, mk(), &ExecutorConfig::default())
+            .unwrap();
+        // Init and rounds 1–3 send one message per directed edge.
+        assert_eq!(seq.messages, 4 * 2 * edges.len() as u64);
+        for threads in 2..=6 {
+            let pooled = PooledExecutor::new(threads)
+                .run(&g, mk(), &ExecutorConfig::default())
+                .unwrap();
+            assert_eq!(seq, pooled, "threads={threads}");
+        }
     }
 
     #[test]

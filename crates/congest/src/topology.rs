@@ -1,4 +1,4 @@
-//! Per-graph routing tables shared by every engine run.
+//! The per-graph routing table shared by every engine run.
 //!
 //! The execution engine resolves delivery slots at send time: directed edge
 //! `(u, v)` owns a fixed arena slot inside receiver `v`'s CSR range, and the
@@ -8,15 +8,14 @@
 //! rebuilds it for every phase, or a benchmark re-runs the same graph dozens
 //! of times.
 //!
-//! [`TopologyCache`] packages the mirror table (plus the slot→owner table the
-//! pooled executor needs to route committed messages to receiver blocks) and
-//! lives inside [`Graph`] behind a `OnceLock<Arc<..>>`: the first run on a
-//! graph builds it, every later run — and every clone of the graph made after
-//! that — shares the same allocation.
+//! [`TopologyCache`] packages the mirror table and lives inside [`Graph`]
+//! behind a `OnceLock<Arc<..>>`: the first run on a graph builds it, every
+//! later run — and every clone of the graph made after that — shares the
+//! same allocation.
 
 use crate::Graph;
 
-/// Precomputed slot-routing tables for one [`Graph`].
+/// Precomputed slot-routing table for one [`Graph`].
 ///
 /// Immutable once built; shared across executors, phases and runs via
 /// [`Graph::topology`].
@@ -27,25 +26,14 @@ pub struct TopologyCache {
     /// from its `i`-th neighbor `u`), `mirror[s]` is `u`'s slot for messages
     /// received from `v`. Sender-side writes go through this table.
     pub mirror: Vec<usize>,
-    /// `slot_owner[s]` is the node whose CSR range contains slot `s`, i.e.
-    /// the *receiver* of any message written to `s`. Node counts are bounded
-    /// far below `u32::MAX` by the `u32` slot indices already used in
-    /// [`crate::program::OutMsg`], so the narrow type is safe and halves the
-    /// table's footprint.
-    pub slot_owner: Vec<u32>,
 }
 
 impl TopologyCache {
-    /// Builds the tables for `graph` in `O(m log Δ)`.
+    /// Builds the table for `graph` in `O(m log Δ)`.
     pub fn build(graph: &Graph) -> Self {
-        let slots = graph.slot_count();
-        let mut mirror = vec![0usize; slots];
-        let mut slot_owner = vec![0u32; slots];
+        let mut mirror = vec![0usize; graph.slot_count()];
         for v in graph.nodes() {
             let range = graph.slot_range(v);
-            for owner in &mut slot_owner[range.clone()] {
-                *owner = v.0 as u32;
-            }
             for (i, &u) in graph.neighbors(v).iter().enumerate() {
                 let j = graph
                     .neighbor_index(u, v)
@@ -53,30 +41,28 @@ impl TopologyCache {
                 mirror[range.start + i] = graph.slot_range(u).start + j;
             }
         }
-        TopologyCache { mirror, slot_owner }
+        TopologyCache { mirror }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
 
     #[test]
     fn mirror_is_an_involution_and_owners_match_ranges() {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]).unwrap();
         let t = TopologyCache::build(&g);
         assert_eq!(t.mirror.len(), g.slot_count());
-        assert_eq!(t.slot_owner.len(), g.slot_count());
         for s in 0..t.mirror.len() {
             assert_eq!(t.mirror[t.mirror[s]], s, "mirror must be an involution");
         }
         for v in g.nodes() {
-            for s in g.slot_range(v) {
-                assert_eq!(t.slot_owner[s] as usize, v.0);
-                // The mirror of v's slot for neighbor u lies in u's range.
-                let u = NodeId(t.slot_owner[t.mirror[s]] as usize);
-                assert!(g.has_edge(v, u));
+            for (s, &u) in g.slot_range(v).zip(g.neighbors(v)) {
+                // The mirror of v's slot for neighbor u is u's slot for v.
+                let range = g.slot_range(u);
+                assert!(range.contains(&t.mirror[s]));
+                assert_eq!(g.neighbors(u)[t.mirror[s] - range.start], v);
             }
         }
     }
@@ -109,6 +95,5 @@ mod tests {
         let g = Graph::empty(3);
         let t = g.topology();
         assert!(t.mirror.is_empty());
-        assert!(t.slot_owner.is_empty());
     }
 }

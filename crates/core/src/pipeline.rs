@@ -228,8 +228,7 @@ pub fn color_problem(problem: &RoundingProblem) -> (BipartiteColoring, Bipartite
 /// Then the groups become a conflict-order [`DerandSchedule`] (the color
 /// classes themselves, or the longest conflict chains of the cluster order)
 /// and the scheduled conditional-expectation program runs as a measured
-/// phase. Steps without any coin to fix fall back to the (free) central
-/// evaluation.
+/// phase.
 fn composed_derandomization<E: Executor>(
     composer: &mut ComposedProgram<'_, E>,
     graph: &Graph,
@@ -293,26 +292,6 @@ fn composed_derandomization<E: Executor>(
         decomposition.is_some() || schedule.steps == groups,
         "conflict order of greedy color classes must be the classes themselves"
     );
-    if schedule.is_empty() {
-        // No coin flips: phase one is deterministic and phase two is a local
-        // check, so nothing needs the network.
-        let out = derandomize(
-            problem,
-            &DerandomizeConfig {
-                estimator: config.estimator,
-                groups: Some(groups),
-            },
-        );
-        composer.charged(
-            PhaseSpec::new(
-                PhaseKind::Derandomization,
-                format!("{name} (no coins to fix)"),
-            ),
-            0,
-            problem.values.len() as u64 * 2,
-        );
-        return out.output;
-    }
     let programs = scheduled_derand_programs(graph, problem, &schedule, config.estimator)
         .expect("pipeline rounding problems are graph-aligned");
     let report = composer
@@ -949,6 +928,35 @@ mod tests {
             "expected at least one factor-two iteration"
         );
         assert!(is_dominating_set(&g, &result.dominating_set));
+    }
+
+    #[test]
+    fn a_rounding_step_without_coins_is_one_measured_round() {
+        // Experiment E5's instance: the tiny concentration scale runs enough
+        // factor-two iterations that a rounding step is left with no coin.
+        let g = generators::gnp(150, 0.08, 4);
+        let config = MdsConfig {
+            concentration_scale: 0.0005,
+            ..central_mwu_config()
+        };
+        let result = theorem_1_1(&g, &config);
+        let steps: Vec<_> = result
+            .ledger
+            .phases()
+            .iter()
+            .filter(|p| p.kind == Derandomization)
+            .collect();
+        assert!(steps.iter().all(|p| p.mode == Measured), "{steps:?}");
+        assert!(
+            steps
+                .iter()
+                .any(|p| (p.simulated_rounds, p.messages) == (1, 0)),
+            "no coin-free step: {steps:?}"
+        );
+        assert_eq!(
+            result.dominating_set,
+            central_oracle(&g, &config).dominating_set
+        );
     }
 
     fn kinds_and_modes(result: &MdsResult) -> Vec<(PhaseKind, PhaseMode)> {

@@ -591,37 +591,6 @@ pub fn assemble_coloring(outputs: &[Option<usize>]) -> BipartiteColoring {
     BipartiteColoring { colors, num_colors }
 }
 
-/// A distance-two coloring of all nodes of an ordinary graph (i.e. a proper
-/// coloring of `G²`), via the identifier-ordered greedy. Used by the plain
-/// Lemma 3.10 instantiation when no degree reduction is applied.
-pub fn graph_distance_two_coloring(graph: &Graph) -> Vec<usize> {
-    let n = graph.n();
-    let mut colors = vec![usize::MAX; n];
-    let mut forbidden: Vec<usize> = Vec::new();
-    for v in graph.nodes() {
-        forbidden.clear();
-        for u in graph.inclusive_neighbors(v) {
-            for w in graph.inclusive_neighbors(u) {
-                if w != v && colors[w.0] != usize::MAX {
-                    forbidden.push(colors[w.0]);
-                }
-            }
-        }
-        forbidden.sort_unstable();
-        forbidden.dedup();
-        let mut color = 0usize;
-        for &f in &forbidden {
-            if f == color {
-                color += 1;
-            } else if f > color {
-                break;
-            }
-        }
-        colors[v.0] = color;
-    }
-    colors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,30 +666,6 @@ mod tests {
         let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
         assert_eq!(coloring.num_colors, 12);
         verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
-    }
-
-    #[test]
-    fn graph_distance_two_coloring_is_proper_on_g_squared() {
-        let g = generators::gnp(50, 0.08, 7);
-        let colors = graph_distance_two_coloring(&g);
-        let g2 = mds_graphs::square::square(&g);
-        for (u, v) in g2.edges() {
-            assert_ne!(
-                colors[u.0], colors[v.0],
-                "distance-2 neighbors {u},{v} share a color"
-            );
-        }
-        let delta2 = g2.max_degree();
-        let used = colors.iter().max().unwrap() + 1;
-        assert!(used <= delta2 + 1);
-    }
-
-    #[test]
-    fn cycle_distance_two_coloring_uses_few_colors() {
-        let g = generators::cycle(30);
-        let colors = graph_distance_two_coloring(&g);
-        let used = colors.iter().max().unwrap() + 1;
-        assert!(used <= 5);
     }
 
     #[test]

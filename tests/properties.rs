@@ -459,17 +459,14 @@ proptest! {
             .unwrap();
         let (output, _) = assemble_derand_outputs(&report.outputs);
         prop_assert_eq!(output.values(), central.output.values());
-        if schedule.is_empty() {
-            // No coin flips: a single round evaluates the constraints.
-            prop_assert_eq!(report.rounds, 1);
-        } else {
-            prop_assert_eq!(
-                report.rounds,
-                congest_mds::congest::ledger::formulas::derandomization_schedule_rounds(
-                    schedule.len() as u64
-                )
-            );
-        }
+        // Two rounds per step; without coin flips, the one round in which
+        // every node evaluates its constraint.
+        prop_assert_eq!(
+            report.rounds,
+            congest_mds::congest::ledger::formulas::derandomization_schedule_rounds(
+                schedule.len() as u64
+            )
+        );
     }
 }
 
