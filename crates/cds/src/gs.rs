@@ -6,7 +6,6 @@
 //! why connecting the dominating set through paths of length ≤ 3 suffices.
 
 use congest_sim::{Graph, GraphBuilder, NodeId};
-use std::collections::VecDeque;
 
 /// `G_S` together with a witness path (of length ≤ 3 in `G`) for each edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,7 +16,8 @@ pub struct GsGraph {
     /// The graph on the set nodes (indices into [`GsGraph::set`]).
     pub graph: Graph,
     /// For each edge `(i, j)` of `graph` with `i < j`, the inner nodes (at
-    /// most two) of a `G`-path of length ≤ 3 from `set[i]` to `set[j]`.
+    /// most two) of a `G`-path of length ≤ 3 from `set[i]` to `set[j]`,
+    /// sorted by `(i, j)`.
     pub witnesses: Vec<((usize, usize), Vec<NodeId>)>,
 }
 
@@ -27,9 +27,9 @@ impl GsGraph {
     pub fn witness(&self, i: usize, j: usize) -> Option<&[NodeId]> {
         let key = if i < j { (i, j) } else { (j, i) };
         self.witnesses
-            .iter()
-            .find(|(e, _)| *e == key)
-            .map(|(_, path)| path.as_slice())
+            .binary_search_by_key(&key, |(e, _)| *e)
+            .ok()
+            .map(|k| self.witnesses[k].1.as_slice())
     }
 }
 
@@ -40,14 +40,18 @@ pub fn build_gs(graph: &Graph, set: &[NodeId]) -> GsGraph {
     set.dedup();
     let mut builder = GraphBuilder::new(set.len());
     let mut witnesses = Vec::new();
-    // Bounded BFS (depth 3) from every set node with parent tracking.
+    // Bounded BFS (depth 3) from every set node with parent tracking. The
+    // scratch is shared by all sources: `reached` is the BFS queue in visit
+    // order, and only its entries are reset after each source.
+    let mut dist = vec![usize::MAX; graph.n()];
+    let mut parent = vec![NodeId(usize::MAX); graph.n()];
+    let mut reached = Vec::new();
     for (i, &s) in set.iter().enumerate() {
-        let mut dist = vec![usize::MAX; graph.n()];
-        let mut parent = vec![NodeId(usize::MAX); graph.n()];
-        let mut queue = VecDeque::new();
         dist[s.0] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
+        reached.push(s);
+        let mut head = 0;
+        while let Some(&u) = reached.get(head) {
+            head += 1;
             if dist[u.0] == 3 {
                 continue;
             }
@@ -55,7 +59,7 @@ pub fn build_gs(graph: &Graph, set: &[NodeId]) -> GsGraph {
                 if dist[v.0] == usize::MAX {
                     dist[v.0] = dist[u.0] + 1;
                     parent[v.0] = u;
-                    queue.push_back(v);
+                    reached.push(v);
                 }
             }
         }
@@ -75,6 +79,10 @@ pub fn build_gs(graph: &Graph, set: &[NodeId]) -> GsGraph {
             }
             inner.reverse();
             witnesses.push(((i, j), inner));
+        }
+        for v in reached.drain(..) {
+            dist[v.0] = usize::MAX;
+            parent[v.0] = NodeId(usize::MAX);
         }
     }
     GsGraph {
@@ -156,6 +164,30 @@ mod tests {
         assert!(claim_4_1_holds(&g, &ds));
         let gs = build_gs(&g, &ds);
         assert_eq!(gs.graph.m(), 0);
+    }
+
+    #[test]
+    fn witness_lookup_agrees_with_a_linear_scan() {
+        for seed in 0..3 {
+            let g = generators::gnp(80, 0.06, seed);
+            let gs = build_gs(&g, &greedy_mds(&g).set);
+            assert!(gs.witnesses.windows(2).all(|w| w[0].0 < w[1].0));
+            let scan = |key: (usize, usize)| {
+                gs.witnesses
+                    .iter()
+                    .find(|(e, _)| *e == key)
+                    .map(|(_, path)| path.as_slice())
+            };
+            let k = gs.set.len();
+            for i in 0..k {
+                for j in 0..k {
+                    let key = (i.min(j), i.max(j));
+                    assert_eq!(gs.witness(i, j), scan(key), "({i}, {j})");
+                    let adjacent = gs.graph.has_edge(NodeId(i), NodeId(j));
+                    assert_eq!(gs.witness(i, j).is_some(), adjacent);
+                }
+            }
+        }
     }
 
     #[test]

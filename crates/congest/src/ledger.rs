@@ -356,13 +356,16 @@ pub mod formulas {
         2 * (k.max(1) as u64).pow(2)
     }
 
-    /// `4T + 1` — the exact round count of the distributed
-    /// multiplicative-weights covering-LP solver after `T` width-reduction
-    /// iterations: each iteration spends four rounds (value exchange,
-    /// constraint weights, server scores, best-server maxima) and one final
-    /// round performs the feasibility completion. The paper charges
-    /// [`kmw_fractional_rounds`] for this step; the solver's measured count
-    /// must stay below that bound and equal this formula exactly.
+    /// `4T + 1` — the round count of the distributed multiplicative-weights
+    /// covering-LP solver when it runs all `T` width-reduction iterations:
+    /// each iteration spends four rounds (value exchange, constraint weights,
+    /// server scores, best-server maxima) and one final round performs the
+    /// feasibility completion. A node halts once every constraint it serves
+    /// is covered, so this is an upper bound: a run in which every node has
+    /// halted by iteration `i* < T` ends after `4i* + 2` rounds, and the
+    /// solver's central replay gives the exact count. The paper charges
+    /// [`kmw_fractional_rounds`] for this step; the measured count must stay
+    /// below that bound.
     pub fn mwu_fractional_rounds(iterations: u64) -> u64 {
         4 * iterations + 1
     }

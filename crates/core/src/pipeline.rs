@@ -467,12 +467,14 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                     DistributedLpProgram::programs(graph, &cfg),
                 )
                 .expect("distributed MWU program is well-formed");
-            debug_assert!(
-                graph.n() == 0
-                    || report.rounds
-                        == formulas::mwu_fractional_rounds(
-                            cfg.resolve(graph.delta_tilde()).iterations as u64
-                        )
+            // Two integer compares, checked in release too: the exact count
+            // is the O(T·m) replay's, which the tests compare against.
+            let bound =
+                formulas::mwu_fractional_rounds(cfg.resolve(graph.delta_tilde()).iterations as u64);
+            assert!(
+                report.rounds <= bound.min(formula),
+                "measured MWU rounds {} exceed 4T + 1 = {bound} or the KMW06 charge {formula}",
+                report.rounds
             );
             Some(report.outputs)
         }
@@ -845,7 +847,15 @@ mod tests {
         assert!(mwu.simulated_rounds > 0);
         // Measured rounds stay below the paper's O(ε⁻⁴ log² Δ) bound.
         assert!(mwu.formula_rounds.unwrap() >= mwu.simulated_rounds);
-        assert_eq!(mwu.simulated_rounds % 4, 1, "4T + 1 rounds");
+        // And equal the central replay's count, halting included.
+        let cfg = distributed_mwu_config(
+            &mds_fractional::lp::DistributedLpConfig::default(),
+            part_one_config(&quick_config()).epsilon,
+        );
+        assert_eq!(
+            mwu.simulated_rounds,
+            mds_fractional::lp::central_mwu_reference(&g, &cfg).rounds
+        );
         assert_eq!(
             result.ledger.measured_rounds(Some(Fractional)),
             mwu.simulated_rounds
@@ -1042,6 +1052,41 @@ mod tests {
                 assert_eq!(
                     central_oracle(&g, &config).ledger,
                     part_one.ledger,
+                    "{config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn measured_part_one_equals_the_lemma_charge_on_both_routes() {
+        // The golden's instance: by default every node halts early (502 of
+        // 4T + 1 = 745 rounds); cut to T = 20, constraints are still
+        // uncovered at the end and the completion round runs (4T + 1 = 81).
+        let g = generators::gnp(40, 0.12, 7);
+        let truncated = FractionalMethod::DistributedMwu(mds_fractional::lp::DistributedLpConfig {
+            epsilon: 0.25,
+            iterations: Some(20),
+        });
+        for (fractional, rounds) in [(quick_config().fractional, 502), (truncated, 81)] {
+            for route in [
+                DerandRoute::Coloring,
+                DerandRoute::NetworkDecomposition { k: 2 },
+            ] {
+                let config = MdsConfig {
+                    route,
+                    fractional: fractional.clone(),
+                    ..quick_config()
+                };
+                let charged = initial_fractional_solution(&g, &part_one_config(&config)).ledger;
+                let charged = &charged.phases()[0];
+                let measured = run(&g, &config).ledger;
+                let measured = &measured.phases()[0];
+                assert_eq!((measured.kind, measured.mode), (Fractional, Measured));
+                assert_eq!(measured.simulated_rounds, rounds);
+                assert_eq!(
+                    (measured.simulated_rounds, measured.messages),
+                    (charged.simulated_rounds, charged.messages),
                     "{config:?}"
                 );
             }

@@ -24,9 +24,11 @@ use congest_sim::{
 pub enum FractionalMethod {
     /// The distributed multiplicative-weights covering-LP solver, run as a
     /// genuine [`congest_sim::NodeProgram`] on the execution engine with a
-    /// *measured* `4T+1` round count (substitution R1 in `DESIGN.md`, made
-    /// measured). The default. Inside this (central) wrapper the solver's
-    /// bit-identical central oracle is used; the composed pipeline in
+    /// *measured* round count of at most `4T+1` (substitution R1 in
+    /// `DESIGN.md`, made measured): a node halts once every constraint it
+    /// serves is covered. The default. Inside this (central) wrapper the
+    /// solver's bit-identical central oracle is used, and its exact rounds
+    /// and messages are charged; the composed pipeline in
     /// `mds_core::pipeline` runs the same solver on the engine.
     DistributedMwu(crate::lp::DistributedLpConfig),
     /// The centralized multiplicative-weights LP solver (`(1+ε)` quality; the
@@ -133,19 +135,20 @@ pub fn initial_fractional_solution(
         FractionalMethod::DistributedMwu(mwu_config) => {
             let cfg = distributed_mwu_config(mwu_config, epsilon);
             // The solver's central oracle: bit-identical to the engine run
-            // the composed pipeline performs (proptest-enforced), so this
-            // wrapper stays usable without an executor in scope.
-            let assignment = lp::central_mwu_reference(graph, &cfg);
-            let iterations = cfg.resolve(graph.delta_tilde()).iterations as u64;
-            let rounds = formulas::mwu_fractional_rounds(iterations);
+            // the composed pipeline performs, rounds and messages included
+            // (proptest-enforced), so this wrapper stays usable without an
+            // executor in scope.
+            let replay = lp::central_mwu_reference(graph, &cfg);
             ledger.charge(
                 part_one("part I: distributed MWU covering LP (central oracle)")
                     .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
-                rounds,
-                // Every round broadcasts one value per directed edge.
-                rounds * 2 * graph.m() as u64,
+                replay.rounds,
+                replay.messages,
             );
-            (assignment.values().to_vec(), lp::dual_lower_bound(graph))
+            (
+                replay.assignment.values().to_vec(),
+                lp::dual_lower_bound(graph),
+            )
         }
         FractionalMethod::Mwu(lp_config) => {
             let mut cfg = lp_config.clone();

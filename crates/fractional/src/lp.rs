@@ -12,20 +12,23 @@
 //! * [`DistributedLpProgram`] — a genuine message-passing MWU solver,
 //!   built by [`DistributedLpProgram::programs`] and run by any
 //!   [`congest_sim::Executor`]; each node outputs its value. Every
-//!   width-reduction iteration costs exactly four CONGEST rounds (value
-//!   exchange, constraint weights, server scores, best-server maxima), so the
-//!   total round count is **measured** and equals
-//!   `congest_sim::ledger::formulas::mwu_fractional_rounds` exactly while
-//!   staying below the paper's `O(ε⁻⁴ log² Δ)` charge
+//!   width-reduction iteration costs four CONGEST rounds (value exchange,
+//!   constraint weights, server scores, best-server maxima), and a node halts
+//!   as soon as every constraint it serves is covered, so the total round
+//!   count is **measured**: at most
+//!   `congest_sim::ledger::formulas::mwu_fractional_rounds` (`4T + 1`), and
+//!   below the paper's `O(ε⁻⁴ log² Δ)` charge
 //!   (`formulas::kmw_fractional_rounds`). [`central_mwu_reference`] replays
-//!   the same update rule centrally and is bit-identical to the engine run —
-//!   the oracle the property tests compare against.
+//!   the same update and halting rules centrally and is bit-identical to the
+//!   engine run, rounds, messages and payloads included — the oracle the
+//!   property tests compare against.
 //!
 //! The solver also exposes [`dual_lower_bound`], a certified feasible solution
 //! of the dual packing LP, used by the experiments to bound the optimum from
 //! below on instances too large for the exact solver.
 
 use crate::cfds::FractionalAssignment;
+use congest_sim::ledger::formulas;
 use congest_sim::{Graph, Inbox, NodeContext, NodeProgram, Outbox, RoundAction};
 
 /// Configuration of the multiplicative-weights fractional solver.
@@ -354,7 +357,7 @@ pub struct MwuParameters {
 
 /// Per-node state machine of the distributed MWU covering-LP solver.
 ///
-/// Every width-reduction iteration spends exactly four rounds:
+/// Every width-reduction iteration spends four rounds:
 ///
 /// 1. values `x` are exchanged and every node derives the weight
 ///    `w(v) = e^{-α·cov(v)}` of its own (still uncovered) constraint;
@@ -368,8 +371,20 @@ pub struct MwuParameters {
 ///
 /// After the configured number of iterations one completion round raises the
 /// value of any still-uncovered constraint's owner to `1`, so the output is
-/// always feasible. Total: `4T + 1` rounds, measured on the engine and equal
-/// to [`congest_sim::ledger::formulas::mwu_fractional_rounds`].
+/// always feasible: at most `4T + 1` rounds
+/// ([`congest_sim::ledger::formulas::mwu_fractional_rounds`]), measured on
+/// the engine.
+///
+/// **Halting.** Coverage only grows, so a covered constraint stays covered:
+/// once `w(v) = 0`, `v` stops re-summing its coverage and skips the
+/// completion raise (sticky coverage). A node `u` halts in step 2 of the
+/// first iteration in which its own weight and every weight it receives are
+/// `0` (a missing inbox entry reads as `0`): every constraint it serves is
+/// covered, so its value can never change again. No uncovered constraint has
+/// a halted node in its `N⁺`, so every `w`, `s` and `m` read for one is what
+/// it would be without halting, and the values are bit-identical to a run
+/// without the rule. If every node halts in iteration `i* < T` the run ends
+/// after `4i* + 2` rounds; [`central_mwu_reference`] reports the exact count.
 ///
 /// All messages are single 64-bit values, charged per the workspace's
 /// convention for fractional payloads ([`congest_sim::MessageSize`] on
@@ -379,9 +394,10 @@ pub struct MwuParameters {
 /// here rather than hidden.
 #[derive(Debug, Clone)]
 pub struct DistributedLpProgram {
-    config: DistributedLpConfig,
     params: MwuParameters,
     x: f64,
+    /// The own constraint's weight; `0` exactly when it is covered (after the
+    /// first exchange — it starts at `e^0 = 1`, the weight at coverage `0`).
     w: f64,
     s: f64,
     m: f64,
@@ -390,25 +406,19 @@ pub struct DistributedLpProgram {
 }
 
 impl DistributedLpProgram {
-    /// Creates the initial (all-zero) solver state.
-    pub fn new(config: DistributedLpConfig) -> Self {
-        DistributedLpProgram {
-            params: config.resolve(2),
-            config,
+    /// One identical program per node of `graph`, all sharing the parameters
+    /// `config` resolves for the graph's `Δ̃`.
+    pub fn programs(graph: &Graph, config: &DistributedLpConfig) -> Vec<Self> {
+        let program = DistributedLpProgram {
+            params: config.resolve(graph.delta_tilde()),
             x: 0.0,
-            w: 0.0,
+            w: 1.0,
             s: 0.0,
             m: 0.0,
             neighbor_w: Vec::new(),
             iteration: 0,
-        }
-    }
-
-    /// One identical program per node of `graph`.
-    pub fn programs(graph: &Graph, config: &DistributedLpConfig) -> Vec<Self> {
-        (0..graph.n())
-            .map(|_| DistributedLpProgram::new(config.clone()))
-            .collect()
+        };
+        vec![program; graph.n()]
     }
 }
 
@@ -417,7 +427,6 @@ impl NodeProgram for DistributedLpProgram {
     type Output = f64;
 
     fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, f64>) {
-        self.params = self.config.resolve(ctx.max_degree() + 1);
         self.neighbor_w = vec![0.0; ctx.degree()];
         outbox.broadcast(self.x);
     }
@@ -431,32 +440,43 @@ impl NodeProgram for DistributedLpProgram {
         let p = self.params;
         match (ctx.round - 1) % 4 {
             // Values arrive: derive the own-constraint weight; after the last
-            // iteration this round doubles as the feasibility completion.
+            // iteration this round doubles as the feasibility completion. A
+            // covered constraint is never re-summed: a halted neighbor no
+            // longer sends its value.
             0 => {
-                let mut cov = self.x;
-                for (_, msg) in inbox.iter_slots() {
-                    cov += msg.copied().unwrap_or(0.0);
-                }
-                if self.iteration >= p.iterations {
-                    if cov < 1.0 - COVERAGE_TOL {
+                let done = self.iteration >= p.iterations;
+                if self.w > 0.0 {
+                    let mut cov = self.x;
+                    for (_, msg) in inbox.iter_slots() {
+                        cov += msg.copied().unwrap_or(0.0);
+                    }
+                    if !done {
+                        self.w = constraint_weight(p.alpha, cov);
+                    } else if cov < 1.0 - COVERAGE_TOL {
                         self.x = 1.0;
                     }
+                }
+                if done {
                     return RoundAction::Halt(self.x);
                 }
-                self.w = constraint_weight(p.alpha, cov);
                 outbox.broadcast(self.w);
                 RoundAction::Continue
             }
             // Weights arrive: derive the server score. The fill of the
             // per-neighbor weight cache and the score sum share one pass over
             // the inbox slots; slot order equals the old cache-then-sum order,
-            // so the floating-point accumulation is bit-identical.
+            // so the floating-point accumulation is bit-identical. Weights
+            // are never negative, so a zero score means every constraint in
+            // `N⁺(u)` is covered: the value is final and the node halts.
             1 => {
                 self.s = self.w;
                 for (idx, (_, msg)) in inbox.iter_slots().enumerate() {
                     let w = msg.copied().unwrap_or(0.0);
                     self.neighbor_w[idx] = w;
                     self.s += w;
+                }
+                if self.s == 0.0 {
+                    return RoundAction::Halt(self.x);
                 }
                 outbox.broadcast(self.s);
                 RoundAction::Continue
@@ -496,24 +516,43 @@ impl NodeProgram for DistributedLpProgram {
     }
 }
 
-/// Replays the distributed MWU update rule centrally, in the same order and
-/// with the same floating-point operations as the engine run — the oracle the
-/// engine execution is property-tested equal to.
-pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> FractionalAssignment {
+/// The central replay of a distributed MWU run: the values every node
+/// outputs and the exact counts the engine reports for the run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MwuReplay {
+    /// The nodes' output values.
+    pub assignment: FractionalAssignment,
+    /// Rounds until the last node halts: `4i* + 2` if every node has halted
+    /// by iteration `i* < T`, else `4T + 1`.
+    pub rounds: u64,
+    /// Messages sent: `Σ deg(u)·b(u)`, where a node halting in iteration
+    /// `i_u` broadcasts in `b(u) = 4i_u + 2` rounds and one running to the
+    /// completion round in `4T + 1`.
+    pub messages: u64,
+    /// Stored payloads: one per broadcast, `Σ b(u)` over non-isolated nodes.
+    pub payloads: u64,
+}
+
+/// Replays the distributed MWU update and halting rules centrally, in the
+/// same order and with the same floating-point operations as the engine run —
+/// the oracle the engine execution is property-tested equal to.
+pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> MwuReplay {
     let n = graph.n();
-    if n == 0 {
-        return FractionalAssignment::zeros(0);
-    }
     let p = config.resolve(graph.delta_tilde());
     let mut x = vec![0.0f64; n];
     // Per-iteration scratch, sized once: the loop body reuses these buffers
     // instead of collecting three fresh vectors every iteration. Each slot is
     // overwritten in index order before it is read, and the accumulation
     // order within a slot is unchanged, so the floats are bit-identical to
-    // the collecting version (and to the engine run).
-    let mut w = vec![0.0f64; n];
+    // the collecting version (and to the engine run). Weights start at the
+    // program's `e^0 = 1`.
+    let mut w = vec![1.0f64; n];
     let mut s = vec![0.0f64; n];
     let mut m = vec![0.0f64; n];
+    // The iteration each node halted in; `T` for one that reaches the
+    // completion round.
+    let mut halted_in = vec![p.iterations; n];
+    let mut live = n;
     let coverage = |x: &[f64], v: usize| -> f64 {
         let mut cov = x[v];
         for &u in graph.neighbors(congest_sim::NodeId(v)) {
@@ -521,9 +560,13 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Fra
         }
         cov
     };
-    for _ in 0..p.iterations {
+    for i in 0..p.iterations {
+        // Sticky coverage, as on the engine: a covered constraint keeps
+        // weight 0 without being re-summed.
         for v in 0..n {
-            w[v] = constraint_weight(p.alpha, coverage(&x, v));
+            if w[v] > 0.0 {
+                w[v] = constraint_weight(p.alpha, coverage(&x, v));
+            }
         }
         for u in 0..n {
             let mut acc = w[u];
@@ -531,6 +574,13 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Fra
                 acc += w[v.0];
             }
             s[u] = acc;
+            if acc == 0.0 && halted_in[u] == p.iterations {
+                halted_in[u] = i;
+                live -= 1;
+            }
+        }
+        if live == 0 {
+            break;
         }
         for v in 0..n {
             let mut best = s[v];
@@ -557,22 +607,47 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Fra
     }
     // Completion from a frozen snapshot: on the engine, every node decides
     // from the *pre-completion* broadcasts, so the coverage check must not
-    // observe values raised within this same pass.
+    // observe values raised within this same pass. Covered constraints are
+    // sticky and skip it; when every node halted early, none is uncovered.
     let uncovered: Vec<bool> = (0..n)
-        .map(|v| coverage(&x, v) < 1.0 - COVERAGE_TOL)
+        .map(|v| w[v] > 0.0 && coverage(&x, v) < 1.0 - COVERAGE_TOL)
         .collect();
     for v in 0..n {
         if uncovered[v] {
             x[v] = 1.0;
         }
     }
-    FractionalAssignment::from_values(x)
+    // A node broadcasts in every round before the one it halts in (round
+    // 4i + 2 after halting in iteration i, round 4T + 1 at completion), so
+    // that round is also its broadcast count, and the run ends with the
+    // largest.
+    let t = p.iterations as u64;
+    let (mut rounds, mut messages, mut payloads) = (0, 0, 0);
+    for (u, &i) in halted_in.iter().enumerate() {
+        let i = i as u64;
+        let broadcasts = if i < t {
+            4 * i + 2
+        } else {
+            formulas::mwu_fractional_rounds(t)
+        };
+        let degree = graph.degree(congest_sim::NodeId(u)) as u64;
+        rounds = rounds.max(broadcasts);
+        messages += degree * broadcasts;
+        if degree > 0 {
+            payloads += broadcasts;
+        }
+    }
+    MwuReplay {
+        assignment: FractionalAssignment::from_values(x),
+        rounds,
+        messages,
+        payloads,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_sim::ledger::formulas;
     use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
 
@@ -663,6 +738,15 @@ mod tests {
         assert_eq!(dual_lower_bound(&g), 5.0);
     }
 
+    /// Asserts that `report` has exactly the replay's rounds, messages and
+    /// payloads.
+    fn assert_counts_match(report: &RunReport<f64>, replay: &MwuReplay) {
+        assert_eq!(
+            (report.rounds, report.messages, report.payloads),
+            (replay.rounds, replay.messages, replay.payloads)
+        );
+    }
+
     #[test]
     fn distributed_mwu_round_count_matches_formula_exactly() {
         for seed in 0..3 {
@@ -670,8 +754,9 @@ mod tests {
             let config = DistributedLpConfig::default();
             let (_, report) = run_measured(&g, &config, &SyncExecutor);
             let t = config.resolve(g.delta_tilde()).iterations;
-            // Measured: exactly 4T + 1 rounds.
-            assert_eq!(report.rounds, formulas::mwu_fractional_rounds(t as u64));
+            // Measured: exactly the replay's count, at most 4T + 1 rounds.
+            assert_counts_match(&report, &central_mwu_reference(&g, &config));
+            assert!(report.rounds <= formulas::mwu_fractional_rounds(t as u64));
             // And strictly below the paper's O(ε⁻⁴ log² Δ) charge (R1).
             assert!(
                 report.rounds <= formulas::kmw_fractional_rounds(g.max_degree(), config.epsilon)
@@ -681,13 +766,42 @@ mod tests {
     }
 
     #[test]
+    fn nodes_halt_once_their_constraints_are_covered() {
+        // The pipeline's Part I solver (ε = 1/16). Every constraint is
+        // covered before T here, so the run ends with the last node's halt,
+        // 4i* + 2 rounds, instead of after all 4T + 1.
+        let config = DistributedLpConfig::with_epsilon(1.0 / 16.0);
+        for (g, full, early) in [
+            (generators::star(1000), 1841, 922),
+            (generators::cycle(300), 377, 118),
+            (generators::gnp(40, 0.12, 7), 745, 502),
+        ] {
+            let t = config.resolve(g.delta_tilde()).iterations as u64;
+            assert_eq!(formulas::mwu_fractional_rounds(t), full);
+            let replay = central_mwu_reference(&g, &config);
+            let (out, report) = run_measured(&g, &config, &SyncExecutor);
+            assert_eq!(report.rounds, early);
+            assert_counts_match(&report, &replay);
+            assert_eq!(out.values(), replay.assignment.values());
+            assert!(out.is_feasible_dominating_set(&g));
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn program_state_holds_only_the_resolved_parameters() {
+        assert_eq!(std::mem::size_of::<DistributedLpProgram>(), 96);
+    }
+
+    #[test]
     fn distributed_mwu_equals_central_oracle_on_both_executors() {
         for seed in 0..4 {
             let g = generators::gnp(40, 0.12, seed);
             let config = DistributedLpConfig::default();
             let oracle = central_mwu_reference(&g, &config);
             let (seq, seq_report) = run_measured(&g, &config, &SyncExecutor);
-            assert_eq!(seq.values(), oracle.values(), "seed {seed}");
+            assert_eq!(seq.values(), oracle.assignment.values(), "seed {seed}");
+            assert_counts_match(&seq_report, &oracle);
             let (_, par_report) = run_measured(&g, &config, &PooledExecutor::new(3));
             assert_eq!(seq_report, par_report, "seed {seed}");
         }
@@ -704,9 +818,14 @@ mod tests {
                 epsilon: 0.25,
                 iterations: Some(iterations),
             };
-            let (engine, _) = run_measured(&g, &config, &SyncExecutor);
+            let (engine, report) = run_measured(&g, &config, &SyncExecutor);
             let oracle = central_mwu_reference(&g, &config);
-            assert_eq!(engine.values(), oracle.values(), "iterations {iterations}");
+            assert_eq!(
+                engine.values(),
+                oracle.assignment.values(),
+                "iterations {iterations}"
+            );
+            assert_counts_match(&report, &oracle);
             assert!(engine.is_feasible_dominating_set(&g));
         }
     }
@@ -764,18 +883,21 @@ mod tests {
     #[test]
     fn distributed_mwu_isolated_and_empty_graphs() {
         let g = congest_sim::Graph::empty(5);
-        let (out, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
+        let (out, report) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
         assert!(out.is_feasible_dominating_set(&g));
         assert!((out.size() - 5.0).abs() < 1e-6);
-        assert_eq!(
-            central_mwu_reference(&g, &DistributedLpConfig::default()).values(),
-            out.values()
-        );
+        let replay = central_mwu_reference(&g, &DistributedLpConfig::default());
+        assert_eq!(replay.assignment.values(), out.values());
+        assert_counts_match(&report, &replay);
 
         let g0 = congest_sim::Graph::empty(0);
         let (out0, report0) = run_measured(&g0, &DistributedLpConfig::default(), &SyncExecutor);
         assert_eq!(out0.len(), 0);
         assert_eq!(report0.rounds, 0);
+        assert_counts_match(
+            &report0,
+            &central_mwu_reference(&g0, &DistributedLpConfig::default()),
+        );
     }
 
     #[test]

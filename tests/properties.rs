@@ -404,7 +404,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // The measured distributed MWU solver is bit-identical to its central
-    // oracle and to itself across executors (R1 made measured).
+    // oracle and to itself across executors (R1 made measured), and the
+    // replay of its halting rule gives the engine's exact rounds, messages
+    // and payloads.
     #[test]
     fn distributed_mwu_equals_central_oracle(
         graph in graph_strategy(),
@@ -417,7 +419,11 @@ proptest! {
             .run(&graph, lp::DistributedLpProgram::programs(&graph, &config), &exec_config)
             .unwrap();
         let assignment = FractionalAssignment::from_values(seq.outputs.clone());
-        prop_assert_eq!(assignment.values(), oracle.values());
+        prop_assert_eq!(assignment.values(), oracle.assignment.values());
+        prop_assert_eq!(
+            (seq.rounds, seq.messages, seq.payloads),
+            (oracle.rounds, oracle.messages, oracle.payloads)
+        );
         prop_assert!(assignment.is_feasible_dominating_set(&graph));
         let par = PooledExecutor::new(forced_threads(threads))
             .run(&graph, lp::DistributedLpProgram::programs(&graph, &config), &exec_config)
