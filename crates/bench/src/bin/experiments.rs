@@ -26,9 +26,10 @@
 //! usage error (exit code 2).
 //!
 //! `--executor-sweep` runs the flood throughput benchmark on cycles, sparse
-//! `G(n, 2n)` graphs, stars and unit-disk graphs at decade sizes up to
-//! `max_n` (default 10⁶) on the sequential executor and the worker pool and
-//! prints the speedup table.
+//! `G(n, 2n)` graphs, stars and unit-disk graphs, plus its sleeping variant
+//! on the `G(n, 2n)` and unit-disk graphs, at decade sizes up to `max_n`
+//! (default 10⁶) on the sequential executor and the worker pool and prints
+//! the speedup table.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

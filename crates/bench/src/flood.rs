@@ -7,12 +7,16 @@
 //! and prints a wall-time table over the in-process executors:
 //! sequential, and the persistent worker pool at `T` threads — the
 //! pool-`T`-vs-sync speedup column decides whether the pool earns its place.
-//! The run also doubles as a scale test of the bit-identity contract, since
-//! every pool report is asserted equal to the sequential one at every size.
+//! Two extra rows run [`WaveMin`], the same flood with sleeping nodes, on
+//! `G(n, 2n)` and the geometric graphs: most of its node-rounds are skipped,
+//! so its per-node-round column is the engine's sparse-round cost. The run
+//! also doubles as a scale test of the bit-identity contract, since every
+//! pool report is asserted equal to the sequential one at every size, and
+//! every wave run's outputs equal the flood's.
 
 use congest_sim::{
-    Executor, ExecutorConfig, Inbox, NodeContext, NodeProgram, Outbox, PooledExecutor, RoundAction,
-    SyncExecutor,
+    Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeProgram, Outbox, PooledExecutor,
+    RoundAction, RunReport, SyncExecutor,
 };
 use mds_graphs::generators;
 
@@ -62,6 +66,51 @@ impl NodeProgram for FloodMin {
     }
 }
 
+/// Minimum-label flooding with sleeping nodes: a node rebroadcasts only in
+/// a round its label improved, and otherwise sleeps until mail arrives or
+/// round [`FLOOD_ROUNDS`]. Every label a neighbor holds was broadcast the
+/// round it was set, so after round `r` each node still holds the minimum
+/// over its `r`-hop ball, and the outputs equal [`FloodMin`]'s; only the
+/// message count shrinks, along with the nodes that run each round.
+#[derive(Debug, Clone)]
+pub struct WaveMin {
+    label: u32,
+}
+
+impl WaveMin {
+    /// Program instances for an `n`-node graph (node `v` starts with label
+    /// `v`).
+    pub fn programs(n: usize) -> Vec<WaveMin> {
+        (0..n).map(|v| WaveMin { label: v as u32 }).collect()
+    }
+}
+
+impl NodeProgram for WaveMin {
+    type Message = u32;
+    type Output = u32;
+
+    fn init(&mut self, _ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u32>) {
+        outbox.broadcast(self.label);
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeContext<'_>,
+        inbox: &Inbox<'_, u32>,
+        outbox: &mut Outbox<'_, u32>,
+    ) -> RoundAction<u32> {
+        let heard = inbox.iter().map(|(_, &m)| m).min().unwrap_or(u32::MAX);
+        if ctx.round >= FLOOD_ROUNDS {
+            return RoundAction::Halt(self.label.min(heard));
+        }
+        if heard < self.label {
+            self.label = heard;
+            outbox.broadcast(self.label);
+        }
+        RoundAction::SleepUntil(FLOOD_ROUNDS)
+    }
+}
+
 /// The thread count the multi-threaded sweep columns use: the
 /// `PARALLEL_THREADS` environment variable when set (CI pins it for
 /// reproducible tables), the detected core count otherwise.
@@ -79,19 +128,49 @@ fn geometric_radius(n: usize) -> f64 {
     (8.0 / (std::f64::consts::PI * n as f64)).sqrt()
 }
 
+/// Runs `programs` on the sequential executor and on `pool`, asserts the
+/// two reports equal, and returns both wall times (ms) and the report.
+fn timed_pair<P>(
+    g: &Graph,
+    programs: impl Fn() -> Vec<P>,
+    pool: &PooledExecutor,
+    what: &str,
+) -> (f64, f64, RunReport<u32>)
+where
+    P: NodeProgram<Output = u32> + Send,
+    P::Message: Send + Sync,
+{
+    let config = ExecutorConfig::default();
+    let time = |executor: &dyn Fn() -> RunReport<u32>| {
+        let started = std::time::Instant::now();
+        let report = executor();
+        (started.elapsed().as_secs_f64() * 1e3, report)
+    };
+    let run = |report: Result<RunReport<u32>, _>| report.expect("flood program is well-formed");
+    let (sync_ms, seq) = time(&|| run(SyncExecutor.run(g, programs(), &config)));
+    let (pool_ms, pooled) = time(&|| run(pool.run(g, programs(), &config)));
+    assert_eq!(
+        seq, pooled,
+        "pool×T diverged from the sequential run: {what}"
+    );
+    (sync_ms, pool_ms, seq)
+}
+
 /// Runs the flood program on cycles, sparse `G(n, 2n)` instances, stars
 /// (one hub whose inbox holds every other node) and unit-disk graphs of
-/// average degree about 8 at decade sizes up to `max_n` (a single miniature
-/// size when `max_n` is below the first decade, so tests still exercise the
+/// average degree about 8, and [`WaveMin`] on the `G(n, 2n)` and unit-disk
+/// graphs, at decade sizes up to `max_n` (a single miniature size when
+/// `max_n` is below the first decade, so tests still exercise the
 /// cross-executor assertion), on the sequential executor and the persistent
-/// pool at `T` threads, and returns a Markdown table of wall times and the
-/// speedup. `T` follows `PARALLEL_THREADS` (else the core count).
+/// pool at `T` threads. Returns a Markdown table of wall times, the
+/// sequential cost per node-round (`n` × rounds, skipped ones included) and
+/// the speedup. `T` follows `PARALLEL_THREADS` (else the core count).
 ///
 /// # Panics
 ///
-/// Panics if the pool's report diverges from the sequential one — the
-/// sweep is also a large-`n` regression test of the engine's determinism
-/// contract.
+/// Panics if the pool's report diverges from the sequential one, or a wave
+/// run's outputs from the flood's — the sweep is also a large-`n`
+/// regression test of the engine's determinism and wake rule.
 pub fn executor_sweep_markdown(max_n: usize) -> String {
     let threads = sweep_threads();
     let pool_t = PooledExecutor::new(threads);
@@ -99,8 +178,8 @@ pub fn executor_sweep_markdown(max_n: usize) -> String {
         "## Executor sweep — flood program, {FLOOD_ROUNDS} rounds, T = {threads} threads\n\n",
     );
     out.push_str(&format!(
-        "| graph | n | m | messages | sync (ms) | pool×{threads} (ms) | pool×{threads} vs sync |\n\
-         | --- | --- | --- | --- | --- | --- | --- |\n",
+        "| graph | program | n | m | messages | sync (ms) | sync ns/node-round | pool×{threads} (ms) | pool×{threads} vs sync |\n\
+         | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
     ));
     let mut n = 10_000usize;
     let mut sizes = Vec::new();
@@ -114,44 +193,43 @@ pub fn executor_sweep_markdown(max_n: usize) -> String {
         sizes.push(512);
     }
     for &n in &sizes {
-        for (label, g) in [
-            ("cycle", generators::cycle(n)),
-            ("gnm_2n", generators::gnm(n, 2 * n, 3)),
-            ("star", generators::star(n)),
+        for (label, g, wave) in [
+            ("cycle", generators::cycle(n), false),
+            ("gnm_2n", generators::gnm(n, 2 * n, 3), true),
+            ("star", generators::star(n), false),
             (
                 "geometric",
                 generators::unit_disk(n, geometric_radius(n), 7),
+                true,
             ),
         ] {
-            let config = ExecutorConfig::default();
             // Warm the per-graph routing table up front so every executor
             // column measures the round loop, not the one-off setup.
             g.warm_topology();
-            let time = |run: &dyn Fn() -> congest_sim::RunReport<u32>| {
-                let started = std::time::Instant::now();
-                let report = run();
-                (started.elapsed().as_secs_f64() * 1e3, report)
-            };
-            let (sync_ms, seq) = time(&|| {
-                SyncExecutor
-                    .run(&g, FloodMin::programs(n), &config)
-                    .expect("flood program is well-formed")
-            });
-            let (pool_t_ms, pool_t_report) = time(&|| {
-                pool_t
-                    .run(&g, FloodMin::programs(n), &config)
-                    .expect("flood program is well-formed")
-            });
-            assert_eq!(
-                seq, pool_t_report,
-                "pool×T diverged from the sequential run at n = {n} on {label}"
+            let mut row =
+                |program: &str, (sync_ms, pool_ms, report): (f64, f64, RunReport<u32>)| {
+                    let node_rounds = (n as u64 * report.rounds).max(1) as f64;
+                    out.push_str(&format!(
+                    "| {label} | {program} | {n} | {} | {} | {sync_ms:.1} | {:.1} | {pool_ms:.1} | {:.2}× |\n",
+                    g.m(),
+                    report.messages,
+                    sync_ms * 1e6 / node_rounds,
+                    sync_ms / pool_ms.max(f64::EPSILON),
+                ));
+                    report.outputs
+                };
+            let what = format!("n = {n} on {label}");
+            let flood = row(
+                "flood",
+                timed_pair(&g, || FloodMin::programs(n), &pool_t, &what),
             );
-            out.push_str(&format!(
-                "| {label} | {n} | {} | {} | {sync_ms:.1} | {pool_t_ms:.1} | {:.2}× |\n",
-                g.m(),
-                seq.messages,
-                sync_ms / pool_t_ms.max(f64::EPSILON),
-            ));
+            if wave {
+                let waved = row(
+                    "wave",
+                    timed_pair(&g, || WaveMin::programs(n), &pool_t, &what),
+                );
+                assert_eq!(waved, flood, "wave outputs diverged from the flood: {what}");
+            }
         }
     }
     out
@@ -173,14 +251,41 @@ mod tests {
     }
 
     #[test]
+    fn wave_outputs_equal_the_flood_with_fewer_messages() {
+        for g in [generators::cycle(40), generators::gnm(300, 600, 5)] {
+            let config = ExecutorConfig::default();
+            let flood = SyncExecutor
+                .run(&g, FloodMin::programs(g.n()), &config)
+                .expect("flood runs");
+            let wave = SyncExecutor
+                .run(&g, WaveMin::programs(g.n()), &config)
+                .expect("wave runs");
+            assert_eq!(wave.outputs, flood.outputs);
+            assert_eq!(wave.rounds, FLOOD_ROUNDS);
+            assert!(wave.messages < flood.messages);
+        }
+    }
+
+    #[test]
     fn sweep_table_renders_and_executors_agree() {
         // A miniature sweep (the real one starts at 10⁴) runs one small size,
-        // exercising the pool-vs-sync bit-identity assertion inside.
+        // exercising the pool-vs-sync bit-identity assertion and the
+        // wave-vs-flood output assertion inside.
         let table = executor_sweep_markdown(0);
-        assert!(table.contains("| graph |"));
+        assert!(table.contains("| graph | program |"));
         assert!(table.contains("vs sync"));
         for label in ["cycle", "gnm_2n", "star", "geometric"] {
-            assert!(table.contains(&format!("| {label} | 512 |")), "{label}");
+            assert!(
+                table.contains(&format!("| {label} | flood | 512 |")),
+                "{label}"
+            );
         }
+        for label in ["gnm_2n", "geometric"] {
+            assert!(
+                table.contains(&format!("| {label} | wave | 512 |")),
+                "{label}"
+            );
+        }
+        assert_eq!(table.matches(" | wave | ").count(), 2);
     }
 }

@@ -13,13 +13,14 @@
 //! # The round kernel
 //!
 //! Every executor runs a round the same way. Its nodes live in contiguous
-//! [`NodeBlock`]s; each block runs an **execute pass** (every live node
-//! against the inbox the backend supplies), then a **commit pass** (every
-//! outbox drained in node order into the sink the backend supplies). One
-//! [`RoundFold`] takes the blocks' per-round [`BlockRound`] sub-totals in
-//! block order, applies the halting, round-limit and first-error rules,
-//! records [`RoundStats`] and assembles the [`RunReport`]. Only where
-//! inboxes come from and where committed units go differs per backend:
+//! [`NodeBlock`]s, and each block makes **one pass** over its nodes in node
+//! order: a node whose wake round has come runs against the inbox the
+//! backend supplies, and its outbox is drained at once, charged and handed
+//! to the sink the backend supplies. One [`RoundFold`] takes the blocks'
+//! per-round [`BlockRound`] sub-totals in block order, applies the halting,
+//! round-limit and first-error rules, records [`RoundStats`] and assembles
+//! the [`RunReport`]. Only where inboxes come from and where committed units
+//! go differs per backend:
 //!
 //! * [`SyncExecutor`] — one block over an [`ArenaDelivery`] on the calling
 //!   thread; the reference semantics every other backend is pinned against.
@@ -28,10 +29,29 @@
 //! * the socket backend of the `congest_transport` crate — one block per
 //!   process, exchanging cross-block units with its peer once per round.
 //!
-//! Reports are bit-identical across backends because block order is node
-//! order, a slot's last write wins in its one sender's send order,
-//! [`Accounting::fold`] is associative, and the lowest block's error is the
-//! first error in node order.
+//! # Sleeping nodes
+//!
+//! A block keeps one wake round per node: `0` runs every round, `u64::MAX`
+//! marks a halted node, and anything between is a timer set by
+//! [`RoundAction::SleepUntil`]. A node whose wake round lies ahead is
+//! skipped at the cost of one compare, unless mail wakes it: after each
+//! delivery, a block with sleepers calls [`NodeBlock::wake_receivers`] on
+//! the round's units, which wakes every neighbor of each broadcaster and
+//! the owner of each delivered edge slot. A round in which nobody sleeps
+//! pays nothing for this.
+//!
+//! Reports are bit-identical across backends, and with or without sleeping,
+//! because:
+//! * block order is node order, and the lowest block's error is the first
+//!   error in node order — a panicking program included, which the pass
+//!   catches and reports as [`ExecutionError::ProgramPanicked`];
+//! * a slot's last write wins in its one sender's send order;
+//! * [`Accounting::fold`] is associative;
+//! * a node is skipped only in a round that delivers it nothing and that
+//!   its own `SleepUntil` covers, which is a call the [`NodeProgram`]
+//!   contract says would have sent nothing and changed nothing. The mail
+//!   wakes are derived from the round's delivered units alone, which are
+//!   the same on every backend.
 //!
 //! The per-graph mirror table is built once and cached inside [`Graph`]
 //! (see `crate::topology`), so repeated runs and multi-phase compositions
@@ -51,6 +71,7 @@ use crate::program::{
 use crate::{Graph, NodeId, RoundLedger};
 use std::error::Error;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Configuration of an [`Executor`] run.
 #[derive(Debug, Clone)]
@@ -200,6 +221,12 @@ pub enum ExecutionError {
         /// The configured budget in bits.
         budget: usize,
     },
+    /// A node program panicked in `init` or `round`; the run stops in that
+    /// round on every backend instead of unwinding through it.
+    ProgramPanicked {
+        /// The node whose program panicked.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for ExecutionError {
@@ -219,6 +246,9 @@ impl fmt::Display for ExecutionError {
                     f,
                     "message of {bits} bits from {from} exceeds budget of {budget} bits"
                 )
+            }
+            ExecutionError::ProgramPanicked { node } => {
+                write!(f, "the program of node {node} panicked")
             }
         }
     }
@@ -251,6 +281,10 @@ impl crate::message::Wire for ExecutionError {
                 bits.encode(out);
                 budget.encode(out);
             }
+            ExecutionError::ProgramPanicked { node } => {
+                out.push(4);
+                node.encode(out);
+            }
         }
     }
 
@@ -274,6 +308,9 @@ impl crate::message::Wire for ExecutionError {
                 bits: usize::decode(buf, pos)?,
                 budget: usize::decode(buf, pos)?,
             },
+            4 => ExecutionError::ProgramPanicked {
+                node: NodeId::decode(buf, pos)?,
+            },
             _ => return None,
         })
     }
@@ -289,8 +326,8 @@ pub trait Executor {
     /// # Errors
     ///
     /// Returns an [`ExecutionError`] if a program misbehaves (sends to a
-    /// non-neighbor, exceeds an enforced bandwidth budget) or if the round
-    /// limit is hit.
+    /// non-neighbor, exceeds an enforced bandwidth budget, panics) or if the
+    /// round limit is hit.
     fn run<P>(
         &self,
         graph: &Graph,
@@ -325,7 +362,7 @@ impl Executor for SyncExecutor {
 
 /// CSR-indexed, double-buffered message store: how committed units move
 /// between rounds on the sequential engine and on each side of the socket
-/// backend. It has two parts, both double-buffered:
+/// backend. Each of its two [`ArenaSide`]s has two parts:
 ///
 /// * the per-edge arena for explicit sends — slot `slot_range(v).start + i`
 ///   holds the message *received by* `v` from its `i`-th CSR neighbor;
@@ -335,48 +372,43 @@ impl Executor for SyncExecutor {
 ///   node `u` broadcast, which every neighbor's [`Inbox`] reads (a pull, so
 ///   a broadcast costs one store instead of `deg(u)` scattered copies).
 ///
-/// Within one round, several [`ArenaDelivery::queue`] calls for the same
-/// slot keep the *last* message (all writes to one slot come from one
-/// sender, in that sender's send order), and [`ArenaDelivery::advance`]
-/// publishes exactly the queued units as the next round's
-/// [`ArenaDelivery::inbox`] views.
+/// Within one round, several [`ArenaSide::queue`] calls for the same slot
+/// keep the *last* message (all writes to one slot come from one sender, in
+/// that sender's send order), and [`ArenaDelivery::advance`] publishes
+/// exactly the queued units as the next round's delivered side.
 pub struct ArenaDelivery<M> {
-    /// Messages delivered this round (read side).
-    cur: Vec<Option<M>>,
-    /// Messages queued for the next round (write side).
-    next: Vec<Option<M>>,
-    /// Slots occupied on the read side — the ones to clear on the next
-    /// [`ArenaDelivery::advance`], so a sparse round (a few deciders in an
-    /// otherwise idle schedule, the tail of a mostly-halted run) pays for the
-    /// messages it actually carried instead of an `O(m)` full-arena sweep.
-    cur_written: Vec<usize>,
-    /// Slots written on the write side this round, each listed exactly once
-    /// (duplicate sends to one neighbor overwrite in place).
-    next_written: Vec<usize>,
-    /// Broadcast payloads delivered this round, indexed by sender.
-    cur_table: Vec<Option<M>>,
-    /// Broadcast payloads queued for the next round, indexed by sender.
-    next_table: Vec<Option<M>>,
-    /// Senders occupying `cur_table`, cleared through this list.
-    cur_senders: Vec<usize>,
-    /// Senders queued into `next_table` this round, each listed once.
-    next_senders: Vec<usize>,
+    /// Units delivered this round (read side).
+    cur: ArenaSide<M>,
+    /// Units queued for the next round (write side).
+    next: ArenaSide<M>,
 }
 
-impl<M> ArenaDelivery<M> {
-    /// An empty store: one arena slot per directed edge of `graph` and one
-    /// table entry per node, on each side.
-    pub fn new(graph: &Graph) -> Self {
+/// One round's units in an [`ArenaDelivery`]: the per-edge arena and the
+/// broadcast table, each with the list of entries it occupies. The lists
+/// make the clear in [`ArenaDelivery::advance`] sparse, so a sparse round (a
+/// few deciders in an otherwise idle schedule, the tail of a mostly-halted
+/// run) pays for the units it carried instead of an `O(m)` sweep, and they
+/// name the receivers [`NodeBlock::wake_receivers`] wakes.
+pub struct ArenaSide<M> {
+    /// One slot per directed edge, in receiver CSR order.
+    slots: Vec<Option<M>>,
+    /// Occupied slots, each listed once (a duplicate send to one neighbor
+    /// overwrites in place).
+    written: Vec<usize>,
+    /// Broadcast payloads, indexed by sender.
+    table: Vec<Option<M>>,
+    /// Senders occupying `table`, each listed once.
+    senders: Vec<usize>,
+}
+
+impl<M> ArenaSide<M> {
+    fn new(graph: &Graph) -> Self {
         let none = |len| std::iter::repeat_with(|| None).take(len).collect();
-        ArenaDelivery {
-            cur: none(graph.slot_count()),
-            next: none(graph.slot_count()),
-            cur_written: Vec::new(),
-            next_written: Vec::new(),
-            cur_table: none(graph.n()),
-            next_table: none(graph.n()),
-            cur_senders: Vec::new(),
-            next_senders: Vec::new(),
+        ArenaSide {
+            slots: none(graph.slot_count()),
+            written: Vec::new(),
+            table: none(graph.n()),
+            senders: Vec::new(),
         }
     }
 
@@ -384,12 +416,12 @@ impl<M> ArenaDelivery<M> {
     /// start of the next round. A later `queue` to the same slot within the
     /// same round replaces the message (one message per edge per round).
     pub fn queue(&mut self, slot: usize, msg: M) {
-        // Record the slot in `next_written` only on first occupancy so the
-        // sparse clear in `advance` touches each slot once.
-        if self.next[slot].replace(msg).is_some() {
-            debug_assert!(self.next_written.contains(&slot));
+        // Record the slot only on first occupancy, so the sparse clear and
+        // the wake pass touch each slot once.
+        if self.slots[slot].replace(msg).is_some() {
+            debug_assert!(self.written.contains(&slot));
         } else {
-            self.next_written.push(slot);
+            self.written.push(slot);
         }
     }
 
@@ -399,42 +431,70 @@ impl<M> ArenaDelivery<M> {
     /// send (`Outbox::broadcast` keeps a lone payload only on an otherwise
     /// empty outbox), so each of its neighbors has exactly one source.
     /// Backends that take senders from untrusted input check
-    /// [`ArenaDelivery::broadcast_staged`] first.
+    /// [`ArenaSide::broadcast_staged`] first.
     pub fn queue_broadcast(&mut self, sender: usize, msg: M) {
         debug_assert!(!self.broadcast_staged(sender), "one broadcast per sender");
-        self.next_table[sender] = Some(msg);
-        self.next_senders.push(sender);
+        self.table[sender] = Some(msg);
+        self.senders.push(sender);
     }
 
-    /// Whether `sender` already has a broadcast staged for the next round.
+    /// Whether `sender` already has a broadcast staged on this side.
     pub fn broadcast_staged(&self, sender: usize) -> bool {
-        self.next_table[sender].is_some()
+        self.table[sender].is_some()
     }
 
-    /// Ends the round: the queued messages become current and the previous
-    /// round's are dropped, clearing only the slots and table entries that
-    /// were actually occupied (no allocation).
-    pub fn advance(&mut self) {
-        for &slot in &self.cur_written {
-            self.cur[slot] = None;
-        }
-        for &sender in &self.cur_senders {
-            self.cur_table[sender] = None;
-        }
-        self.cur_written.clear();
-        self.cur_senders.clear();
-        std::mem::swap(&mut self.cur, &mut self.next);
-        std::mem::swap(&mut self.cur_written, &mut self.next_written);
-        std::mem::swap(&mut self.cur_table, &mut self.next_table);
-        std::mem::swap(&mut self.cur_senders, &mut self.next_senders);
-    }
-
-    /// The current round's inbox of node `v`: its delivered arena slots
-    /// merged with the broadcast table.
+    /// Node `v`'s inbox: its arena slots merged with the broadcast table.
     pub fn inbox<'a>(&'a self, graph: &'a Graph, v: NodeId) -> Inbox<'a, M> {
-        let edges_delivered = !self.cur_written.is_empty();
-        let slots = &self.cur[graph.slot_range(v)];
-        merged_inbox(graph, v, slots, edges_delivered, &self.cur_table)
+        let edges_delivered = !self.written.is_empty();
+        let slots = &self.slots[graph.slot_range(v)];
+        merged_inbox(graph, v, slots, edges_delivered, &self.table)
+    }
+
+    /// The broadcasters of this side's round, each once.
+    pub fn senders(&self) -> &[usize] {
+        &self.senders
+    }
+
+    /// The occupied arena slots of this side's round, each once.
+    pub fn written(&self) -> &[usize] {
+        &self.written
+    }
+
+    /// Empties the side, touching only the occupied entries.
+    fn clear(&mut self) {
+        for &slot in &self.written {
+            self.slots[slot] = None;
+        }
+        for &sender in &self.senders {
+            self.table[sender] = None;
+        }
+        self.written.clear();
+        self.senders.clear();
+    }
+}
+
+impl<M> ArenaDelivery<M> {
+    /// An empty store: one arena slot per directed edge of `graph` and one
+    /// table entry per node, on each side.
+    pub fn new(graph: &Graph) -> Self {
+        ArenaDelivery {
+            cur: ArenaSide::new(graph),
+            next: ArenaSide::new(graph),
+        }
+    }
+
+    /// The delivered side, which inboxes read, and the staging side, which
+    /// the kernel's sink writes, borrowed together for the one pass.
+    pub fn split(&mut self) -> (&ArenaSide<M>, &mut ArenaSide<M>) {
+        (&self.cur, &mut self.next)
+    }
+
+    /// Ends the round: the queued units become current and the previous
+    /// round's are dropped, clearing only the entries that were actually
+    /// occupied (no allocation).
+    pub fn advance(&mut self) {
+        self.cur.clear();
+        std::mem::swap(&mut self.cur, &mut self.next);
     }
 }
 
@@ -488,44 +548,54 @@ impl Accounting {
     }
 }
 
-/// One committed unit the commit pass hands to the backend's sink: either a
-/// single per-edge message already resolved to its destination arena slot,
-/// or a broadcast payload the backend stores once under the sender's id (the
-/// storage/wire fast path — the CONGEST charge for all `deg` copies has
-/// already been applied by the time the sink sees it).
+/// One committed unit the kernel's pass hands to the backend's sink: either
+/// a single per-edge message already resolved to its destination arena
+/// slot, or a broadcast payload the backend stores once under the sender's
+/// id (the storage/wire fast path — the CONGEST charge for all `deg` copies
+/// has already been applied by the time the sink sees it).
 #[derive(Debug)]
 pub enum Committed<M> {
     /// One message for one destination arena slot.
     Edge(usize, M),
     /// One broadcast payload standing for a copy to every neighbor. It is
     /// stored once in a sender-indexed table; each neighbor's [`Inbox`]
-    /// pulls it from there (see [`ArenaDelivery::queue_broadcast`]).
+    /// pulls it from there (see [`ArenaSide::queue_broadcast`]).
     Fan(M),
 }
 
-/// One block's sub-totals for one round, as its commit pass leaves them.
+/// One block's sub-totals for one round, as its pass leaves them.
 /// [`RoundFold::fold`] folds them in block order.
 #[derive(Debug, Default)]
 pub struct BlockRound {
     /// Messages, payloads, bits, largest message and violations charged by
-    /// the block's commit pass.
+    /// the block's pass.
     pub acct: Accounting,
-    /// Nodes of the block that halted in the round's execute pass.
+    /// Nodes of the block that halted in the round.
     pub newly_halted: usize,
-    /// The block's first error, in node and send order; the commit pass
-    /// stops there.
+    /// The block's first error, in node and send order; the pass stops
+    /// there.
     pub error: Option<ExecutionError>,
 }
 
-/// The round kernel's node block: a contiguous node range with its programs,
-/// halted flags, outputs, staged outboxes and invalid-target slots. The
-/// programs stay in the caller's vector; the block borrows its range.
+/// The wake round of a halted node: it never runs again.
+const HALTED: u64 = u64::MAX;
+
+/// Wakes a sleeping node for the round whose mail was just delivered; a
+/// halted node stays halted.
+fn wake_by_mail(wake: &mut u64) {
+    if *wake != HALTED {
+        *wake = 0;
+    }
+}
+
+/// The round kernel's node block: a contiguous node range with its
+/// programs, wake rounds, outputs and one staging outbox. The programs stay
+/// in the caller's vector; the block borrows its range.
 ///
-/// Every executor runs a round as the same two passes over its blocks: the
-/// [execute pass](NodeBlock::execute) runs every live node against the inbox
-/// the backend supplies, then the [commit pass](NodeBlock::commit) drains
-/// every outbox in node order into the sink the backend supplies. Blocks are
-/// built by [`RoundFold::block`].
+/// Every executor runs a round as the same [pass](NodeBlock::run_round)
+/// over its blocks, after [waking](NodeBlock::wake_receivers) the sleepers
+/// that the last delivery sent mail to. Blocks are built by
+/// [`RoundFold::block`].
 pub struct NodeBlock<'a, P: NodeProgram> {
     graph: &'a Graph,
     /// First node of the block.
@@ -533,72 +603,132 @@ pub struct NodeBlock<'a, P: NodeProgram> {
     bandwidth: usize,
     enforce: bool,
     programs: &'a mut [P],
-    halted: Vec<bool>,
+    /// Per node, the first round it runs in again: `0` for every round, a
+    /// later round for a [`RoundAction::SleepUntil`] timer, [`HALTED`] for
+    /// never.
+    wake: Vec<u64>,
     outputs: Vec<Option<P::Output>>,
-    pending: Vec<Pending<P::Message>>,
-    invalid: Vec<Option<NodeId>>,
-    /// Block-local indices of the nodes that halted in the last execute
-    /// pass, in node order.
+    /// The staging outbox, kept between passes for its capacity. A pass
+    /// moves it to the running thread's stack: every node writes it, and
+    /// the pool's blocks sit side by side, so a field here would share a
+    /// cache line with the fields the next worker's pass reads.
+    pending: Pending<P::Message>,
+    /// Block-local indices of the nodes that halted in the last pass, in
+    /// node order.
     newly: Vec<usize>,
+    /// Live nodes the last pass left asleep beyond the next round; while
+    /// there are none, mail wakes nobody.
+    sleepers: usize,
 }
 
 impl<P: NodeProgram> NodeBlock<'_, P> {
-    /// The execute pass of round `round`: `init` (round 0) or `round` of
-    /// every live node in node order, each against `inbox(v)` and a fresh
-    /// outbox. A node that halts records its output and stages nothing.
-    pub fn execute<'i>(&mut self, round: u64, inbox: impl Fn(NodeId) -> Inbox<'i, P::Message>)
+    /// Round `round` of the block, as one pass in node order. Each node
+    /// whose wake round has come runs `init` (round 0) or `round` against
+    /// `inbox(v)`; a node that halts records its output and sends nothing,
+    /// and any other node's staged output is checked, charged and handed to
+    /// `sink` as [`Committed`] units before the next node runs. A sleeping
+    /// or halted node costs one compare.
+    ///
+    /// The pass stops at the block's first error in node and send order and
+    /// leaves the rest of the block unrun and uncharged. A panicking program
+    /// is such an error, [`ExecutionError::ProgramPanicked`]: the unwind is
+    /// caught once for the whole pass, so every backend finishes the round
+    /// and reports it.
+    pub fn run_round<'i>(
+        &mut self,
+        round: u64,
+        inbox: impl Fn(NodeId) -> Inbox<'i, P::Message>,
+        mut sink: impl FnMut(NodeId, Committed<P::Message>),
+    ) -> BlockRound
+    where
+        P::Message: 'i,
+    {
+        self.newly.clear();
+        let mut staging = std::mem::take(&mut self.pending);
+        let mut acct = Accounting::default();
+        let mut at = 0;
+        let pass = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.pass(round, &inbox, &mut sink, &mut staging, &mut acct, &mut at)
+        }));
+        staging.clear();
+        self.pending = staging;
+        let error = match pass {
+            Ok(result) => result.err(),
+            Err(_) => Some(ExecutionError::ProgramPanicked {
+                node: NodeId(self.first + at),
+            }),
+        };
+        BlockRound {
+            acct,
+            newly_halted: self.newly.len(),
+            error,
+        }
+    }
+
+    /// The body of [`NodeBlock::run_round`]: every node stages its output
+    /// in `staging`, and `at` tracks the node being run for the panic
+    /// report.
+    fn pass<'i>(
+        &mut self,
+        round: u64,
+        inbox: &impl Fn(NodeId) -> Inbox<'i, P::Message>,
+        sink: &mut impl FnMut(NodeId, Committed<P::Message>),
+        staging: &mut Pending<P::Message>,
+        acct: &mut Accounting,
+        at: &mut usize,
+    ) -> Result<(), ExecutionError>
     where
         P::Message: 'i,
     {
         let graph = self.graph;
-        self.newly.clear();
-        for (i, program) in self.programs.iter_mut().enumerate() {
-            if self.halted[i] {
+        let mirror = &graph.topology().mirror;
+        let next = round + 1;
+        let mut sleepers = 0;
+        // The first non-neighbor target of the node being run.
+        let mut invalid = None;
+        for i in 0..self.programs.len() {
+            let wake = self.wake[i];
+            if wake > round {
+                sleepers += usize::from(wake > next && wake != HALTED);
                 continue;
             }
+            *at = i;
             let id = NodeId(self.first + i);
             let ctx = NodeContext { id, graph, round };
-            self.pending[i].clear();
-            self.invalid[i] = None;
-            let mut outbox = Outbox::over(
-                graph.neighbors(id),
-                &mut self.pending[i],
-                &mut self.invalid[i],
-            );
+            let mut outbox = Outbox::over(graph.neighbors(id), staging, &mut invalid);
+            let program = &mut self.programs[i];
             if round == 0 {
                 program.init(&ctx, &mut outbox);
-            } else if let RoundAction::Halt(out) = program.round(&ctx, &inbox(id), &mut outbox) {
-                self.outputs[i] = Some(out);
-                self.halted[i] = true;
-                self.newly.push(i);
-                self.pending[i].clear();
+            } else {
+                match program.round(&ctx, &inbox(id), &mut outbox) {
+                    RoundAction::Continue => {}
+                    RoundAction::SleepUntil(r) => {
+                        // A timer at `HALTED` would read as halted; one below
+                        // it, only mail wakes the node.
+                        self.wake[i] = r.min(HALTED - 1);
+                        sleepers += usize::from(r > next);
+                    }
+                    RoundAction::Halt(out) => {
+                        self.outputs[i] = Some(out);
+                        self.wake[i] = HALTED;
+                        self.newly.push(i);
+                        staging.clear();
+                        invalid = None;
+                        continue;
+                    }
+                }
             }
+            self.drain(id, mirror, staging, &mut invalid, acct, sink)?;
         }
+        self.sleepers = sleepers;
+        Ok(())
     }
 
-    /// The commit pass: drains every staged outbox in node order, charging
-    /// each message and handing each committed unit to `sink` with its
-    /// sender. It stops at the block's first error, which is the first in
-    /// node and send order, and leaves the rest uncharged.
-    pub fn commit(&mut self, mut sink: impl FnMut(NodeId, Committed<P::Message>)) -> BlockRound {
-        let graph = self.graph;
-        let mirror = &graph.topology().mirror;
-        let mut sub = BlockRound {
-            newly_halted: self.newly.len(),
-            ..BlockRound::default()
-        };
-        for i in 0..self.programs.len() {
-            if let Err(e) = self.drain_outbox(i, mirror, &mut sub.acct, &mut sink) {
-                sub.error = Some(e);
-                break;
-            }
-        }
-        sub
-    }
-
-    /// Drains node `i`'s staged output: resolves each send to its destination
-    /// arena slot through `mirror`, charges it into `acct`, and hands each
-    /// committed unit to `sink` in send order.
+    /// Drains node `from`'s staged output from `pending`: resolves each send
+    /// to its destination arena slot through `mirror`, charges it into
+    /// `acct`, and hands each committed unit to `sink` in send order.
+    /// `invalid` holds the first non-neighbor target the node addressed.
+    /// `pending` is empty afterwards, on the error path too.
     ///
     /// The check order is [`INVALID_SLOT`] → [`ExecutionError::NotANeighbor`]
     /// first, then the bandwidth charge and (if enforced)
@@ -617,17 +747,17 @@ impl<P: NodeProgram> NodeBlock<'_, P> {
     /// counts stored payloads — `1` for the whole broadcast versus `deg` for
     /// the materialized equivalent — which is the only field where the two
     /// paths differ.
-    fn drain_outbox(
-        &mut self,
-        i: usize,
+    fn drain(
+        &self,
+        from: NodeId,
         mirror: &[usize],
+        pending: &mut Pending<P::Message>,
+        invalid: &mut Option<NodeId>,
         acct: &mut Accounting,
         sink: &mut impl FnMut(NodeId, Committed<P::Message>),
     ) -> Result<(), ExecutionError> {
-        let from = NodeId(self.first + i);
         let budget = self.bandwidth;
         let targets = &mirror[self.graph.slot_range(from)];
-        let pending = &mut self.pending[i];
         if let Some(msg) = pending.broadcast.take() {
             debug_assert!(pending.sends.is_empty(), "broadcast implies no sends");
             let degree = targets.len() as u64;
@@ -657,7 +787,9 @@ impl<P: NodeProgram> NodeBlock<'_, P> {
             if slot == INVALID_SLOT {
                 // The outbox records the first non-neighbor target, which is
                 // exactly the send this first sentinel belongs to.
-                let to = self.invalid[i].expect("invalid slot without recorded target");
+                let to = invalid
+                    .take()
+                    .expect("invalid slot without recorded target");
                 return Err(ExecutionError::NotANeighbor { from, to });
             }
             let bits = msg.size_bits();
@@ -676,8 +808,37 @@ impl<P: NodeProgram> NodeBlock<'_, P> {
         Ok(())
     }
 
-    /// The nodes that halted in the last execute pass, in node order, with
-    /// their outputs.
+    /// Wakes the block's sleepers that the round just delivered mail to:
+    /// every neighbor inside the block of each broadcaster in `senders`,
+    /// and the owner of each occupied arena slot in `slots` (all in the
+    /// block's own CSR range). Halted nodes stay halted. A block in which
+    /// nobody sleeps returns at once without reading either list, so dense
+    /// rounds pay nothing.
+    pub fn wake_receivers(
+        &mut self,
+        senders: impl IntoIterator<Item = usize>,
+        slots: impl IntoIterator<Item = usize>,
+    ) {
+        if self.sleepers == 0 {
+            return;
+        }
+        let graph = self.graph;
+        let (lo, hi) = (NodeId(self.first), NodeId(self.first + self.wake.len()));
+        for u in senders {
+            let neighbors = graph.neighbors(NodeId(u));
+            let start = neighbors.partition_point(|&v| v < lo);
+            for &v in neighbors[start..].iter().take_while(|&&v| v < hi) {
+                wake_by_mail(&mut self.wake[v.0 - self.first]);
+            }
+        }
+        for slot in slots {
+            let v = graph.slot_owner(slot);
+            wake_by_mail(&mut self.wake[v.0 - self.first]);
+        }
+    }
+
+    /// The nodes that halted in the last pass, in node order, with their
+    /// outputs.
     pub fn newly_halted(&self) -> impl Iterator<Item = (NodeId, &P::Output)> + '_ {
         self.newly.iter().map(|&i| {
             let out = self.outputs[i].as_ref().expect("halted node has output");
@@ -770,13 +931,14 @@ impl<'g> RoundFold<'g> {
             bandwidth: self.bandwidth,
             enforce: self.enforce,
             programs,
-            halted: vec![false; len],
+            wake: vec![0; len],
             outputs: std::iter::repeat_with(|| None).take(len).collect(),
-            // Outboxes start empty: a lone broadcast stores one payload, and
-            // mixed send patterns grow their vec once and keep the capacity.
-            pending: std::iter::repeat_with(Pending::new).take(len).collect(),
-            invalid: vec![None; len],
+            // The staging outbox starts empty: a lone broadcast stores one
+            // payload, and mixed send patterns grow its vec to the widest
+            // node's and keep the capacity.
+            pending: Pending::new(),
             newly: Vec::new(),
+            sleepers: 0,
         }
     }
 
@@ -866,11 +1028,19 @@ pub(crate) fn run_engine<P: NodeProgram>(
     let mut delivery = ArenaDelivery::new(graph);
     let mut round = 0;
     loop {
-        block.execute(round, |v| delivery.inbox(graph, v));
-        let sub = block.commit(|from, unit| match unit {
-            Committed::Edge(slot, msg) => delivery.queue(slot, msg),
-            Committed::Fan(msg) => delivery.queue_broadcast(from.0, msg),
-        });
+        let (delivered, staged) = delivery.split();
+        block.wake_receivers(
+            delivered.senders().iter().copied(),
+            delivered.written().iter().copied(),
+        );
+        let sub = block.run_round(
+            round,
+            |v| delivered.inbox(graph, v),
+            |from, unit| match unit {
+                Committed::Edge(slot, msg) => staged.queue(slot, msg),
+                Committed::Fan(msg) => staged.queue_broadcast(from.0, msg),
+            },
+        );
         let verdict = fold.fold([sub]);
         delivery.advance();
         if verdict == Verdict::Stop {
@@ -1229,6 +1399,183 @@ mod tests {
             .unwrap();
         assert_eq!(report.rounds, 0);
         assert!(report.outputs.is_empty());
+    }
+
+    /// What a [`Scripted`] node does in one round.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Broadcast the round number, then sleep until the given round.
+        Broadcast(u64),
+        /// Send the round number to the given neighbor, then sleep until the
+        /// given round.
+        SendTo(usize, u64),
+        /// Send nothing and sleep until the given round.
+        Sleep(u64),
+        Halt,
+    }
+
+    /// Logs every round it runs in, then each message it heard from node `u`
+    /// as `1000·(u + 1) + message`, and acts by `script(id, round)`. The log
+    /// is the output, so it shows exactly which calls the executor made.
+    struct Scripted {
+        script: fn(usize, u64) -> Step,
+        log: Vec<u64>,
+    }
+
+    impl NodeProgram for Scripted {
+        type Message = u64;
+        type Output = Vec<u64>;
+
+        fn init(&mut self, _: &NodeContext<'_>, _: &mut Outbox<'_, u64>) {}
+
+        fn round(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<'_, u64>,
+        ) -> RoundAction<Vec<u64>> {
+            self.log.push(ctx.round);
+            for (from, &m) in inbox.iter() {
+                self.log.push(1000 * (from.0 as u64 + 1) + m);
+            }
+            match (self.script)(ctx.id.0, ctx.round) {
+                Step::Broadcast(wake) => {
+                    outbox.broadcast(ctx.round);
+                    RoundAction::SleepUntil(wake)
+                }
+                Step::SendTo(to, wake) => {
+                    outbox.send(NodeId(to), ctx.round);
+                    RoundAction::SleepUntil(wake)
+                }
+                Step::Sleep(wake) => RoundAction::SleepUntil(wake),
+                Step::Halt => RoundAction::Halt(std::mem::take(&mut self.log)),
+            }
+        }
+    }
+
+    fn scripted(n: usize, script: fn(usize, u64) -> Step) -> Vec<Scripted> {
+        (0..n)
+            .map(|_| Scripted {
+                script,
+                log: Vec::new(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sleeper_is_woken_by_a_broadcast_an_edge_send_and_its_timer() {
+        // Path 0 – 1 – 2. Node 1 sleeps until round 9; node 0 broadcasts in
+        // round 3 and node 2 sends to it in round 6. Nodes 0 and 2 run every
+        // round (a timer at the next round is `Continue`).
+        let g = path_graph(3);
+        let report = SyncExecutor
+            .run(
+                &g,
+                scripted(3, |id, round| match (id, round) {
+                    (_, 12) => Step::Halt,
+                    (1, r) if r < 9 => Step::Sleep(9),
+                    (1, _) => Step::Sleep(12),
+                    (0, 3) => Step::Broadcast(0),
+                    (2, 6) => Step::SendTo(1, round + 1),
+                    (_, r) => Step::Sleep(r + 1),
+                }),
+                &ExecutorConfig::default(),
+            )
+            .unwrap();
+        // Round 1; round 4 with node 0's round-3 broadcast; round 7 with
+        // node 2's round-6 send; the timer in round 9; then round 12.
+        assert_eq!(report.outputs[1], vec![1, 4, 1003, 7, 3006, 9, 12]);
+        assert_eq!(report.outputs[0].len(), 12, "node 0 runs every round");
+        assert_eq!(report.rounds, 12);
+        assert_eq!(report.messages, 2);
+    }
+
+    #[test]
+    fn sleeping_until_the_next_round_or_earlier_is_continue() {
+        let g = path_graph(2);
+        let report = SyncExecutor
+            .run(
+                &g,
+                scripted(2, |id, round| match (id, round) {
+                    (_, 6) => Step::Halt,
+                    (0, r) => Step::Sleep(r + 1),
+                    (_, r) => Step::Sleep([0, r][r as usize % 2]),
+                }),
+                &ExecutorConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(report.outputs, vec![vec![1, 2, 3, 4, 5, 6]; 2]);
+    }
+
+    #[test]
+    fn a_node_halts_while_its_neighbors_sleep_and_stays_halted() {
+        // Path 0 – 1 – 2: node 1 halts in round 3, node 2 sleeps from round
+        // 1 to 10, and node 0 keeps broadcasting to the halted node 1.
+        let g = path_graph(3);
+        let report = SyncExecutor
+            .run(
+                &g,
+                scripted(3, |id, round| match (id, round) {
+                    (1, 3) | (_, 10) => Step::Halt,
+                    (0, r) => Step::Broadcast(r + 1),
+                    (1, r) => Step::Sleep(r + 1),
+                    _ => Step::Sleep(10),
+                }),
+                &ExecutorConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(
+            report.outputs[1],
+            vec![1, 2, 1001, 3, 1002],
+            "never run after halting"
+        );
+        assert_eq!(report.outputs[2], vec![1, 10]);
+        let halted: Vec<_> = report.round_stats.iter().map(|r| r.halted).collect();
+        assert_eq!(halted, [0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 3]);
+    }
+
+    /// Nodes on the path of [`MIXED_N`] nodes.
+    const MIXED_N: usize = 40;
+
+    /// Every node sends, broadcasts or stays silent by `(id, round)` and
+    /// sleeps for a node-dependent stretch, so on a long path the wakers and
+    /// sleepers of a round sit in different pool blocks.
+    fn mixed_sleep(id: usize, round: u64) -> Step {
+        if round >= 24 + id as u64 % 3 {
+            return Step::Halt;
+        }
+        let wake = round + 1 + 4 * (id as u64 % 3);
+        match (id as u64 * 7 + round * 3) % 5 {
+            0 => Step::Broadcast(wake),
+            1 if id > 0 => Step::SendTo(id - 1, wake),
+            2 if id + 1 < MIXED_N => Step::SendTo(id + 1, wake),
+            _ => Step::Sleep(wake),
+        }
+    }
+
+    #[test]
+    fn pool_wakes_exactly_the_sync_sleepers_across_blocks() {
+        let g = path_graph(MIXED_N);
+        let seq = SyncExecutor
+            .run(
+                &g,
+                scripted(MIXED_N, mixed_sleep),
+                &ExecutorConfig::default(),
+            )
+            .unwrap();
+        let runs = seq.outputs.iter().flatten().filter(|&&e| e < 1000).count();
+        assert!(seq.messages > 0, "nodes woke each other");
+        assert!(runs < MIXED_N * 24, "some node-rounds slept: {runs}");
+        for threads in [1usize, 2, 3, 5, 16, 64] {
+            let par = PooledExecutor::new(threads)
+                .run(
+                    &g,
+                    scripted(MIXED_N, mixed_sleep),
+                    &ExecutorConfig::default(),
+                )
+                .unwrap();
+            assert_eq!(seq, par, "threads={threads}");
+        }
     }
 
     #[test]

@@ -177,6 +177,13 @@ impl Graph {
         self.neighbors.len()
     }
 
+    /// The node whose slot range holds `slot` — the receiver of a message
+    /// delivered there, which is the neighbor the slot's mirror twin
+    /// points back to.
+    pub(crate) fn slot_owner(&self, slot: usize) -> NodeId {
+        self.neighbors[self.topology().mirror[slot]]
+    }
+
     /// Iterator over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.n()).map(NodeId)
@@ -306,6 +313,17 @@ mod tests {
     fn path(n: usize) -> Graph {
         let edges: Vec<_> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
         Graph::from_edges(n, &edges).unwrap()
+    }
+
+    #[test]
+    fn slot_owner_is_the_node_whose_range_holds_the_slot() {
+        // Nodes 2 and 5 are isolated: their empty ranges sit between others.
+        let g = Graph::from_edges(7, &[(0, 1), (0, 3), (1, 3), (3, 4), (4, 6)]).unwrap();
+        for v in g.nodes() {
+            for slot in g.slot_range(v) {
+                assert_eq!(g.slot_owner(slot), v, "slot {slot}");
+            }
+        }
     }
 
     #[test]

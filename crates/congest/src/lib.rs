@@ -65,8 +65,8 @@ pub mod topology;
 
 pub use compose::ComposedProgram;
 pub use engine::{
-    Accounting, ArenaDelivery, BlockRound, Committed, ExecutionError, Executor, ExecutorConfig,
-    NodeBlock, RoundFold, RoundStats, RunReport, SyncExecutor, Verdict,
+    Accounting, ArenaDelivery, ArenaSide, BlockRound, Committed, ExecutionError, Executor,
+    ExecutorConfig, NodeBlock, RoundFold, RoundStats, RunReport, SyncExecutor, Verdict,
 };
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};

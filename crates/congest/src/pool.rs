@@ -1,6 +1,7 @@
 //! The persistent worker-pool executor: threads spawned once per run, a
-//! reusable barrier instead of per-round thread churn, and a parallelized
-//! commit pass — all bit-identical to [`SyncExecutor`].
+//! reusable barrier instead of per-round thread churn, and the round
+//! kernel's pass split across workers — all bit-identical to
+//! [`SyncExecutor`].
 //!
 //! # Why a pool
 //!
@@ -21,10 +22,13 @@
 //! receiver block is the last block whose chunk starts at or before it. One
 //! round proceeds as:
 //!
-//! 1. **execute pass, then commit pass** — each worker runs its block's
-//!    live programs against its chunk and the shared broadcast table, then
-//!    commits the block. Its commit sink routes each `(slot, msg)` into a
-//!    per-destination-block batch and keeps each broadcast as one
+//! 1. **wake, then pass** — if its block has sleepers, each worker first
+//!    wakes the ones the last delivery sent mail to: the owners of the
+//!    occupied slots of its own chunk, and its nodes among the neighbors of
+//!    every broadcaster on the broadcaster lists published next to the
+//!    shared table. It then runs its block's pass against its chunk and the
+//!    shared broadcast table. The pass's sink routes each `(slot, msg)` into
+//!    a per-destination-block batch and keeps each broadcast as one
 //!    `(sender, payload)` entry. Batches are handed over through one
 //!    mutex-protected transfer cell per (sender-block, receiver-block) pair
 //!    via `mem::swap` — no steady-state allocation, and each cell is touched
@@ -35,33 +39,34 @@
 //!    chunk written last round and drains its incoming transfer cells into
 //!    the chunk (last write per slot wins, in sender order). It then stores
 //!    its own nodes' broadcasts in the run's one sender-indexed broadcast
-//!    table, after clearing the entries it stored last round. Concurrently
-//!    worker 0 folds the published sub-totals in block order and stores
-//!    the verdict in the stop flag.
+//!    table, after clearing the entries it stored last round, and publishes
+//!    their senders as its broadcaster list. Concurrently worker 0 folds the
+//!    published sub-totals in block order and stores the verdict in the
+//!    stop flag.
 //! 4. **barrier B** — after which every worker reads the stop flag and
 //!    either loops or exits.
 //!
 //! # Why the report is bit-identical to [`SyncExecutor`]
 //!
-//! The passes and the fold are the engine's round kernel, so the argument
-//! is the kernel's (see the [engine docs](crate::engine)); what the pool
-//! adds is delivery. The mirror table is a bijection between directed-edge
-//! slots, so distinct senders write **disjoint** arena slots, and all slots
-//! of one receiver block land in that block's chunk: routing touches only
-//! the sender's private batch and delivery only the receiver's own chunk,
-//! which is why the scheme works under `#![forbid(unsafe_code)]`. All
-//! messages for one slot come from one sender, in its send order, so the
+//! The pass, the wake rule and the fold are the engine's round kernel, so
+//! the argument is the kernel's (see the [engine docs](crate::engine)); what
+//! the pool adds is delivery. The mirror table is a bijection between
+//! directed-edge slots, so distinct senders write **disjoint** arena slots,
+//! and all slots of one receiver block land in that block's chunk: routing
+//! touches only the sender's private batch and delivery only the receiver's
+//! own chunk, which is why the scheme works under `#![forbid(unsafe_code)]`.
+//! All messages for one slot come from one sender, in its send order, so the
 //! last write is the sequential engine's. Only a node's own worker writes
-//! its broadcast table entry, and only between the barriers; inboxes read
-//! the table only during the execute pass, so the table needs no second
-//! buffer and its write lock only orders the workers' disjoint stores.
+//! its broadcast table entry and its broadcaster list, and only between the
+//! barriers; the wake step and inboxes read them only before barrier A, so
+//! the table needs no second buffer and its write lock only orders the
+//! workers' disjoint stores. A worker wakes from the same units the
+//! sequential engine's arena holds, so it wakes the same nodes.
 //!
-//! # Caveats
-//!
-//! The synchronous protocol assumes node programs do not panic: a worker
-//! that unwinds never reaches the barrier and the run would hang rather
-//! than propagate the panic ([`SyncExecutor`] surfaces it instead).
-//! Engine-facing programs in this workspace are panic-free by contract.
+//! A panicking program does not break the lockstep: the pass catches the
+//! unwind and reports [`ExecutionError::ProgramPanicked`] as its block's
+//! error, so the worker still publishes, reaches both barriers, and the
+//! fold ends the run with the first error in node order.
 //!
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
@@ -143,10 +148,10 @@ struct PoolShared<'g, M> {
     /// batch sender block `from` committed for receiver block `to`. Each
     /// cell is written by one worker and drained by one worker per round.
     xfer: Vec<Mutex<RoutedBatch<M>>>,
-    /// The sender-indexed broadcast table (`n` entries): read by every
-    /// worker during execute, written by each worker for its own nodes
-    /// during delivery.
-    table: RwLock<Vec<Option<M>>>,
+    /// The broadcast table and the broadcaster lists: read by every worker
+    /// before barrier A, written by each worker for its own nodes during
+    /// delivery.
+    table: RwLock<Table<M>>,
     /// Per-worker published [`BlockRound`] sub-totals.
     published: Vec<Mutex<BlockRound>>,
     /// Worker 0's verdict, written between barriers A and B and read by
@@ -160,6 +165,15 @@ impl<M> PoolShared<'_, M> {
     fn receiver_block(&self, slot: usize) -> usize {
         self.first_slots.partition_point(|&start| start <= slot) - 1
     }
+}
+
+/// The run's one sender-indexed broadcast table and, per worker, the
+/// senders whose entries it stored in the last delivery.
+struct Table<M> {
+    /// One entry per node.
+    entries: Vec<Option<M>>,
+    /// `senders[w]` lists block `w`'s broadcasters of the round, each once.
+    senders: Vec<Vec<usize>>,
 }
 
 /// Hands this worker's routed batches to the transfer cells via `mem::swap`
@@ -178,8 +192,7 @@ fn flush<M>(shared: &PoolShared<'_, M>, me: usize, local_out: &mut [RoutedBatch<
     }
 }
 
-/// One worker's side of delivery: its chunk of the per-edge arena and the
-/// shared-table entries its own nodes occupy.
+/// One worker's side of delivery: its chunk of the per-edge arena.
 struct Delivered<'a, M> {
     /// First arena slot of the chunk.
     slot_base: usize,
@@ -187,8 +200,6 @@ struct Delivered<'a, M> {
     cur: &'a mut [Option<M>],
     /// Chunk-local slots occupied in `cur`.
     cur_written: Vec<usize>,
-    /// This block's senders whose entries occupy the shared table.
-    stored: Vec<usize>,
 }
 
 impl<M> Delivered<'_, M> {
@@ -205,7 +216,8 @@ impl<M> Delivered<'_, M> {
     /// cells into it, in sender-block order. All messages for one slot come
     /// from one sender block in send order, so "last write wins" matches the
     /// sequential arena semantics. Finally replaces this block's entries of
-    /// the shared table with the broadcasts in `bcast`.
+    /// the shared table, and its broadcaster list, with the broadcasts in
+    /// `bcast`.
     fn deliver(
         &mut self,
         shared: &PoolShared<'_, M>,
@@ -232,20 +244,23 @@ impl<M> Delivered<'_, M> {
             }
         }
         let mut table = shared.table.write().expect("table lock");
-        for &sender in &self.stored {
-            table[sender] = None;
+        let Table { entries, senders } = &mut *table;
+        let stored = &mut senders[me];
+        for &sender in stored.iter() {
+            entries[sender] = None;
         }
-        self.stored.clear();
+        stored.clear();
         for (sender, msg) in bcast.drain(..) {
-            table[sender] = Some(msg);
-            self.stored.push(sender);
+            entries[sender] = Some(msg);
+            stored.push(sender);
         }
     }
 }
 
-/// One worker's run: the kernel's two passes over `block` per round, then
-/// the hand-over between the barriers. Worker 0 passes the run's `fold` and
-/// folds the published sub-totals there; everyone delivers their own chunk.
+/// One worker's run: the kernel's wake step and pass over `block` per
+/// round, then the hand-over between the barriers. Worker 0 passes the
+/// run's `fold` and folds the published sub-totals there; everyone delivers
+/// their own chunk.
 fn pooled_worker<P: NodeProgram>(
     shared: &PoolShared<'_, P::Message>,
     me: usize,
@@ -260,16 +275,28 @@ fn pooled_worker<P: NodeProgram>(
     let mut scratch: RoutedBatch<P::Message> = Vec::new();
     let mut round = 0u64;
     loop {
-        {
+        let sub = {
             // The table guard is dropped before barrier A, so delivery's
             // write locks never wait on a reader.
             let table = shared.table.read().expect("table lock");
-            block.execute(round, |v| delivered.inbox(graph, v, &table));
-        }
-        let sub = block.commit(|from, unit| match unit {
-            Committed::Edge(dest, msg) => local_out[shared.receiver_block(dest)].push((dest, msg)),
-            Committed::Fan(msg) => bcast.push((from.0, msg)),
-        });
+            block.wake_receivers(
+                table.senders.iter().flatten().copied(),
+                delivered
+                    .cur_written
+                    .iter()
+                    .map(|&local| delivered.slot_base + local),
+            );
+            block.run_round(
+                round,
+                |v| delivered.inbox(graph, v, &table.entries),
+                |from, unit| match unit {
+                    Committed::Edge(dest, msg) => {
+                        local_out[shared.receiver_block(dest)].push((dest, msg))
+                    }
+                    Committed::Fan(msg) => bcast.push((from.0, msg)),
+                },
+            )
+        };
         flush(shared, me, &mut local_out);
         *shared.published[me].lock().expect("publish lock") = sub;
 
@@ -326,7 +353,10 @@ where
             .collect(),
         barrier: Barrier::new(width),
         xfer: (0..width * width).map(|_| Mutex::new(Vec::new())).collect(),
-        table: RwLock::new(std::iter::repeat_with(|| None).take(n).collect()),
+        table: RwLock::new(Table {
+            entries: std::iter::repeat_with(|| None).take(n).collect(),
+            senders: vec![Vec::new(); width],
+        }),
         published: (0..width).map(|_| Mutex::default()).collect(),
         stop: AtomicBool::new(false),
     };
@@ -353,7 +383,6 @@ where
                 slot_base,
                 cur: mine,
                 cur_written: Vec::new(),
-                stored: Vec::new(),
             };
             (w, block, delivered)
         });

@@ -168,8 +168,8 @@ pub struct Pending<M> {
 
 impl<M> Pending<M> {
     /// An empty staging area. Engine SPI: the round kernel keeps one per
-    /// node and reuses it across rounds, so the steady-state loop performs
-    /// no allocation.
+    /// node block, drains it right after each node runs and reuses it, so
+    /// the steady-state loop performs no allocation.
     pub fn new() -> Self {
         Pending {
             sends: Vec::new(),
@@ -220,7 +220,7 @@ pub struct Outbox<'a, M> {
 impl<'a, M> Outbox<'a, M> {
     /// Wraps a reusable staging area (and invalid-target scratch) for the
     /// node whose neighbor list is given. Part of the engine SPI: the round
-    /// kernel's execute pass hands one to every node it runs.
+    /// kernel hands one to every node it runs.
     pub fn over(
         neighbors: &'a [NodeId],
         pending: &'a mut Pending<M>,
@@ -309,8 +309,20 @@ impl<'a, M> Outbox<'a, M> {
 #[derive(Debug, Clone)]
 pub enum RoundAction<O> {
     /// Keep running; the messages queued in the [`Outbox`] are sent at the
-    /// end of this round.
+    /// end of this round, and the node runs again next round.
     Continue,
+    /// Keep running, but there is nothing to do before round `r` unless a
+    /// message arrives. The queued messages are sent as with `Continue`;
+    /// the node then runs again in round `r`, or in the first earlier round
+    /// that delivers it a message. `SleepUntil(r)` with `r <= ctx.round + 1`
+    /// is `Continue`, and `SleepUntil(u64::MAX)` sleeps until mail arrives.
+    ///
+    /// The executor skips the rounds in between. That is sound only if each
+    /// skipped call, made with an empty inbox, would have queued nothing,
+    /// changed no state a later round reads, and slept on: a sleeping
+    /// program keys its schedule on [`NodeContext::round`], never on how
+    /// often [`NodeProgram::round`] was called.
+    SleepUntil(u64),
     /// Terminate locally with the given output. A halted node sends no
     /// further messages (its outbox is discarded) and ignores incoming ones.
     Halt(O),
@@ -336,7 +348,11 @@ pub trait NodeProgram {
     /// delivered in round 1.
     fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, Self::Message>);
 
-    /// Called once per round with the messages received in that round.
+    /// Called with the messages received in a round, once in every round
+    /// from round 1 until the node halts, except the rounds a
+    /// [`RoundAction::SleepUntil`] lets the executor skip. `ctx.round` says
+    /// which round it is; a program that sleeps must read it rather than
+    /// count its calls.
     fn round(
         &mut self,
         ctx: &NodeContext<'_>,

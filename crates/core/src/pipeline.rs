@@ -263,11 +263,11 @@ fn composed_derandomization<E: Executor>(
                     programs,
                 )
                 .expect("distance-two coloring program is well-formed");
-            debug_assert_eq!(
+            assert_eq!(
                 report.rounds,
                 formulas::measured_coloring_rounds(schedule.num_steps as u64)
             );
-            debug_assert!(
+            assert!(
                 report.rounds <= charge,
                 "measured coloring rounds {} exceed the Lemma 3.12 charge {charge}",
                 report.rounds
@@ -301,7 +301,7 @@ fn composed_derandomization<E: Executor>(
             programs,
         )
         .expect("scheduled derandomization program is well-formed");
-    debug_assert_eq!(
+    assert_eq!(
         report.rounds,
         formulas::derandomization_schedule_rounds(schedule.len() as u64)
     );
@@ -531,14 +531,14 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                     programs,
                 )
                 .expect("network decomposition program is well-formed");
-            debug_assert_eq!(
+            assert_eq!(
                 report.rounds,
                 formulas::measured_netdecomp_rounds(
                     schedule.num_phases as u64,
                     schedule.total_wave_depth()
                 )
             );
-            debug_assert!(
+            assert!(
                 report.rounds <= charge,
                 "measured netdecomp rounds {} exceed the Theorem 3.2 charge {charge}",
                 report.rounds

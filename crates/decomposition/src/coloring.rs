@@ -365,6 +365,12 @@ struct OwnedConflict {
 /// constraints). After `2·steps` rounds every target holds its final color
 /// and all nodes halt. Build instances with
 /// [`distance_two_coloring_programs`].
+///
+/// Between its own rounds of work a node sleeps
+/// ([`RoundAction::SleepUntil`]): until its decide round `2·step + 1`, or
+/// else until the final round `2·steps`, unless mail wakes it. A decider
+/// stays awake one more round to relay its own fresh color. Every skipped
+/// round would have found an empty inbox and nothing fresh to relay.
 #[derive(Debug, Clone)]
 pub struct DistanceTwoColoringProgram {
     num_steps: usize,
@@ -377,6 +383,15 @@ pub struct DistanceTwoColoringProgram {
 }
 
 impl DistanceTwoColoringProgram {
+    /// The next round this node has work in without mail: its decide round
+    /// while undecided, else the final round.
+    fn next_wake(&self) -> u64 {
+        match (self.my_step, self.my_color) {
+            (Some(step), None) => 2 * step as u64 + 1,
+            _ => 2 * self.num_steps as u64,
+        }
+    }
+
     /// Records a fixed color in the owner-side member states.
     fn record_color(&mut self, id: usize, color: usize) {
         for oc in &mut self.owned {
@@ -447,8 +462,10 @@ impl NodeProgram for DistanceTwoColoringProgram {
                 self.my_color = Some(color);
                 self.record_color(my_id, color);
                 outbox.broadcast(ColoringMessage::Announce { color });
+                // Awake for the relay round: the own color is fresh.
+                return RoundAction::Continue;
             }
-            RoundAction::Continue
+            RoundAction::SleepUntil(self.next_wake())
         } else {
             // Relay round after step round / 2 - 1.
             let step = (ctx.round / 2) as usize - 1;
@@ -487,7 +504,7 @@ impl NodeProgram for DistanceTwoColoringProgram {
                     m.fresh = false;
                 }
             }
-            RoundAction::Continue
+            RoundAction::SleepUntil(self.next_wake())
         }
     }
 }

@@ -402,6 +402,12 @@ impl Wire for ScheduledDerandOutput {
 /// fixed coin). After `2·steps` rounds every owner knows all member coins,
 /// evaluates its constraints, and halts. Build instances with
 /// [`scheduled_derand_programs`].
+///
+/// Between its own rounds of work a node sleeps
+/// ([`RoundAction::SleepUntil`]) until the earliest of its decide round
+/// `2s + 1` while undecided, the reply round `2t` of its next agenda step
+/// `t`, and the final round `2·steps`, unless mail wakes it. Every skipped
+/// round would have found an empty inbox and nothing to reply.
 #[derive(Debug, Clone)]
 pub struct ScheduledDerandProgram {
     estimator: EstimatorKind,
@@ -410,11 +416,11 @@ pub struct ScheduledDerandProgram {
     my_step: Option<usize>,
     coin: CoinState,
     owned: Vec<OwnedConstraint>,
-    /// `(step, owned-constraint index, member index)` sorted by step: the
-    /// owner-side reply agenda. A reply round binary-searches its step range
-    /// instead of scanning every owned member, turning the owner's total
-    /// scheduling work from `O(members · steps)` into
-    /// `O(steps · log members + members)`.
+    /// `(step, owned-constraint index, member index)` of every other
+    /// deciding member, sorted by step: the owner-side reply agenda. A reply
+    /// round binary-searches its step range instead of scanning every owned
+    /// member, turning the owner's total scheduling work from
+    /// `O(members · steps)` into `O(steps · log members + members)`.
     agenda: Vec<(u32, u32, u32)>,
     /// `(member id, owned-constraint index, member index)` sorted by id, for
     /// coin recording and own-branch lookup by binary search.
@@ -426,13 +432,9 @@ pub struct ScheduledDerandProgram {
 
 impl ScheduledDerandProgram {
     /// Queues the reply messages for the deciders of `step`; the executing
-    /// node's own decisions are evaluated locally at decision time instead.
-    fn send_replies(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        outbox: &mut Outbox<'_, DerandMessage>,
-        step: usize,
-    ) {
+    /// node's own decisions are evaluated locally at decision time instead,
+    /// so the agenda does not list them.
+    fn send_replies(&mut self, outbox: &mut Outbox<'_, DerandMessage>, step: usize) {
         let lo = self
             .agenda
             .partition_point(|&(s, _, _)| (s as usize) < step);
@@ -442,13 +444,27 @@ impl ScheduledDerandProgram {
         for idx in lo..hi {
             let (_, ci, mi) = self.agenda[idx];
             let constraint = &self.owned[ci as usize];
-            let member = &constraint.members[mi as usize];
-            if member.id != ctx.id.0 {
-                let (take, zero) =
-                    constraint.branches(self.estimator, mi as usize, &mut self.scratch);
-                outbox.send(NodeId(member.id), DerandMessage::Reply { take, zero });
-            }
+            let to = NodeId(constraint.members[mi as usize].id);
+            let (take, zero) = constraint.branches(self.estimator, mi as usize, &mut self.scratch);
+            outbox.send(to, DerandMessage::Reply { take, zero });
         }
+    }
+
+    /// The next round after `round` in which this node has work without
+    /// mail: the earliest of its decide round while undecided, the reply
+    /// round of its next agenda step, and the final round.
+    fn next_wake(&self, round: u64) -> u64 {
+        let mut wake = 2 * self.num_steps as u64;
+        if let (Some(step), CoinState::Undecided) = (self.my_step, self.coin) {
+            wake = wake.min(2 * step as u64 + 1);
+        }
+        let next = self
+            .agenda
+            .partition_point(|&(s, _, _)| 2 * u64::from(s) <= round);
+        if let Some(&(step, _, _)) = self.agenda.get(next) {
+            wake = wake.min(2 * u64::from(step));
+        }
+        wake
     }
 
     /// The summed estimator branches of the executing node's own constraints
@@ -496,9 +512,9 @@ impl NodeProgram for ScheduledDerandProgram {
     type Message = DerandMessage;
     type Output = ScheduledDerandOutput;
 
-    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, DerandMessage>) {
+    fn init(&mut self, _: &NodeContext<'_>, outbox: &mut Outbox<'_, DerandMessage>) {
         if self.num_steps > 0 {
-            self.send_replies(ctx, outbox, 0);
+            self.send_replies(outbox, 0);
         }
     }
 
@@ -552,7 +568,7 @@ impl NodeProgram for ScheduledDerandProgram {
                     take: self.coin == CoinState::Take,
                 });
             }
-            RoundAction::Continue
+            RoundAction::SleepUntil(self.next_wake(round))
         } else {
             // Absorb round for step (round / 2) - 1.
             let step = (round / 2) as usize - 1;
@@ -567,8 +583,8 @@ impl NodeProgram for ScheduledDerandProgram {
                 }
             }
             if step + 1 < self.num_steps {
-                self.send_replies(ctx, outbox, step + 1);
-                RoundAction::Continue
+                self.send_replies(outbox, step + 1);
+                RoundAction::SleepUntil(self.next_wake(round))
             } else {
                 RoundAction::Halt(self.finalize())
             }
@@ -709,8 +725,9 @@ pub fn scheduled_derand_programs(
             for (ci, oc) in owned.iter().enumerate() {
                 for (mi, m) in oc.members.iter().enumerate() {
                     member_slots.push((m.id as u32, ci as u32, mi as u32));
-                    if let Some(s) = m.step {
-                        agenda.push((s as u32, ci as u32, mi as u32));
+                    match m.step {
+                        Some(s) if m.id != i => agenda.push((s as u32, ci as u32, mi as u32)),
+                        _ => {}
                     }
                 }
             }

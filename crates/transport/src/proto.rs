@@ -24,7 +24,8 @@ use congest_sim::ExecutionError;
 ///
 /// v2: [`Accounting`] gained a `payloads` field and [`RoundPayload`] a
 /// `bcast` batch (one `(sender, payload)` entry per broadcasting node).
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: [`ExecutionError`] gained the `ProgramPanicked` tag.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The handshake payload. Both endpoints send theirs first and verify the
 /// peer's before any round traffic: a mismatch anywhere except `role` means

@@ -7,8 +7,10 @@
 //! *executes* only its own contiguous block: the **leader** owns nodes
 //! `[0, split)`, the **follower** owns `[split, n)`, with
 //! `split = ceil(n / 2)`. Each side runs its block through the engine's
-//! round kernel ([`NodeBlock`]'s execute and commit passes) on an
-//! [`ArenaDelivery`]. Per round, it then ships the peer a single
+//! round kernel (the wake step and the pass of a [`NodeBlock`]) on an
+//! [`ArenaDelivery`]; the wake step reads the local delivery, which holds
+//! every unit addressed to the block, the peer's included. Per round, it
+//! then ships the peer a single
 //! checksummed frame (see [`crate::frame`]) carrying everything the peer
 //! cannot compute locally — its block's sub-totals, its newly-halted
 //! nodes' outputs, its first error, the cross-shard `(slot, message)`
@@ -30,9 +32,9 @@
 //! topology skew (handshake), round desync, a peer that vanished, a stalled
 //! peer (timeout) — surfaces as a typed [`TransportError`] from
 //! [`SocketSession::run_program`], never a panic. Program misbehavior
-//! (non-neighbor send, enforced bandwidth overrun, round limit) folds
-//! through [`RoundFold`] exactly as in-process and comes back as
-//! [`TransportError::Execution`] on **both** sides.
+//! (non-neighbor send, enforced bandwidth overrun, a panicking program,
+//! round limit) folds through [`RoundFold`] exactly as in-process and comes
+//! back as [`TransportError::Execution`] on **both** sides.
 //!
 //! A session persists across runs: a composed pipeline issues one
 //! `Executor::run` per phase, and every phase re-handshakes and reuses the
@@ -45,8 +47,8 @@ use crate::frame::{read_frame, write_frame, FrameError, FrameKind};
 use crate::proto::{Hello, RoundPayload, PROTOCOL_VERSION};
 use crate::TransportError;
 use congest_sim::engine::{
-    ArenaDelivery, BlockRound, Committed, ExecutionError, Executor, ExecutorConfig, NodeBlock,
-    RoundFold, RunReport, Verdict,
+    ArenaDelivery, ArenaSide, BlockRound, Committed, ExecutionError, Executor, ExecutorConfig,
+    NodeBlock, RoundFold, RunReport, Verdict,
 };
 use congest_sim::program::NodeProgram;
 use congest_sim::{Graph, NodeId};
@@ -370,20 +372,20 @@ impl<P: NodeProgram> Shard<'_, P> {
         (slot < self.slot_split) == self.leader
     }
 
-    /// The shard's commit sink: a local-destination message goes straight
-    /// into `delivery`, a cross-shard one into the staged batch. A broadcast
-    /// is stored once in `delivery`'s sender-indexed table and, if the node
+    /// The shard's sink: a local-destination message goes straight into
+    /// `staged`, a cross-shard one into the batch for the peer. A broadcast
+    /// is stored once in `staged`'s sender-indexed table and, if the node
     /// has a peer-owned neighbor, staged once for the peer.
     fn route(
         &mut self,
         from: NodeId,
         unit: Committed<P::Message>,
-        delivery: &mut ArenaDelivery<P::Message>,
+        staged: &mut ArenaSide<P::Message>,
     ) {
         match unit {
             Committed::Edge(slot, msg) => {
                 if self.owns_slot(slot) {
-                    delivery.queue(slot, msg);
+                    staged.queue(slot, msg);
                 } else {
                     self.out_batch.push((slot, msg));
                 }
@@ -397,7 +399,7 @@ impl<P: NodeProgram> Shard<'_, P> {
                 if crosses {
                     self.out_bcast.push((from.0, msg.clone()));
                 }
-                delivery.queue_broadcast(from.0, msg);
+                staged.queue_broadcast(from.0, msg);
             }
         }
     }
@@ -413,7 +415,7 @@ fn exchange<P: NodeProgram>(
     round: u64,
     block: &NodeBlock<'_, P>,
     mine: &BlockRound,
-    delivery: &mut ArenaDelivery<P::Message>,
+    staged: &mut ArenaSide<P::Message>,
 ) -> Result<BlockRound, TransportError> {
     let payload = RoundPayload {
         round,
@@ -465,7 +467,7 @@ fn exchange<P: NodeProgram>(
                 "peer delivered to slot {slot} outside this shard"
             )));
         }
-        delivery.queue(slot, msg);
+        staged.queue(slot, msg);
     }
     for (sender, msg) in peer.bcast {
         let peer_owned = sender < n && !(shard.lo..shard.hi).contains(&sender);
@@ -474,12 +476,12 @@ fn exchange<P: NodeProgram>(
                 "peer broadcast from node {sender} it does not own"
             )));
         }
-        if delivery.broadcast_staged(sender) {
+        if staged.broadcast_staged(sender) {
             return Err(TransportError::Protocol(format!(
                 "peer broadcast from node {sender} twice in one round"
             )));
         }
-        delivery.queue_broadcast(sender, msg);
+        staged.queue_broadcast(sender, msg);
     }
     Ok(BlockRound {
         acct: peer.acct,
@@ -582,9 +584,17 @@ fn run_session<P: NodeProgram>(
 
     let mut round = 0;
     loop {
-        block.execute(round, |v| delivery.inbox(graph, v));
-        let mine = block.commit(|from, unit| shard.route(from, unit, &mut delivery));
-        let peer = exchange(session, &mut shard, round, &block, &mine, &mut delivery)?;
+        let (delivered, staged) = delivery.split();
+        block.wake_receivers(
+            delivered.senders().iter().copied(),
+            delivered.written().iter().copied(),
+        );
+        let mine = block.run_round(
+            round,
+            |v| delivered.inbox(graph, v),
+            |from, unit| shard.route(from, unit, staged),
+        );
+        let peer = exchange(session, &mut shard, round, &block, &mine, staged)?;
         // `[leader, follower]` is block order, so both sides fold alike.
         let verdict = match role {
             Role::Leader => fold.fold([mine, peer]),

@@ -1,6 +1,8 @@
 //! Property-based integration tests (proptest): invariants of the core data
 //! structures and algorithms over randomly generated graphs and assignments.
 
+#[path = "support/insomniac.rs"]
+mod insomniac;
 #[path = "support/threads.rs"]
 mod threads;
 #[path = "support/workloads.rs"]
@@ -11,6 +13,7 @@ use congest_mds::congest::{
     Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox,
     PooledExecutor, RoundAction, RunReport, SyncExecutor,
 };
+use congest_mds::decomposition::coloring::distance_two_coloring_programs;
 use congest_mds::decomposition::netdecomp::{
     carving_schedule, strong_diameter_decomposition, DecompositionConfig,
 };
@@ -28,6 +31,7 @@ use congest_mds::rounding::derandomize::{
 use congest_mds::rounding::kwise::KWiseGenerator;
 use congest_mds::rounding::one_shot::OneShotRounding;
 use congest_mds::rounding::EstimatorKind;
+use insomniac::insomniacs;
 use proptest::prelude::*;
 use threads::forced_threads;
 use workloads::{family_graph_strategy, mixed_programs, sends_programs, staggered_programs};
@@ -473,6 +477,47 @@ proptest! {
                 schedule.len() as u64
             )
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Sleeping changes no reported number. The distance-two coloring and
+    // the scheduled derandomization sleep between their scheduled rounds;
+    // on the pipeline's one-shot rounding instance, each reports on sync
+    // and on the pool exactly what its insomniac twin, run every round,
+    // reports on sync: outputs, counts and round stats.
+    #[test]
+    fn sleeping_programs_report_what_their_insomniac_twins_report(
+        graph in family_graph_strategy(),
+        threads in 2usize..6,
+    ) {
+        let problem = OneShotRounding::on_graph(&graph, &lp::degree_heuristic(&graph)).into_problem();
+        let (bipartite, owners, targets) = pipeline::problem_bipartite(&problem);
+        let coloring = || {
+            distance_two_coloring_programs(&graph, &bipartite, &owners, &targets)
+                .unwrap()
+                .0
+        };
+        let schedule =
+            DerandSchedule::conflict_order(&[problem.participating_values()], &problem);
+        let derand = || {
+            scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
+                .unwrap()
+        };
+        let config = ExecutorConfig::default();
+        let pool = PooledExecutor::new(forced_threads(threads));
+
+        let reference = SyncExecutor.run(&graph, insomniacs(coloring()), &config).unwrap();
+        prop_assert_eq!(&SyncExecutor.run(&graph, coloring(), &config).unwrap(), &reference);
+        prop_assert_eq!(&pool.run(&graph, coloring(), &config).unwrap(), &reference);
+        prop_assert_eq!(&pool.run(&graph, insomniacs(coloring()), &config).unwrap(), &reference);
+
+        let reference = SyncExecutor.run(&graph, insomniacs(derand()), &config).unwrap();
+        prop_assert_eq!(&SyncExecutor.run(&graph, derand(), &config).unwrap(), &reference);
+        prop_assert_eq!(&pool.run(&graph, derand(), &config).unwrap(), &reference);
+        prop_assert_eq!(&pool.run(&graph, insomniacs(derand()), &config).unwrap(), &reference);
     }
 }
 

@@ -205,8 +205,9 @@ impl NodeProgram for MixedFlood {
         inbox: &Inbox<'_, u64>,
         outbox: &mut Outbox<'_, u64>,
     ) -> RoundAction<usize> {
-        // No assertions in here: a panicking program would leave the pool's
-        // workers at their barrier. Everything read goes into the digest.
+        // No assertions in here: a failed one would only end the run as
+        // `ProgramPanicked`. Everything read goes into the digest, so a
+        // difference shows up in the outputs.
         let heard = |m: Option<&u64>| m.map_or(0, |&m| m as usize + 1);
         let mut digest = self.digest.wrapping_mul(31).wrapping_add(inbox.len());
         for (i, (sender, msg)) in inbox.iter_slots().enumerate() {

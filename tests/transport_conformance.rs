@@ -12,6 +12,8 @@
 //!
 //! [`RunReport`]: congest_mds::congest::RunReport
 
+#[path = "support/insomniac.rs"]
+mod insomniac;
 #[path = "support/workloads.rs"]
 mod workloads;
 
@@ -19,12 +21,18 @@ use congest_mds::congest::{
     ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram,
     Outbox, PooledExecutor, RoundAction, RunReport, SyncExecutor,
 };
+use congest_mds::decomposition::coloring::distance_two_coloring_programs;
+use congest_mds::fractional::lp;
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig, MdsResult};
 use congest_mds::mds::verify;
+use congest_mds::rounding::derandomize::{scheduled_derand_programs, DerandSchedule};
+use congest_mds::rounding::one_shot::OneShotRounding;
+use congest_mds::rounding::EstimatorKind;
 use congest_mds::transport::{
     FrameError, Role, SocketExecutor, SocketListener, SocketSession, TransportError,
 };
+use insomniac::insomniacs;
 use proptest::prelude::*;
 use std::thread;
 use std::time::Duration;
@@ -395,6 +403,105 @@ fn socket_mixed_inbox_matches_its_all_sends_twin_over_loopback() {
         }
         for report in socket_run_both(&graph, || mixed_programs(n, 6, true), &config) {
             assert_eq!(sends, report.unwrap(), "n={n}");
+        }
+    }
+}
+
+// Sleeping over the wire: a sleeper on one endpoint can be woken by a
+// broadcast or an edge send from the peer's block. On the pipeline's
+// one-shot rounding instance of a unit-disk graph, the distance-two
+// coloring and the scheduled derandomization report on both endpoints
+// exactly what their insomniac twins report on the sequential executor.
+#[test]
+fn socket_sleeping_programs_match_their_insomniac_twins() {
+    let graph = generators::unit_disk(60, 0.25, 3);
+    let config = ExecutorConfig::default();
+    let problem = OneShotRounding::on_graph(&graph, &lp::degree_heuristic(&graph)).into_problem();
+    let (bipartite, owners, targets) = pipeline::problem_bipartite(&problem);
+    let coloring = || {
+        distance_two_coloring_programs(&graph, &bipartite, &owners, &targets)
+            .unwrap()
+            .0
+    };
+    let reference = SyncExecutor.run(&graph, insomniacs(coloring()), &config);
+    assert!(reference.as_ref().unwrap().rounds > 2);
+    for outcome in socket_run_both(&graph, coloring, &config) {
+        assert_eq!(outcome, reference);
+    }
+    let schedule = DerandSchedule::conflict_order(&[problem.participating_values()], &problem);
+    let derand = || {
+        scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default()).unwrap()
+    };
+    let reference = SyncExecutor.run(&graph, insomniacs(derand()), &config);
+    for outcome in socket_run_both(&graph, derand, &config) {
+        assert_eq!(outcome, reference);
+    }
+}
+
+/// Floods its id every round until round 4, except that every node in
+/// `nodes` panics in round `round` (0 = `init`).
+struct PanicsAt {
+    nodes: &'static [usize],
+    round: u64,
+}
+
+impl PanicsAt {
+    fn act(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, usize>) {
+        if ctx.round == self.round && self.nodes.contains(&ctx.id.0) {
+            panic!("node {} fails in round {}", ctx.id, ctx.round);
+        }
+        outbox.broadcast(ctx.id.0);
+    }
+}
+
+impl NodeProgram for PanicsAt {
+    type Message = usize;
+    type Output = ();
+
+    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, usize>) {
+        self.act(ctx, outbox);
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeContext<'_>,
+        _: &Inbox<'_, usize>,
+        outbox: &mut Outbox<'_, usize>,
+    ) -> RoundAction<()> {
+        if ctx.round >= 4 {
+            return RoundAction::Halt(());
+        }
+        self.act(ctx, outbox);
+        RoundAction::Continue
+    }
+}
+
+// A panicking program is a typed error, not a hung barrier: the first
+// panicking node in node order comes back as `ProgramPanicked` on sync, on
+// the pool at every width and on both socket endpoints — in `init`, in a
+// later round, and with panics in two blocks of one round.
+#[test]
+fn a_panicking_program_is_the_same_error_on_every_backend() {
+    let graph = generators::path(12);
+    let config = ExecutorConfig::default();
+    let cases: [(&'static [usize], u64, usize); 4] =
+        [(&[0], 0, 0), (&[5], 2, 5), (&[11], 3, 11), (&[9, 2], 1, 2)];
+    for (nodes, round, first) in cases {
+        let mk = || {
+            (0..12)
+                .map(|_| PanicsAt { nodes, round })
+                .collect::<Vec<_>>()
+        };
+        let expected: Outcome<()> = Err(ExecutionError::ProgramPanicked {
+            node: NodeId(first),
+        });
+        assert_eq!(SyncExecutor.run(&graph, mk(), &config), expected);
+        for threads in [1, 2, 3, 5, 16, 64] {
+            let pooled = PooledExecutor::new(threads).run(&graph, mk(), &config);
+            assert_eq!(pooled, expected, "nodes={nodes:?} threads={threads}");
+        }
+        for outcome in socket_run_both(&graph, mk, &config) {
+            assert_eq!(outcome, expected, "nodes={nodes:?}");
         }
     }
 }
