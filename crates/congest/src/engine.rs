@@ -104,16 +104,6 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// A configuration for the LOCAL model: unbounded messages. The engine's
-    /// charging path uses saturating arithmetic throughout, so the
-    /// `usize::MAX` budget cannot overflow any accumulator.
-    pub fn local_model() -> Self {
-        ExecutorConfig {
-            bandwidth_bits: Some(usize::MAX),
-            ..ExecutorConfig::default()
-        }
-    }
-
     /// A strict CONGEST configuration: the default bandwidth is enforced.
     pub fn strict_congest() -> Self {
         ExecutorConfig {
@@ -1284,7 +1274,14 @@ mod tests {
         // charging path digests the usize::MAX budget without overflow.
         let programs: Vec<_> = (0..2).map(|_| FatMessage).collect();
         let report = SyncExecutor
-            .run(&g, programs, &ExecutorConfig::local_model())
+            .run(
+                &g,
+                programs,
+                &ExecutorConfig {
+                    bandwidth_bits: Some(usize::MAX),
+                    ..ExecutorConfig::default()
+                },
+            )
             .unwrap();
         assert_eq!(report.bandwidth_violations, 0);
         assert_eq!(report.bandwidth_bits, usize::MAX);

@@ -16,7 +16,7 @@
 //!   to measure true approximation ratios in experiment E1.
 //! * [`randomized`] — the randomized counterparts of the rounding pipeline
 //!   (what the paper derandomizes), used as baselines in experiments E6/E9.
-//! * [`verify`] — dominating-set verification and approximation certificates.
+//! * [`verify`] — dominating-set verification.
 //!
 //! ```
 //! use mds_graphs::generators;

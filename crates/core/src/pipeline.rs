@@ -68,7 +68,7 @@ use mds_rounding::derandomize::{
     assemble_derand_outputs, derandomize, scheduled_derand_programs, DerandSchedule,
     DerandomizeConfig,
 };
-use mds_rounding::factor_two::{FactorTwoConfig, FactorTwoRounding};
+use mds_rounding::factor_two::{paper_r_threshold, FactorTwoConfig, FactorTwoRounding};
 use mds_rounding::one_shot::OneShotRounding;
 use mds_rounding::problem::RoundingProblem;
 use mds_rounding::EstimatorKind;
@@ -334,8 +334,7 @@ where
     let rho = ((delta_tilde as f64 / config.epsilon).log2().ceil()).max(1.0);
     let eps2 = (config.epsilon / (4.0 * rho)).max(1e-4);
     let f_target =
-        (config.concentration_scale * 256.0 * config.epsilon.powi(-3) * (delta_tilde as f64).ln())
-            .max(4.0);
+        paper_r_threshold(config.epsilon, delta_tilde, config.concentration_scale).max(4.0);
     let mut iteration = 0usize;
     loop {
         let r = 1.0 / assignment.fractionality().max(1e-12);
@@ -421,7 +420,6 @@ fn part_one_config(config: &MdsConfig) -> InitialSolutionConfig {
     InitialSolutionConfig {
         epsilon: (config.epsilon / 4.0).clamp(1e-3, 0.25),
         method: config.fractional.clone(),
-        make_transmittable: true,
     }
 }
 
@@ -496,7 +494,7 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
     };
     let (assignment, lp_lower_bound) = match measured_values {
         Some(values) => {
-            let (assignment, _floor) = apply_lemma21_floor(graph, values, eps1, true);
+            let (assignment, _floor) = apply_lemma21_floor(graph, values, eps1);
             composer.charged(
                 PhaseSpec::new(PhaseKind::Fractional, "part I: fractionality floor"),
                 0,
@@ -561,8 +559,8 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
         )
     });
 
-    debug_assert!(assignment.is_integral());
-    debug_assert!(assignment.is_feasible_dominating_set(graph));
+    assert!(assignment.is_integral());
+    assert!(assignment.is_feasible_dominating_set(graph));
     MdsResult {
         dominating_set: assignment.selected_nodes(),
         assignment,
@@ -609,8 +607,8 @@ pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
         .output
     });
 
-    debug_assert!(assignment.is_integral());
-    debug_assert!(assignment.is_feasible_dominating_set(graph));
+    assert!(assignment.is_integral());
+    assert!(assignment.is_feasible_dominating_set(graph));
     MdsResult {
         dominating_set: assignment.selected_nodes(),
         assignment,
@@ -1093,10 +1091,11 @@ mod tests {
         }
     }
 
-    /// Forwards every run to [`SyncExecutor`] and counts the calls.
+    /// Forwards every run to [`SyncExecutor`] and keeps each run's
+    /// `(max_message_bits, bandwidth_bits, bandwidth_violations)`.
     #[derive(Default)]
     struct CountingExecutor {
-        runs: std::cell::Cell<usize>,
+        runs: std::cell::RefCell<Vec<(usize, usize, u64)>>,
     }
 
     impl Executor for CountingExecutor {
@@ -1111,8 +1110,13 @@ mod tests {
             P::Message: Send + Sync,
             P::Output: Send,
         {
-            self.runs.set(self.runs.get() + 1);
-            SyncExecutor.run(graph, programs, config)
+            let report = SyncExecutor.run(graph, programs, config)?;
+            self.runs.borrow_mut().push((
+                report.max_message_bits,
+                report.bandwidth_bits,
+                report.bandwidth_violations,
+            ));
+            Ok(report)
         }
     }
 
@@ -1140,7 +1144,7 @@ mod tests {
                     .iter()
                     .filter(|p| p.mode == Measured)
                     .collect();
-                assert_eq!(counting.runs.get(), measured.len(), "{config:?}");
+                assert_eq!(counting.runs.borrow().len(), measured.len(), "{config:?}");
                 // Part I ran under the composer, which stamps its wall.
                 assert_eq!(measured[0].kind, Fractional);
                 assert!(measured[0].wall_nanos > 0, "{config:?}");
@@ -1150,6 +1154,62 @@ mod tests {
                     for other in [&pooled, &oracle] {
                         assert_eq!(other.dominating_set, result.dominating_set);
                         assert_eq!(other.assignment, result.assignment);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_derandomization_replies_exceed_the_bandwidth_budget_below_n_256() {
+        // The default budget is 16·(⌊log₂ n⌋ + 1) bits: 96 on the golden's
+        // n = 40, 144 from n = 256 on. Every program but the conditional-
+        // expectation schedule sends at most 65 bits; a schedule reply is
+        // 2 + 128 bits, so it overflows below n = 256 and fits from there on.
+        for g in [
+            generators::gnp(40, 0.12, 7),
+            generators::gnp(256, 0.03, 2),
+            generators::unit_disk(300, 0.1, 1),
+        ] {
+            for fractional in [
+                quick_config().fractional,
+                FractionalMethod::Kw05 { k: None },
+            ] {
+                for route in [
+                    DerandRoute::Coloring,
+                    DerandRoute::NetworkDecomposition { k: 2 },
+                ] {
+                    let config = MdsConfig {
+                        route,
+                        fractional: fractional.clone(),
+                        ..quick_config()
+                    };
+                    let counting = CountingExecutor::default();
+                    let result = run_on(&g, &config, &counting);
+                    let runs = counting.runs.borrow();
+                    let measured: Vec<_> = result
+                        .ledger
+                        .phases()
+                        .iter()
+                        .filter(|p| p.mode == Measured)
+                        .collect();
+                    assert_eq!(runs.len(), measured.len(), "{config:?}");
+                    let mut derand_violations = 0;
+                    for (phase, &(max_bits, budget, violations)) in measured.iter().zip(&*runs) {
+                        let context = format!("n = {}, {config:?}, {}", g.n(), phase.name);
+                        assert_eq!(budget, congest_sim::congest_bandwidth_bits(g.n()));
+                        if phase.kind == Derandomization {
+                            assert!(max_bits <= 130, "{max_bits} bits: {context}");
+                            derand_violations += violations;
+                        } else {
+                            assert!(max_bits <= 65, "{max_bits} bits: {context}");
+                            assert_eq!(violations, 0, "{context}");
+                        }
+                    }
+                    if g.n() >= 256 {
+                        assert_eq!(derand_violations, 0, "n = {}, {config:?}", g.n());
+                    } else {
+                        assert!(derand_violations > 0, "n = {}, {config:?}", g.n());
                     }
                 }
             }

@@ -1,16 +1,14 @@
 //! Randomized baselines: the processes the paper derandomizes.
 //!
 //! These are used by experiments E6 (empirical violation probabilities vs the
-//! Lemma 3.6/3.7 bounds) and E9 (derandomized vs randomized output quality),
-//! and they demonstrate the `k`-wise independent execution path of Lemma 3.3.
+//! Lemma 3.6/3.7 bounds) and E9 (derandomized vs randomized output quality).
 
 use congest_sim::{Graph, NodeId};
 use mds_fractional::lemma21::{
     initial_fractional_solution, FractionalMethod, InitialSolutionConfig,
 };
-use mds_rounding::kwise::KWiseGenerator;
 use mds_rounding::one_shot::OneShotRounding;
-use mds_rounding::process::{execute_with_kwise, execute_with_rng};
+use mds_rounding::process::execute_with_rng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,39 +36,11 @@ pub fn randomized_one_shot(graph: &Graph, epsilon: f64, seed: u64) -> Randomized
         &InitialSolutionConfig {
             epsilon,
             method: FractionalMethod::Mwu(mds_fractional::lp::LpConfig::default()),
-            make_transmittable: true,
         },
     );
     let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();
     let mut rng = StdRng::seed_from_u64(seed);
     let out = execute_with_rng(&problem, &mut rng);
-    RandomizedResult {
-        dominating_set: out.output.selected_nodes(),
-        repaired: out.violated_constraints.len(),
-    }
-}
-
-/// Randomized one-shot rounding driven by `k`-wise independent coins derived
-/// from a `61·k`-bit seed (Lemma 3.3) — the primitive a cluster of Lemma 3.4
-/// executes after its leader has fixed the seed.
-pub fn randomized_one_shot_kwise(
-    graph: &Graph,
-    epsilon: f64,
-    k: usize,
-    seed: u64,
-) -> RandomizedResult {
-    let initial = initial_fractional_solution(
-        graph,
-        &InitialSolutionConfig {
-            epsilon,
-            method: FractionalMethod::Mwu(mds_fractional::lp::LpConfig::default()),
-            make_transmittable: true,
-        },
-    );
-    let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let generator = KWiseGenerator::from_rng(k.max(1), &mut rng);
-    let out = execute_with_kwise(&problem, &generator);
     RandomizedResult {
         dominating_set: out.output.selected_nodes(),
         repaired: out.violated_constraints.len(),
@@ -90,15 +60,6 @@ mod tests {
             let result = randomized_one_shot(&g, 0.3, seed);
             assert!(is_dominating_set(&g, &result.dominating_set));
         }
-    }
-
-    #[test]
-    fn kwise_variant_dominates_and_is_deterministic_per_seed() {
-        let g = generators::gnp(40, 0.12, 4);
-        let a = randomized_one_shot_kwise(&g, 0.3, 16, 7);
-        let b = randomized_one_shot_kwise(&g, 0.3, 16, 7);
-        assert_eq!(a.dominating_set, b.dominating_set);
-        assert!(is_dominating_set(&g, &a.dominating_set));
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Dominating-set verification and approximation certificates.
+//! Dominating-set verification.
 
 use congest_sim::{Graph, NodeId};
-use mds_fractional::FractionalAssignment;
 
 /// Whether `set` is a dominating set of `graph`: every node is in the set or
 /// has a neighbor in it.
@@ -16,56 +15,6 @@ pub fn is_dominating_set(graph: &Graph, set: &[NodeId]) -> bool {
     graph
         .nodes()
         .all(|v| in_set[v.0] || graph.neighbors(v).iter().any(|&u| in_set[u.0]))
-}
-
-/// Extracts the dominating set (nodes with value 1) from an integral
-/// assignment.
-///
-/// # Panics
-///
-/// Panics if the assignment is not integral.
-pub fn dominating_set_from_assignment(assignment: &FractionalAssignment) -> Vec<NodeId> {
-    assert!(assignment.is_integral(), "assignment must be integral");
-    assignment.selected_nodes()
-}
-
-/// A certificate relating a computed dominating set to a lower bound on the
-/// optimum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproximationReport {
-    /// Size of the computed dominating set.
-    pub size: usize,
-    /// A lower bound on the optimal dominating set size (e.g. the exact
-    /// optimum on small instances or the LP dual bound on large ones).
-    pub lower_bound: f64,
-    /// `size / lower_bound`.
-    pub ratio: f64,
-    /// The guarantee `(1+ε)(1+ln(Δ+1))` of Theorems 1.1/1.2 for the given ε.
-    pub paper_guarantee: f64,
-}
-
-impl ApproximationReport {
-    /// Builds a report for a computed set against a lower bound.
-    pub fn new(graph: &Graph, size: usize, lower_bound: f64, epsilon: f64) -> Self {
-        let delta_tilde = graph.delta_tilde().max(2) as f64;
-        let paper_guarantee = (1.0 + epsilon) * (1.0 + delta_tilde.ln());
-        let ratio = if lower_bound > 0.0 {
-            size as f64 / lower_bound
-        } else {
-            f64::INFINITY
-        };
-        ApproximationReport {
-            size,
-            lower_bound,
-            ratio,
-            paper_guarantee,
-        }
-    }
-
-    /// Whether the measured ratio is within the paper's guarantee.
-    pub fn within_guarantee(&self) -> bool {
-        self.ratio <= self.paper_guarantee + 1e-9
-    }
 }
 
 #[cfg(test)]
@@ -91,32 +40,5 @@ mod tests {
     fn out_of_range_node_is_rejected() {
         let g = generators::path(3);
         assert!(!is_dominating_set(&g, &[NodeId(7)]));
-    }
-
-    #[test]
-    fn assignment_extraction() {
-        let x = FractionalAssignment::from_values(vec![1.0, 0.0, 1.0]);
-        assert_eq!(
-            dominating_set_from_assignment(&x),
-            vec![NodeId(0), NodeId(2)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "integral")]
-    fn fractional_assignment_extraction_panics() {
-        let x = FractionalAssignment::from_values(vec![0.5]);
-        let _ = dominating_set_from_assignment(&x);
-    }
-
-    #[test]
-    fn report_ratio_and_guarantee() {
-        let g = generators::star(20);
-        let report = ApproximationReport::new(&g, 2, 1.0, 0.5);
-        assert!((report.ratio - 2.0).abs() < 1e-12);
-        assert!(report.paper_guarantee > 4.0);
-        assert!(report.within_guarantee());
-        let bad = ApproximationReport::new(&g, 100, 1.0, 0.1);
-        assert!(!bad.within_guarantee());
     }
 }

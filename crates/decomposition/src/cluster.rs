@@ -70,27 +70,6 @@ impl ClusterGraph {
         self.clusters.iter().map(|c| c.depth).max().unwrap_or(0)
     }
 
-    /// The inclusive neighborhood `N(C)` of a cluster: its members plus every
-    /// node with a `G`-neighbor inside the cluster (the set over which the
-    /// conditional expectations of Lemma 3.4 are aggregated).
-    pub fn cluster_neighborhood(&self, graph: &Graph, cluster_index: usize) -> Vec<NodeId> {
-        let mut seen = vec![false; graph.n()];
-        let mut result = Vec::new();
-        for &v in &self.clusters[cluster_index].members {
-            if !seen[v.0] {
-                seen[v.0] = true;
-                result.push(v);
-            }
-            for &u in graph.neighbors(v) {
-                if !seen[u.0] {
-                    seen[u.0] = true;
-                    result.push(u);
-                }
-            }
-        }
-        result
-    }
-
     /// Builds a cluster from a member set by a BFS from the lowest-identifier
     /// member inside the induced subgraph.
     ///
@@ -274,20 +253,6 @@ mod tests {
             colors: vec![],
         };
         assert!(bad.verify(&g).is_err());
-    }
-
-    #[test]
-    fn neighborhood_includes_adjacent_outsiders() {
-        let g = generators::path(5);
-        let c = ClusterGraph::cluster_from_members(&g, &[NodeId(1), NodeId(2)]);
-        let cg = ClusterGraph {
-            clusters: vec![c],
-            cluster_of: vec![usize::MAX, 0, 0, usize::MAX, usize::MAX],
-            colors: vec![0],
-        };
-        let mut nbhd = cg.cluster_neighborhood(&g, 0);
-        nbhd.sort_unstable();
-        assert_eq!(nbhd, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]

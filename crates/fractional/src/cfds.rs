@@ -1,4 +1,6 @@
-//! Constrained fractional dominating sets (Definition 2.1).
+//! Fractional dominating sets: the values `x` of Definition 2.1. Its
+//! constraints `c(v)` are the `ConstraintNode::c` of a rounding problem in
+//! `mds_rounding::problem`.
 
 use congest_sim::{Graph, NodeId};
 
@@ -39,15 +41,6 @@ impl FractionalAssignment {
         FractionalAssignment {
             values: values.into_iter().map(|v| v.clamp(0.0, 1.0)).collect(),
         }
-    }
-
-    /// The indicator assignment of a node set.
-    pub fn from_set(n: usize, set: &[NodeId]) -> Self {
-        let mut values = vec![0.0; n];
-        for v in set {
-            values[v.0] = 1.0;
-        }
-        FractionalAssignment { values }
     }
 
     /// Number of nodes.
@@ -139,79 +132,6 @@ impl FractionalAssignment {
             .nodes()
             .all(|v| self.coverage(graph, v) >= 1.0 - FEASIBILITY_TOLERANCE)
     }
-
-    /// Multiplies every value by `factor`, capping at 1 (`x ← min(1, factor·x)`),
-    /// the "value boost" step of the one-shot and factor-two rounding
-    /// processes.
-    pub fn scaled_capped(&self, factor: f64) -> FractionalAssignment {
-        FractionalAssignment {
-            values: self.values.iter().map(|&v| (v * factor).min(1.0)).collect(),
-        }
-    }
-}
-
-/// A constrained fractional dominating set `(x, c)` (Definition 2.1): values
-/// `x(v)` and constraints `c(v)`, feasible when every node's inclusive
-/// neighborhood carries at least `c(v)` value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cfds {
-    /// The fractional values `x`.
-    pub assignment: FractionalAssignment,
-    /// The per-node constraints `c`.
-    pub constraints: Vec<f64>,
-}
-
-impl Cfds {
-    /// Creates a CFDS with all constraints equal to 1 (an ordinary fractional
-    /// dominating set instance).
-    pub fn with_unit_constraints(assignment: FractionalAssignment) -> Self {
-        let n = assignment.len();
-        Cfds {
-            assignment,
-            constraints: vec![1.0; n],
-        }
-    }
-
-    /// Creates a CFDS from values and constraints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or a constraint is outside `[0, 1]`.
-    pub fn new(assignment: FractionalAssignment, constraints: Vec<f64>) -> Self {
-        assert_eq!(assignment.len(), constraints.len(), "length mismatch");
-        for (i, &c) in constraints.iter().enumerate() {
-            assert!(
-                (0.0..=1.0 + FEASIBILITY_TOLERANCE).contains(&c),
-                "constraint {c} of node {i} outside [0, 1]"
-            );
-        }
-        Cfds {
-            assignment,
-            constraints,
-        }
-    }
-
-    /// The size of the CFDS, `Σ_v x(v)`.
-    pub fn size(&self) -> f64 {
-        self.assignment.size()
-    }
-
-    /// Whether `(x, c)` is feasible on `graph`.
-    pub fn is_feasible(&self, graph: &Graph) -> bool {
-        graph.nodes().all(|v| {
-            self.assignment.coverage(graph, v) >= self.constraints[v.0] - FEASIBILITY_TOLERANCE
-        })
-    }
-
-    /// Nodes whose constraint is violated.
-    pub fn violated_nodes(&self, graph: &Graph) -> Vec<NodeId> {
-        graph
-            .nodes()
-            .filter(|&v| {
-                self.assignment.coverage(graph, v) < self.constraints[v.0] - FEASIBILITY_TOLERANCE
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -249,10 +169,14 @@ mod tests {
     #[test]
     fn indicator_of_set_is_integral_and_feasible_when_dominating() {
         let g = generators::star(10);
-        let x = FractionalAssignment::from_set(10, &[NodeId(0)]);
+        let mut values = vec![0.0; 10];
+        values[0] = 1.0;
+        let x = FractionalAssignment::from_values(values);
         assert!(x.is_integral());
         assert!(x.is_feasible_dominating_set(&g));
-        let y = FractionalAssignment::from_set(10, &[NodeId(1)]);
+        let mut values = vec![0.0; 10];
+        values[1] = 1.0;
+        let y = FractionalAssignment::from_values(values);
         assert!(!y.is_feasible_dominating_set(&g));
     }
 
@@ -275,32 +199,5 @@ mod tests {
         let x = FractionalAssignment::from_values(vec![1.0 / 3.0; 9]);
         assert!(x.is_feasible_dominating_set(&g));
         assert!((x.size() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaled_capped_caps_at_one() {
-        let x = FractionalAssignment::from_values(vec![0.3, 0.8]);
-        let y = x.scaled_capped(2.0);
-        assert!((y.value(NodeId(0)) - 0.6).abs() < 1e-12);
-        assert_eq!(y.value(NodeId(1)), 1.0);
-    }
-
-    #[test]
-    fn cfds_feasibility_and_violations() {
-        let g = generators::path(4);
-        let x = FractionalAssignment::from_values(vec![0.0, 0.6, 0.0, 0.0]);
-        let cfds = Cfds::new(x, vec![0.5, 0.5, 0.5, 0.5]);
-        assert!(!cfds.is_feasible(&g));
-        assert_eq!(cfds.violated_nodes(&g), vec![NodeId(3)]);
-        assert!((cfds.size() - 0.6).abs() < 1e-12);
-
-        let full = Cfds::with_unit_constraints(FractionalAssignment::from_values(vec![1.0; 4]));
-        assert!(full.is_feasible(&g));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn cfds_length_mismatch_panics() {
-        let _ = Cfds::new(FractionalAssignment::zeros(2), vec![1.0; 3]);
     }
 }

@@ -51,10 +51,6 @@ pub struct InitialSolutionConfig {
     pub epsilon: f64,
     /// Fractional solver to use.
     pub method: FractionalMethod,
-    /// Whether to round all values up to CONGEST-transmittable values
-    /// (multiples of `2^-ι`). Enabled by default, as required by the
-    /// derandomization lemmas.
-    pub make_transmittable: bool,
 }
 
 impl Default for InitialSolutionConfig {
@@ -62,7 +58,6 @@ impl Default for InitialSolutionConfig {
         InitialSolutionConfig {
             epsilon: 0.25,
             method: FractionalMethod::DistributedMwu(crate::lp::DistributedLpConfig::default()),
-            make_transmittable: true,
         }
     }
 }
@@ -82,13 +77,13 @@ pub fn distributed_mwu_config(
 
 /// Applies the Lemma 2.1 post-processing shared by the central wrapper and
 /// the composed pipeline: raise every value to the fractionality floor
-/// `ε/(2Δ̃)` and (optionally) round up to CONGEST-transmittable values.
-/// Returns the finished assignment and the floor that was applied.
+/// `ε/(2Δ̃)` and round up to CONGEST-transmittable values, as the
+/// derandomization lemmas require. Returns the finished assignment and the
+/// floor that was applied.
 pub fn apply_lemma21_floor(
     graph: &Graph,
     mut values: Vec<f64>,
     epsilon: f64,
-    make_transmittable: bool,
 ) -> (FractionalAssignment, f64) {
     let delta_tilde = graph.delta_tilde().max(1);
     let epsilon = epsilon.max(1e-6);
@@ -98,10 +93,8 @@ pub fn apply_lemma21_floor(
             *v = floor;
         }
     }
-    let mut assignment = FractionalAssignment::from_values(values);
-    if make_transmittable && graph.n() > 0 {
-        assignment = transmittable::round_assignment_up(&assignment, graph.n());
-    }
+    let assignment =
+        transmittable::round_assignment_up(&FractionalAssignment::from_values(values), graph.n());
     (assignment, floor)
 }
 
@@ -195,8 +188,7 @@ pub fn initial_fractional_solution(
     };
 
     // The fractionality floor of Lemma 2.1's proof.
-    let (assignment, floor) =
-        apply_lemma21_floor(graph, values, epsilon, config.make_transmittable);
+    let (assignment, floor) = apply_lemma21_floor(graph, values, epsilon);
     ledger.charge(part_one("part I: fractionality floor"), 0, 0);
 
     InitialSolution {
@@ -231,12 +223,12 @@ mod tests {
         let cfg = InitialSolutionConfig {
             epsilon: eps,
             method: FractionalMethod::DegreeHeuristic,
-            make_transmittable: false,
         };
         let out = initial_fractional_solution(&g, &cfg);
         let base = lp::degree_heuristic(&g).size();
         // floor adds ≤ n·ε/(2Δ̃) = 90·0.5/6 = 7.5, but values are already
-        // above the floor on a cycle, so there is no increase at all.
+        // above the floor on a cycle, so only the transmittable round-up adds
+        // anything: at most n·2^-ι ≤ n^-9.
         assert!(out.assignment.size() <= base + 1e-9);
     }
 
@@ -252,7 +244,6 @@ mod tests {
             let cfg = InitialSolutionConfig {
                 epsilon: 0.3,
                 method,
-                make_transmittable: true,
             };
             let out = initial_fractional_solution(&g, &cfg);
             assert!(out.assignment.is_feasible_dominating_set(&g));

@@ -2,9 +2,8 @@
 //!
 //! Fractional dominating sets for the PODC 2019 reproduction:
 //!
-//! * [`cfds`] — constrained fractional dominating sets (Definition 2.1):
-//!   fractional values, per-node constraints, feasibility, size and
-//!   fractionality.
+//! * [`cfds`] — fractional dominating sets (the values `x` of
+//!   Definition 2.1): feasibility, size and fractionality.
 //! * [`transmittable`] — CONGEST-transmittable values (multiples of `2^-ι`
 //!   with `2^-ι ≤ n^-10`, Section 2).
 //! * [`lp`] — a `(1+ε)`-approximate fractional dominating set via a
@@ -37,5 +36,5 @@ pub mod lemma21;
 pub mod lp;
 pub mod transmittable;
 
-pub use cfds::{Cfds, FractionalAssignment};
+pub use cfds::FractionalAssignment;
 pub use lemma21::{initial_fractional_solution, InitialSolutionConfig};

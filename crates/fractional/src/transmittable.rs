@@ -29,12 +29,6 @@ pub fn round_up(value: f64, n: usize) -> f64 {
     ((value / g).ceil() * g).min(1.0)
 }
 
-/// Rounds `value ∈ [0, 1]` *down* to the previous transmittable value.
-pub fn round_down(value: f64, n: usize) -> f64 {
-    let g = granularity(n);
-    ((value / g).floor() * g).max(0.0)
-}
-
 /// Whether `value` is transmittable for an `n`-node network.
 pub fn is_transmittable(value: f64, n: usize) -> bool {
     let g = granularity(n);
@@ -74,11 +68,8 @@ mod tests {
         let g = granularity(n);
         let v = 0.3;
         let up = round_up(v, n);
-        let down = round_down(v, n);
         assert!(up >= v && up - v <= g + 1e-15);
-        assert!(down <= v && v - down <= g + 1e-15);
         assert!(is_transmittable(up, n));
-        assert!(is_transmittable(down, n));
     }
 
     #[test]
@@ -86,7 +77,6 @@ mod tests {
         for n in [2usize, 100, 10_000] {
             assert_eq!(round_up(0.0, n), 0.0);
             assert_eq!(round_up(1.0, n), 1.0);
-            assert_eq!(round_down(1.0, n), 1.0);
             assert!(is_transmittable(0.0, n));
             assert!(is_transmittable(1.0, n));
         }

@@ -1,5 +1,5 @@
-//! Structural graph analysis: BFS, connectivity, distances, diameter and
-//! degree statistics.
+//! Structural graph analysis: bounded BFS, connectivity and induced
+//! subgraphs.
 
 use congest_sim::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -13,23 +13,6 @@ pub struct Components {
     pub count: usize,
     /// Sizes of the components, indexed by component index.
     pub sizes: Vec<usize>,
-}
-
-/// Breadth-first distances from `source`; unreachable nodes get `usize::MAX`.
-pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; graph.n()];
-    let mut queue = VecDeque::new();
-    dist[source.0] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &v in graph.neighbors(u) {
-            if dist[v.0] == usize::MAX {
-                dist[v.0] = dist[u.0] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
 }
 
 /// BFS distances restricted to hops of at most `limit`; nodes further away get
@@ -92,70 +75,6 @@ pub fn is_connected(graph: &Graph) -> bool {
     graph.n() == 0 || connected_components(graph).count == 1
 }
 
-/// Exact diameter by running BFS from every node. `None` for disconnected or
-/// empty graphs. Intended for the small/medium instances used in experiments.
-pub fn diameter(graph: &Graph) -> Option<usize> {
-    if graph.n() == 0 || !is_connected(graph) {
-        return None;
-    }
-    let mut best = 0;
-    for s in graph.nodes() {
-        let d = bfs_distances(graph, s);
-        let ecc = *d.iter().max().expect("nonempty");
-        best = best.max(ecc);
-    }
-    Some(best)
-}
-
-/// Shortest-path distance between two nodes; `None` if unreachable.
-pub fn distance(graph: &Graph, u: NodeId, v: NodeId) -> Option<usize> {
-    let d = bfs_distances(graph, u)[v.0];
-    if d == usize::MAX {
-        None
-    } else {
-        Some(d)
-    }
-}
-
-/// Degree statistics of a graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree `Δ`.
-    pub max: usize,
-    /// Average degree.
-    pub mean: f64,
-    /// Histogram: `histogram[d]` is the number of nodes with degree `d`.
-    pub histogram: Vec<usize>,
-}
-
-/// Computes [`DegreeStats`] for a graph.
-pub fn degree_stats(graph: &Graph) -> DegreeStats {
-    let n = graph.n();
-    if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-            histogram: vec![],
-        };
-    }
-    let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
-    let max = *degrees.iter().max().expect("nonempty");
-    let min = *degrees.iter().min().expect("nonempty");
-    let mut histogram = vec![0usize; max + 1];
-    for &d in &degrees {
-        histogram[d] += 1;
-    }
-    DegreeStats {
-        min,
-        max,
-        mean: degrees.iter().sum::<usize>() as f64 / n as f64,
-        histogram,
-    }
-}
-
 /// Builds the subgraph induced by `keep` (nodes are re-labelled `0..keep.len()`
 /// in the order given) and returns it together with the mapping from new
 /// indices back to the original [`NodeId`]s.
@@ -182,14 +101,6 @@ mod tests {
     use crate::generators;
 
     #[test]
-    fn bfs_on_path() {
-        let g = generators::path(5);
-        let d = bfs_distances(&g, NodeId(0));
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-        assert_eq!(distance(&g, NodeId(0), NodeId(4)), Some(4));
-    }
-
-    #[test]
     fn bounded_bfs_stops_at_limit() {
         let g = generators::path(6);
         let d = bounded_bfs(&g, NodeId(0), 2);
@@ -204,34 +115,6 @@ mod tests {
         assert_eq!(c.count, 3);
         assert_eq!(c.sizes.iter().sum::<usize>(), 6);
         assert!(!is_connected(&g));
-        assert_eq!(distance(&g, NodeId(0), NodeId(5)), None);
-        assert_eq!(diameter(&g), None);
-    }
-
-    #[test]
-    fn diameter_of_known_graphs() {
-        assert_eq!(diameter(&generators::path(7)), Some(6));
-        assert_eq!(diameter(&generators::cycle(8)), Some(4));
-        assert_eq!(diameter(&generators::complete(5)), Some(1));
-        assert_eq!(diameter(&generators::star(9)), Some(2));
-    }
-
-    #[test]
-    fn degree_stats_of_star() {
-        let g = generators::star(6);
-        let s = degree_stats(&g);
-        assert_eq!(s.max, 5);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.histogram[1], 5);
-        assert_eq!(s.histogram[5], 1);
-        assert!((s.mean - 10.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_stats_of_empty_graph() {
-        let s = degree_stats(&congest_sim::Graph::empty(0));
-        assert_eq!(s.max, 0);
-        assert_eq!(s.histogram.len(), 0);
     }
 
     #[test]

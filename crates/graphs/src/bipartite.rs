@@ -8,7 +8,7 @@
 //! further *splits* high-degree constraint nodes; that transformation lives in
 //! `mds-rounding` because it depends on the fractional values.
 
-use congest_sim::{Graph, NodeId};
+use congest_sim::Graph;
 
 /// A bipartite graph with dense left indices `0..left_count` and dense right
 /// indices `0..right_count`.
@@ -49,11 +49,6 @@ impl BipartiteGraph {
         self.right_adj.len()
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.left_adj.iter().map(Vec::len).sum()
-    }
-
     /// Right neighbors of left node `l`.
     pub fn neighbors_of_left(&self, l: usize) -> &[usize] {
         &self.left_adj[l]
@@ -62,16 +57,6 @@ impl BipartiteGraph {
     /// Left neighbors of right node `r`.
     pub fn neighbors_of_right(&self, r: usize) -> &[usize] {
         &self.right_adj[r]
-    }
-
-    /// Degree of left node `l`.
-    pub fn left_degree(&self, l: usize) -> usize {
-        self.left_adj[l].len()
-    }
-
-    /// Degree of right node `r`.
-    pub fn right_degree(&self, r: usize) -> usize {
-        self.right_adj[r].len()
     }
 
     /// Maximum degree `Δ_L` over left nodes (0 if there are none).
@@ -99,7 +84,6 @@ impl BipartiteGraph {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BipartiteRepresentation {
     bipartite: BipartiteGraph,
-    n: usize,
 }
 
 impl BipartiteRepresentation {
@@ -114,37 +98,12 @@ impl BipartiteRepresentation {
                 b.add_edge(v.0, u.0);
             }
         }
-        BipartiteRepresentation { bipartite: b, n }
+        BipartiteRepresentation { bipartite: b }
     }
 
     /// The underlying bipartite graph.
     pub fn graph(&self) -> &BipartiteGraph {
         &self.bipartite
-    }
-
-    /// Number of original nodes.
-    pub fn original_n(&self) -> usize {
-        self.n
-    }
-
-    /// Left (constraint) index of the original node `v`.
-    pub fn constraint_index(&self, v: NodeId) -> usize {
-        v.0
-    }
-
-    /// Right (value) index of the original node `v`.
-    pub fn value_index(&self, v: NodeId) -> usize {
-        v.0
-    }
-
-    /// Original node corresponding to a value (right) index.
-    pub fn value_node(&self, r: usize) -> NodeId {
-        NodeId(r)
-    }
-
-    /// Original node corresponding to a constraint (left) index.
-    pub fn constraint_node(&self, l: usize) -> NodeId {
-        NodeId(l)
     }
 }
 
@@ -159,9 +118,8 @@ mod tests {
         b.add_edge(0, 0);
         b.add_edge(0, 2);
         b.add_edge(1, 2);
-        assert_eq!(b.edge_count(), 3);
-        assert_eq!(b.left_degree(0), 2);
-        assert_eq!(b.right_degree(2), 2);
+        assert_eq!(b.neighbors_of_left(0).len(), 2);
+        assert_eq!(b.neighbors_of_right(2).len(), 2);
         assert_eq!(b.max_left_degree(), 2);
         assert_eq!(b.max_right_degree(), 2);
         assert_eq!(b.neighbors_of_left(1), &[2]);
@@ -184,9 +142,9 @@ mod tests {
         assert_eq!(b.left_count(), 3);
         assert_eq!(b.right_count(), 3);
         // Constraint node of the middle vertex sees all three value copies.
-        assert_eq!(b.left_degree(1), 3);
+        assert_eq!(b.neighbors_of_left(1).len(), 3);
         // Endpoints see themselves and the middle node.
-        assert_eq!(b.left_degree(0), 2);
+        assert_eq!(b.neighbors_of_left(0).len(), 2);
         // Every node's constraint copy is adjacent to its own value copy.
         for v in 0..3 {
             assert!(b.neighbors_of_left(v).contains(&v));
@@ -198,12 +156,16 @@ mod tests {
         let g = generators::generate(&crate::GraphFamily::Gnp { n: 40, p: 0.1 }, 3);
         let rep = BipartiteRepresentation::from_graph(&g);
         for v in g.nodes() {
-            assert_eq!(rep.graph().left_degree(v.0), g.inclusive_degree(v));
-            assert_eq!(rep.graph().right_degree(v.0), g.inclusive_degree(v));
+            assert_eq!(
+                rep.graph().neighbors_of_left(v.0).len(),
+                g.inclusive_degree(v)
+            );
+            assert_eq!(
+                rep.graph().neighbors_of_right(v.0).len(),
+                g.inclusive_degree(v)
+            );
         }
-        assert_eq!(rep.original_n(), 40);
-        assert_eq!(rep.constraint_index(congest_sim::NodeId(5)), 5);
-        assert_eq!(rep.value_node(7), congest_sim::NodeId(7));
+        assert_eq!(rep.graph().edges().count(), g.n() + 2 * g.m());
     }
 
     #[test]
@@ -211,6 +173,6 @@ mod tests {
         let b = BipartiteGraph::default();
         assert_eq!(b.left_count(), 0);
         assert_eq!(b.max_left_degree(), 0);
-        assert_eq!(b.edge_count(), 0);
+        assert_eq!(b.edges().count(), 0);
     }
 }

@@ -1,9 +1,9 @@
 //! # mds-graphs
 //!
 //! Graph substrate for the PODC 2019 dominating-set reproduction: workload
-//! generators, structural analysis, power graphs (`G^k`) and the *bipartite
-//! representation* of a graph used by the degree-dependent derandomization
-//! (Section 3.3 of the paper).
+//! generators, structural analysis and the *bipartite representation* of a
+//! graph used by the degree-dependent derandomization (Section 3.3 of the
+//! paper).
 //!
 //! All generators are deterministic given a seed, so every experiment in the
 //! workspace is reproducible bit-for-bit.
@@ -24,9 +24,6 @@
 pub mod analysis;
 pub mod bipartite;
 pub mod generators;
-pub mod io;
-pub mod square;
 
 pub use bipartite::{BipartiteGraph, BipartiteRepresentation};
 pub use generators::GraphFamily;
-pub use square::power_graph;

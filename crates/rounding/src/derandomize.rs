@@ -238,10 +238,11 @@ impl DerandSchedule {
 /// charged honestly at `2 + 128` bits. That is `O(log n)` in the model sense
 /// (the paper transmits conditional expectations rounded to multiples of
 /// `n^-10`, i.e. `Θ(log n)` bits each), but it exceeds the simulator's
-/// default budget of 16 identifiers on networks smaller than `n = 2^9` — the
-/// run report counts those as bandwidth violations rather than hiding them
-/// behind an undersized charge. A strict-CONGEST deployment would spread the
-/// two branches over the step's two rounds or halve the precision.
+/// default budget of 16 identifiers, `16·(⌊log₂ n⌋ + 1)` bits, on networks
+/// smaller than `n = 2^8 = 256` — the run report counts those as bandwidth
+/// violations rather than hiding them behind an undersized charge. A
+/// strict-CONGEST deployment would spread the two branches over the step's
+/// two rounds or halve the precision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DerandMessage {
     /// Owner → deciding member: the estimator value of the owner's constraint

@@ -66,11 +66,6 @@ impl KWiseGenerator {
         KWiseGenerator { coefficients }
     }
 
-    /// The independence parameter `k` of this generator.
-    pub fn independence(&self) -> usize {
-        self.coefficients.len()
-    }
-
     /// Evaluates the underlying polynomial at `point` and maps the result to
     /// `[0, 1)`. Values at distinct points are `k`-wise independent and
     /// (up to `2^-61` quantisation) uniform.
@@ -109,7 +104,6 @@ mod tests {
         let g1 = KWiseGenerator::from_fair_coins(&bits, 4);
         let g2 = KWiseGenerator::from_fair_coins(&bits, 4);
         assert_eq!(g1, g2);
-        assert_eq!(g1.independence(), 4);
         for i in 0..10 {
             assert_eq!(g1.value(i), g2.value(i));
         }

@@ -143,22 +143,6 @@ impl RoundingProblem {
         self.values.iter().map(|v| v.x).sum()
     }
 
-    /// For every constraint, is it already satisfied by the deterministic
-    /// part (members with `p = 1`) alone?
-    pub fn constraint_deterministic_base(&self, c: &ConstraintNode) -> f64 {
-        c.members
-            .iter()
-            .map(|&i| {
-                let v = &self.values[i];
-                if v.p >= 1.0 {
-                    v.x
-                } else {
-                    0.0
-                }
-            })
-            .sum()
-    }
-
     /// Builds the output assignment on the original graph from final value
     /// realisations and the set of violated constraints.
     pub fn assemble_output(
@@ -239,8 +223,6 @@ mod tests {
         let p = toy_problem();
         assert_eq!(p.participating_values(), vec![0]);
         assert!((p.input_size() - 0.75).abs() < 1e-12);
-        let base = p.constraint_deterministic_base(&p.constraints[0]);
-        assert!((base - 0.25).abs() < 1e-12);
         assert_eq!(p.constraints_of_values(), vec![vec![0], vec![0]]);
     }
 

@@ -7,8 +7,7 @@
 //! integration tests and downstream users can depend on a single crate:
 //!
 //! * [`congest`] — the CONGEST/LOCAL round-synchronous simulator.
-//! * [`graphs`] — graph generators, analysis, square graphs, bipartite
-//!   representations.
+//! * [`graphs`] — graph generators, analysis, bipartite representations.
 //! * [`fractional`] — constrained fractional dominating sets and the
 //!   KMW-style `(1+ε)`-approximate fractional solver (Lemma 2.1).
 //! * [`rounding`] — the abstract randomized rounding process, `k`-wise
