@@ -18,7 +18,7 @@ use mds_core::pipeline::{theorem_1_1, theorem_1_2, theorem_1_2_on, MdsConfig, Md
 use mds_core::{exact, greedy, randomized, verify};
 use mds_decomposition::netdecomp::{strong_diameter_decomposition, DecompositionConfig};
 use mds_fractional::lemma21::FractionalMethod;
-use mds_fractional::lp::{self, LpConfig};
+use mds_fractional::lp;
 use mds_graphs::generators::{self, GraphFamily};
 use mds_rounding::kwise::KWiseGenerator;
 use mds_rounding::one_shot::OneShotRounding;
@@ -26,19 +26,6 @@ use mds_rounding::process::execute_with_rng;
 use mds_rounding::EstimatorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// A pipeline configuration tuned so whole experiment sweeps finish in
-/// seconds on a laptop while exercising every code path.
-pub fn experiment_config() -> MdsConfig {
-    MdsConfig {
-        fractional: FractionalMethod::Mwu(LpConfig {
-            epsilon: 0.2,
-            iterations: Some(60),
-            binary_search_steps: 10,
-        }),
-        ..MdsConfig::default()
-    }
-}
 
 fn fmt_row(cells: &[String]) -> String {
     format!("| {} |\n", cells.join(" | "))
@@ -82,7 +69,7 @@ pub fn large_families() -> Vec<GraphFamily> {
 
 /// E1: approximation ratios against the exact optimum on small graphs.
 pub fn e1_approximation_vs_exact() -> String {
-    let config = experiment_config();
+    let config = MdsConfig::default();
     let mut out =
         String::from("## E1 — approximation ratio vs exact optimum (Theorems 1.1/1.2)\n\n");
     out.push_str(&header(&[
@@ -134,7 +121,7 @@ pub fn e1_approximation_vs_exact() -> String {
 /// E2: approximation against the certified LP dual lower bound on larger
 /// graphs.
 pub fn e2_approximation_at_scale() -> String {
-    let config = experiment_config();
+    let config = MdsConfig::default();
     let mut out = String::from("## E2 — approximation vs LP lower bound at scale\n\n");
     out.push_str(&header(&[
         "family",
@@ -168,12 +155,12 @@ pub fn e2_approximation_at_scale() -> String {
 
 /// E3: round complexity of the Theorem 1.1 route as `n` grows.
 pub fn e3_rounds_vs_n() -> String {
-    let config = experiment_config();
+    let config = MdsConfig::default();
     let mut out =
         String::from("## E3 — rounds vs n (Theorem 1.1, network-decomposition route)\n\n");
     out.push_str(&header(&[
         "n",
-        "rounds (simulated)",
+        "rounds (measured)",
         "rounds (paper formula)",
         "2^sqrt(log n loglog n)",
         "size",
@@ -183,7 +170,7 @@ pub fn e3_rounds_vs_n() -> String {
         let result = theorem_1_1(&g, &config);
         out.push_str(&fmt_row(&[
             n.to_string(),
-            result.ledger.total_simulated_rounds().to_string(),
+            result.measured_engine_rounds().to_string(),
             result.ledger.total_formula_rounds().to_string(),
             congest_sim::ledger::formulas::gk18_decomposition_rounds(n).to_string(),
             result.size().to_string(),
@@ -194,12 +181,12 @@ pub fn e3_rounds_vs_n() -> String {
 
 /// E4: round complexity of the Theorem 1.2 route as `Δ` grows (n fixed).
 pub fn e4_rounds_vs_delta() -> String {
-    let config = experiment_config();
+    let config = MdsConfig::default();
     let mut out = String::from("## E4 — rounds vs Δ (Theorem 1.2, coloring route), n = 300\n\n");
     out.push_str(&header(&[
         "target degree",
         "Δ",
-        "rounds (simulated)",
+        "rounds (measured)",
         "rounds (paper formula)",
         "size",
     ]));
@@ -209,7 +196,7 @@ pub fn e4_rounds_vs_delta() -> String {
         out.push_str(&fmt_row(&[
             d.to_string(),
             g.max_degree().to_string(),
-            result.ledger.total_simulated_rounds().to_string(),
+            result.measured_engine_rounds().to_string(),
             result.ledger.total_formula_rounds().to_string(),
             result.size().to_string(),
         ]));
@@ -219,8 +206,10 @@ pub fn e4_rounds_vs_delta() -> String {
 
 /// E5: the size/fractionality trajectory of the doubling loop.
 pub fn e5_doubling_trajectory() -> String {
-    let mut config = experiment_config();
-    config.concentration_scale = 0.0005; // force several factor-two iterations
+    let config = MdsConfig {
+        concentration_scale: 0.0005, // force several factor-two iterations
+        ..MdsConfig::default()
+    };
     let g = generators::gnp(150, 0.08, 4);
     let result = theorem_1_1(&g, &config);
     let mut out =
@@ -337,7 +326,7 @@ pub fn e7_kwise_independence() -> String {
 
 /// E8: connected dominating set overhead (Theorem 1.4).
 pub fn e8_cds_overhead() -> String {
-    let config = experiment_config();
+    let config = MdsConfig::default();
     let mut out = String::from("## E8 — CDS overhead (Theorem 1.4)\n\n");
     out.push_str(&header(&[
         "family",
@@ -402,8 +391,10 @@ pub fn e9_ablations() -> String {
             EstimatorKind::ExactDp { resolution: 64 },
         ),
     ] {
-        let mut config = experiment_config();
-        config.estimator = estimator;
+        let config = MdsConfig {
+            estimator,
+            ..MdsConfig::default()
+        };
         let r = theorem_1_1(&g, &config);
         rows.push([
             label.to_string(),
@@ -413,29 +404,22 @@ pub fn e9_ablations() -> String {
         ]);
     }
 
-    for (label, method) in [
-        (
-            "KW05 local fractional solver",
-            FractionalMethod::Kw05 { k: None },
-        ),
-        (
-            "degree-heuristic fractional solver",
-            FractionalMethod::DegreeHeuristic,
-        ),
-    ] {
-        let mut config = experiment_config();
-        config.fractional = method;
-        let r = theorem_1_1(&g, &config);
-        rows.push([
-            label.to_string(),
-            r.size().to_string(),
-            format!("{:.2}×", r.size() as f64 / opt_proxy),
-            "Part I ablation".to_string(),
-        ]);
-    }
+    let config = MdsConfig {
+        fractional: FractionalMethod::Kw05 { k: None },
+        ..MdsConfig::default()
+    };
+    let r = theorem_1_1(&g, &config);
+    rows.push([
+        "KW05 local fractional solver".to_string(),
+        r.size().to_string(),
+        format!("{:.2}×", r.size() as f64 / opt_proxy),
+        "Part I ablation".to_string(),
+    ]);
 
-    let mut config = experiment_config();
-    config.max_doubling_iterations = 0;
+    let config = MdsConfig {
+        max_doubling_iterations: 0,
+        ..MdsConfig::default()
+    };
     let r = theorem_1_1(&g, &config);
     rows.push([
         "one-shot only (skip Part II)".to_string(),

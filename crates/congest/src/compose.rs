@@ -1,21 +1,19 @@
-//! Program composition: sequencing heterogeneous [`NodeProgram`]s — and
-//! centrally simulated, closed-form-charged steps — as the *phases* of one
-//! distributed algorithm.
+//! Program composition: sequencing heterogeneous [`NodeProgram`]s as the
+//! *phases* of one distributed algorithm.
 //!
 //! The paper's main algorithms are pipelines: a fractional solver feeds a
 //! doubling loop feeds a one-shot rounding, with derandomization schedules
 //! in between. Each stage is a different node program with its own message
 //! type, so no single [`crate::engine::Executor::run`] call can drive the
 //! whole pipeline. A [`ComposedProgram`] closes that gap: it owns the graph,
-//! the executor and one [`RoundLedger`], runs **measured** phases (real node
-//! programs on the engine, each recorded as one measured
-//! [`crate::PhaseCost`] stamped with its engine wall time) and records
-//! **charged** phases (combinatorial constructions simulated centrally,
-//! charged with the paper's closed-form bound) into the same ledger, in
-//! execution order. Typed state flows between phases as ordinary Rust
-//! values — the outputs of one phase parameterize the node programs of the
-//! next. Each step calls [`ComposedProgram::measured`],
-//! [`ComposedProgram::charged`] or [`ComposedProgram::absorb`].
+//! the executor and one [`RoundLedger`], and [`ComposedProgram::measured`]
+//! runs each phase's node programs on the engine and records the run as one
+//! measured [`crate::PhaseCost`] stamped with its engine wall time, in
+//! execution order. Every record of a composed ledger is therefore an engine
+//! run. Typed state flows between phases as ordinary Rust values — the
+//! outputs of one phase parameterize the node programs of the next; central
+//! steps between phases (planning, assembly) are plain code and have no
+//! ledger record.
 //!
 //! ```
 //! use congest_sim::{ComposedProgram, PhaseKind, PhaseMode, PhaseSpec};
@@ -38,12 +36,9 @@
 //!     )
 //!     .unwrap();
 //! assert_eq!(ids.outputs, vec![0, 1, 2]);
-//! composed.charged(PhaseSpec::new(PhaseKind::Other, "table lookup").with_formula(5), 1, 6);
 //! let ledger = composed.finish();
 //! assert_eq!(ledger.phases()[0].mode, PhaseMode::Measured);
-//! assert_eq!(ledger.phases()[1].mode, PhaseMode::Charged);
 //! assert_eq!(ledger.measured_rounds(None), ids.rounds);
-//! assert_eq!(ledger.total_formula_rounds(), 1 + 5);
 //! ```
 
 use crate::engine::{ExecutionError, Executor, ExecutorConfig, RunReport};
@@ -51,9 +46,9 @@ use crate::ledger::{PhaseSpec, RoundLedger};
 use crate::program::NodeProgram;
 use crate::Graph;
 
-/// Sequences heterogeneous [`NodeProgram`]s (and charged central steps) as
-/// one multi-phase algorithm run: one graph, one executor, one ledger. See
-/// the module documentation for the full story.
+/// Sequences heterogeneous [`NodeProgram`]s as one multi-phase algorithm
+/// run: one graph, one executor, one ledger of measured phases. See the
+/// module documentation for the full story.
 #[derive(Debug)]
 pub struct ComposedProgram<'a, E: Executor> {
     graph: &'a Graph,
@@ -108,18 +103,6 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
         let wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.ledger.phases.push(report.cost(spec, wall_nanos));
         Ok(report)
-    }
-
-    /// Records a centrally simulated phase: `simulated_rounds`/`messages` are
-    /// charged to the ledger (against `spec.formula_rounds` when given).
-    pub fn charged(&mut self, spec: PhaseSpec, simulated_rounds: u64, messages: u64) {
-        self.ledger.charge(spec, simulated_rounds, messages);
-    }
-
-    /// Absorbs a sub-ledger produced by a helper (e.g. a decomposition or
-    /// coloring construction), keeping each entry's mode and kind.
-    pub fn absorb(&mut self, ledger: RoundLedger) {
-        self.ledger.absorb(ledger);
     }
 
     /// Finishes the composition, yielding the ledger.
@@ -209,9 +192,6 @@ mod tests {
             )
             .unwrap();
 
-        // Charged interlude.
-        composed.charged(spec("central table").with_formula(7), 2, 9);
-
         // Phase 2: float messages parameterized by phase-1 outputs.
         let sums = composed
             .measured(
@@ -229,55 +209,13 @@ mod tests {
 
         let ledger = composed.finish();
         let modes: Vec<_> = ledger.phases().iter().map(|p| p.mode).collect();
-        assert_eq!(
-            modes,
-            [PhaseMode::Measured, PhaseMode::Charged, PhaseMode::Measured]
-        );
+        assert_eq!(modes, [PhaseMode::Measured, PhaseMode::Measured]);
         assert_eq!(ledger.measured_rounds(None), mins.rounds + sums.rounds);
-        // Ledger: measured 1 + charged 2 + measured 1 simulated rounds; the
-        // paper view swaps in the formulas where recorded.
-        assert_eq!(ledger.total_simulated_rounds(), 1 + 2 + 1);
-        assert_eq!(ledger.total_formula_rounds(), 1 + 7 + 1);
-        assert_eq!(ledger.phases()[1].name, "central table");
-    }
-
-    #[test]
-    fn absorb_preserves_sub_ledger_entries_as_charged_phases() {
-        let g = path(2);
-        let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
-        let mut sub = RoundLedger::new();
-        sub.charge(
-            PhaseSpec::new(PhaseKind::NetDecomp, "decomposition").with_formula(40),
-            11,
-            5,
-        );
-        sub.charge(PhaseSpec::new(PhaseKind::Coloring, "coloring"), 3, 6);
-        composed.absorb(sub.clone());
-        let ledger = composed.finish();
-        assert_eq!(ledger, sub);
-        assert!(ledger.phases().iter().all(|p| p.mode == PhaseMode::Charged));
-        assert_eq!(ledger.total_simulated_rounds(), 14);
-        assert_eq!(ledger.total_formula_rounds(), 43);
-    }
-
-    #[test]
-    fn absorb_keeps_a_measured_entry_measured() {
-        let g = path(3);
-        let programs = (0..3).map(|_| OneShotMin { best: 0 }).collect::<Vec<_>>();
-        let run = SyncExecutor
-            .run(&g, programs, &ExecutorConfig::default())
-            .unwrap();
-        let mut sub = RoundLedger::new();
-        run.charge(&mut sub, PhaseSpec::new(PhaseKind::Fractional, "helper"));
-        let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
-        composed.absorb(sub.clone());
-        let ledger = composed.finish();
-        assert_eq!(ledger, sub);
-        assert_eq!(ledger.phases()[0].mode, PhaseMode::Measured);
-        assert_eq!(
-            ledger.measured_rounds(Some(PhaseKind::Fractional)),
-            run.rounds
-        );
+        // Ledger: measured 1 + measured 1 simulated rounds; the paper view
+        // swaps in the formula where recorded.
+        assert_eq!(ledger.total_simulated_rounds(), 1 + 1);
+        assert_eq!(ledger.total_formula_rounds(), 1 + 1);
+        assert_eq!(ledger.phases()[1].name, "neighborhood sums");
     }
 
     #[test]

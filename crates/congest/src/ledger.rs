@@ -21,7 +21,7 @@ use std::fmt;
 /// and wall time by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseKind {
-    /// Part I: the initial fractional solution of Lemma 2.1 and its floor.
+    /// Part I: the initial fractional solution of Lemma 2.1.
     Fractional,
     /// The network decomposition of the Theorem 1.1 route (Theorem 3.2).
     NetDecomp,
@@ -271,8 +271,11 @@ pub mod formulas {
     /// round in which constraint owners relay the newly fixed colors to the
     /// still-undecided nodes at distance two. A schedule with no step at all
     /// (no target to color) still spends the single round in which every node
-    /// observes there is nothing to do. Under Lemma 3.12 this must stay at or
-    /// below the paper charge [`bipartite_coloring_rounds`].
+    /// observes there is nothing to do. The step count is the longest
+    /// conflict chain of the schedule's `(batch, id)` order, which the paper
+    /// charge [`bipartite_coloring_rounds`] does not bound: the count stays
+    /// below it on the tests' small `G(n, p)` families, but not on most
+    /// sparse random-regular graphs.
     pub fn measured_coloring_rounds(steps: u64) -> u64 {
         if steps == 0 {
             1

@@ -24,9 +24,9 @@
 //!   per-graph routing table is built once and cached inside [`Graph`], so
 //!   repeated runs and multi-phase compositions share the setup.
 //! * [`compose::ComposedProgram`] — the program composition layer: sequences
-//!   heterogeneous node programs (and centrally simulated, closed-form-charged
-//!   steps) as the phases of one multi-phase algorithm, carrying typed state
-//!   between phases and recording every phase once in a single ledger.
+//!   heterogeneous node programs as the phases of one multi-phase algorithm,
+//!   carrying typed state between phases and recording every phase once, as
+//!   one measured engine run, in a single ledger.
 //! * [`ledger::RoundLedger`] — round/message accounting for *composite*
 //!   algorithms whose communication pattern is specified by the paper through
 //!   well-defined primitives (e.g. "aggregate a sum along a cluster tree of

@@ -61,7 +61,7 @@ use mds_fractional::lemma21::{
     apply_lemma21_floor, distributed_mwu_config, initial_fractional_solution, FractionalMethod,
     InitialSolutionConfig,
 };
-use mds_fractional::lp::DistributedLpProgram;
+use mds_fractional::lp::{dual_lower_bound, DistributedLpProgram};
 use mds_fractional::FractionalAssignment;
 use mds_graphs::BipartiteGraph;
 use mds_rounding::derandomize::{
@@ -140,9 +140,9 @@ pub struct MdsResult {
     /// The final (integral) assignment.
     pub assignment: FractionalAssignment,
     /// Round/message accounting across all parts: one record per phase, in
-    /// execution order, saying whether it ran on the engine (measured) or
-    /// was centrally simulated (charged). A [`central_oracle`] ledger holds
-    /// only the Part I record.
+    /// execution order. Every record of a [`run_on`] ledger is an engine run
+    /// ([`congest_sim::PhaseMode::Measured`]); a [`central_oracle`] ledger
+    /// holds only the Part I record.
     pub ledger: RoundLedger,
     /// Per-stage size/fractionality trajectory (experiment E5).
     pub stages: Vec<StageRecord>,
@@ -160,7 +160,8 @@ impl MdsResult {
 
     /// Rounds actually executed on the engine across all measured phases.
     /// A [`central_oracle`] run reports its Part I record only: the rounds
-    /// of [`FractionalMethod::Kw05`], `0` under every other method.
+    /// of [`FractionalMethod::Kw05`], `0` under
+    /// [`FractionalMethod::DistributedMwu`] (charged from its replay).
     pub fn measured_engine_rounds(&self) -> u64 {
         self.ledger.measured_rounds(None)
     }
@@ -222,8 +223,9 @@ pub fn color_problem(problem: &RoundingProblem) -> (BipartiteColoring, Bipartite
 /// as a measured engine phase (substitution R4 made measured): the
 /// [`DistanceTwoColoringProgram`](mds_decomposition::coloring::DistanceTwoColoringProgram)
 /// executes the iterative color reduction in exactly
-/// [`formulas::measured_coloring_rounds`] rounds, at most the Lemma 3.12
-/// charge, and its assembled output — bit-identical to the central
+/// [`formulas::measured_coloring_rounds`] rounds, recorded next to the
+/// Lemma 3.12 charge (which does not bound them; see that formula), and its
+/// assembled output — bit-identical to the central
 /// [`bipartite_distance_two_coloring`] oracle — provides the color classes.
 /// Then the groups become a conflict-order [`DerandSchedule`] (the color
 /// classes themselves, or the longest conflict chains of the cluster order)
@@ -266,11 +268,6 @@ fn composed_derandomization<E: Executor>(
             assert_eq!(
                 report.rounds,
                 formulas::measured_coloring_rounds(schedule.num_steps as u64)
-            );
-            assert!(
-                report.rounds <= charge,
-                "measured coloring rounds {} exceed the Lemma 3.12 charge {charge}",
-                report.rounds
             );
             let coloring = assemble_coloring(&report.outputs);
             let mut formula = formulas::coloring_derandomization_rounds(coloring.num_colors);
@@ -430,24 +427,22 @@ pub fn run(graph: &Graph, config: &MdsConfig) -> MdsResult {
 }
 
 /// Assembles the pipeline as a [`ComposedProgram`] and executes it end to end
-/// on `executor`: measured node programs for the fractional solver (under
-/// [`FractionalMethod::DistributedMwu`] and [`FractionalMethod::Kw05`]), for
+/// on `executor`: measured node programs for the fractional solver, for
 /// every Lemma 3.12 distance-two coloring of the coloring routes, for every
 /// conditional-expectation schedule, and for the Theorem 1.1 network
 /// decomposition (the GK18-carving join waves of
 /// [`mds_decomposition::netdecomp::NetDecompProgram`]) — every round-spending
-/// phase runs measured on the engine. The result is bit-identical to
-/// [`central_oracle`] (property-tested); only this run's ledger carries the
-/// pipeline's round accounting.
+/// phase runs measured on the engine, and every ledger record is one such
+/// run. The result is bit-identical to [`central_oracle`]
+/// (property-tested); only this run's ledger carries the pipeline's round
+/// accounting.
 pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> MdsResult {
     let mut composer = ComposedProgram::new(graph, executor, ExecutorConfig::default());
 
-    // ---- Part I: initial fractional solution (Lemma 2.1). ----
-    let part_one = part_one_config(config);
-    let eps1 = part_one.epsilon;
-    // The node-program solvers run on `executor`; the central ones go
-    // through the Lemma 2.1 wrapper, which charges them in closed form.
-    let measured_values = match &config.fractional {
+    // ---- Part I: initial fractional solution (Lemma 2.1), one measured
+    // phase; the floor is local arithmetic and spends no round. ----
+    let eps1 = part_one_config(config).epsilon;
+    let values = match &config.fractional {
         FractionalMethod::DistributedMwu(mwu_config) => {
             let cfg = distributed_mwu_config(mwu_config, eps1);
             let formula = if graph.n() == 0 {
@@ -474,11 +469,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                 "measured MWU rounds {} exceed 4T + 1 = {bound} or the KMW06 charge {formula}",
                 report.rounds
             );
-            Some(report.outputs)
+            report.outputs
         }
         FractionalMethod::Kw05 { k } => {
             let k = k.unwrap_or_else(|| kw05::default_k(graph));
-            let report = composer
+            composer
                 .measured(
                     PhaseSpec::new(
                         PhaseKind::Fractional,
@@ -487,27 +482,12 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                     .with_formula(formulas::kw05_rounds(k)),
                     vec![Kw05Program::new(k); graph.n()],
                 )
-                .expect("KW05 program is well-formed");
-            Some(report.outputs)
-        }
-        FractionalMethod::Mwu(_) | FractionalMethod::DegreeHeuristic => None,
-    };
-    let (assignment, lp_lower_bound) = match measured_values {
-        Some(values) => {
-            let (assignment, _floor) = apply_lemma21_floor(graph, values, eps1);
-            composer.charged(
-                PhaseSpec::new(PhaseKind::Fractional, "part I: fractionality floor"),
-                0,
-                0,
-            );
-            (assignment, mds_fractional::lp::dual_lower_bound(graph))
-        }
-        None => {
-            let initial = initial_fractional_solution(graph, &part_one);
-            composer.absorb(initial.ledger);
-            (initial.assignment, initial.lp_lower_bound)
+                .expect("KW05 program is well-formed")
+                .outputs
         }
     };
+    let (assignment, _floor) = apply_lemma21_floor(graph, values, eps1);
+    let lp_lower_bound = dual_lower_bound(graph);
 
     // ---- Network decomposition (Theorem 1.1 route), measured on the
     // engine: the pure carving schedule runs as per-phase BFS join waves
@@ -659,19 +639,15 @@ mod tests {
     use congest_sim::{ExecutionError, NodeProgram, PhaseMode, PooledExecutor, RunReport};
     use mds_graphs::generators;
     use PhaseKind::{Coloring, Derandomization, Fractional, NetDecomp};
-    use PhaseMode::{Charged, Measured};
+    use PhaseMode::Measured;
 
     fn quick_config() -> MdsConfig {
         MdsConfig::default()
     }
 
-    fn central_mwu_config() -> MdsConfig {
+    fn kw05_config() -> MdsConfig {
         MdsConfig {
-            fractional: FractionalMethod::Mwu(mds_fractional::lp::LpConfig {
-                epsilon: 0.2,
-                iterations: Some(60),
-                binary_search_steps: 10,
-            }),
+            fractional: FractionalMethod::Kw05 { k: None },
             ..MdsConfig::default()
         }
     }
@@ -709,7 +685,7 @@ mod tests {
     fn composed_run_matches_central_oracle_on_both_routes_and_executors() {
         for seed in 0..3 {
             let g = generators::gnp(45, 0.1, seed + 30);
-            for config in [quick_config(), central_mwu_config()] {
+            for config in [quick_config(), kw05_config()] {
                 for route in [
                     DerandRoute::NetworkDecomposition { k: 2 },
                     DerandRoute::Coloring,
@@ -773,7 +749,8 @@ mod tests {
         for phase in &coloring_phases {
             assert_eq!(phase.mode, Measured);
             // Two rounds per reduction step (one observing round when there
-            // is nothing to color), never above the Lemma 3.12 charge.
+            // is nothing to color); on this instance not above the
+            // Lemma 3.12 charge.
             assert!(phase.simulated_rounds >= 1);
             assert!(
                 phase.simulated_rounds <= phase.formula_rounds.unwrap(),
@@ -790,6 +767,37 @@ mod tests {
         assert_eq!(
             theorem_1_1(&g, &quick_config()).measured_coloring_rounds(),
             0
+        );
+    }
+
+    #[test]
+    fn coloring_may_exceed_the_lemma_charge_and_still_equals_the_oracle() {
+        // The coloring schedule's step count is the longest conflict chain of
+        // its (batch, id) order, which the Lemma 3.12 charge does not bound:
+        // on this random-regular graph one coloring spends 48 rounds against
+        // a charge of 45. The output is still the oracle's on both executors.
+        let g = generators::random_regular(60, 4, 1);
+        let oracle = central_oracle(
+            &g,
+            &MdsConfig {
+                route: DerandRoute::Coloring,
+                ..quick_config()
+            },
+        );
+        let sync = theorem_1_2(&g, &quick_config());
+        let pooled = theorem_1_2_on(&g, &quick_config(), &PooledExecutor::new(3));
+        for result in [&sync, &pooled] {
+            assert_eq!(result.dominating_set, oracle.dominating_set);
+            assert_eq!(result.assignment, oracle.assignment);
+        }
+        assert_eq!(pooled.ledger, sync.ledger);
+        assert!(
+            sync.ledger
+                .phases()
+                .iter()
+                .any(|p| p.kind == Coloring && Some(p.simulated_rounds) > p.formula_rounds),
+            "{}",
+            sync.ledger
         );
     }
 
@@ -923,7 +931,7 @@ mod tests {
     #[test]
     fn doubling_loop_runs_when_concentration_scale_is_tiny() {
         let g = generators::gnp(60, 0.2, 8);
-        let mut config = central_mwu_config();
+        let mut config = quick_config();
         config.concentration_scale = 0.002;
         let result = theorem_1_1(&g, &config);
         let doubling_stages = result
@@ -940,31 +948,37 @@ mod tests {
 
     #[test]
     fn a_rounding_step_without_coins_is_one_measured_round() {
-        // Experiment E5's instance: the tiny concentration scale runs enough
-        // factor-two iterations that a rounding step is left with no coin.
-        let g = generators::gnp(150, 0.08, 4);
-        let config = MdsConfig {
-            concentration_scale: 0.0005,
-            ..central_mwu_config()
-        };
-        let result = theorem_1_1(&g, &config);
-        let steps: Vec<_> = result
-            .ledger
-            .phases()
-            .iter()
-            .filter(|p| p.kind == Derandomization)
-            .collect();
-        assert!(steps.iter().all(|p| p.mode == Measured), "{steps:?}");
-        assert!(
-            steps
+        // Experiment E5's tiny concentration scale runs enough factor-two
+        // iterations that a rounding step is left with no coin.
+        let g = generators::gnp(40, 0.08, 2);
+        for route in [
+            DerandRoute::NetworkDecomposition { k: 2 },
+            DerandRoute::Coloring,
+        ] {
+            let config = MdsConfig {
+                route,
+                concentration_scale: 0.0005,
+                ..quick_config()
+            };
+            let result = run(&g, &config);
+            let steps: Vec<_> = result
+                .ledger
+                .phases()
                 .iter()
-                .any(|p| (p.simulated_rounds, p.messages) == (1, 0)),
-            "no coin-free step: {steps:?}"
-        );
-        assert_eq!(
-            result.dominating_set,
-            central_oracle(&g, &config).dominating_set
-        );
+                .filter(|p| p.kind == Derandomization)
+                .collect();
+            assert!(steps.iter().all(|p| p.mode == Measured), "{steps:?}");
+            assert!(
+                steps
+                    .iter()
+                    .any(|p| (p.simulated_rounds, p.messages) == (1, 0)),
+                "no coin-free step: {steps:?}"
+            );
+            assert_eq!(
+                result.dominating_set,
+                central_oracle(&g, &config).dominating_set
+            );
+        }
     }
 
     fn kinds_and_modes(result: &MdsResult) -> Vec<(PhaseKind, PhaseMode)> {
@@ -980,8 +994,8 @@ mod tests {
     fn theorem_1_2_phases_are_part_one_then_coloring_and_derandomization_pairs() {
         let g = generators::gnp(50, 0.1, 4);
         let trace = kinds_and_modes(&theorem_1_2(&g, &quick_config()));
-        assert_eq!(trace[..2], [(Fractional, Measured), (Fractional, Charged)]);
-        let steps = &trace[2..];
+        assert_eq!(trace[0], (Fractional, Measured));
+        let steps = &trace[1..];
         assert!(
             !steps.is_empty() && steps.len().is_multiple_of(2),
             "{trace:?}"
@@ -995,15 +1009,8 @@ mod tests {
     fn theorem_1_1_phases_are_part_one_then_netdecomp_then_derandomization() {
         let g = generators::gnp(50, 0.1, 4);
         let trace = kinds_and_modes(&theorem_1_1(&g, &quick_config()));
-        assert_eq!(
-            trace[..3],
-            [
-                (Fractional, Measured),
-                (Fractional, Charged),
-                (NetDecomp, Measured)
-            ]
-        );
-        let steps = &trace[3..];
+        assert_eq!(trace[..2], [(Fractional, Measured), (NetDecomp, Measured)]);
+        let steps = &trace[2..];
         assert!(!steps.is_empty(), "{trace:?}");
         assert!(steps.iter().all(|&s| s == (Derandomization, Measured)));
     }
@@ -1138,24 +1145,14 @@ mod tests {
                 };
                 let counting = CountingExecutor::default();
                 let result = run_on(&g, &config, &counting);
-                let measured: Vec<_> = result
-                    .ledger
-                    .phases()
-                    .iter()
-                    .filter(|p| p.mode == Measured)
-                    .collect();
-                assert_eq!(counting.runs.borrow().len(), measured.len(), "{config:?}");
+                // Every ledger record is one engine run on the caller's
+                // executor.
+                let phases = result.ledger.phases();
+                assert!(phases.iter().all(|p| p.mode == Measured), "{config:?}");
+                assert_eq!(counting.runs.borrow().len(), phases.len(), "{config:?}");
                 // Part I ran under the composer, which stamps its wall.
-                assert_eq!(measured[0].kind, Fractional);
-                assert!(measured[0].wall_nanos > 0, "{config:?}");
-                if let FractionalMethod::Kw05 { .. } = fractional {
-                    let pooled = run_on(&g, &config, &PooledExecutor::new(3));
-                    let oracle = central_oracle(&g, &config);
-                    for other in [&pooled, &oracle] {
-                        assert_eq!(other.dominating_set, result.dominating_set);
-                        assert_eq!(other.assignment, result.assignment);
-                    }
-                }
+                assert_eq!(phases[0].kind, Fractional);
+                assert!(phases[0].wall_nanos > 0, "{config:?}");
             }
         }
     }
@@ -1187,15 +1184,10 @@ mod tests {
                     let counting = CountingExecutor::default();
                     let result = run_on(&g, &config, &counting);
                     let runs = counting.runs.borrow();
-                    let measured: Vec<_> = result
-                        .ledger
-                        .phases()
-                        .iter()
-                        .filter(|p| p.mode == Measured)
-                        .collect();
-                    assert_eq!(runs.len(), measured.len(), "{config:?}");
+                    let phases = result.ledger.phases();
+                    assert_eq!(runs.len(), phases.len(), "{config:?}");
                     let mut derand_violations = 0;
-                    for (phase, &(max_bits, budget, violations)) in measured.iter().zip(&*runs) {
+                    for (phase, &(max_bits, budget, violations)) in phases.iter().zip(&*runs) {
                         let context = format!("n = {}, {config:?}, {}", g.n(), phase.name);
                         assert_eq!(budget, congest_sim::congest_bandwidth_bits(g.n()));
                         if phase.kind == Derandomization {

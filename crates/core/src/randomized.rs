@@ -4,9 +4,7 @@
 //! Lemma 3.6/3.7 bounds) and E9 (derandomized vs randomized output quality).
 
 use congest_sim::{Graph, NodeId};
-use mds_fractional::lemma21::{
-    initial_fractional_solution, FractionalMethod, InitialSolutionConfig,
-};
+use mds_fractional::lemma21::{initial_fractional_solution, InitialSolutionConfig};
 use mds_rounding::one_shot::OneShotRounding;
 use mds_rounding::process::execute_with_rng;
 use rand::rngs::StdRng;
@@ -28,14 +26,15 @@ impl RandomizedResult {
     }
 }
 
-/// Randomized one-shot rounding with fully independent coins: Part I followed
-/// by a single randomized execution of the one-shot process.
+/// Randomized one-shot rounding with fully independent coins: Part I (the
+/// default distributed MWU solver) followed by a single randomized execution
+/// of the one-shot process.
 pub fn randomized_one_shot(graph: &Graph, epsilon: f64, seed: u64) -> RandomizedResult {
     let initial = initial_fractional_solution(
         graph,
         &InitialSolutionConfig {
             epsilon,
-            method: FractionalMethod::Mwu(mds_fractional::lp::LpConfig::default()),
+            ..InitialSolutionConfig::default()
         },
     );
     let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();

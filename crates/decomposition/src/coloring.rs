@@ -376,7 +376,8 @@ pub struct DistanceTwoColoringProgram {
     num_steps: usize,
     my_step: Option<usize>,
     my_color: Option<usize>,
-    /// Forbidden colors accumulated from owner relays.
+    /// Forbidden colors accumulated from owner relays; at the decide round
+    /// the co-members' colors of owned constraints join them.
     forbidden: Vec<bool>,
     /// Constraints owned by this node (its left copies).
     owned: Vec<OwnedConflict>,
@@ -444,8 +445,9 @@ impl NodeProgram for DistanceTwoColoringProgram {
                 // belongs to — together exactly the final colors of the
                 // conflict partners with smaller schedule order. Owned
                 // constraints *not* containing this node contribute nothing:
-                // their members are not conflict partners.
-                let mut forb = self.forbidden.clone();
+                // their members are not conflict partners. A node decides
+                // once and never reads the set again, so the co-members'
+                // colors are marked into it in place.
                 for oc in &self.owned {
                     if !oc.members.iter().any(|m| m.id == my_id) {
                         continue;
@@ -453,12 +455,12 @@ impl NodeProgram for DistanceTwoColoringProgram {
                     for m in &oc.members {
                         if m.id != my_id {
                             if let Some(c) = m.color {
-                                mark(&mut forb, c);
+                                mark(&mut self.forbidden, c);
                             }
                         }
                     }
                 }
-                let color = mex(&forb);
+                let color = mex(&self.forbidden);
                 self.my_color = Some(color);
                 self.record_color(my_id, color);
                 outbox.broadcast(ColoringMessage::Announce { color });
@@ -613,7 +615,6 @@ mod tests {
     use super::*;
     use congest_sim::ledger::formulas;
     use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
-    use mds_graphs::bipartite::BipartiteRepresentation;
     use mds_graphs::generators;
 
     /// Builds the measured programs, runs them on `executor` and assembles
@@ -640,19 +641,17 @@ mod tests {
     /// The representation instance of the measured coloring: `B_G` with every
     /// left node hosted by its own original node.
     fn representation_instance(g: &Graph) -> (BipartiteGraph, Vec<usize>) {
-        let rep = BipartiteRepresentation::from_graph(g);
-        let owners: Vec<usize> = (0..g.n()).collect();
-        (rep.graph().clone(), owners)
+        (BipartiteGraph::from_graph(g), (0..g.n()).collect())
     }
 
     #[test]
     fn coloring_of_bipartite_representation_is_proper_and_small() {
         let g = generators::gnp(60, 0.1, 4);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let rep = BipartiteGraph::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
-        verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
-        let bound = rep.graph().max_left_degree() * rep.graph().max_right_degree();
+        let coloring = bipartite_distance_two_coloring(&rep, &targets);
+        verify_bipartite_coloring(&rep, &coloring, &targets).unwrap();
+        let bound = rep.max_left_degree() * rep.max_right_degree();
         assert!(
             coloring.num_colors <= bound,
             "{} colors > Δ_L·Δ_R = {bound}",
@@ -663,10 +662,10 @@ mod tests {
     #[test]
     fn partial_targets_leave_other_nodes_uncolored() {
         let g = generators::path(6);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let rep = BipartiteGraph::from_graph(&g);
         let targets = vec![0, 2, 4];
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
-        verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
+        let coloring = bipartite_distance_two_coloring(&rep, &targets);
+        verify_bipartite_coloring(&rep, &coloring, &targets).unwrap();
         assert_eq!(coloring.colors[1], usize::MAX);
         let classes = coloring.classes();
         let total: usize = classes.iter().map(Vec::len).sum();
@@ -678,34 +677,34 @@ mod tests {
         // In the bipartite representation of a star, all value copies share
         // the center's constraint, so they all need distinct colors.
         let g = generators::star(12);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let rep = BipartiteGraph::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
+        let coloring = bipartite_distance_two_coloring(&rep, &targets);
         assert_eq!(coloring.num_colors, 12);
-        verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
+        verify_bipartite_coloring(&rep, &coloring, &targets).unwrap();
     }
 
     #[test]
     fn verifier_detects_conflicts() {
         let g = generators::star(4);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let rep = BipartiteGraph::from_graph(&g);
         let targets: Vec<usize> = (0..4).collect();
-        let mut coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
+        let mut coloring = bipartite_distance_two_coloring(&rep, &targets);
         // Corrupt: give two conflicting nodes the same color.
         coloring.colors[1] = coloring.colors[2];
-        assert!(verify_bipartite_coloring(rep.graph(), &coloring, &targets).is_err());
+        assert!(verify_bipartite_coloring(&rep, &coloring, &targets).is_err());
     }
 
     #[test]
     fn schedule_never_puts_conflicting_targets_in_one_step() {
         let g = generators::gnp(40, 0.12, 9);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let rep = BipartiteGraph::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let (schedule, is_target) = schedule_and_targets(rep.graph(), &targets);
+        let (schedule, is_target) = schedule_and_targets(&rep, &targets);
         assert!(schedule.num_steps >= 1);
         assert!(schedule.num_batches >= 1);
         for &r in &targets {
-            for_each_conflict(rep.graph(), &is_target, r, |r2| {
+            for_each_conflict(&rep, &is_target, r, |r2| {
                 assert_ne!(schedule.step[r], schedule.step[r2]);
             });
             assert_eq!(schedule.batch[r], r % schedule.num_batches);
@@ -720,11 +719,11 @@ mod tests {
         // genuinely compress — final colors diverge from both the batch and
         // the step of some target, i.e. they only exist in the message flow.
         let g = generators::cycle(47);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let rep = BipartiteGraph::from_graph(&g);
         let targets: Vec<usize> = (0..g.n()).collect();
-        let schedule = coloring_schedule(rep.graph(), &targets);
-        let coloring = bipartite_distance_two_coloring(rep.graph(), &targets);
-        verify_bipartite_coloring(rep.graph(), &coloring, &targets).unwrap();
+        let schedule = coloring_schedule(&rep, &targets);
+        let coloring = bipartite_distance_two_coloring(&rep, &targets);
+        verify_bipartite_coloring(&rep, &coloring, &targets).unwrap();
         assert!(targets
             .iter()
             .any(|&r| coloring.colors[r] != schedule.step[r]));
@@ -733,7 +732,7 @@ mod tests {
             .any(|&r| coloring.colors[r] != schedule.batch[r]));
         // And the engine agrees bit for bit.
         let owners: Vec<usize> = (0..g.n()).collect();
-        let (run, _, _) = run_measured(&g, rep.graph(), &owners, &targets, &SyncExecutor);
+        let (run, _, _) = run_measured(&g, &rep, &owners, &targets, &SyncExecutor);
         assert_eq!(run.colors, coloring.colors);
     }
 

@@ -17,13 +17,6 @@ pub struct FractionalAssignment {
 }
 
 impl FractionalAssignment {
-    /// The all-zero assignment on `n` nodes.
-    pub fn zeros(n: usize) -> Self {
-        FractionalAssignment {
-            values: vec![0.0; n],
-        }
-    }
-
     /// Builds an assignment from raw values.
     ///
     /// # Panics
@@ -151,7 +144,7 @@ mod tests {
 
     #[test]
     fn all_zero_assignment() {
-        let x = FractionalAssignment::zeros(3);
+        let x = FractionalAssignment::from_values(vec![0.0; 3]);
         assert_eq!(x.size(), 0.0);
         assert_eq!(x.fractionality(), 1.0);
         assert!(x.is_integral());
@@ -183,7 +176,7 @@ mod tests {
     #[test]
     fn coverage_uses_inclusive_neighborhood() {
         let g = generators::path(3);
-        let mut x = FractionalAssignment::zeros(3);
+        let mut x = FractionalAssignment::from_values(vec![0.0; 3]);
         x.set(NodeId(1), 0.5);
         assert!((x.coverage(&g, NodeId(0)) - 0.5).abs() < 1e-12);
         assert!((x.coverage(&g, NodeId(1)) - 0.5).abs() < 1e-12);

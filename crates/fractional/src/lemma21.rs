@@ -9,10 +9,17 @@
 //! has size at least `n/Δ̃`, the floor adds at most `(ε/2)·OPT`, so the result
 //! stays a `(1+ε)`-approximation while becoming `ε/(2Δ̃)`-fractional — exactly
 //! the fractionality the gradual rounding of Section 3 starts from.
+//!
+//! Both solvers are node programs. The composed pipeline
+//! (`mds_core::pipeline::run_on`) runs them as one measured engine phase and
+//! applies [`apply_lemma21_floor`] to the outputs; the floor is local
+//! arithmetic and spends no round, so it has no ledger record.
+//! [`initial_fractional_solution`] is the executor-free form the central
+//! oracle and the randomized baselines use.
 
 use crate::cfds::FractionalAssignment;
 use crate::kw05::{self, Kw05Program};
-use crate::lp::{self, LpConfig};
+use crate::lp::{self, DistributedLpConfig};
 use crate::transmittable;
 use congest_sim::ledger::formulas;
 use congest_sim::{
@@ -22,26 +29,17 @@ use congest_sim::{
 /// Which fractional solver produces the pre-floor solution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FractionalMethod {
-    /// The distributed multiplicative-weights covering-LP solver, run as a
-    /// genuine [`congest_sim::NodeProgram`] on the execution engine with a
-    /// *measured* round count of at most `4T+1` (substitution R1 in
-    /// `DESIGN.md`, made measured): a node halts once every constraint it
-    /// serves is covered. The default. Inside this (central) wrapper the
-    /// solver's bit-identical central oracle is used, and its exact rounds
-    /// and messages are charged; the composed pipeline in
-    /// `mds_core::pipeline` runs the same solver on the engine.
-    DistributedMwu(crate::lp::DistributedLpConfig),
-    /// The centralized multiplicative-weights LP solver (`(1+ε)` quality; the
-    /// KMW06 stand-in with closed-form round charging).
-    Mwu(LpConfig),
+    /// The distributed multiplicative-weights covering-LP solver
+    /// ([`lp::DistributedLpProgram`], substitution R1 in `DESIGN.md`): at
+    /// most `4T+1` rounds, and a node halts once every constraint it serves
+    /// is covered. The default.
+    DistributedMwu(DistributedLpConfig),
     /// The strictly local KW05 algorithm with locality parameter `k`
     /// (`O(log Δ)` quality, `O(k²)` rounds); the purely local ablation.
     Kw05 {
         /// Locality parameter; `None` selects `ceil(log2 Δ̃)`.
         k: Option<usize>,
     },
-    /// The always-feasible degree heuristic `x(u) = max_{w∈N(u)} 1/|N(w)|`.
-    DegreeHeuristic,
 }
 
 /// Configuration of [`initial_fractional_solution`].
@@ -57,7 +55,7 @@ impl Default for InitialSolutionConfig {
     fn default() -> Self {
         InitialSolutionConfig {
             epsilon: 0.25,
-            method: FractionalMethod::DistributedMwu(crate::lp::DistributedLpConfig::default()),
+            method: FractionalMethod::DistributedMwu(DistributedLpConfig::default()),
         }
     }
 }
@@ -66,20 +64,17 @@ impl Default for InitialSolutionConfig {
 /// solver: half of the lemma's ε, never larger than the solver's own
 /// configured accuracy. Exposed so the composed pipeline resolves the exact
 /// same configuration as the central oracle.
-pub fn distributed_mwu_config(
-    config: &crate::lp::DistributedLpConfig,
-    epsilon: f64,
-) -> crate::lp::DistributedLpConfig {
+pub fn distributed_mwu_config(config: &DistributedLpConfig, epsilon: f64) -> DistributedLpConfig {
     let mut c = config.clone();
     c.epsilon = (epsilon / 2.0).min(c.epsilon);
     c
 }
 
-/// Applies the Lemma 2.1 post-processing shared by the central wrapper and
-/// the composed pipeline: raise every value to the fractionality floor
-/// `ε/(2Δ̃)` and round up to CONGEST-transmittable values, as the
-/// derandomization lemmas require. Returns the finished assignment and the
-/// floor that was applied.
+/// Applies the Lemma 2.1 post-processing shared by
+/// [`initial_fractional_solution`] and the composed pipeline: raise every
+/// value to the fractionality floor `ε/(2Δ̃)` and round up to
+/// CONGEST-transmittable values, as the derandomization lemmas require.
+/// Returns the finished assignment and the floor that was applied.
 pub fn apply_lemma21_floor(
     graph: &Graph,
     mut values: Vec<f64>,
@@ -107,7 +102,7 @@ pub struct InitialSolution {
     pub floor: f64,
     /// A certified lower bound on the LP optimum (and hence on the MDS size).
     pub lp_lower_bound: f64,
-    /// CONGEST round/message accounting.
+    /// The solver's one Part I record (see [`initial_fractional_solution`]).
     pub ledger: RoundLedger,
 }
 
@@ -116,7 +111,12 @@ fn part_one(name: &str) -> PhaseSpec {
     PhaseSpec::new(PhaseKind::Fractional, name)
 }
 
-/// Computes the initial fractional dominating set of Lemma 2.1.
+/// Computes the initial fractional dominating set of Lemma 2.1 without an
+/// executor in scope. Its ledger holds the one Part I record: under
+/// [`FractionalMethod::DistributedMwu`] the exact rounds and messages of
+/// [`lp::central_mwu_reference`], charged (bit-identical to the engine run,
+/// proptest-enforced); under [`FractionalMethod::Kw05`], which has no
+/// central replay, a measured run on [`SyncExecutor`].
 pub fn initial_fractional_solution(
     graph: &Graph,
     config: &InitialSolutionConfig,
@@ -124,42 +124,20 @@ pub fn initial_fractional_solution(
     let epsilon = config.epsilon.max(1e-6);
     let mut ledger = RoundLedger::new();
 
-    let (values, lower_bound) = match &config.method {
+    let values = match &config.method {
         FractionalMethod::DistributedMwu(mwu_config) => {
-            let cfg = distributed_mwu_config(mwu_config, epsilon);
-            // The solver's central oracle: bit-identical to the engine run
-            // the composed pipeline performs, rounds and messages included
-            // (proptest-enforced), so this wrapper stays usable without an
-            // executor in scope.
-            let replay = lp::central_mwu_reference(graph, &cfg);
+            let replay =
+                lp::central_mwu_reference(graph, &distributed_mwu_config(mwu_config, epsilon));
             ledger.charge(
                 part_one("part I: distributed MWU covering LP (central oracle)")
                     .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
                 replay.rounds,
                 replay.messages,
             );
-            (
-                replay.assignment.values().to_vec(),
-                lp::dual_lower_bound(graph),
-            )
-        }
-        FractionalMethod::Mwu(lp_config) => {
-            let mut cfg = lp_config.clone();
-            cfg.epsilon = (epsilon / 2.0).min(cfg.epsilon);
-            let sol = lp::solve_fractional_mds(graph, &cfg);
-            ledger.charge(
-                part_one("part I: KMW06 fractional solution (MWU stand-in)")
-                    .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
-                sol.iterations as u64 * 2,
-                sol.iterations as u64 * 2 * graph.m() as u64,
-            );
-            (sol.assignment.values().to_vec(), sol.dual_lower_bound)
+            replay.assignment.values().to_vec()
         }
         FractionalMethod::Kw05 { k } => {
             let k = k.unwrap_or_else(|| kw05::default_k(graph));
-            // Measured on the sequential engine even here: KW05 has no
-            // central replay. The composed pipeline runs the same programs
-            // on the caller's executor.
             let report = SyncExecutor
                 .run(
                     graph,
@@ -172,29 +150,15 @@ pub fn initial_fractional_solution(
                 part_one("part I: KW05 local fractional solution (measured)")
                     .with_formula(formulas::kw05_rounds(k)),
             );
-            (report.outputs, lp::dual_lower_bound(graph))
-        }
-        FractionalMethod::DegreeHeuristic => {
-            ledger.charge(
-                part_one("part I: degree heuristic"),
-                2,
-                2 * graph.m() as u64,
-            );
-            (
-                lp::degree_heuristic(graph).values().to_vec(),
-                lp::dual_lower_bound(graph),
-            )
+            report.outputs
         }
     };
 
-    // The fractionality floor of Lemma 2.1's proof.
     let (assignment, floor) = apply_lemma21_floor(graph, values, epsilon);
-    ledger.charge(part_one("part I: fractionality floor"), 0, 0);
-
     InitialSolution {
         assignment,
         floor,
-        lp_lower_bound: lower_bound,
+        lp_lower_bound: lp::dual_lower_bound(graph),
         ledger,
     }
 }
@@ -220,26 +184,22 @@ mod tests {
         // On a Δ-regular-ish graph, the floor adds at most (ε/2 + o(1))·OPT.
         let g = generators::cycle(90);
         let eps = 0.5;
-        let cfg = InitialSolutionConfig {
-            epsilon: eps,
-            method: FractionalMethod::DegreeHeuristic,
-        };
-        let out = initial_fractional_solution(&g, &cfg);
-        let base = lp::degree_heuristic(&g).size();
+        let base = lp::degree_heuristic(&g);
+        let (floored, floor) = apply_lemma21_floor(&g, base.values().to_vec(), eps);
+        assert!(floored.is_feasible_dominating_set(&g));
+        assert!(floored.fractionality() >= floor - 1e-12);
         // floor adds ≤ n·ε/(2Δ̃) = 90·0.5/6 = 7.5, but values are already
         // above the floor on a cycle, so only the transmittable round-up adds
         // anything: at most n·2^-ι ≤ n^-9.
-        assert!(out.assignment.size() <= base + 1e-9);
+        assert!(floored.size() <= base.size() + 1e-9);
     }
 
     #[test]
     fn all_four_methods_are_feasible() {
         let g = generators::gnp(50, 0.1, 9);
         for method in [
-            FractionalMethod::DistributedMwu(crate::lp::DistributedLpConfig::default()),
-            FractionalMethod::Mwu(LpConfig::with_epsilon(0.2)),
+            FractionalMethod::DistributedMwu(DistributedLpConfig::default()),
             FractionalMethod::Kw05 { k: None },
-            FractionalMethod::DegreeHeuristic,
         ] {
             let cfg = InitialSolutionConfig {
                 epsilon: 0.3,
@@ -248,6 +208,7 @@ mod tests {
             let out = initial_fractional_solution(&g, &cfg);
             assert!(out.assignment.is_feasible_dominating_set(&g));
             assert!(out.lp_lower_bound <= out.assignment.size() + 1e-9);
+            assert_eq!(out.ledger.phases().len(), 1);
         }
     }
 

@@ -6,15 +6,16 @@
 //!   Definition 2.1): feasibility, size and fractionality.
 //! * [`transmittable`] — CONGEST-transmittable values (multiples of `2^-ι`
 //!   with `2^-ι ≤ n^-10`, Section 2).
-//! * [`lp`] — a `(1+ε)`-approximate fractional dominating set via a
-//!   multiplicative-weights covering-LP solver; the quality stand-in for the
-//!   \[KMW06\] algorithm invoked by Lemma 2.1 (substitution R1 in `DESIGN.md`).
+//! * [`lp`] — a fractional dominating set via a distributed
+//!   multiplicative-weights covering-LP program with a bit-identical central
+//!   replay; the stand-in for the \[KMW06\] algorithm invoked by Lemma 2.1
+//!   (substitution R1 in `DESIGN.md`).
 //! * [`kw05`] — the strictly local, constant-time fractional algorithm of
 //!   Kuhn–Wattenhofer (2005), implemented as a genuine message-passing
 //!   [`congest_sim::NodeProgram`]; used as the "purely local" ablation.
-//! * [`lemma21`] — the Lemma 2.1 wrapper: run a fractional solver, then raise
-//!   every value to the floor `ε/(2·Δ̃)` so the result is `ε/(2Δ̃)`-fractional
-//!   while staying a `(1+ε)`-approximation.
+//! * [`lemma21`] — the Lemma 2.1 wrapper: run one of the two node-program
+//!   solvers, then raise every value to the floor `ε/(2·Δ̃)` so the result is
+//!   `ε/(2Δ̃)`-fractional while staying a `(1+ε)`-approximation.
 //!
 //! ```
 //! use mds_graphs::generators;

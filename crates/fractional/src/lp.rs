@@ -1,81 +1,30 @@
-//! `(1+ε)`-approximate fractional dominating sets via multiplicative weights.
+//! Fractional dominating sets via distributed multiplicative weights.
 //!
 //! Lemma 2.1 of the paper obtains its initial fractional solution from the
-//! distributed LP algorithm of \[KMW06\]. As documented in `DESIGN.md`
-//! (substitution R1), this crate reproduces the *output quality* of that
-//! algorithm in two ways:
+//! distributed `(1+ε)` LP algorithm of \[KMW06\]. As documented in
+//! `DESIGN.md` (substitution R1), this module stands in for that algorithm
+//! with [`DistributedLpProgram`], a genuine message-passing MWU
+//! solver built by [`DistributedLpProgram::programs`] and run by any
+//! [`congest_sim::Executor`]; each node outputs its value. Every
+//! width-reduction iteration costs four CONGEST rounds (value exchange,
+//! constraint weights, server scores, best-server maxima), and a node halts
+//! as soon as every constraint it serves is covered, so the total round
+//! count is **measured**: at most
+//! `congest_sim::ledger::formulas::mwu_fractional_rounds` (`4T + 1`), and
+//! below the paper's `O(ε⁻⁴ log² Δ)` charge
+//! (`formulas::kmw_fractional_rounds`). [`central_mwu_reference`] replays
+//! the same update and halting rules centrally and is bit-identical to the
+//! engine run, rounds, messages and payloads included — the oracle the
+//! property tests compare against.
 //!
-//! * [`solve_fractional_mds`] — the centralized reference: a classic
-//!   multiplicative-weights (Plotkin–Shmoys–Tardos style) solver for pure
-//!   covering LPs combined with a binary search over the budget. Round costs
-//!   can only be *charged* in closed form.
-//! * [`DistributedLpProgram`] — a genuine message-passing MWU solver,
-//!   built by [`DistributedLpProgram::programs`] and run by any
-//!   [`congest_sim::Executor`]; each node outputs its value. Every
-//!   width-reduction iteration costs four CONGEST rounds (value exchange,
-//!   constraint weights, server scores, best-server maxima), and a node halts
-//!   as soon as every constraint it serves is covered, so the total round
-//!   count is **measured**: at most
-//!   `congest_sim::ledger::formulas::mwu_fractional_rounds` (`4T + 1`), and
-//!   below the paper's `O(ε⁻⁴ log² Δ)` charge
-//!   (`formulas::kmw_fractional_rounds`). [`central_mwu_reference`] replays
-//!   the same update and halting rules centrally and is bit-identical to the
-//!   engine run, rounds, messages and payloads included — the oracle the
-//!   property tests compare against.
-//!
-//! The solver also exposes [`dual_lower_bound`], a certified feasible solution
-//! of the dual packing LP, used by the experiments to bound the optimum from
-//! below on instances too large for the exact solver.
+//! The module also exposes [`dual_lower_bound`], a certified feasible
+//! solution of the dual packing LP, used by the experiments to bound the
+//! optimum from below on instances too large for the exact solver, and the
+//! always-feasible [`degree_heuristic`].
 
 use crate::cfds::FractionalAssignment;
 use congest_sim::ledger::formulas;
 use congest_sim::{Graph, Inbox, NodeContext, NodeProgram, Outbox, RoundAction};
-
-/// Configuration of the multiplicative-weights fractional solver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LpConfig {
-    /// Target accuracy ε; the returned solution has size at most
-    /// `(1 + O(ε))` times the LP optimum (empirically verified in E1/E2).
-    pub epsilon: f64,
-    /// Multiplicative-weights iterations per feasibility check; `None`
-    /// selects `ceil(4 ln(n) / ε²)` capped at [`LpConfig::MAX_ITERATIONS`].
-    pub iterations: Option<usize>,
-    /// Number of binary-search steps over the budget λ.
-    pub binary_search_steps: usize,
-}
-
-impl LpConfig {
-    /// Cap on automatically chosen iteration counts.
-    pub const MAX_ITERATIONS: usize = 400;
-
-    /// Config with a given ε and default iteration counts.
-    pub fn with_epsilon(epsilon: f64) -> Self {
-        LpConfig {
-            epsilon,
-            iterations: None,
-            binary_search_steps: 22,
-        }
-    }
-}
-
-impl Default for LpConfig {
-    fn default() -> Self {
-        LpConfig::with_epsilon(0.1)
-    }
-}
-
-/// Result of the fractional solver.
-#[derive(Debug, Clone)]
-pub struct LpSolution {
-    /// The feasible fractional dominating set.
-    pub assignment: FractionalAssignment,
-    /// Its size `Σ x(v)`.
-    pub size: f64,
-    /// A certified lower bound on the LP optimum (dual feasible value).
-    pub dual_lower_bound: f64,
-    /// Total multiplicative-weights iterations performed.
-    pub iterations: usize,
-}
 
 /// A certified lower bound on the dominating-set LP optimum: the value of the
 /// dual-feasible packing solution `y_v = 1 / max_{u ∈ N(v)} |N(u)|`.
@@ -97,8 +46,8 @@ pub fn dual_lower_bound(graph: &Graph) -> f64 {
 }
 
 /// The simple always-feasible degree heuristic
-/// `x(u) = max_{w ∈ N(u)} 1/|N(w)|` (inclusive neighborhoods). Used as a
-/// warm start and as a baseline in the ablation experiments.
+/// `x(u) = max_{w ∈ N(u)} 1/|N(w)|` (inclusive neighborhoods): a cheap
+/// feasible input for the rounding experiments (E6, E7) and the tests.
 pub fn degree_heuristic(graph: &Graph) -> FractionalAssignment {
     let values = graph
         .nodes()
@@ -110,155 +59,6 @@ pub fn degree_heuristic(graph: &Graph) -> FractionalAssignment {
         })
         .collect();
     FractionalAssignment::from_values(values)
-}
-
-/// Solves the dominating-set LP to `(1+O(ε))` accuracy.
-///
-/// Returns the all-zero assignment for the empty graph.
-pub fn solve_fractional_mds(graph: &Graph, config: &LpConfig) -> LpSolution {
-    let n = graph.n();
-    if n == 0 {
-        return LpSolution {
-            assignment: FractionalAssignment::zeros(0),
-            size: 0.0,
-            dual_lower_bound: 0.0,
-            iterations: 0,
-        };
-    }
-    let eps = config.epsilon.clamp(1e-3, 0.5);
-    let t = config
-        .iterations
-        .unwrap_or_else(|| ((4.0 * (n.max(2) as f64).ln() / (eps * eps)).ceil() as usize).max(8))
-        .min(LpConfig::MAX_ITERATIONS);
-
-    let lower = dual_lower_bound(graph).max(1.0);
-    let upper = n as f64;
-
-    // The degree heuristic is always feasible; keep it as the incumbent.
-    let mut best = degree_heuristic(graph);
-    let mut best_size = best.size();
-    let mut total_iterations = 0usize;
-
-    let mut lo = lower;
-    let mut hi = upper.min(best_size).max(lower);
-    for _ in 0..config.binary_search_steps {
-        if hi - lo <= eps * lower.max(1e-9) {
-            break;
-        }
-        let lambda = 0.5 * (lo + hi);
-        total_iterations += t;
-        match feasibility_check(graph, lambda, eps, t) {
-            Some(candidate) => {
-                let size = candidate.size();
-                if size < best_size {
-                    best_size = size;
-                    best = candidate;
-                }
-                hi = lambda;
-            }
-            None => {
-                lo = lambda;
-            }
-        }
-    }
-
-    debug_assert!(best.is_feasible_dominating_set(graph));
-    LpSolution {
-        size: best_size,
-        assignment: best,
-        dual_lower_bound: dual_lower_bound(graph),
-        iterations: total_iterations,
-    }
-}
-
-/// One multiplicative-weights feasibility check: is there a fractional
-/// dominating set of size roughly `lambda`? Returns a feasible solution of
-/// size at most `lambda / (1 - 2ε)`-ish when the answer is yes.
-fn feasibility_check(
-    graph: &Graph,
-    lambda: f64,
-    eps: f64,
-    iterations: usize,
-) -> Option<FractionalAssignment> {
-    let n = graph.n();
-    let eta = eps;
-    let mut weights = vec![1.0f64; n];
-    let mut x_bar = vec![0.0f64; n];
-
-    for _ in 0..iterations {
-        // Oracle: distribute a budget of `lambda`, capped at 1 per node, on
-        // the nodes whose inclusive neighborhoods carry the most constraint
-        // weight.
-        let total_w: f64 = weights.iter().sum();
-        if total_w <= 0.0 {
-            break;
-        }
-        let mut score: Vec<(f64, usize)> = graph
-            .nodes()
-            .map(|u| {
-                let s: f64 = graph.inclusive_neighbors(u).map(|v| weights[v.0]).sum();
-                (s, u.0)
-            })
-            .collect();
-        score.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut x_t = vec![0.0f64; n];
-        let mut budget = lambda;
-        for &(_, u) in &score {
-            if budget <= 0.0 {
-                break;
-            }
-            let take = budget.min(1.0);
-            x_t[u] = take;
-            budget -= take;
-        }
-
-        // Losses: truncated coverage per constraint; covered constraints lose
-        // weight.
-        for v in graph.nodes() {
-            let cov: f64 = graph.inclusive_neighbors(v).map(|u| x_t[u.0]).sum();
-            let loss = cov.min(1.0);
-            weights[v.0] *= (-eta * loss).exp();
-        }
-        // Renormalize to avoid underflow on long runs.
-        let max_w = weights.iter().cloned().fold(0.0f64, f64::max);
-        if max_w > 0.0 && max_w < 1e-100 {
-            for w in weights.iter_mut() {
-                *w /= max_w;
-            }
-        }
-        for (acc, &v) in x_bar.iter_mut().zip(x_t.iter()) {
-            *acc += v;
-        }
-    }
-
-    let scale = 1.0 / iterations.max(1) as f64;
-    let averaged: Vec<f64> = x_bar.iter().map(|&v| v * scale).collect();
-    // Scale up so that the least covered constraint reaches 1.
-    let min_cov = graph
-        .nodes()
-        .map(|v| {
-            graph
-                .inclusive_neighbors(v)
-                .map(|u| averaged[u.0])
-                .sum::<f64>()
-        })
-        .fold(f64::INFINITY, f64::min);
-    if !(min_cov.is_finite() && min_cov > 1e-12) {
-        return None;
-    }
-    let rescale = (1.0 / min_cov).max(1.0);
-    let values: Vec<f64> = averaged.iter().map(|&v| (v * rescale).min(1.0)).collect();
-    let candidate = FractionalAssignment::from_values(values);
-    if !candidate.is_feasible_dominating_set(graph) {
-        return None;
-    }
-    // Accept only if the blow-up stayed within the MWU guarantee; otherwise
-    // λ was (effectively) infeasible.
-    if candidate.size() <= lambda * (1.0 + 4.0 * eps) + 1e-9 {
-        Some(candidate)
-    } else {
-        None
-    }
 }
 
 /// Tolerance below which a constraint counts as covered (matches the
@@ -669,44 +469,16 @@ mod tests {
     }
 
     #[test]
-    fn star_lp_is_one() {
-        let g = generators::star(50);
-        let sol = solve_fractional_mds(&g, &LpConfig::with_epsilon(0.1));
-        assert!(sol.assignment.is_feasible_dominating_set(&g));
-        assert!(sol.size <= 1.3, "star LP optimum is 1, got {}", sol.size);
-        assert!(sol.dual_lower_bound <= sol.size + 1e-9);
-    }
-
-    #[test]
-    fn complete_graph_lp_is_one() {
-        let g = generators::complete(20);
-        let sol = solve_fractional_mds(&g, &LpConfig::with_epsilon(0.1));
-        assert!(sol.assignment.is_feasible_dominating_set(&g));
-        assert!(sol.size <= 1.3, "K_n LP optimum is 1, got {}", sol.size);
-    }
-
-    #[test]
-    fn cycle_lp_close_to_n_over_three() {
-        let g = generators::cycle(30);
-        let sol = solve_fractional_mds(&g, &LpConfig::with_epsilon(0.1));
-        assert!(sol.assignment.is_feasible_dominating_set(&g));
-        // LP optimum of C_30 is exactly 10.
-        assert!(sol.size <= 10.0 * 1.35, "got {}", sol.size);
-        assert!(sol.size >= 10.0 - 1e-6);
-        assert!((sol.dual_lower_bound - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn dual_lower_bound_is_valid_on_random_graphs() {
         for seed in 0..3 {
             let g = generators::gnp(60, 0.1, seed);
             let lb = dual_lower_bound(&g);
-            let sol = solve_fractional_mds(&g, &LpConfig::default());
-            assert!(sol.assignment.is_feasible_dominating_set(&g));
+            let (primal, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
+            assert!(primal.is_feasible_dominating_set(&g));
             assert!(
-                lb <= sol.size + 1e-9,
+                lb <= primal.size() + 1e-9,
                 "dual {lb} must lower-bound primal {}",
-                sol.size
+                primal.size()
             );
         }
     }
@@ -719,23 +491,6 @@ mod tests {
         }
         let g = generators::caterpillar(10, 4);
         assert!(degree_heuristic(&g).is_feasible_dominating_set(&g));
-    }
-
-    #[test]
-    fn empty_graph_is_handled() {
-        let g = congest_sim::Graph::empty(0);
-        let sol = solve_fractional_mds(&g, &LpConfig::default());
-        assert_eq!(sol.size, 0.0);
-        assert_eq!(sol.iterations, 0);
-    }
-
-    #[test]
-    fn isolated_nodes_force_full_values() {
-        let g = congest_sim::Graph::empty(5);
-        let sol = solve_fractional_mds(&g, &LpConfig::default());
-        assert!(sol.assignment.is_feasible_dominating_set(&g));
-        assert!((sol.size - 5.0).abs() < 1e-6);
-        assert_eq!(dual_lower_bound(&g), 5.0);
     }
 
     /// Asserts that `report` has exactly the replay's rounds, messages and
@@ -859,25 +614,12 @@ mod tests {
     fn distributed_mwu_cycle_is_within_doubling_of_lp() {
         let g = generators::cycle(30);
         let (out, _) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
-        // LP optimum of C_30 is 10; a (1+ε)-ladder overshoots each value by
-        // at most (1+ε), so the size stays close.
+        // LP optimum of C_30 is 10, and the dual bound certifies it exactly;
+        // a (1+ε)-ladder overshoots each value by at most (1+ε), so the size
+        // stays close.
+        assert!((dual_lower_bound(&g) - 10.0).abs() < 1e-9);
+        assert!(out.size() >= 10.0 - 1e-6);
         assert!(out.size() <= 14.0, "{}", out.size());
-    }
-
-    #[test]
-    fn distributed_mwu_quality_is_close_to_the_central_reference_solver() {
-        for seed in 0..3 {
-            let g = generators::gnp(60, 0.1, seed + 20);
-            let central = solve_fractional_mds(&g, &LpConfig::with_epsilon(0.1));
-            let (distributed, _) =
-                run_measured(&g, &DistributedLpConfig::with_epsilon(0.1), &SyncExecutor);
-            assert!(
-                distributed.size() <= central.size * 2.0 + 1.0,
-                "seed {seed}: distributed {} vs central {}",
-                distributed.size(),
-                central.size
-            );
-        }
     }
 
     #[test]
@@ -886,6 +628,7 @@ mod tests {
         let (out, report) = run_measured(&g, &DistributedLpConfig::default(), &SyncExecutor);
         assert!(out.is_feasible_dominating_set(&g));
         assert!((out.size() - 5.0).abs() < 1e-6);
+        assert_eq!(dual_lower_bound(&g), 5.0);
         let replay = central_mwu_reference(&g, &DistributedLpConfig::default());
         assert_eq!(replay.assignment.values(), out.values());
         assert_counts_match(&report, &replay);
@@ -898,25 +641,5 @@ mod tests {
             &report0,
             &central_mwu_reference(&g0, &DistributedLpConfig::default()),
         );
-    }
-
-    #[test]
-    fn solver_beats_degree_heuristic_on_stars_of_stars() {
-        // A graph where the degree heuristic is noticeably suboptimal: a star
-        // whose leaves form a clique among themselves.
-        let n = 30;
-        let mut edges = vec![];
-        for v in 1..n {
-            edges.push((0, v));
-        }
-        for u in 1..6 {
-            for v in (u + 1)..6 {
-                edges.push((u, v));
-            }
-        }
-        let g = congest_sim::Graph::from_edges(n, &edges).unwrap();
-        let heur = degree_heuristic(&g).size();
-        let sol = solve_fractional_mds(&g, &LpConfig::with_epsilon(0.05));
-        assert!(sol.size <= heur + 1e-9);
     }
 }

@@ -69,25 +69,9 @@ impl BipartiteGraph {
         self.right_adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Iterates over all edges as `(left, right)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.left_adj
-            .iter()
-            .enumerate()
-            .flat_map(|(l, rs)| rs.iter().map(move |&r| (l, r)))
-    }
-}
-
-/// The bipartite representation `B_G` of a graph `G` (Section 3.3): left nodes
-/// are constraint copies, right nodes are value copies, both indexed by the
-/// original node index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BipartiteRepresentation {
-    bipartite: BipartiteGraph,
-}
-
-impl BipartiteRepresentation {
-    /// Builds `B_G` from `G`.
+    /// The bipartite representation `B_G` of `graph` (Section 3.3): left
+    /// nodes are constraint copies, right nodes are value copies, both
+    /// indexed by the original node index.
     pub fn from_graph(graph: &Graph) -> Self {
         let n = graph.n();
         let mut b = BipartiteGraph::new(n, n);
@@ -98,12 +82,15 @@ impl BipartiteRepresentation {
                 b.add_edge(v.0, u.0);
             }
         }
-        BipartiteRepresentation { bipartite: b }
+        b
     }
 
-    /// The underlying bipartite graph.
-    pub fn graph(&self) -> &BipartiteGraph {
-        &self.bipartite
+    /// Iterates over all edges as `(left, right)` pairs.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.left_adj
+            .iter()
+            .enumerate()
+            .flat_map(|(l, rs)| rs.iter().map(move |&r| (l, r)))
     }
 }
 
@@ -137,8 +124,7 @@ mod tests {
     #[test]
     fn representation_of_path() {
         let g = generators::path(3);
-        let rep = BipartiteRepresentation::from_graph(&g);
-        let b = rep.graph();
+        let b = BipartiteGraph::from_graph(&g);
         assert_eq!(b.left_count(), 3);
         assert_eq!(b.right_count(), 3);
         // Constraint node of the middle vertex sees all three value copies.
@@ -154,18 +140,12 @@ mod tests {
     #[test]
     fn representation_degrees_match_inclusive_degrees() {
         let g = generators::generate(&crate::GraphFamily::Gnp { n: 40, p: 0.1 }, 3);
-        let rep = BipartiteRepresentation::from_graph(&g);
+        let b = BipartiteGraph::from_graph(&g);
         for v in g.nodes() {
-            assert_eq!(
-                rep.graph().neighbors_of_left(v.0).len(),
-                g.inclusive_degree(v)
-            );
-            assert_eq!(
-                rep.graph().neighbors_of_right(v.0).len(),
-                g.inclusive_degree(v)
-            );
+            assert_eq!(b.neighbors_of_left(v.0).len(), g.inclusive_degree(v));
+            assert_eq!(b.neighbors_of_right(v.0).len(), g.inclusive_degree(v));
         }
-        assert_eq!(rep.graph().edges().count(), g.n() + 2 * g.m());
+        assert_eq!(b.edges().count(), g.n() + 2 * g.m());
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod analysis;
 pub mod bipartite;
 pub mod generators;
 
-pub use bipartite::{BipartiteGraph, BipartiteRepresentation};
+pub use bipartite::BipartiteGraph;
 pub use generators::GraphFamily;

@@ -242,7 +242,7 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn mismatched_assignment_panics() {
         let g = generators::path(4);
-        let x = FractionalAssignment::zeros(3);
+        let x = FractionalAssignment::from_values(vec![0.0; 3]);
         let _ = OneShotRounding::on_graph(&g, &x);
     }
 }

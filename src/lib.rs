@@ -8,8 +8,8 @@
 //!
 //! * [`congest`] — the CONGEST/LOCAL round-synchronous simulator.
 //! * [`graphs`] — graph generators, analysis, bipartite representations.
-//! * [`fractional`] — constrained fractional dominating sets and the
-//!   KMW-style `(1+ε)`-approximate fractional solver (Lemma 2.1).
+//! * [`fractional`] — constrained fractional dominating sets and the two
+//!   Part I node-program solvers of Lemma 2.1 (distributed MWU, KW05).
 //! * [`rounding`] — the abstract randomized rounding process, `k`-wise
 //!   independent coins and conditional-expectation derandomization
 //!   (Section 3.1–3.3).

@@ -16,7 +16,7 @@ use congest_mds::decomposition::coloring::{
     distance_two_coloring_programs, verify_bipartite_coloring,
 };
 use congest_mds::fractional::lp;
-use congest_mds::graphs::bipartite::{BipartiteGraph, BipartiteRepresentation};
+use congest_mds::graphs::bipartite::BipartiteGraph;
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::problem_bipartite;
 use congest_mds::rounding::one_shot::OneShotRounding;
@@ -121,12 +121,12 @@ proptest! {
         threads in 2usize..6,
     ) {
         let graph = sweep_graph(which, size, seed);
-        let rep = BipartiteRepresentation::from_graph(&graph);
+        let rep = BipartiteGraph::from_graph(&graph);
         let owners: Vec<usize> = (0..graph.n()).collect();
         let targets = pick_targets(graph.n(), selector);
         assert_conformance(
             &graph,
-            rep.graph(),
+            &rep,
             &owners,
             &targets,
             forced_threads(threads),

@@ -8,19 +8,6 @@ use congest_mds::graphs::generators::{self, GraphFamily};
 use congest_mds::mds::pipeline::{theorem_1_1, theorem_1_2, DerandRoute, MdsConfig};
 use congest_mds::mds::{exact, greedy, verify};
 
-fn quick_config() -> MdsConfig {
-    MdsConfig {
-        fractional: congest_mds::fractional::lemma21::FractionalMethod::Mwu(
-            congest_mds::fractional::lp::LpConfig {
-                epsilon: 0.2,
-                iterations: Some(60),
-                binary_search_steps: 10,
-            },
-        ),
-        ..MdsConfig::default()
-    }
-}
-
 fn families() -> Vec<GraphFamily> {
     vec![
         GraphFamily::Gnp { n: 60, p: 0.08 },
@@ -39,7 +26,7 @@ fn families() -> Vec<GraphFamily> {
 
 #[test]
 fn both_theorems_dominate_every_family() {
-    let config = quick_config();
+    let config = MdsConfig::default();
     for family in families() {
         let graph = generators::generate(&family, 7);
         for result in [theorem_1_1(&graph, &config), theorem_1_2(&graph, &config)] {
@@ -55,7 +42,7 @@ fn both_theorems_dominate_every_family() {
 
 #[test]
 fn approximation_guarantee_vs_exact_optimum() {
-    let config = quick_config();
+    let config = MdsConfig::default();
     for family in [
         GraphFamily::Gnp { n: 32, p: 0.15 },
         GraphFamily::Grid { rows: 5, cols: 6 },
@@ -82,9 +69,33 @@ fn approximation_guarantee_vs_exact_optimum() {
     }
 }
 
+/// The distributed MWU solver's fractional size stays within a factor two
+/// (plus one) of the exact integral optimum, which bounds the LP optimum
+/// from above.
+#[test]
+fn distributed_mwu_quality_is_within_twice_the_exact_optimum() {
+    use congest_mds::congest::{Executor, ExecutorConfig, SyncExecutor};
+    use congest_mds::fractional::lp::{DistributedLpConfig, DistributedLpProgram};
+
+    for seed in 20..23 {
+        let graph = generators::gnp(60, 0.1, seed);
+        let opt = exact::exact_mds(&graph, 64).expect("small instance").size() as f64;
+        let programs =
+            DistributedLpProgram::programs(&graph, &DistributedLpConfig::with_epsilon(0.1));
+        let report = SyncExecutor
+            .run(&graph, programs, &ExecutorConfig::default())
+            .unwrap();
+        let size: f64 = report.outputs.iter().sum();
+        assert!(
+            size <= 2.0 * opt + 1.0,
+            "seed {seed}: distributed {size} vs OPT {opt}"
+        );
+    }
+}
+
 #[test]
 fn deterministic_results_are_reproducible() {
-    let config = quick_config();
+    let config = MdsConfig::default();
     let graph = generators::generate(&GraphFamily::Gnp { n: 50, p: 0.1 }, 9);
     let a = theorem_1_1(&graph, &config);
     let b = theorem_1_1(&graph, &config);
@@ -100,7 +111,7 @@ fn deterministic_results_are_reproducible() {
 
 #[test]
 fn cds_extension_preserves_domination_and_connectivity() {
-    let config = quick_config();
+    let config = MdsConfig::default();
     for family in [
         GraphFamily::Gnp { n: 60, p: 0.1 },
         GraphFamily::Grid { rows: 8, cols: 8 },
@@ -128,7 +139,7 @@ fn cds_extension_preserves_domination_and_connectivity() {
 
 #[test]
 fn ledger_reports_sane_round_counts() {
-    let config = quick_config();
+    let config = MdsConfig::default();
     let graph = generators::generate(&GraphFamily::Gnp { n: 80, p: 0.06 }, 2);
     let t11 = theorem_1_1(&graph, &config);
     let t12 = theorem_1_2(&graph, &config);
@@ -144,8 +155,10 @@ fn ledger_reports_sane_round_counts() {
 #[test]
 fn explicit_route_selection_matches_wrappers() {
     let graph = generators::generate(&GraphFamily::Gnp { n: 40, p: 0.12 }, 4);
-    let mut config = quick_config();
-    config.route = DerandRoute::Coloring;
+    let config = MdsConfig {
+        route: DerandRoute::Coloring,
+        ..MdsConfig::default()
+    };
     let direct = congest_mds::mds::pipeline::run(&graph, &config);
     let wrapper = theorem_1_2(&graph, &config);
     assert_eq!(direct.dominating_set, wrapper.dominating_set);
