@@ -22,14 +22,18 @@
 //! exact drift in rounds/messages/sizes, a wall-time regression beyond the
 //! 30% / 100 ms gate, a schema mismatch, or a missing run.
 //!
-//! `--exp` with no id, or with an id other than `e1`..`e10` / `all`, is a
-//! usage error (exit code 2).
+//! `--exp all` (the default) prints the ten tables in order, each followed by
+//! a blank line and flushed as soon as it is done, so a table that fails
+//! leaves the finished ones on stdout. `--exp` with no id, or with an id
+//! other than `e1`..`e10` / `all`, is a usage error (exit code 2).
 //!
 //! `--executor-sweep` runs the flood throughput benchmark on cycles, sparse
 //! `G(n, 2n)` graphs, stars and unit-disk graphs, plus its sleeping variant
 //! on the `G(n, 2n)` and unit-disk graphs, at decade sizes up to `max_n`
 //! (default 10⁶) on the sequential executor and the worker pool and prints
 //! the speedup table.
+
+use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -104,11 +108,16 @@ fn main() {
             }
         },
     };
-    match mds_bench::run_experiment(exp) {
-        Some(tables) => print!("{tables}"),
-        None => {
+    let (ids, separator) = match exp {
+        "all" => ((1..=10).map(|i| format!("e{i}")).collect(), "\n"),
+        id => (vec![id.to_owned()], ""),
+    };
+    for id in ids {
+        let Some(table) = mds_bench::run_experiment(&id) else {
             eprintln!("unknown experiment id {exp:?}; expected e1..e10 or all");
             std::process::exit(2);
-        }
+        };
+        print!("{table}{separator}");
+        std::io::stdout().flush().expect("stdout is writable");
     }
 }

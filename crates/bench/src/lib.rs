@@ -405,7 +405,7 @@ pub fn e9_ablations() -> String {
     }
 
     let config = MdsConfig {
-        fractional: FractionalMethod::Kw05 { k: None },
+        fractional: FractionalMethod::Kw05,
         ..MdsConfig::default()
     };
     let r = theorem_1_1(&g, &config);
@@ -480,8 +480,8 @@ pub fn e10_decomposition_quality() -> String {
     out
 }
 
-/// Runs one experiment by id (`"e1"`..`"e10"`); `"all"` runs every experiment.
-/// Returns `None` for any other id.
+/// Runs one experiment by id (`"e1"`..`"e10"`) and returns its Markdown
+/// table. Returns `None` for any other id.
 pub fn run_experiment(id: &str) -> Option<String> {
     Some(match id {
         "e1" => e1_approximation_vs_exact(),
@@ -494,10 +494,6 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "e8" => e8_cds_overhead(),
         "e9" => e9_ablations(),
         "e10" => e10_decomposition_quality(),
-        "all" => (1..=10)
-            .filter_map(|i| run_experiment(&format!("e{i}")))
-            .map(|table| table + "\n")
-            .collect(),
         _ => return None,
     })
 }

@@ -7,7 +7,8 @@
 //! type, so no single [`crate::engine::Executor::run`] call can drive the
 //! whole pipeline. A [`ComposedProgram`] closes that gap: it owns the graph,
 //! the executor and one [`RoundLedger`], and [`ComposedProgram::measured`]
-//! runs each phase's node programs on the engine and records the run as one
+//! runs each phase's node programs on the engine under the default
+//! [`ExecutorConfig`] and records the run as one
 //! measured [`crate::PhaseCost`] stamped with its engine wall time, in
 //! execution order. Every record of a composed ledger is therefore an engine
 //! run. Typed state flows between phases as ordinary Rust values — the
@@ -17,7 +18,7 @@
 //!
 //! ```
 //! use congest_sim::{ComposedProgram, PhaseKind, PhaseMode, PhaseSpec};
-//! use congest_sim::{Graph, SyncExecutor, ExecutorConfig};
+//! use congest_sim::{Graph, SyncExecutor};
 //! # use congest_sim::{Inbox, NodeContext, NodeProgram, Outbox, RoundAction};
 //! # struct Noop;
 //! # impl NodeProgram for Noop {
@@ -28,7 +29,7 @@
 //! #         -> RoundAction<usize> { RoundAction::Halt(ctx.id.0) }
 //! # }
 //! let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-//! let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
+//! let mut composed = ComposedProgram::new(&g, &SyncExecutor);
 //! let ids = composed
 //!     .measured(
 //!         PhaseSpec::new(PhaseKind::Other, "identify"),
@@ -53,24 +54,22 @@ use crate::Graph;
 pub struct ComposedProgram<'a, E: Executor> {
     graph: &'a Graph,
     executor: &'a E,
-    config: ExecutorConfig,
     ledger: RoundLedger,
 }
 
 impl<'a, E: Executor> ComposedProgram<'a, E> {
     /// Creates a composition over `graph` driven by `executor`; every
-    /// measured phase runs under `config`.
+    /// measured phase runs under [`ExecutorConfig::default`].
     ///
     /// Eagerly builds the graph's shared `crate::topology` routing table,
     /// so every measured phase (and any later run on the same graph) reuses
     /// one `O(m log Δ)` setup *and* the build cost is attributed to
     /// composition setup rather than to the first phase's wall time.
-    pub fn new(graph: &'a Graph, executor: &'a E, config: ExecutorConfig) -> Self {
+    pub fn new(graph: &'a Graph, executor: &'a E) -> Self {
         graph.warm_topology();
         ComposedProgram {
             graph,
             executor,
-            config,
             ledger: RoundLedger::new(),
         }
     }
@@ -99,7 +98,9 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
         P::Output: Send,
     {
         let started = std::time::Instant::now();
-        let report = self.executor.run(self.graph, programs, &self.config)?;
+        let report = self
+            .executor
+            .run(self.graph, programs, &ExecutorConfig::default())?;
         let wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.ledger.phases.push(report.cost(spec, wall_nanos));
         Ok(report)
@@ -182,7 +183,7 @@ mod tests {
     #[test]
     fn heterogeneous_phases_share_one_ledger_and_carry_state() {
         let g = path(4);
-        let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
+        let mut composed = ComposedProgram::new(&g, &SyncExecutor);
 
         // Phase 1: integer messages.
         let mins = composed
@@ -221,7 +222,7 @@ mod tests {
     #[test]
     fn engine_errors_propagate_out_of_measured_phases() {
         let g = path(3);
-        let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
+        let mut composed = ComposedProgram::new(&g, &SyncExecutor);
         // Wrong program count.
         let err = composed
             .measured(

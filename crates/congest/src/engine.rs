@@ -73,38 +73,30 @@ use std::error::Error;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 
-/// Configuration of an [`Executor`] run.
+/// Configuration of an [`Executor`] run. Every run is charged against the
+/// CONGEST budget [`crate::congest_bandwidth_bits`] of its graph and records
+/// one [`RoundStats`] entry per round; only the round limit and what a
+/// message over the budget does are settable.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Abort with [`ExecutionError::RoundLimitExceeded`] after this many rounds.
     pub max_rounds: u64,
-    /// Bandwidth budget per message in bits; `None` selects
-    /// [`crate::congest_bandwidth_bits`] for the graph (CONGEST). Use a huge
-    /// budget to simulate the LOCAL model (all charging is saturating, so
-    /// `usize::MAX` is safe).
-    pub bandwidth_bits: Option<usize>,
     /// If `true`, a message exceeding the budget aborts the run; if `false`
     /// the violation is only counted in the report.
     pub enforce_bandwidth: bool,
-    /// If `true` (the default), the report carries one [`RoundStats`] entry
-    /// per executed round. Disable for very long runs where only totals
-    /// matter.
-    pub record_round_stats: bool,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             max_rounds: 1_000_000,
-            bandwidth_bits: None,
             enforce_bandwidth: false,
-            record_round_stats: true,
         }
     }
 }
 
 impl ExecutorConfig {
-    /// A strict CONGEST configuration: the default bandwidth is enforced.
+    /// A strict CONGEST configuration: the bandwidth budget is enforced.
     pub fn strict_congest() -> Self {
         ExecutorConfig {
             enforce_bandwidth: true,
@@ -150,7 +142,7 @@ pub struct RunReport<O> {
     pub bandwidth_violations: u64,
     /// The bandwidth budget the run was charged against.
     pub bandwidth_bits: usize,
-    /// Per-round statistics (empty if `record_round_stats` was off).
+    /// Per-round statistics, one entry per round from `0` (init) on.
     pub round_stats: Vec<RoundStats>,
 }
 
@@ -504,8 +496,8 @@ pub(crate) fn merged_inbox<'a, M>(
     Inbox::over(graph.neighbors(v), slots, table)
 }
 
-/// Running totals for the charging path. All accumulation is saturating so a
-/// LOCAL-model `usize::MAX` budget (or absurdly long runs) cannot overflow.
+/// Running totals for the charging path. All accumulation is saturating so
+/// absurdly long runs cannot overflow.
 /// Saturating `u64` addition is associative (it is ordinary addition clamped
 /// at a ceiling none of the partial sums can exceed without the total also
 /// exceeding it), which is what lets [`RoundFold`] fold per-block sub-totals
@@ -860,7 +852,6 @@ pub enum Verdict {
 pub struct RoundFold<'g> {
     graph: &'g Graph,
     max_rounds: u64,
-    record_round_stats: bool,
     bandwidth: usize,
     enforce: bool,
     acct: Accounting,
@@ -890,10 +881,7 @@ impl<'g> RoundFold<'g> {
         Ok(RoundFold {
             graph,
             max_rounds: config.max_rounds,
-            record_round_stats: config.record_round_stats,
-            bandwidth: config
-                .bandwidth_bits
-                .unwrap_or_else(|| crate::congest_bandwidth_bits(n)),
+            bandwidth: crate::congest_bandwidth_bits(n),
             enforce: config.enforce_bandwidth,
             acct: Accounting::default(),
             round_stats: Vec::new(),
@@ -901,11 +889,6 @@ impl<'g> RoundFold<'g> {
             rounds: 0,
             error: None,
         })
-    }
-
-    /// The bandwidth budget the run is charged against, in bits.
-    pub fn bandwidth(&self) -> usize {
-        self.bandwidth
     }
 
     /// The block of nodes `first..first + programs.len()`, running
@@ -950,14 +933,12 @@ impl<'g> RoundFold<'g> {
         }
         self.acct.fold(&round);
         self.halted += newly;
-        if self.record_round_stats {
-            self.round_stats.push(RoundStats {
-                round: self.rounds,
-                messages: round.messages,
-                bits: round.bits,
-                halted: self.halted,
-            });
-        }
+        self.round_stats.push(RoundStats {
+            round: self.rounds,
+            messages: round.messages,
+            bits: round.bits,
+            halted: self.halted,
+        });
         if self.halted == self.graph.n() {
             Verdict::Stop
         } else if self.rounds >= self.max_rounds {
@@ -1269,23 +1250,6 @@ mod tests {
             .run(&g, programs, &ExecutorConfig::strict_congest())
             .unwrap_err();
         assert!(matches!(err, ExecutionError::BandwidthExceeded { .. }));
-
-        // The same messages are fine in the LOCAL model, and the saturating
-        // charging path digests the usize::MAX budget without overflow.
-        let programs: Vec<_> = (0..2).map(|_| FatMessage).collect();
-        let report = SyncExecutor
-            .run(
-                &g,
-                programs,
-                &ExecutorConfig {
-                    bandwidth_bits: Some(usize::MAX),
-                    ..ExecutorConfig::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(report.bandwidth_violations, 0);
-        assert_eq!(report.bandwidth_bits, usize::MAX);
-        assert!(report.total_bits > 0);
     }
 
     /// Sends twice to the same neighbor in one round: the engine charges both

@@ -466,23 +466,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pooled_matches_sequential_without_round_stats() {
-        let g = path_graph(9);
-        let config = ExecutorConfig {
-            record_round_stats: false,
-            ..ExecutorConfig::default()
-        };
-        let seq = SyncExecutor
-            .run(&g, min_id_programs(9, 9), &config)
-            .unwrap();
-        let pooled = PooledExecutor::new(4)
-            .run(&g, min_id_programs(9, 9), &config)
-            .unwrap();
-        assert_eq!(seq, pooled);
-        assert!(pooled.round_stats.is_empty());
-    }
-
     /// Sends to a non-neighbor at a configurable node and round.
     struct BadSender {
         bad_node: usize,

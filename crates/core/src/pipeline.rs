@@ -45,8 +45,7 @@
 
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    ComposedProgram, Executor, ExecutorConfig, Graph, NodeId, PhaseKind, PhaseSpec, RoundLedger,
-    SyncExecutor,
+    ComposedProgram, Executor, Graph, NodeId, PhaseKind, PhaseSpec, RoundLedger, SyncExecutor,
 };
 use mds_decomposition::coloring::{
     assemble_coloring, bipartite_distance_two_coloring, distance_two_coloring_programs,
@@ -61,26 +60,31 @@ use mds_fractional::lemma21::{
     apply_lemma21_floor, distributed_mwu_config, initial_fractional_solution, FractionalMethod,
     InitialSolutionConfig,
 };
-use mds_fractional::lp::{dual_lower_bound, DistributedLpProgram};
+use mds_fractional::lp::{dual_lower_bound, DistributedLpConfig, DistributedLpProgram};
 use mds_fractional::FractionalAssignment;
 use mds_graphs::BipartiteGraph;
 use mds_rounding::derandomize::{
     assemble_derand_outputs, derandomize, scheduled_derand_programs, DerandSchedule,
     DerandomizeConfig,
 };
-use mds_rounding::factor_two::{paper_r_threshold, FactorTwoConfig, FactorTwoRounding};
+use mds_rounding::factor_two::{
+    paper_r_threshold, paper_split_size, FactorTwoConfig, FactorTwoRounding,
+};
 use mds_rounding::one_shot::OneShotRounding;
 use mds_rounding::problem::RoundingProblem;
 use mds_rounding::EstimatorKind;
 
+/// The separation `k` of the Theorem 1.1 route's network decomposition:
+/// Lemma 3.4 derandomizes over a 2-hop decomposition, whose same-colored
+/// clusters are at distance `> 2` and so share no constraint.
+pub const SEPARATION: usize = 2;
+
 /// Which derandomization machinery drives the pipeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DerandRoute {
-    /// Theorem 1.1: 2-hop network decomposition, runtime as a function of `n`.
-    NetworkDecomposition {
-        /// Separation parameter of the decomposition (the paper uses 2).
-        k: usize,
-    },
+    /// Theorem 1.1: a [`SEPARATION`]-hop network decomposition (Lemma 3.4),
+    /// runtime as a function of `n`.
+    NetworkDecomposition,
     /// Theorem 1.2: distance-two colorings of the degree-reduced bipartite
     /// representation, runtime as a function of `Δ` (CONGEST model).
     Coloring,
@@ -110,10 +114,8 @@ impl Default for MdsConfig {
     fn default() -> Self {
         MdsConfig {
             epsilon: 0.5,
-            route: DerandRoute::NetworkDecomposition { k: 2 },
-            fractional: FractionalMethod::DistributedMwu(
-                mds_fractional::lp::DistributedLpConfig::default(),
-            ),
+            route: DerandRoute::NetworkDecomposition,
+            fractional: FractionalMethod::DistributedMwu,
             estimator: EstimatorKind::default(),
             concentration_scale: 0.02,
             max_doubling_iterations: 40,
@@ -332,6 +334,8 @@ where
     let eps2 = (config.epsilon / (4.0 * rho)).max(1e-4);
     let f_target =
         paper_r_threshold(config.epsilon, delta_tilde, config.concentration_scale).max(4.0);
+    let split_size =
+        paper_split_size(config.epsilon, delta_tilde, config.concentration_scale).max(2);
     let mut iteration = 0usize;
     loop {
         let r = 1.0 / assignment.fractionality().max(1e-12);
@@ -339,25 +343,14 @@ where
             break;
         }
         iteration += 1;
-        let ft_config = FactorTwoConfig {
-            epsilon: eps2,
-            r,
-            split_size: Some(
-                mds_rounding::factor_two::paper_split_size(
-                    config.epsilon,
-                    delta_tilde,
-                    config.concentration_scale,
-                )
-                .max(2),
-            ),
-            concentration_scale: config.concentration_scale,
-        };
-        let problem = match &config.route {
-            DerandRoute::NetworkDecomposition { .. } => {
+        let ft_config = FactorTwoConfig { epsilon: eps2, r };
+        let problem = match config.route {
+            DerandRoute::NetworkDecomposition => {
                 FactorTwoRounding::on_graph(graph, &assignment, &ft_config).into_problem()
             }
             DerandRoute::Coloring | DerandRoute::ColoringLocal => {
-                FactorTwoRounding::bipartite_split(graph, &assignment, &ft_config).into_problem()
+                FactorTwoRounding::bipartite_split(graph, &assignment, &ft_config, split_size)
+                    .into_problem()
             }
         };
         assignment = round_step(&problem);
@@ -376,8 +369,8 @@ where
         assignment
     } else {
         let f_actual = (1.0 / assignment.fractionality().max(1e-12)).ceil() as usize;
-        let problem = match &config.route {
-            DerandRoute::NetworkDecomposition { .. } => {
+        let problem = match config.route {
+            DerandRoute::NetworkDecomposition => {
                 OneShotRounding::on_graph(graph, &assignment).into_problem()
             }
             DerandRoute::Coloring | DerandRoute::ColoringLocal => {
@@ -416,7 +409,7 @@ fn nd_groups_of(nd: &NetworkDecomposition) -> Vec<Vec<usize>> {
 fn part_one_config(config: &MdsConfig) -> InitialSolutionConfig {
     InitialSolutionConfig {
         epsilon: (config.epsilon / 4.0).clamp(1e-3, 0.25),
-        method: config.fractional.clone(),
+        method: config.fractional,
     }
 }
 
@@ -437,14 +430,14 @@ pub fn run(graph: &Graph, config: &MdsConfig) -> MdsResult {
 /// (property-tested); only this run's ledger carries the pipeline's round
 /// accounting.
 pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> MdsResult {
-    let mut composer = ComposedProgram::new(graph, executor, ExecutorConfig::default());
+    let mut composer = ComposedProgram::new(graph, executor);
 
     // ---- Part I: initial fractional solution (Lemma 2.1), one measured
     // phase; the floor is local arithmetic and spends no round. ----
     let eps1 = part_one_config(config).epsilon;
-    let values = match &config.fractional {
-        FractionalMethod::DistributedMwu(mwu_config) => {
-            let cfg = distributed_mwu_config(mwu_config, eps1);
+    let values = match config.fractional {
+        FractionalMethod::DistributedMwu => {
+            let cfg = distributed_mwu_config(&DistributedLpConfig::default(), eps1);
             let formula = if graph.n() == 0 {
                 0
             } else {
@@ -471,8 +464,8 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             );
             report.outputs
         }
-        FractionalMethod::Kw05 { k } => {
-            let k = k.unwrap_or_else(|| kw05::default_k(graph));
+        FractionalMethod::Kw05 => {
+            let k = kw05::default_k(graph);
             composer
                 .measured(
                     PhaseSpec::new(
@@ -493,12 +486,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
     // engine: the pure carving schedule runs as per-phase BFS join waves
     // (substitution R2 made measured), bit-identical to the central
     // [`strong_diameter_decomposition`] oracle by construction. ----
-    let decomposition = match &config.route {
-        DerandRoute::NetworkDecomposition { k } => {
-            let k = (*k).max(1);
+    let decomposition = match config.route {
+        DerandRoute::NetworkDecomposition => {
             let (programs, schedule) =
-                netdecomp_programs(graph, k, &DecompositionConfig::default());
-            let charge = formulas::netdecomp_charge_rounds(graph.n(), k);
+                netdecomp_programs(graph, SEPARATION, &DecompositionConfig::default());
+            let charge = formulas::netdecomp_charge_rounds(graph.n(), SEPARATION);
             let report = composer
                 .measured(
                     PhaseSpec::new(
@@ -566,10 +558,12 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
 /// so Lemma 2.1 runs it on the engine).
 pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
     let initial = initial_fractional_solution(graph, &part_one_config(config));
-    let nd_groups = match &config.route {
-        DerandRoute::NetworkDecomposition { k } => Some(nd_groups_of(
-            &strong_diameter_decomposition(graph, (*k).max(1), &DecompositionConfig::default()),
-        )),
+    let nd_groups = match config.route {
+        DerandRoute::NetworkDecomposition => {
+            let nd =
+                strong_diameter_decomposition(graph, SEPARATION, &DecompositionConfig::default());
+            Some(nd_groups_of(&nd))
+        }
         DerandRoute::Coloring | DerandRoute::ColoringLocal => None,
     };
     let (assignment, stages) = rounding_parts(graph, config, initial.assignment, |problem| {
@@ -607,9 +601,7 @@ pub fn theorem_1_1(graph: &Graph, config: &MdsConfig) -> MdsResult {
 /// Theorem 1.1 on an arbitrary [`Executor`].
 pub fn theorem_1_1_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> MdsResult {
     let mut config = config.clone();
-    if !matches!(config.route, DerandRoute::NetworkDecomposition { .. }) {
-        config.route = DerandRoute::NetworkDecomposition { k: 2 };
-    }
+    config.route = DerandRoute::NetworkDecomposition;
     run_on(graph, &config, executor)
 }
 
@@ -636,7 +628,9 @@ pub fn corollary_1_3(graph: &Graph, config: &MdsConfig) -> MdsResult {
 mod tests {
     use super::*;
     use crate::verify::is_dominating_set;
-    use congest_sim::{ExecutionError, NodeProgram, PhaseMode, PooledExecutor, RunReport};
+    use congest_sim::{
+        ExecutionError, ExecutorConfig, NodeProgram, PhaseMode, PooledExecutor, RunReport,
+    };
     use mds_graphs::generators;
     use PhaseKind::{Coloring, Derandomization, Fractional, NetDecomp};
     use PhaseMode::Measured;
@@ -647,7 +641,7 @@ mod tests {
 
     fn kw05_config() -> MdsConfig {
         MdsConfig {
-            fractional: FractionalMethod::Kw05 { k: None },
+            fractional: FractionalMethod::Kw05,
             ..MdsConfig::default()
         }
     }
@@ -686,12 +680,9 @@ mod tests {
         for seed in 0..3 {
             let g = generators::gnp(45, 0.1, seed + 30);
             for config in [quick_config(), kw05_config()] {
-                for route in [
-                    DerandRoute::NetworkDecomposition { k: 2 },
-                    DerandRoute::Coloring,
-                ] {
+                for route in [DerandRoute::NetworkDecomposition, DerandRoute::Coloring] {
                     let config = MdsConfig {
-                        route: route.clone(),
+                        route,
                         ..config.clone()
                     };
                     let oracle = central_oracle(&g, &config);
@@ -951,10 +942,7 @@ mod tests {
         // Experiment E5's tiny concentration scale runs enough factor-two
         // iterations that a rounding step is left with no coin.
         let g = generators::gnp(40, 0.08, 2);
-        for route in [
-            DerandRoute::NetworkDecomposition { k: 2 },
-            DerandRoute::Coloring,
-        ] {
+        for route in [DerandRoute::NetworkDecomposition, DerandRoute::Coloring] {
             let config = MdsConfig {
                 route,
                 concentration_scale: 0.0005,
@@ -1020,7 +1008,7 @@ mod tests {
         let g = generators::gnp(60, 0.1, 3);
         let config = MdsConfig {
             route: DerandRoute::Coloring,
-            fractional: FractionalMethod::Kw05 { k: None },
+            fractional: FractionalMethod::Kw05,
             ..quick_config()
         };
         let result = run(&g, &config);
@@ -1040,17 +1028,11 @@ mod tests {
     #[test]
     fn central_oracle_ledger_is_its_part_one_record() {
         let g = generators::gnp(60, 0.1, 3);
-        for fractional in [
-            quick_config().fractional,
-            FractionalMethod::Kw05 { k: None },
-        ] {
-            for route in [
-                DerandRoute::Coloring,
-                DerandRoute::NetworkDecomposition { k: 2 },
-            ] {
+        for fractional in [quick_config().fractional, FractionalMethod::Kw05] {
+            for route in [DerandRoute::Coloring, DerandRoute::NetworkDecomposition] {
                 let config = MdsConfig {
                     route,
-                    fractional: fractional.clone(),
+                    fractional,
                     ..quick_config()
                 };
                 let part_one = initial_fractional_solution(&g, &part_one_config(&config));
@@ -1065,36 +1047,26 @@ mod tests {
 
     #[test]
     fn measured_part_one_equals_the_lemma_charge_on_both_routes() {
-        // The golden's instance: by default every node halts early (502 of
-        // 4T + 1 = 745 rounds); cut to T = 20, constraints are still
-        // uncovered at the end and the completion round runs (4T + 1 = 81).
+        // The golden's instance: every node halts early (502 of
+        // 4T + 1 = 745 rounds). The completion round of a truncated run is
+        // covered by `lp::tests`.
         let g = generators::gnp(40, 0.12, 7);
-        let truncated = FractionalMethod::DistributedMwu(mds_fractional::lp::DistributedLpConfig {
-            epsilon: 0.25,
-            iterations: Some(20),
-        });
-        for (fractional, rounds) in [(quick_config().fractional, 502), (truncated, 81)] {
-            for route in [
-                DerandRoute::Coloring,
-                DerandRoute::NetworkDecomposition { k: 2 },
-            ] {
-                let config = MdsConfig {
-                    route,
-                    fractional: fractional.clone(),
-                    ..quick_config()
-                };
-                let charged = initial_fractional_solution(&g, &part_one_config(&config)).ledger;
-                let charged = &charged.phases()[0];
-                let measured = run(&g, &config).ledger;
-                let measured = &measured.phases()[0];
-                assert_eq!((measured.kind, measured.mode), (Fractional, Measured));
-                assert_eq!(measured.simulated_rounds, rounds);
-                assert_eq!(
-                    (measured.simulated_rounds, measured.messages),
-                    (charged.simulated_rounds, charged.messages),
-                    "{config:?}"
-                );
-            }
+        for route in [DerandRoute::Coloring, DerandRoute::NetworkDecomposition] {
+            let config = MdsConfig {
+                route,
+                ..quick_config()
+            };
+            let charged = initial_fractional_solution(&g, &part_one_config(&config)).ledger;
+            let charged = &charged.phases()[0];
+            let measured = run(&g, &config).ledger;
+            let measured = &measured.phases()[0];
+            assert_eq!((measured.kind, measured.mode), (Fractional, Measured));
+            assert_eq!(measured.simulated_rounds, 502);
+            assert_eq!(
+                (measured.simulated_rounds, measured.messages),
+                (charged.simulated_rounds, charged.messages),
+                "{config:?}"
+            );
         }
     }
 
@@ -1130,17 +1102,11 @@ mod tests {
     #[test]
     fn every_measured_phase_runs_on_the_callers_executor() {
         let g = generators::gnp(60, 0.1, 3);
-        for fractional in [
-            quick_config().fractional,
-            FractionalMethod::Kw05 { k: None },
-        ] {
-            for route in [
-                DerandRoute::Coloring,
-                DerandRoute::NetworkDecomposition { k: 2 },
-            ] {
+        for fractional in [quick_config().fractional, FractionalMethod::Kw05] {
+            for route in [DerandRoute::Coloring, DerandRoute::NetworkDecomposition] {
                 let config = MdsConfig {
                     route,
-                    fractional: fractional.clone(),
+                    fractional,
                     ..quick_config()
                 };
                 let counting = CountingExecutor::default();
@@ -1168,17 +1134,11 @@ mod tests {
             generators::gnp(256, 0.03, 2),
             generators::unit_disk(300, 0.1, 1),
         ] {
-            for fractional in [
-                quick_config().fractional,
-                FractionalMethod::Kw05 { k: None },
-            ] {
-                for route in [
-                    DerandRoute::Coloring,
-                    DerandRoute::NetworkDecomposition { k: 2 },
-                ] {
+            for fractional in [quick_config().fractional, FractionalMethod::Kw05] {
+                for route in [DerandRoute::Coloring, DerandRoute::NetworkDecomposition] {
                     let config = MdsConfig {
                         route,
-                        fractional: fractional.clone(),
+                        fractional,
                         ..quick_config()
                     };
                     let counting = CountingExecutor::default();

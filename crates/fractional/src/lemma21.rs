@@ -26,20 +26,20 @@ use congest_sim::{
     Executor, ExecutorConfig, Graph, PhaseKind, PhaseSpec, RoundLedger, SyncExecutor,
 };
 
-/// Which fractional solver produces the pre-floor solution.
-#[derive(Debug, Clone, PartialEq)]
+/// Which fractional solver produces the pre-floor solution. Neither takes
+/// parameters: each runs with the fixed setting its variant documents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FractionalMethod {
     /// The distributed multiplicative-weights covering-LP solver
-    /// ([`lp::DistributedLpProgram`], substitution R1 in `DESIGN.md`): at
+    /// ([`lp::DistributedLpProgram`], substitution R1 in `DESIGN.md`) under
+    /// [`distributed_mwu_config`] of the default [`DistributedLpConfig`]: at
     /// most `4T+1` rounds, and a node halts once every constraint it serves
     /// is covered. The default.
-    DistributedMwu(DistributedLpConfig),
-    /// The strictly local KW05 algorithm with locality parameter `k`
-    /// (`O(log Δ)` quality, `O(k²)` rounds); the purely local ablation.
-    Kw05 {
-        /// Locality parameter; `None` selects `ceil(log2 Δ̃)`.
-        k: Option<usize>,
-    },
+    DistributedMwu,
+    /// The strictly local KW05 algorithm with locality parameter
+    /// [`kw05::default_k`] `= ⌈log₂ Δ̃⌉` (`O(log Δ)` quality, `O(k²)`
+    /// rounds); the purely local ablation.
+    Kw05,
 }
 
 /// Configuration of [`initial_fractional_solution`].
@@ -55,7 +55,7 @@ impl Default for InitialSolutionConfig {
     fn default() -> Self {
         InitialSolutionConfig {
             epsilon: 0.25,
-            method: FractionalMethod::DistributedMwu(DistributedLpConfig::default()),
+            method: FractionalMethod::DistributedMwu,
         }
     }
 }
@@ -124,10 +124,12 @@ pub fn initial_fractional_solution(
     let epsilon = config.epsilon.max(1e-6);
     let mut ledger = RoundLedger::new();
 
-    let values = match &config.method {
-        FractionalMethod::DistributedMwu(mwu_config) => {
-            let replay =
-                lp::central_mwu_reference(graph, &distributed_mwu_config(mwu_config, epsilon));
+    let values = match config.method {
+        FractionalMethod::DistributedMwu => {
+            let replay = lp::central_mwu_reference(
+                graph,
+                &distributed_mwu_config(&DistributedLpConfig::default(), epsilon),
+            );
             ledger.charge(
                 part_one("part I: distributed MWU covering LP (central oracle)")
                     .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
@@ -136,8 +138,8 @@ pub fn initial_fractional_solution(
             );
             replay.assignment.values().to_vec()
         }
-        FractionalMethod::Kw05 { k } => {
-            let k = k.unwrap_or_else(|| kw05::default_k(graph));
+        FractionalMethod::Kw05 => {
+            let k = kw05::default_k(graph);
             let report = SyncExecutor
                 .run(
                     graph,
@@ -197,10 +199,7 @@ mod tests {
     #[test]
     fn all_four_methods_are_feasible() {
         let g = generators::gnp(50, 0.1, 9);
-        for method in [
-            FractionalMethod::DistributedMwu(DistributedLpConfig::default()),
-            FractionalMethod::Kw05 { k: None },
-        ] {
+        for method in [FractionalMethod::DistributedMwu, FractionalMethod::Kw05] {
             let cfg = InitialSolutionConfig {
                 epsilon: 0.3,
                 method,

@@ -22,8 +22,10 @@
 //! The paper's constants `r ≥ 256·ε⁻³·ln Δ̃` and `s = 64·ε⁻²·ln Δ̃` are
 //! provided by [`paper_r_threshold`] and [`paper_split_size`]; they are far
 //! too large to be exercised on laptop-scale graphs (the paper itself notes
-//! that Part II is skipped for small Δ), so the experiment harness scales them
-//! down via [`FactorTwoConfig::concentration_scale`] (substitution R6).
+//! that Part II is skipped for small Δ), so both take a `scale` argument, and
+//! the pipeline passes its `MdsConfig::concentration_scale` (substitution
+//! R6). The caller computes `s` and hands it to
+//! [`FactorTwoRounding::bipartite_split`].
 
 use crate::problem::RoundingProblem;
 use congest_sim::{Graph, NodeId};
@@ -42,7 +44,7 @@ pub fn paper_split_size(epsilon: f64, delta_tilde: usize, scale: f64) -> usize {
     (((64.0 * scale) * eps.powi(-2) * (delta_tilde.max(2) as f64).ln()).ceil() as usize).max(1)
 }
 
-/// Parameters of a factor-two rounding step.
+/// Parameters of one doubling step starting from a `1/r`-fractional input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorTwoConfig {
     /// The ε of the step (values are boosted by `1+ε`).
@@ -50,25 +52,6 @@ pub struct FactorTwoConfig {
     /// The fractionality parameter `r`: nodes with boosted value `< 2/r`
     /// participate in the rounding.
     pub r: f64,
-    /// Split size `s` for the bipartite construction; `None` selects the
-    /// (scaled) paper value.
-    pub split_size: Option<usize>,
-    /// Scale factor applied to the paper's constants 256 and 64
-    /// (substitution R6); `1.0` reproduces the paper exactly.
-    pub concentration_scale: f64,
-}
-
-impl FactorTwoConfig {
-    /// A configuration for one doubling step starting from a `1/r`-fractional
-    /// input.
-    pub fn new(epsilon: f64, r: f64) -> Self {
-        FactorTwoConfig {
-            epsilon,
-            r,
-            split_size: None,
-            concentration_scale: 1.0,
-        }
-    }
 }
 
 /// Builder for factor-two rounding problems.
@@ -100,22 +83,17 @@ impl FactorTwoRounding {
         FactorTwoRounding { problem, threshold }
     }
 
-    /// Lemma 3.14 instantiation: the bipartite representation with split
-    /// constraints.
+    /// Lemma 3.14 instantiation: the bipartite representation with every
+    /// constraint's participating members split into pieces of `s` to
+    /// `2s - 1` (the pipeline passes the scaled [`paper_split_size`]).
     pub fn bipartite_split(
         graph: &Graph,
         x_prime: &FractionalAssignment,
         config: &FactorTwoConfig,
+        s: usize,
     ) -> Self {
         assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
         let threshold = 2.0 / config.r.max(2.0);
-        let s = config.split_size.unwrap_or_else(|| {
-            paper_split_size(
-                config.epsilon,
-                graph.delta_tilde(),
-                config.concentration_scale,
-            )
-        });
         let mut problem = RoundingProblem::new(graph.n());
         // One value node per original node, exactly as in `on_graph`.
         for v in graph.nodes() {
@@ -234,12 +212,18 @@ mod tests {
         let x = FractionalAssignment::from_values(vec![1.0 / 8.0; 24]);
         // r = 8: threshold 2/r = 0.25; boosted values (1.1/8 ≈ 0.1375) < 0.25,
         // so everyone participates.
-        let cfg = FactorTwoConfig::new(0.1, 8.0);
+        let cfg = FactorTwoConfig {
+            epsilon: 0.1,
+            r: 8.0,
+        };
         let b = FactorTwoRounding::on_graph(&g, &x, &cfg);
         assert!(b.problem().values.iter().all(|v| v.participates()));
         // r = 2: threshold 1.0; still everyone participates (values < 1).
         // r huge: threshold tiny; nobody participates.
-        let cfg = FactorTwoConfig::new(0.1, 1e9);
+        let cfg = FactorTwoConfig {
+            epsilon: 0.1,
+            r: 1e9,
+        };
         let b = FactorTwoRounding::on_graph(&g, &x, &cfg);
         assert!(b.problem().values.iter().all(|v| !v.participates()));
     }
@@ -248,7 +232,10 @@ mod tests {
     fn output_fractionality_roughly_doubles() {
         let g = generators::cycle(36);
         let x = FractionalAssignment::from_values(vec![1.0 / 12.0; 36]);
-        let cfg = FactorTwoConfig::new(0.25, 12.0);
+        let cfg = FactorTwoConfig {
+            epsilon: 0.25,
+            r: 12.0,
+        };
         let problem = FactorTwoRounding::on_graph(&g, &x, &cfg).into_problem();
         let out = derandomize(&problem, &DerandomizeConfig::default());
         // All surviving non-zero values are either doubled low values or 1s
@@ -268,7 +255,10 @@ mod tests {
         let g = generators::gnp(60, 0.15, 4);
         let x = small_fractional(&g, 8.0);
         let a = x.size();
-        let cfg = FactorTwoConfig::new(0.25, 8.0);
+        let cfg = FactorTwoConfig {
+            epsilon: 0.25,
+            r: 8.0,
+        };
         let problem = FactorTwoRounding::on_graph(&g, &x, &cfg).into_problem();
         let out = derandomize(&problem, &DerandomizeConfig::default());
         assert!(out.output.is_feasible_dominating_set(&g));
@@ -289,10 +279,8 @@ mod tests {
         let cfg = FactorTwoConfig {
             epsilon: 0.25,
             r: 50.0,
-            split_size: Some(8),
-            concentration_scale: 1.0,
         };
-        let split = FactorTwoRounding::bipartite_split(&g, &x, &cfg);
+        let split = FactorTwoRounding::bipartite_split(&g, &x, &cfg, 8);
         assert!(split.max_participating_constraint_degree() <= 16);
         let full = FactorTwoRounding::on_graph(&g, &x, &cfg);
         assert_eq!(full.max_participating_constraint_degree(), 200);
@@ -307,10 +295,8 @@ mod tests {
         let cfg = FactorTwoConfig {
             epsilon: 0.3,
             r: 10.0,
-            split_size: Some(6),
-            concentration_scale: 1.0,
         };
-        let problem = FactorTwoRounding::bipartite_split(&g, &x, &cfg).into_problem();
+        let problem = FactorTwoRounding::bipartite_split(&g, &x, &cfg, 6).into_problem();
         let out = derandomize(&problem, &DerandomizeConfig::default());
         assert!(out.output.is_feasible_dominating_set(&g));
     }
@@ -322,10 +308,8 @@ mod tests {
         let cfg = FactorTwoConfig {
             epsilon: 0.2,
             r: 12.0,
-            split_size: Some(4),
-            concentration_scale: 1.0,
         };
-        let split = FactorTwoRounding::bipartite_split(&g, &x, &cfg);
+        let split = FactorTwoRounding::bipartite_split(&g, &x, &cfg, 4);
         // For every original node, the union of its split constraints' members
         // equals its inclusive neighborhood.
         use std::collections::BTreeSet;

@@ -25,7 +25,10 @@ use congest_sim::ExecutionError;
 /// v2: [`Accounting`] gained a `payloads` field and [`RoundPayload`] a
 /// `bcast` batch (one `(sender, payload)` entry per broadcasting node).
 /// v3: [`ExecutionError`] gained the `ProgramPanicked` tag.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v4: [`Hello`] dropped `bandwidth_bits` and `record_round_stats`: every
+/// run is charged against the CONGEST budget of its `n` and records round
+/// statistics, so neither can differ between two endpoints that agree on `n`.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// The handshake payload. Both endpoints send theirs first and verify the
 /// peer's before any round traffic: a mismatch anywhere except `role` means
@@ -45,12 +48,8 @@ pub struct Hello {
     pub split: usize,
     /// Configured round limit.
     pub max_rounds: u64,
-    /// Resolved bandwidth budget in bits.
-    pub bandwidth_bits: usize,
     /// Whether bandwidth is enforced.
     pub enforce_bandwidth: bool,
-    /// Whether per-round statistics are recorded.
-    pub record_round_stats: bool,
 }
 
 impl Hello {
@@ -63,9 +62,7 @@ impl Hello {
         self.slot_count.encode(&mut out);
         self.split.encode(&mut out);
         self.max_rounds.encode(&mut out);
-        self.bandwidth_bits.encode(&mut out);
         self.enforce_bandwidth.encode(&mut out);
-        self.record_round_stats.encode(&mut out);
         out
     }
 
@@ -80,12 +77,8 @@ impl Hello {
                 .ok_or(FrameError::BadPayload("hello.slot_count"))?,
             split: usize::decode(buf, pos).ok_or(FrameError::BadPayload("hello.split"))?,
             max_rounds: u64::decode(buf, pos).ok_or(FrameError::BadPayload("hello.max_rounds"))?,
-            bandwidth_bits: usize::decode(buf, pos)
-                .ok_or(FrameError::BadPayload("hello.bandwidth_bits"))?,
             enforce_bandwidth: bool::decode(buf, pos)
                 .ok_or(FrameError::BadPayload("hello.enforce_bandwidth"))?,
-            record_round_stats: bool::decode(buf, pos)
-                .ok_or(FrameError::BadPayload("hello.record_round_stats"))?,
         };
         if *pos != buf.len() {
             return Err(FrameError::BadPayload("hello has trailing bytes"));
@@ -187,9 +180,7 @@ mod tests {
             slot_count: 5998,
             split: 500,
             max_rounds: 1_000_000,
-            bandwidth_bits: 160,
             enforce_bandwidth: true,
-            record_round_stats: true,
         };
         let mut bytes = hello.encode();
         assert_eq!(Hello::decode(&bytes).unwrap(), hello);

@@ -263,8 +263,8 @@ impl SocketExecutor {
     /// Wraps an already-established session — e.g. one accepted from an
     /// ephemerally-bound [`SocketListener`], whose port the peer learned out
     /// of band. A session lost to a transport failure is not re-established
-    /// (the executor has no address to reconnect to); later runs fail with a
-    /// typed protocol error.
+    /// (the executor has no address to reconnect to); later runs abort like
+    /// any other wire-level failure, naming a protocol error.
     pub fn from_session(role: Role, session: SocketSession) -> SocketExecutor {
         SocketExecutor {
             endpoint: None,
@@ -283,44 +283,6 @@ impl SocketExecutor {
         }
         self
     }
-
-    /// This process's role, determined by how the executor was built.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
-    /// The typed-error twin of [`Executor::run`]: wire-level failures come
-    /// back as [`TransportError`] values instead of aborting.
-    pub fn run_transport<P: NodeProgram>(
-        &self,
-        graph: &Graph,
-        programs: Vec<P>,
-        config: &ExecutorConfig,
-    ) -> Result<RunReport<P::Output>, TransportError> {
-        let mut guard = self.session.lock().expect("session lock");
-        if guard.is_none() {
-            let Some(endpoint) = &self.endpoint else {
-                return Err(TransportError::Protocol(
-                    "the pre-established session was lost to an earlier transport failure"
-                        .to_string(),
-                ));
-            };
-            let mut session = match endpoint {
-                Endpoint::Listen(addr) => SocketListener::bind(addr.as_str())?.accept()?,
-                Endpoint::Connect(addr) => SocketSession::connect(addr.as_str(), self.timeout)?,
-            };
-            session.set_timeout(self.timeout);
-            *guard = Some(session);
-        }
-        let session = guard.as_mut().expect("session established above");
-        let result = session.run_program(self.role(), graph, programs, config);
-        if matches!(&result, Err(e) if !matches!(e, TransportError::Execution(_))) {
-            // The connection is desynchronized or dead; drop it so a later
-            // run re-establishes instead of exchanging garbage.
-            *guard = None;
-        }
-        result
-    }
 }
 
 impl Executor for SocketExecutor {
@@ -335,7 +297,33 @@ impl Executor for SocketExecutor {
         P::Message: Send + Sync,
         P::Output: Send,
     {
-        match self.run_transport(graph, programs, config) {
+        let mut guard = self.session.lock().expect("session lock");
+        let session = match (guard.take(), &self.endpoint) {
+            (Some(session), _) => Ok(session),
+            (None, Some(Endpoint::Listen(addr))) => {
+                SocketListener::bind(addr.as_str()).and_then(SocketListener::accept)
+            }
+            (None, Some(Endpoint::Connect(addr))) => {
+                SocketSession::connect(addr.as_str(), self.timeout)
+            }
+            (None, None) => Err(TransportError::Protocol(
+                "the pre-established session was lost to an earlier transport failure".to_string(),
+            )),
+        };
+        let result = session.and_then(|mut session| {
+            session.set_timeout(self.timeout);
+            let result = session.run_program(self.role, graph, programs, config);
+            // After a wire-level failure the connection is desynchronized or
+            // dead; it is dropped, so a later run re-establishes instead of
+            // exchanging garbage.
+            if matches!(result, Ok(_) | Err(TransportError::Execution(_))) {
+                *guard = Some(session);
+            }
+            result
+        });
+        // Unlocked before a panic, which would otherwise poison the mutex.
+        drop(guard);
+        match result {
             Ok(report) => Ok(report),
             Err(TransportError::Execution(e)) => Err(e),
             Err(e) => panic!("socket transport failure: {e}"),
@@ -518,9 +506,7 @@ fn run_session<P: NodeProgram>(
         slot_count: graph.slot_count(),
         split,
         max_rounds: config.max_rounds,
-        bandwidth_bits: fold.bandwidth(),
         enforce_bandwidth: config.enforce_bandwidth,
-        record_round_stats: config.record_round_stats,
     };
     session.send(FrameKind::Hello, &hello.encode())?;
     let (kind, peer_bytes) = session.recv()?;
@@ -548,17 +534,7 @@ fn run_session<P: NodeProgram>(
             hello.slot_count, peer.n, peer.slot_count, peer.split
         )));
     }
-    if (
-        peer.max_rounds,
-        peer.bandwidth_bits,
-        peer.enforce_bandwidth,
-        peer.record_round_stats,
-    ) != (
-        hello.max_rounds,
-        hello.bandwidth_bits,
-        hello.enforce_bandwidth,
-        hello.record_round_stats,
-    ) {
+    if (peer.max_rounds, peer.enforce_bandwidth) != (hello.max_rounds, hello.enforce_bandwidth) {
         return Err(TransportError::Protocol(
             "executor configuration skew between the two processes".to_string(),
         ));
@@ -739,23 +715,17 @@ mod tests {
     }
 
     /// The two-way split moves with `n`: even and odd paths down to one node
-    /// per shard, plus a star whose hub feeds both shards at once — with and
-    /// without per-round stats.
+    /// per shard, plus a star whose hub feeds both shards at once.
     #[test]
     fn socket_matches_sequential_bit_for_bit_across_splits() {
+        let config = ExecutorConfig::default();
         for g in (2..=7).map(path_graph).chain([star_graph(9)]) {
             let n = g.n();
-            for record_round_stats in [true, false] {
-                let config = ExecutorConfig {
-                    record_round_stats,
-                    ..ExecutorConfig::default()
-                };
-                let seq = SyncExecutor
-                    .run(&g, min_id_programs(n, 6), &config)
-                    .unwrap();
-                for report in run_both(&g, || min_id_programs(n, 6), &config) {
-                    assert_eq!(seq, report, "n={n} record_round_stats={record_round_stats}");
-                }
+            let seq = SyncExecutor
+                .run(&g, min_id_programs(n, 6), &config)
+                .unwrap();
+            for report in run_both(&g, || min_id_programs(n, 6), &config) {
+                assert_eq!(seq, report, "n={n}");
             }
         }
     }
@@ -991,9 +961,7 @@ mod tests {
                     slot_count,
                     split: 2,
                     max_rounds: config.max_rounds,
-                    bandwidth_bits: congest_sim::congest_bandwidth_bits(4),
                     enforce_bandwidth: config.enforce_bandwidth,
-                    record_round_stats: config.record_round_stats,
                 };
                 write_frame(&mut raw, FrameKind::Hello, &hello.encode()).unwrap();
                 let round: RoundPayload<NodeId, usize> = RoundPayload {
@@ -1022,39 +990,74 @@ mod tests {
         });
     }
 
+    /// Every handshake check refuses its skew with a typed protocol error on
+    /// each live endpoint. The leader always runs `path_graph(8)` under the
+    /// default configuration; the peer is a session that differs in one
+    /// respect, or (`None`) a hand-rolled peer whose hello carries the
+    /// previous protocol version.
     #[test]
-    fn handshake_rejects_topology_skew() {
-        let g_leader = path_graph(8);
-        let g_follower = path_graph(9);
-        let listener = SocketListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        thread::scope(|s| {
-            let follower = s.spawn(|| {
-                SocketSession::connect(addr, Duration::from_secs(10))
-                    .unwrap()
-                    .run_program(
-                        Role::Follower,
-                        &g_follower,
-                        min_id_programs(9, 4),
-                        &ExecutorConfig::default(),
-                    )
+    fn handshake_rejects_every_kind_of_skew() {
+        let default = ExecutorConfig::default();
+        let short = ExecutorConfig {
+            max_rounds: 10,
+            ..ExecutorConfig::default()
+        };
+        let strict = ExecutorConfig::strict_congest();
+        type Peer<'c> = Option<(Role, usize, &'c ExecutorConfig)>;
+        let cases: [(&str, Peer<'_>); 5] = [
+            ("topology skew", Some((Role::Follower, 9, &default))),
+            (
+                "both endpoints claim role",
+                Some((Role::Leader, 8, &default)),
+            ),
+            ("configuration skew", Some((Role::Follower, 8, &short))),
+            ("configuration skew", Some((Role::Follower, 8, &strict))),
+            ("protocol version skew", None),
+        ];
+        let g = path_graph(8);
+        let slot_count = g.slot_count();
+        for (expected, peer) in cases {
+            let listener = SocketListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            thread::scope(|s| {
+                let peer = s.spawn(move || {
+                    let Some((role, n, config)) = peer else {
+                        let mut raw = TcpStream::connect(addr).unwrap();
+                        let hello = Hello {
+                            version: PROTOCOL_VERSION - 1,
+                            role: 1,
+                            n: 8,
+                            slot_count,
+                            split: 4,
+                            max_rounds: default.max_rounds,
+                            enforce_bandwidth: default.enforce_bandwidth,
+                        };
+                        write_frame(&mut raw, FrameKind::Hello, &hello.encode()).unwrap();
+                        // Hold the connection until the leader hangs up.
+                        let _ = std::io::copy(&mut raw, &mut std::io::sink());
+                        return None;
+                    };
+                    let mut session =
+                        SocketSession::connect(addr, Duration::from_secs(10)).unwrap();
+                    session.set_timeout(Duration::from_secs(30));
+                    Some(session.run_program(role, &path_graph(n), min_id_programs(n, 4), config))
+                });
+                let leader = {
+                    let mut session = listener.accept().unwrap();
+                    session.set_timeout(Duration::from_secs(30));
+                    session.run_program(Role::Leader, &g, min_id_programs(8, 4), &default)
+                };
+                let peer = peer.join().expect("peer thread");
+                for result in std::iter::once(leader).chain(peer) {
+                    match result {
+                        Err(TransportError::Protocol(msg)) => {
+                            assert!(msg.contains(expected), "{expected}: got {msg}")
+                        }
+                        other => panic!("{expected}: expected a protocol error, got {other:?}"),
+                    }
+                }
             });
-            let leader = listener.accept().unwrap().run_program(
-                Role::Leader,
-                &g_leader,
-                min_id_programs(8, 4),
-                &ExecutorConfig::default(),
-            );
-            assert!(
-                matches!(leader, Err(TransportError::Protocol(_))),
-                "got {leader:?}"
-            );
-            let follower = follower.join().expect("follower thread");
-            assert!(
-                matches!(follower, Err(TransportError::Protocol(_))),
-                "got {follower:?}"
-            );
-        });
+        }
     }
 
     struct NeverHalts;

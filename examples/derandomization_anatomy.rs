@@ -13,7 +13,7 @@
 //! Run with `cargo run --example derandomization_anatomy`.
 
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{ComposedProgram, ExecutorConfig, PhaseKind, PhaseSpec, SyncExecutor};
+use congest_mds::congest::{ComposedProgram, PhaseKind, PhaseSpec, SyncExecutor};
 use congest_mds::fractional::lemma21::{initial_fractional_solution, InitialSolutionConfig};
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::color_problem;
@@ -95,7 +95,7 @@ fn main() {
     // programs — two CONGEST rounds per color class. The coloring above is
     // the central oracle and costs nothing here; the pipeline measures it as
     // an engine phase of its own.
-    let mut composed = ComposedProgram::new(&graph, &SyncExecutor, ExecutorConfig::default());
+    let mut composed = ComposedProgram::new(&graph, &SyncExecutor);
     let programs = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
         .expect("one-shot problems are graph-aligned");
     let report = composed

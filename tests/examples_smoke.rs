@@ -90,9 +90,7 @@ fn derandomization_anatomy_example_core_path() {
 
     // The example's final act: the same decisions as a measured engine run
     // through the composed-program API, bit-identical to the central oracle.
-    use congest_mds::congest::{
-        ComposedProgram, ExecutorConfig, PhaseKind, PhaseSpec, SyncExecutor,
-    };
+    use congest_mds::congest::{ComposedProgram, PhaseKind, PhaseSpec, SyncExecutor};
     use congest_mds::mds::pipeline::color_problem;
     use congest_mds::rounding::derandomize::{
         assemble_derand_outputs, scheduled_derand_programs, DerandSchedule,
@@ -109,7 +107,7 @@ fn derandomization_anatomy_example_core_path() {
             groups: Some(schedule.steps.clone()),
         },
     );
-    let mut composed = ComposedProgram::new(&graph, &SyncExecutor, ExecutorConfig::default());
+    let mut composed = ComposedProgram::new(&graph, &SyncExecutor);
     let programs = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
         .expect("one-shot problems are graph-aligned");
     let report = composed

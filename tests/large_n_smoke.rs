@@ -155,7 +155,7 @@ fn theorem_1_1_at_one_hundred_thousand_nodes_matches_the_oracle() {
     // Lemma 3.4 schedule fixes the coins of the sequential cluster order.
     let graph = generators::gnm(100_000, 400_000, 3);
     let config = MdsConfig {
-        route: DerandRoute::NetworkDecomposition { k: 2 },
+        route: DerandRoute::NetworkDecomposition,
         ..MdsConfig::default()
     };
     assert_engine_matches_oracle_at_scale(&graph, &config, "gnm n=10^5, Theorem 1.1");

@@ -45,7 +45,7 @@ impl NodeProgram for Noop {
 #[test]
 fn composer_rejects_phase_graph_misalignment_and_records_nothing() {
     let g = generators::path(4);
-    let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
+    let mut composed = ComposedProgram::new(&g, &SyncExecutor);
     // A phase sized for a different graph: 2 programs for 4 nodes.
     let err = composed
         .measured(spec("misaligned"), vec![Noop, Noop])
@@ -72,7 +72,7 @@ fn composer_rejects_phase_graph_misalignment_and_records_nothing() {
 #[test]
 fn composer_handles_the_empty_graph() {
     let g = Graph::empty(0);
-    let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
+    let mut composed = ComposedProgram::new(&g, &SyncExecutor);
     // A measured phase over zero nodes is legal and spends zero rounds.
     let report = composed
         .measured(spec("empty measured"), Vec::<Noop>::new())
@@ -290,7 +290,7 @@ fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
     assert_eq!(schedule.num_phases, 0);
     assert!(nd.clusters.is_empty());
     let nd_config = MdsConfig {
-        route: DerandRoute::NetworkDecomposition { k: 2 },
+        route: DerandRoute::NetworkDecomposition,
         ..MdsConfig::default()
     };
     let pipeline_run = pipeline::run(&empty, &nd_config);
@@ -349,7 +349,7 @@ fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
     // with the engine's alignment error and leaves no ledger trace — the
     // composer stays usable for the correctly sized decomposition phase.
     let (programs, _) = netdecomp_programs(&generators::path(4), 2, &config);
-    let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
+    let mut composed = ComposedProgram::new(&g, &SyncExecutor);
     let err = composed
         .measured(
             PhaseSpec::new(PhaseKind::NetDecomp, "misaligned netdecomp"),

@@ -503,7 +503,7 @@ proptest! {
         threads in 2usize..6,
     ) {
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
-        for route in [DerandRoute::NetworkDecomposition { k: 2 }, DerandRoute::Coloring] {
+        for route in [DerandRoute::NetworkDecomposition, DerandRoute::Coloring] {
             let config = MdsConfig { route, ..MdsConfig::default() };
             let oracle = pipeline::central_oracle(&graph, &config);
             let sync = pipeline::run(&graph, &config);
@@ -616,7 +616,7 @@ proptest! {
 
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
         let config = MdsConfig {
-            route: DerandRoute::NetworkDecomposition { k: 2 },
+            route: DerandRoute::NetworkDecomposition,
             ..MdsConfig::default()
         };
         let oracle = pipeline::central_oracle(&graph, &config);

@@ -310,7 +310,7 @@ proptest! {
         threads in 1usize..6,
     ) {
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
-        for route in [DerandRoute::NetworkDecomposition { k: 2 }, DerandRoute::Coloring] {
+        for route in [DerandRoute::NetworkDecomposition, DerandRoute::Coloring] {
             let config = MdsConfig { route, ..MdsConfig::default() };
             let sync = pipeline::run(&graph, &config);
             for backend in selected_backends(threads) {
