@@ -21,7 +21,7 @@ use mds_fractional::lemma21::FractionalMethod;
 use mds_fractional::lp;
 use mds_graphs::generators::{self, GraphFamily};
 use mds_rounding::kwise::KWiseGenerator;
-use mds_rounding::one_shot::OneShotRounding;
+use mds_rounding::one_shot;
 use mds_rounding::process::execute_with_rng;
 use mds_rounding::EstimatorKind;
 use rand::rngs::StdRng;
@@ -255,7 +255,7 @@ pub fn e6_violation_probabilities() -> String {
     ] {
         let g = generators::generate(&family, 2);
         let x = lp::degree_heuristic(&g);
-        let problem = OneShotRounding::on_graph(&g, &x).into_problem();
+        let problem = one_shot::on_graph(&g, &x);
         let mut violations = vec![0usize; problem.constraints.len()];
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..trials {
@@ -291,7 +291,7 @@ pub fn e7_kwise_independence() -> String {
     ]));
     let g = generators::gnp(100, 0.08, 6);
     let x = lp::degree_heuristic(&g);
-    let problem = OneShotRounding::on_graph(&g, &x).into_problem();
+    let problem = one_shot::on_graph(&g, &x);
     let trials = 120usize;
     let mut rng = StdRng::seed_from_u64(3);
     let independent_mean: f64 = (0..trials)

@@ -67,10 +67,8 @@ use mds_rounding::derandomize::{
     assemble_derand_outputs, derandomize, scheduled_derand_programs, DerandSchedule,
     DerandomizeConfig,
 };
-use mds_rounding::factor_two::{
-    paper_r_threshold, paper_split_size, FactorTwoConfig, FactorTwoRounding,
-};
-use mds_rounding::one_shot::OneShotRounding;
+use mds_rounding::factor_two::{self, paper_r_threshold, paper_split_size, FactorTwoConfig};
+use mds_rounding::one_shot;
 use mds_rounding::problem::RoundingProblem;
 use mds_rounding::EstimatorKind;
 
@@ -206,13 +204,13 @@ pub fn problem_bipartite(problem: &RoundingProblem) -> (BipartiteGraph, Vec<usiz
     (b, left_owner, problem.participating_values())
 }
 
-/// Builds the constraint/value bipartite graph of a rounding problem and
-/// colors its participating value nodes (Lemma 3.12 applied to the problem) —
+/// Colors the participating value nodes of a rounding problem on its
+/// constraint/value bipartite graph (Lemma 3.12 applied to the problem) —
 /// the grouping the Theorem 1.2 route schedules its coin fixing by. Public so
 /// examples and tests color problems exactly as the pipeline does.
-pub fn color_problem(problem: &RoundingProblem) -> (BipartiteColoring, BipartiteGraph) {
+pub fn color_problem(problem: &RoundingProblem) -> BipartiteColoring {
     let (b, _owners, targets) = problem_bipartite(problem);
-    (bipartite_distance_two_coloring(&b, &targets), b)
+    bipartite_distance_two_coloring(&b, &targets)
 }
 
 /// Executes one derandomization step on the engine through the composer: the
@@ -228,11 +226,12 @@ pub fn color_problem(problem: &RoundingProblem) -> (BipartiteColoring, Bipartite
 /// [`formulas::measured_coloring_rounds`] rounds, recorded next to the
 /// Lemma 3.12 charge (which does not bound them; see that formula), and its
 /// assembled output — bit-identical to the central
-/// [`bipartite_distance_two_coloring`] oracle — provides the color classes.
-/// Then the groups become a conflict-order [`DerandSchedule`] (the color
-/// classes themselves, or the longest conflict chains of the cluster order)
-/// and the scheduled conditional-expectation program runs as a measured
-/// phase.
+/// [`bipartite_distance_two_coloring`] oracle — provides the color classes,
+/// which are the steps of the [`DerandSchedule`]: a smallest-free greedy
+/// class `c` waits exactly for class `c − 1`. On the Theorem 1.1 route the
+/// cluster order becomes its conflict order
+/// ([`DerandSchedule::conflict_order`]). Then the scheduled
+/// conditional-expectation program runs as a measured phase.
 fn composed_derandomization<E: Executor>(
     composer: &mut ComposedProgram<'_, E>,
     graph: &Graph,
@@ -241,9 +240,9 @@ fn composed_derandomization<E: Executor>(
     decomposition: Option<&(NetworkDecomposition, Vec<Vec<usize>>)>,
 ) -> FractionalAssignment {
     let n = graph.n().max(2);
-    let (groups, name, formula) = match decomposition {
+    let (schedule, name, formula) = match decomposition {
         Some((nd, groups)) => (
-            groups.clone(),
+            DerandSchedule::conflict_order(groups, problem),
             "derandomization via network decomposition (Lemma 3.4)",
             formulas::netdecomp_derandomization_rounds(n, nd.num_colors(), nd.diameter() + 1),
         ),
@@ -280,17 +279,14 @@ fn composed_derandomization<E: Executor>(
                     + formulas::log_star(n) as u64;
             }
             (
-                coloring.classes(),
+                DerandSchedule {
+                    steps: coloring.classes(),
+                },
                 "derandomization via distance-two coloring (Lemma 3.10)",
                 formula,
             )
         }
     };
-    let schedule = DerandSchedule::conflict_order(&groups, problem);
-    debug_assert!(
-        decomposition.is_some() || schedule.steps == groups,
-        "conflict order of greedy color classes must be the classes themselves"
-    );
     let programs = scheduled_derand_programs(graph, problem, &schedule, config.estimator)
         .expect("pipeline rounding problems are graph-aligned");
     let report = composer
@@ -346,11 +342,10 @@ where
         let ft_config = FactorTwoConfig { epsilon: eps2, r };
         let problem = match config.route {
             DerandRoute::NetworkDecomposition => {
-                FactorTwoRounding::on_graph(graph, &assignment, &ft_config).into_problem()
+                factor_two::on_graph(graph, &assignment, &ft_config)
             }
             DerandRoute::Coloring | DerandRoute::ColoringLocal => {
-                FactorTwoRounding::bipartite_split(graph, &assignment, &ft_config, split_size)
-                    .into_problem()
+                factor_two::bipartite_split(graph, &assignment, &ft_config, split_size)
             }
         };
         assignment = round_step(&problem);
@@ -370,11 +365,9 @@ where
     } else {
         let f_actual = (1.0 / assignment.fractionality().max(1e-12)).ceil() as usize;
         let problem = match config.route {
-            DerandRoute::NetworkDecomposition => {
-                OneShotRounding::on_graph(graph, &assignment).into_problem()
-            }
+            DerandRoute::NetworkDecomposition => one_shot::on_graph(graph, &assignment),
             DerandRoute::Coloring | DerandRoute::ColoringLocal => {
-                OneShotRounding::degree_reduced(graph, &assignment, f_actual.max(1)).into_problem()
+                one_shot::degree_reduced(graph, &assignment, f_actual.max(1))
             }
         };
         round_step(&problem)
@@ -569,7 +562,7 @@ pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
     let (assignment, stages) = rounding_parts(graph, config, initial.assignment, |problem| {
         let groups = match &nd_groups {
             Some(groups) => groups.clone(),
-            None => color_problem(problem).0.classes(),
+            None => color_problem(problem).classes(),
         };
         derandomize(
             problem,

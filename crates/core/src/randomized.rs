@@ -5,7 +5,7 @@
 
 use congest_sim::{Graph, NodeId};
 use mds_fractional::lemma21::{initial_fractional_solution, InitialSolutionConfig};
-use mds_rounding::one_shot::OneShotRounding;
+use mds_rounding::one_shot;
 use mds_rounding::process::execute_with_rng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +37,7 @@ pub fn randomized_one_shot(graph: &Graph, epsilon: f64, seed: u64) -> Randomized
             ..InitialSolutionConfig::default()
         },
     );
-    let problem = OneShotRounding::on_graph(graph, &initial.assignment).into_problem();
+    let problem = one_shot::on_graph(graph, &initial.assignment);
     let mut rng = StdRng::seed_from_u64(seed);
     let out = execute_with_rng(&problem, &mut rng);
     RandomizedResult {

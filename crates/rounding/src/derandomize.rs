@@ -36,19 +36,18 @@
 //!   engine rounds — constraint owners send the two estimator branches
 //!   (coin taken / coin zeroed) of each deciding member, the deciders pick
 //!   the branch that does not increase the estimator and announce the fixed
-//!   coin. Both routes build the schedule with
+//!   coin. Under the Theorem 1.2 route the steps are the distance-two color
+//!   classes. The Theorem 1.1 route builds them with
 //!   [`DerandSchedule::conflict_order`]: a value decides one step after the
-//!   last earlier-ordered value it shares a constraint with. Under the
-//!   Theorem 1.2 route the steps come out as the distance-two color classes;
-//!   under the Theorem 1.1 route the cluster order collapses to its longest
-//!   conflict chain instead of one coin per step. Both paths evaluate the
-//!   same estimator kernel over the same member order — the oracle through
-//!   the scalar [`crate::estimator::member_violation_probability`], the
-//!   engine through the batched
-//!   [`crate::estimator::member_violation_branches`] (both branches of a
-//!   decision in one member pass over reusable [`EstimatorScratch`]) — so
-//!   the engine output is bit-identical to the central oracle
-//!   (proptest-enforced in `tests/properties.rs`).
+//!   last earlier-ordered value it shares a constraint with, so the cluster
+//!   order collapses to its longest conflict chain instead of one coin per
+//!   step. Both paths evaluate the same estimator kernel over the same
+//!   member order — the oracle through the scalar
+//!   [`crate::estimator::member_violation_probability`], the engine through
+//!   the batched [`crate::estimator::member_violation_branches`] (both
+//!   branches of a decision in one member pass over reusable
+//!   [`EstimatorScratch`]) — so the engine output is bit-identical to the
+//!   central oracle (proptest-enforced in `tests/properties.rs`).
 
 use crate::estimator::{
     member_violation_branches, CoinState, Estimator, EstimatorKind, EstimatorScratch,
@@ -188,14 +187,15 @@ impl DerandSchedule {
     /// with it, so every linear extension of this conflict order — the
     /// sequential [`derandomize`] over `groups` included — fixes the same
     /// coins bit for bit; the schedule is one such extension with as many
-    /// steps as the longest conflict chain of the order. Both routes use it:
+    /// steps as the longest conflict chain of the order.
     ///
     /// * Lemma 3.4 (clusters of a network decomposition, in color order):
     ///   instead of one coin per step, which costs `Θ(n)` steps, every value
     ///   waits only for its earlier conflict partners.
     /// * Lemma 3.10 (distance-two color classes): a greedy smallest-free
     ///   coloring gives every value of color `c` a conflict partner of color
-    ///   `c − 1`, so the steps are exactly the color classes.
+    ///   `c − 1`, so the steps are exactly the color classes, and the
+    ///   pipeline runs the classes as steps without this constructor.
     pub fn conflict_order(groups: &[Vec<usize>], problem: &RoundingProblem) -> Self {
         let constraints_of = problem.constraints_of_values();
         let mut step_of = vec![usize::MAX; problem.values.len()];
@@ -343,28 +343,8 @@ impl OwnedConstraint {
     }
 
     fn violated(&self) -> bool {
-        let coverage: f64 = self
-            .members
-            .iter()
-            .map(|m| realised_value(&m.value, m.coin))
-            .sum();
+        let coverage: f64 = self.members.iter().map(|m| m.value.realised(m.coin)).sum();
         coverage < self.c - 1e-9
-    }
-}
-
-/// The phase-one realisation of a value node under a fixed coin — the same
-/// rule as [`crate::process::execute_with_coins`].
-fn realised_value(value: &ValueNode, coin: CoinState) -> f64 {
-    if value.participates() {
-        match coin {
-            CoinState::Take => value.raised_value(),
-            CoinState::Zero => 0.0,
-            CoinState::Undecided => panic!("participating value node left undecided"),
-        }
-    } else if value.p >= 1.0 {
-        value.x
-    } else {
-        0.0
     }
 }
 
@@ -503,7 +483,7 @@ impl ScheduledDerandProgram {
 
     fn finalize(&self) -> ScheduledDerandOutput {
         ScheduledDerandOutput {
-            realised: realised_value(&self.value, self.coin),
+            realised: self.value.realised(self.coin),
             violated_owner: self.owned.iter().any(OwnedConstraint::violated),
         }
     }
@@ -596,14 +576,14 @@ impl NodeProgram for ScheduledDerandProgram {
 /// Validates `problem` against the locality assumptions of the distributed
 /// schedule and builds one [`ScheduledDerandProgram`] per node.
 ///
-/// The problem must be *graph-aligned*, which all three rounding
-/// instantiations of the pipeline are: one value node per original node (in
-/// node order), every constraint's members inside the owner's inclusive
-/// neighborhood, and at most one constraint per (owner, member) pair (so a
-/// single reply per owner carries the whole estimator delta). The schedule
-/// must fix every participating coin exactly once, and the members of one
-/// step must not share a constraint — the independence that makes parallel
-/// fixing equal to the central sequential rule.
+/// The problem must be *graph-aligned*, which all four rounding
+/// instantiations of the pipeline are: one value node per graph node, every
+/// constraint's members inside the owner's inclusive neighborhood, and at
+/// most one constraint per (owner, member) pair (so a single reply per owner
+/// carries the whole estimator delta). The schedule must fix every
+/// participating coin exactly once, and the members of one step must not
+/// share a constraint — the independence that makes parallel fixing equal to
+/// the central sequential rule.
 ///
 /// # Errors
 ///
@@ -615,11 +595,10 @@ pub fn scheduled_derand_programs(
     estimator: EstimatorKind,
 ) -> Result<Vec<ScheduledDerandProgram>, String> {
     let n = graph.n();
-    if problem.n_original != n || problem.values.len() != n {
+    if problem.values.len() != n {
         return Err(format!(
-            "problem is not graph-aligned: {} values over {} original nodes for an {n}-node graph",
-            problem.values.len(),
-            problem.n_original
+            "problem is not graph-aligned: {} values for an {n}-node graph",
+            problem.values.len()
         ));
     }
     if n >= u32::MAX as usize || schedule.steps.len() >= u32::MAX as usize {
@@ -629,15 +608,6 @@ pub fn scheduled_derand_programs(
             schedule.steps.len()
         ));
     }
-    for (i, v) in problem.values.iter().enumerate() {
-        if v.original != i {
-            return Err(format!(
-                "value node {i} belongs to original node {}; expected one value per node",
-                v.original
-            ));
-        }
-    }
-
     // Assign steps and check the schedule covers participants exactly once.
     let mut step_of: Vec<Option<usize>> = vec![None; n];
     for (s, step) in schedule.steps.iter().enumerate() {
@@ -790,12 +760,12 @@ mod tests {
 
     fn random_problem(seed: u64, n: usize) -> RoundingProblem {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut p = RoundingProblem::new(n);
+        let mut p = RoundingProblem::new();
         let values: Vec<usize> = (0..n)
-            .map(|orig| {
+            .map(|_| {
                 let x: f64 = rng.gen_range(0.05..0.4);
                 let prob = (x + rng.gen_range(0.0..0.5)).min(1.0);
-                p.add_value(orig, x, prob)
+                p.add_value(x, prob)
             })
             .collect();
         for orig in 0..n {
@@ -826,11 +796,7 @@ mod tests {
                     .values
                     .iter()
                     .zip(out.coins.iter())
-                    .map(|(v, c)| match c {
-                        CoinState::Take => v.raised_value(),
-                        _ if v.p >= 1.0 => v.x,
-                        _ => 0.0,
-                    })
+                    .map(|(v, &c)| v.realised(c))
                     .sum::<f64>();
             assert!(
                 achieved <= out.initial_estimate + 1e-6,
@@ -894,9 +860,9 @@ mod tests {
 
     #[test]
     fn problem_without_participants_is_a_noop() {
-        let mut problem = RoundingProblem::new(2);
-        let a = problem.add_value(0, 0.4, 1.0);
-        problem.add_constraint(1, 0.3, vec![a]);
+        let mut problem = RoundingProblem::new();
+        let a = problem.add_value(0.4, 1.0);
+        problem.add_constraint(a, 0.3, vec![a]);
         let out = derandomize(&problem, &DerandomizeConfig::default());
         assert_eq!(out.coins_fixed, 0);
         assert!(out.violated_constraints.is_empty());
@@ -905,7 +871,7 @@ mod tests {
 
     // ---- distributed schedule ----
 
-    use crate::one_shot::OneShotRounding;
+    use crate::one_shot;
     use congest_sim::{Executor, ExecutorConfig, PooledExecutor, RunReport, SyncExecutor};
     use mds_graphs::generators;
 
@@ -936,7 +902,7 @@ mod tests {
         graph: &congest_sim::Graph,
     ) -> (RoundingProblem, DerandSchedule, Vec<Vec<usize>>) {
         let x = mds_fractional::lp::degree_heuristic(graph);
-        let problem = OneShotRounding::on_graph(graph, &x).into_problem();
+        let problem = one_shot::on_graph(graph, &x);
         // Greedy distance-two coloring over the constraint graph: same-color
         // values never share a constraint.
         let constraints_of = problem.constraints_of_values();
@@ -1126,9 +1092,9 @@ mod tests {
     #[test]
     fn empty_schedule_executes_the_deterministic_part_only() {
         let graph = generators::path(4);
-        let mut problem = RoundingProblem::new(4);
-        for v in 0..4 {
-            problem.add_value(v, 0.5, 1.0);
+        let mut problem = RoundingProblem::new();
+        for _ in 0..4 {
+            problem.add_value(0.5, 1.0);
         }
         for v in 0..4usize {
             let members: Vec<usize> = graph
@@ -1148,9 +1114,9 @@ mod tests {
     fn validation_rejects_non_local_and_dependent_problems() {
         let graph = generators::path(4);
         // Constraint member outside the owner's inclusive neighborhood.
-        let mut problem = RoundingProblem::new(4);
-        for v in 0..4 {
-            problem.add_value(v, 0.3, 0.5);
+        let mut problem = RoundingProblem::new();
+        for _ in 0..4 {
+            problem.add_value(0.3, 0.5);
         }
         problem.add_constraint(0, 1.0, vec![0, 3]);
         let schedule = DerandSchedule::conflict_order(&[vec![0, 1, 2, 3]], &problem);
@@ -1159,9 +1125,9 @@ mod tests {
         assert!(err.contains("inclusive neighborhood"), "{err}");
 
         // Two members of one constraint in the same step.
-        let mut problem = RoundingProblem::new(4);
-        for v in 0..4 {
-            problem.add_value(v, 0.3, 0.5);
+        let mut problem = RoundingProblem::new();
+        for _ in 0..4 {
+            problem.add_value(0.3, 0.5);
         }
         problem.add_constraint(1, 1.0, vec![0, 1, 2]);
         let schedule = DerandSchedule {
@@ -1172,9 +1138,9 @@ mod tests {
         assert!(err.contains("independent"), "{err}");
 
         // A participating coin the schedule never fixes.
-        let mut problem = RoundingProblem::new(4);
-        for v in 0..4 {
-            problem.add_value(v, 0.3, 0.5);
+        let mut problem = RoundingProblem::new();
+        for _ in 0..4 {
+            problem.add_value(0.3, 0.5);
         }
         problem.add_constraint(1, 1.0, vec![0, 1]);
         let schedule = DerandSchedule {
@@ -1183,5 +1149,25 @@ mod tests {
         let err = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
             .unwrap_err();
         assert!(err.contains("never scheduled"), "{err}");
+
+        // A problem built on a smaller graph than the one it runs on.
+        let x = FractionalAssignment::from_values(vec![0.3; 3]);
+        let problem = one_shot::on_graph(&generators::path(3), &x);
+        let schedule = DerandSchedule::conflict_order(&[problem.participating_values()], &problem);
+        let err = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
+            .unwrap_err();
+        assert!(err.contains("graph-aligned"), "{err}");
+
+        // Constraints added with a decreasing owner.
+        let mut problem = RoundingProblem::new();
+        for _ in 0..4 {
+            problem.add_value(0.3, 0.5);
+        }
+        problem.add_constraint(1, 1.0, vec![0, 1]);
+        problem.add_constraint(0, 1.0, vec![0, 1]);
+        let schedule = DerandSchedule::conflict_order(&[vec![0, 1, 2, 3]], &problem);
+        let err = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
+            .unwrap_err();
+        assert!(err.contains("increasing-owner grouping"), "{err}");
     }
 }

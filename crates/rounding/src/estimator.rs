@@ -82,13 +82,9 @@ impl<'a> Estimator<'a> {
     /// The expected phase-one value of value node `i` under the coin state.
     pub fn expected_value(&self, i: usize, coins: &[CoinState]) -> f64 {
         let v = &self.problem.values[i];
-        if !v.participates() {
-            return if v.p >= 1.0 { v.x } else { 0.0 };
-        }
         match coins[i] {
-            CoinState::Undecided => v.p * v.raised_value(),
-            CoinState::Take => v.raised_value(),
-            CoinState::Zero => 0.0,
+            CoinState::Undecided => v.expected_value(),
+            coin => v.realised(coin),
         }
     }
 
@@ -433,9 +429,9 @@ mod tests {
     /// One constraint of threshold 1 over `m` participating members, each with
     /// value `x` and probability `p`.
     fn uniform_problem(m: usize, x: f64, p: f64) -> RoundingProblem {
-        let mut prob = RoundingProblem::new(m + 1);
-        let members: Vec<usize> = (0..m).map(|i| prob.add_value(i, x, p)).collect();
-        prob.add_constraint(m, 1.0, members);
+        let mut prob = RoundingProblem::new();
+        let members: Vec<usize> = (0..m).map(|_| prob.add_value(x, p)).collect();
+        prob.add_constraint(0, 1.0, members);
         prob
     }
 
@@ -584,7 +580,7 @@ mod tests {
 
     #[test]
     fn batched_branches_are_bit_identical_to_the_scalar_kernel() {
-        let value = |x: f64, p: f64| ValueNode { original: 0, x, p };
+        let value = |x: f64, p: f64| ValueNode { x, p };
         // Mixed bag: deterministic p=1 members, non-participating p=0, fixed
         // coins on both sides, heterogeneous raised values.
         let members = vec![
@@ -642,14 +638,7 @@ mod tests {
             assert_eq!(zero, 1.0);
             // Target index past the end: both branches degenerate to the plain
             // estimate, exactly like a scalar call whose forced id never matches.
-            let members = [(
-                ValueNode {
-                    original: 0,
-                    x: 0.4,
-                    p: 0.5,
-                },
-                CoinState::Undecided,
-            )];
+            let members = [(ValueNode { x: 0.4, p: 0.5 }, CoinState::Undecided)];
             let (take, zero) = member_violation_branches(
                 kind,
                 members.iter().map(|(v, coin)| (v, *coin)),
@@ -666,9 +655,9 @@ mod tests {
 
     #[test]
     fn expected_value_of_non_participating_nodes() {
-        let mut problem = RoundingProblem::new(2);
-        problem.add_value(0, 0.3, 1.0);
-        problem.add_value(1, 0.0, 0.0);
+        let mut problem = RoundingProblem::new();
+        problem.add_value(0.3, 1.0);
+        problem.add_value(0.0, 0.0);
         let est = Estimator::new(&problem, EstimatorKind::default());
         let coins = vec![CoinState::Undecided; 2];
         assert_eq!(est.expected_value(0, &coins), 0.3);

@@ -8,24 +8,23 @@
 //! `O(log Δ)` times turns the `ε/(2Δ̃)`-fractional initial solution of
 //! Lemma 2.1 into a `poly log`-fractional one (Part II of the main algorithm).
 //!
-//! Two constructions:
+//! Two constructions, both with the same boosted value node per graph node:
 //!
-//! * [`FactorTwoRounding::on_graph`] — Lemma 3.9: constraints are the
-//!   inclusive neighborhoods of `G`; used by the network-decomposition route.
-//! * [`FactorTwoRounding::bipartite_split`] — Lemma 3.14: the bipartite
-//!   representation with every constraint split into pieces of `Θ(s)`
-//!   participating members (plus one piece holding the non-participating,
-//!   high-value members), which keeps constraint degrees at `O(s)` and hence
-//!   the distance-two coloring small, at the cost of requiring the
-//!   concentration argument of Lemma 3.7 per piece.
+//! * [`on_graph`] — Lemma 3.9: constraints are the inclusive neighborhoods of
+//!   `G`; used by the network-decomposition route.
+//! * [`bipartite_split`] — Lemma 3.14: the bipartite representation with
+//!   every constraint split into pieces of `Θ(s)` participating members (plus
+//!   one piece holding the non-participating, high-value members), which
+//!   keeps constraint degrees at `O(s)` and hence the distance-two coloring
+//!   small, at the cost of requiring the concentration argument of Lemma 3.7
+//!   per piece.
 //!
 //! The paper's constants `r ≥ 256·ε⁻³·ln Δ̃` and `s = 64·ε⁻²·ln Δ̃` are
 //! provided by [`paper_r_threshold`] and [`paper_split_size`]; they are far
 //! too large to be exercised on laptop-scale graphs (the paper itself notes
 //! that Part II is skipped for small Δ), so both take a `scale` argument, and
 //! the pipeline passes its `MdsConfig::concentration_scale` (substitution
-//! R6). The caller computes `s` and hands it to
-//! [`FactorTwoRounding::bipartite_split`].
+//! R6). The caller computes `s` and hands it to [`bipartite_split`].
 
 use crate::problem::RoundingProblem;
 use congest_sim::{Graph, NodeId};
@@ -54,131 +53,100 @@ pub struct FactorTwoConfig {
     pub r: f64,
 }
 
-/// Builder for factor-two rounding problems.
-#[derive(Debug, Clone)]
-pub struct FactorTwoRounding {
-    problem: RoundingProblem,
-    threshold: f64,
+/// A problem holding the value nodes of both constructions and no constraint
+/// yet: node `v` takes the boosted value `min(1, (1+ε)·x'(v))` and flips a
+/// coin of probability `max(1/2, x)` when that value is below the threshold
+/// `2/r`, and keeps it otherwise.
+fn doubling_values(
+    graph: &Graph,
+    x_prime: &FractionalAssignment,
+    config: &FactorTwoConfig,
+) -> RoundingProblem {
+    assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
+    let threshold = 2.0 / config.r.max(2.0);
+    let mut problem = RoundingProblem::new();
+    for v in graph.nodes() {
+        let x = ((1.0 + config.epsilon) * x_prime.value(v)).min(1.0);
+        let p = if x < threshold { 0.5f64.max(x) } else { 1.0 };
+        problem.add_value(x, p);
+    }
+    problem
 }
 
-impl FactorTwoRounding {
-    /// Lemma 3.9 instantiation on the graph itself.
-    pub fn on_graph(
-        graph: &Graph,
-        x_prime: &FractionalAssignment,
-        config: &FactorTwoConfig,
-    ) -> Self {
-        assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
-        let threshold = 2.0 / config.r.max(2.0);
-        let mut problem = RoundingProblem::new(graph.n());
-        for v in graph.nodes() {
-            let x = ((1.0 + config.epsilon) * x_prime.value(v)).min(1.0);
-            let p = if x < threshold { 0.5f64.max(x) } else { 1.0 };
-            problem.add_value(v.0, x, p);
-        }
-        for v in graph.nodes() {
-            let members: Vec<usize> = graph.inclusive_neighbors(v).map(|u| u.0).collect();
-            problem.add_constraint(v.0, 1.0, members);
-        }
-        FactorTwoRounding { problem, threshold }
+/// Lemma 3.9 instantiation on the graph itself.
+pub fn on_graph(
+    graph: &Graph,
+    x_prime: &FractionalAssignment,
+    config: &FactorTwoConfig,
+) -> RoundingProblem {
+    let mut problem = doubling_values(graph, x_prime, config);
+    for v in graph.nodes() {
+        let members: Vec<usize> = graph.inclusive_neighbors(v).map(|u| u.0).collect();
+        problem.add_constraint(v.0, 1.0, members);
     }
+    problem
+}
 
-    /// Lemma 3.14 instantiation: the bipartite representation with every
-    /// constraint's participating members split into pieces of `s` to
-    /// `2s - 1` (the pipeline passes the scaled [`paper_split_size`]).
-    pub fn bipartite_split(
-        graph: &Graph,
-        x_prime: &FractionalAssignment,
-        config: &FactorTwoConfig,
-        s: usize,
-    ) -> Self {
-        assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
-        let threshold = 2.0 / config.r.max(2.0);
-        let mut problem = RoundingProblem::new(graph.n());
-        // One value node per original node, exactly as in `on_graph`.
-        for v in graph.nodes() {
-            let x = ((1.0 + config.epsilon) * x_prime.value(v)).min(1.0);
-            let p = if x < threshold { 0.5f64.max(x) } else { 1.0 };
-            problem.add_value(v.0, x, p);
-        }
-        for v in graph.nodes() {
-            // Separate the inclusive neighborhood into participating (low
-            // value) and non-participating (high value) members.
-            let mut low: Vec<NodeId> = Vec::new();
-            let mut high: Vec<NodeId> = Vec::new();
-            for u in graph.inclusive_neighbors(v) {
-                if problem.values[u.0].participates() {
-                    low.push(u);
-                } else {
-                    high.push(u);
-                }
-            }
-            let constraint_of = |members: &[NodeId]| -> (f64, Vec<usize>) {
-                let c: f64 = members
-                    .iter()
-                    .map(|&u| x_prime.value(u))
-                    .sum::<f64>()
-                    .min(1.0);
-                (c, members.iter().map(|&u| u.0).collect())
-            };
-            if low.len() < s.max(1) {
-                // v1-type: everything stays in one constraint.
-                let mut members = high.clone();
-                members.extend_from_slice(&low);
-                let (c, ms) = constraint_of(&members);
-                problem.add_constraint(v.0, c, ms);
+/// Lemma 3.14 instantiation: the bipartite representation with every
+/// constraint's participating members split into pieces of `s` to `2s - 1`
+/// (the pipeline passes the scaled [`paper_split_size`]).
+///
+/// # Panics
+///
+/// Panics if `s` is zero.
+pub fn bipartite_split(
+    graph: &Graph,
+    x_prime: &FractionalAssignment,
+    config: &FactorTwoConfig,
+    s: usize,
+) -> RoundingProblem {
+    assert!(s >= 1, "split size s must be at least 1");
+    let mut problem = doubling_values(graph, x_prime, config);
+    for v in graph.nodes() {
+        // Separate the inclusive neighborhood into participating (low
+        // value) and non-participating (high value) members.
+        let mut low: Vec<NodeId> = Vec::new();
+        let mut high: Vec<NodeId> = Vec::new();
+        for u in graph.inclusive_neighbors(v) {
+            if problem.values[u.0].participates() {
+                low.push(u);
             } else {
-                // v1 keeps the non-participating members.
-                if !high.is_empty() {
-                    let (c, ms) = constraint_of(&high);
-                    problem.add_constraint(v.0, c, ms);
-                }
-                // The participating members are split into chunks of size in
-                // [s, 2s).
-                let mut rest = low.as_slice();
-                while !rest.is_empty() {
-                    let take = if rest.len() >= 2 * s { s } else { rest.len() };
-                    let (chunk, tail) = rest.split_at(take);
-                    let (c, ms) = constraint_of(chunk);
-                    problem.add_constraint(v.0, c, ms);
-                    rest = tail;
-                }
+                high.push(u);
             }
         }
-        FactorTwoRounding { problem, threshold }
+        let constraint_of = |members: &[NodeId]| -> (f64, Vec<usize>) {
+            let c: f64 = members
+                .iter()
+                .map(|&u| x_prime.value(u))
+                .sum::<f64>()
+                .min(1.0);
+            (c, members.iter().map(|&u| u.0).collect())
+        };
+        if low.len() < s {
+            // v1-type: everything stays in one constraint.
+            let mut members = high.clone();
+            members.extend_from_slice(&low);
+            let (c, ms) = constraint_of(&members);
+            problem.add_constraint(v.0, c, ms);
+        } else {
+            // v1 keeps the non-participating members.
+            if !high.is_empty() {
+                let (c, ms) = constraint_of(&high);
+                problem.add_constraint(v.0, c, ms);
+            }
+            // The participating members are split into chunks of size in
+            // [s, 2s).
+            let mut rest = low.as_slice();
+            while !rest.is_empty() {
+                let take = if rest.len() >= 2 * s { s } else { rest.len() };
+                let (chunk, tail) = rest.split_at(take);
+                let (c, ms) = constraint_of(chunk);
+                problem.add_constraint(v.0, c, ms);
+                rest = tail;
+            }
+        }
     }
-
-    /// The participation threshold `2/r`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Borrow the underlying rounding problem.
-    pub fn problem(&self) -> &RoundingProblem {
-        &self.problem
-    }
-
-    /// Consume the builder, returning the rounding problem.
-    pub fn into_problem(self) -> RoundingProblem {
-        self.problem
-    }
-
-    /// Maximum number of *participating* members over all constraints — the
-    /// quantity the split construction keeps at `O(s)` so that the coloring
-    /// of Lemma 3.12 stays cheap.
-    pub fn max_participating_constraint_degree(&self) -> usize {
-        self.problem
-            .constraints
-            .iter()
-            .map(|c| {
-                c.members
-                    .iter()
-                    .filter(|&&m| self.problem.values[m].participates())
-                    .count()
-            })
-            .max()
-            .unwrap_or(0)
-    }
+    problem
 }
 
 #[cfg(test)]
@@ -216,16 +184,16 @@ mod tests {
             epsilon: 0.1,
             r: 8.0,
         };
-        let b = FactorTwoRounding::on_graph(&g, &x, &cfg);
-        assert!(b.problem().values.iter().all(|v| v.participates()));
+        let problem = on_graph(&g, &x, &cfg);
+        assert!(problem.values.iter().all(|v| v.participates()));
         // r = 2: threshold 1.0; still everyone participates (values < 1).
         // r huge: threshold tiny; nobody participates.
         let cfg = FactorTwoConfig {
             epsilon: 0.1,
             r: 1e9,
         };
-        let b = FactorTwoRounding::on_graph(&g, &x, &cfg);
-        assert!(b.problem().values.iter().all(|v| !v.participates()));
+        let problem = on_graph(&g, &x, &cfg);
+        assert!(problem.values.iter().all(|v| !v.participates()));
     }
 
     #[test]
@@ -236,7 +204,7 @@ mod tests {
             epsilon: 0.25,
             r: 12.0,
         };
-        let problem = FactorTwoRounding::on_graph(&g, &x, &cfg).into_problem();
+        let problem = on_graph(&g, &x, &cfg);
         let out = derandomize(&problem, &DerandomizeConfig::default());
         // All surviving non-zero values are either doubled low values or 1s
         // introduced in phase two.
@@ -259,7 +227,7 @@ mod tests {
             epsilon: 0.25,
             r: 8.0,
         };
-        let problem = FactorTwoRounding::on_graph(&g, &x, &cfg).into_problem();
+        let problem = on_graph(&g, &x, &cfg);
         let out = derandomize(&problem, &DerandomizeConfig::default());
         assert!(out.output.is_feasible_dominating_set(&g));
         assert!(
@@ -280,12 +248,23 @@ mod tests {
             epsilon: 0.25,
             r: 50.0,
         };
-        let split = FactorTwoRounding::bipartite_split(&g, &x, &cfg, 8);
-        assert!(split.max_participating_constraint_degree() <= 16);
-        let full = FactorTwoRounding::on_graph(&g, &x, &cfg);
-        assert_eq!(full.max_participating_constraint_degree(), 200);
+        // The most participating members of one constraint: the quantity the
+        // split keeps at O(s) so that the Lemma 3.12 coloring stays cheap.
+        let participating_degree = |problem: &RoundingProblem| {
+            let degrees = problem.constraints.iter().map(|c| {
+                let members = c.members.iter();
+                members
+                    .filter(|&&m| problem.values[m].participates())
+                    .count()
+            });
+            degrees.max().unwrap_or(0)
+        };
+        let split = bipartite_split(&g, &x, &cfg, 8);
+        assert!(participating_degree(&split) <= 16);
+        let full = on_graph(&g, &x, &cfg);
+        assert_eq!(participating_degree(&full), 200);
         // Splitting multiplies the number of constraints.
-        assert!(split.problem().constraints.len() > full.problem().constraints.len());
+        assert!(split.constraints.len() > full.constraints.len());
     }
 
     #[test]
@@ -296,7 +275,7 @@ mod tests {
             epsilon: 0.3,
             r: 10.0,
         };
-        let problem = FactorTwoRounding::bipartite_split(&g, &x, &cfg, 6).into_problem();
+        let problem = bipartite_split(&g, &x, &cfg, 6);
         let out = derandomize(&problem, &DerandomizeConfig::default());
         assert!(out.output.is_feasible_dominating_set(&g));
     }
@@ -309,13 +288,13 @@ mod tests {
             epsilon: 0.2,
             r: 12.0,
         };
-        let split = FactorTwoRounding::bipartite_split(&g, &x, &cfg, 4);
+        let split = bipartite_split(&g, &x, &cfg, 4);
         // For every original node, the union of its split constraints' members
         // equals its inclusive neighborhood.
         use std::collections::BTreeSet;
         let mut union: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.n()];
         let mut counts: Vec<usize> = vec![0; g.n()];
-        for c in &split.problem().constraints {
+        for c in &split.constraints {
             for &m in &c.members {
                 union[c.original].insert(m);
                 counts[c.original] += 1;
@@ -326,5 +305,20 @@ mod tests {
             assert_eq!(union[v.0], expected, "member union mismatch at {v}");
             assert_eq!(counts[v.0], expected.len(), "members duplicated at {v}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "split size s must be at least 1")]
+    fn zero_split_size_panics() {
+        // Every node participates (boosted 0.125 < 2/r = 0.25), so every node
+        // reaches the split branch, where chunks of `s = 0` never shrink the
+        // member list.
+        let g = generators::star(4);
+        let x = FractionalAssignment::from_values(vec![0.1; 4]);
+        let cfg = FactorTwoConfig {
+            epsilon: 0.25,
+            r: 8.0,
+        };
+        let _ = bipartite_split(&g, &x, &cfg, 0);
     }
 }

@@ -4,10 +4,11 @@
 //! Maus (PODC 2019)* together with everything needed to **derandomize** it in
 //! the CONGEST model:
 //!
-//! * [`problem`] — the rounding problem abstraction: value nodes carrying
-//!   `(x(v), p(v))` pairs and covering constraints over them. Both the plain
-//!   graph instantiation (Section 3.2) and the bipartite, degree-split
-//!   instantiation (Section 3.3) reduce to this structure.
+//! * [`problem`] — the rounding problem abstraction: one value node per
+//!   graph node carrying its `(x(v), p(v))` pair, and covering constraints
+//!   over them. Both the plain graph instantiation (Section 3.2) and the
+//!   bipartite, degree-split instantiation (Section 3.3) reduce to this
+//!   structure.
 //! * [`process`] — the two-phase randomized rounding process (Lemma 3.1),
 //!   executable with a true RNG, with `k`-wise independent coins, or with an
 //!   explicitly fixed coin assignment.
@@ -23,18 +24,19 @@
 //! * [`one_shot`] / [`factor_two`] — the two instantiations of the process
 //!   used by the main algorithm (Sections 3.2 and 3.3): one-shot rounding to
 //!   an integral solution and factor-two rounding that doubles the
-//!   fractionality.
+//!   fractionality, each a pair of functions that build a [`RoundingProblem`]
+//!   on `G` or on its degree-split bipartite representation.
 //!
 //! ```
 //! use mds_graphs::generators;
 //! use mds_fractional::FractionalAssignment;
-//! use mds_rounding::one_shot::OneShotRounding;
+//! use mds_rounding::one_shot;
 //! use mds_rounding::derandomize::{derandomize, DerandomizeConfig};
 //!
 //! let g = generators::cycle(12);
 //! // A 1/2-fractional dominating set of the cycle.
 //! let x = FractionalAssignment::from_values(vec![0.5; 12]);
-//! let problem = OneShotRounding::on_graph(&g, &x).into_problem();
+//! let problem = one_shot::on_graph(&g, &x);
 //! let outcome = derandomize(&problem, &DerandomizeConfig::default());
 //! assert!(outcome.output.is_integral());
 //! ```

@@ -7,121 +7,89 @@
 //! (Lemma 3.6), so the expected output size is at most
 //! `ln Δ̃ · A + n/Δ̃` (Lemmas 3.8 / 3.13).
 //!
-//! Two constructions are provided:
+//! Two constructions are provided, both with the same boosted value node per
+//! graph node:
 //!
-//! * [`OneShotRounding::on_graph`] — the plain instantiation on `G`
-//!   (Section 3.2), used by the network-decomposition route (Theorem 1.1).
-//! * [`OneShotRounding::degree_reduced`] — the bipartite-representation
-//!   instantiation of Lemma 3.13, in which each constraint keeps only a set
-//!   of at most `F` value nodes that already cover it; this makes the
-//!   left-hand degrees (and hence the coloring cost of Lemma 3.12) small,
-//!   which is what the degree-dependent route (Theorem 1.2) needs.
+//! * [`on_graph`] — the plain instantiation on `G` (Section 3.2), used by the
+//!   network-decomposition route (Theorem 1.1).
+//! * [`degree_reduced`] — the bipartite-representation instantiation of
+//!   Lemma 3.13, in which each constraint keeps only a set of at most `F`
+//!   value nodes that already cover it; this makes the left-hand degrees
+//!   (and hence the coloring cost of Lemma 3.12) small, which is what the
+//!   degree-dependent route (Theorem 1.2) needs.
 
 use crate::problem::RoundingProblem;
 use congest_sim::{Graph, NodeId};
 use mds_fractional::FractionalAssignment;
 
-/// Builder for one-shot rounding problems.
-#[derive(Debug, Clone)]
-pub struct OneShotRounding {
-    problem: RoundingProblem,
-    boost: f64,
+/// The boost factor `ln Δ̃` used for a graph (at least 1, so that tiny graphs
+/// still make progress).
+pub fn boost_factor(graph: &Graph) -> f64 {
+    (graph.delta_tilde().max(2) as f64).ln().max(1.0)
 }
 
-impl OneShotRounding {
-    /// The boost factor `ln Δ̃` used for a graph (at least 1, so that tiny
-    /// graphs still make progress).
-    pub fn boost_factor(graph: &Graph) -> f64 {
-        (graph.delta_tilde().max(2) as f64).ln().max(1.0)
+/// A problem holding the value nodes of both constructions and no constraint
+/// yet: node `v` is rounded with probability equal to its boosted value
+/// `min(1, ln Δ̃ · x'(v))`.
+fn boosted_values(graph: &Graph, x_prime: &FractionalAssignment) -> RoundingProblem {
+    assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
+    let boost = boost_factor(graph);
+    let mut problem = RoundingProblem::new();
+    for v in graph.nodes() {
+        let x = (x_prime.value(v) * boost).min(1.0);
+        problem.add_value(x, x);
     }
+    problem
+}
 
-    /// Plain instantiation on the graph: every node is both a value node and
-    /// the owner of a unit constraint over its inclusive neighborhood.
-    pub fn on_graph(graph: &Graph, x_prime: &FractionalAssignment) -> Self {
-        assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
-        let boost = Self::boost_factor(graph);
-        let mut problem = RoundingProblem::new(graph.n());
-        for v in graph.nodes() {
-            let x = (x_prime.value(v) * boost).min(1.0);
-            problem.add_value(v.0, x, x);
-        }
-        for v in graph.nodes() {
-            let members: Vec<usize> = graph.inclusive_neighbors(v).map(|u| u.0).collect();
-            problem.add_constraint(v.0, 1.0, members);
-        }
-        OneShotRounding { problem, boost }
+/// Plain instantiation on the graph: every node is both a value node and the
+/// owner of a unit constraint over its inclusive neighborhood.
+pub fn on_graph(graph: &Graph, x_prime: &FractionalAssignment) -> RoundingProblem {
+    let mut problem = boosted_values(graph, x_prime);
+    for v in graph.nodes() {
+        let members: Vec<usize> = graph.inclusive_neighbors(v).map(|u| u.0).collect();
+        problem.add_constraint(v.0, 1.0, members);
     }
+    problem
+}
 
-    /// Lemma 3.13 instantiation: each constraint keeps only a covering set of
-    /// at most `f` value nodes (possible whenever the input is
-    /// `1/f`-fractional), which reduces the constraint degrees to `f`.
-    pub fn degree_reduced(graph: &Graph, x_prime: &FractionalAssignment, f: usize) -> Self {
-        assert_eq!(x_prime.len(), graph.n(), "assignment/graph size mismatch");
-        assert!(f >= 1, "F must be at least 1");
-        let boost = Self::boost_factor(graph);
-        let mut problem = RoundingProblem::new(graph.n());
-        for v in graph.nodes() {
-            let x = (x_prime.value(v) * boost).min(1.0);
-            problem.add_value(v.0, x, x);
-        }
-        for v in graph.nodes() {
-            // Pick neighbors by decreasing input value until they cover the
-            // constraint; a 1/F-fractional input needs at most F of them.
-            let mut candidates: Vec<NodeId> = graph
-                .inclusive_neighbors(v)
-                .filter(|&u| x_prime.value(u) > 0.0)
-                .collect();
-            candidates.sort_by(|&a, &b| {
-                x_prime
-                    .value(b)
-                    .partial_cmp(&x_prime.value(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let mut members = Vec::new();
-            let mut covered = 0.0f64;
-            for u in candidates {
-                if covered >= 1.0 - 1e-9 || members.len() >= f {
-                    break;
-                }
-                covered += x_prime.value(u);
-                members.push(u.0);
+/// Lemma 3.13 instantiation: each constraint keeps only a covering set of at
+/// most `f` value nodes (possible whenever the input is `1/f`-fractional),
+/// which reduces the constraint degrees to `f`.
+pub fn degree_reduced(graph: &Graph, x_prime: &FractionalAssignment, f: usize) -> RoundingProblem {
+    assert!(f >= 1, "F must be at least 1");
+    let mut problem = boosted_values(graph, x_prime);
+    for v in graph.nodes() {
+        // Pick neighbors by decreasing input value until they cover the
+        // constraint; a 1/F-fractional input needs at most F of them.
+        let mut candidates: Vec<NodeId> = graph
+            .inclusive_neighbors(v)
+            .filter(|&u| x_prime.value(u) > 0.0)
+            .collect();
+        candidates.sort_by(|&a, &b| {
+            x_prime
+                .value(b)
+                .partial_cmp(&x_prime.value(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let mut members = Vec::new();
+        let mut covered = 0.0f64;
+        for u in candidates {
+            if covered >= 1.0 - 1e-9 || members.len() >= f {
+                break;
             }
-            if members.is_empty() {
-                // Degenerate inputs (infeasible x'): keep the whole inclusive
-                // neighborhood so phase two can repair the constraint.
-                members = graph.inclusive_neighbors(v).map(|u| u.0).collect();
-            }
-            problem.add_constraint(v.0, 1.0, members);
+            covered += x_prime.value(u);
+            members.push(u.0);
         }
-        OneShotRounding { problem, boost }
+        if members.is_empty() {
+            // Degenerate inputs (infeasible x'): keep the whole inclusive
+            // neighborhood so phase two can repair the constraint.
+            members = graph.inclusive_neighbors(v).map(|u| u.0).collect();
+        }
+        problem.add_constraint(v.0, 1.0, members);
     }
-
-    /// The boost factor that was applied to the input values.
-    pub fn boost(&self) -> f64 {
-        self.boost
-    }
-
-    /// Borrow the underlying rounding problem.
-    pub fn problem(&self) -> &RoundingProblem {
-        &self.problem
-    }
-
-    /// Consume the builder, returning the rounding problem.
-    pub fn into_problem(self) -> RoundingProblem {
-        self.problem
-    }
-
-    /// The maximum constraint degree of the built problem (the `Δ_L` that
-    /// drives the coloring cost in Lemma 3.12).
-    pub fn max_constraint_degree(&self) -> usize {
-        self.problem
-            .constraints
-            .iter()
-            .map(|c| c.members.len())
-            .max()
-            .unwrap_or(0)
-    }
+    problem
 }
 
 #[cfg(test)]
@@ -143,12 +111,12 @@ mod tests {
     fn on_graph_values_are_their_own_probabilities() {
         let g = generators::cycle(9);
         let x = FractionalAssignment::from_values(vec![1.0 / 3.0; 9]);
-        let b = OneShotRounding::on_graph(&g, &x);
-        for v in &b.problem().values {
+        let problem = on_graph(&g, &x);
+        for v in &problem.values {
             assert!((v.p - v.x).abs() < 1e-12);
             assert!(v.x >= 1.0 / 3.0);
         }
-        assert_eq!(b.problem().constraints.len(), 9);
+        assert_eq!(problem.constraints.len(), 9);
     }
 
     #[test]
@@ -156,7 +124,7 @@ mod tests {
         for seed in 0..3 {
             let g = generators::gnp(50, 0.1, seed);
             let x = uniform_fds(&g);
-            let problem = OneShotRounding::on_graph(&g, &x).into_problem();
+            let problem = on_graph(&g, &x);
             let out = derandomize(&problem, &DerandomizeConfig::default());
             assert!(out.output.is_integral());
             assert!(out.output.is_feasible_dominating_set(&g));
@@ -168,8 +136,8 @@ mod tests {
         let g = generators::gnp(80, 0.08, 2);
         let x = uniform_fds(&g);
         let a = x.size();
-        let boost = OneShotRounding::boost_factor(&g);
-        let problem = OneShotRounding::on_graph(&g, &x).into_problem();
+        let boost = boost_factor(&g);
+        let problem = on_graph(&g, &x);
         let out = derandomize(&problem, &DerandomizeConfig::default());
         let bound = boost * a + g.n() as f64 / g.delta_tilde() as f64 + 1.0;
         assert!(
@@ -184,7 +152,7 @@ mod tests {
         // With a 1/F-fractional input, Pr(E_v = 1) ≤ 1/Δ̃ for every node.
         let g = generators::cycle(30);
         let x = FractionalAssignment::from_values(vec![1.0 / 3.0; 30]);
-        let problem = OneShotRounding::on_graph(&g, &x).into_problem();
+        let problem = on_graph(&g, &x);
         let mut rng = StdRng::seed_from_u64(5);
         let trials = 2000;
         let mut violations = vec![0usize; problem.constraints.len()];
@@ -220,11 +188,13 @@ mod tests {
         }
         let x = FractionalAssignment::from_values(values);
         let f = 4;
-        let b = OneShotRounding::degree_reduced(&g, &x, f);
-        assert!(b.max_constraint_degree() <= f);
+        let max_degree = |problem: &RoundingProblem| {
+            let degrees = problem.constraints.iter().map(|c| c.members.len());
+            degrees.max().unwrap_or(0)
+        };
+        assert!(max_degree(&degree_reduced(&g, &x, f)) <= f);
         // The full representation would have a constraint of degree 64.
-        let full = OneShotRounding::on_graph(&g, &x);
-        assert_eq!(full.max_constraint_degree(), 64);
+        assert_eq!(max_degree(&on_graph(&g, &x)), 64);
     }
 
     #[test]
@@ -232,7 +202,7 @@ mod tests {
         let g = generators::gnp(60, 0.12, 7);
         let x = uniform_fds(&g);
         // The degree heuristic is 1/Δ̃-fractional, so F = Δ̃ always works.
-        let problem = OneShotRounding::degree_reduced(&g, &x, g.delta_tilde()).into_problem();
+        let problem = degree_reduced(&g, &x, g.delta_tilde());
         let out = derandomize(&problem, &DerandomizeConfig::default());
         assert!(out.output.is_integral());
         assert!(out.output.is_feasible_dominating_set(&g));
@@ -243,6 +213,6 @@ mod tests {
     fn mismatched_assignment_panics() {
         let g = generators::path(4);
         let x = FractionalAssignment::from_values(vec![0.0; 3]);
-        let _ = OneShotRounding::on_graph(&g, &x);
+        let _ = on_graph(&g, &x);
     }
 }

@@ -4,23 +4,22 @@
 //! on a constrained fractional dominating set: every node has a value `x(v)`,
 //! a rounding probability `p(v) ≥ x(v)` and a covering constraint. Sections
 //! 3.2 and 3.3 instantiate the process on two different structures (the graph
-//! itself and a degree-split bipartite representation). Both are captured by a
-//! [`RoundingProblem`]: a list of **value nodes** (each belonging to an
-//! original graph node) and a list of **constraint nodes** (each owned by an
-//! original graph node and covered by a subset of the value nodes).
+//! itself and a degree-split bipartite representation). Both keep exactly one
+//! value per graph node and are captured by a [`RoundingProblem`]: a list of
+//! **value nodes** (value node `v` is graph node `v`) and a list of
+//! **constraint nodes** (each owned by a graph node and covered by a subset of
+//! the value nodes; the degree split gives an owner several constraints).
 //!
-//! After the two rounding phases the result is mapped back to the original
-//! graph: an original node's new value is the maximum of (a) the rounded
-//! values of its value nodes and (b) `1` if one of its constraints ended up
-//! violated (that node joins the dominating set in phase two).
+//! After the two rounding phases the result is read back on the graph: a
+//! node's new value is its rounded value, or `1` if one of its constraints
+//! ended up violated (that node joins the dominating set in phase two).
 
+use crate::estimator::CoinState;
 use mds_fractional::FractionalAssignment;
 
 /// A value node of a rounding problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValueNode {
-    /// Index of the original graph node this value belongs to.
-    pub original: usize,
     /// The value `x(v)` before the first phase.
     pub x: f64,
     /// The rounding probability `p(v) ≥ x(v)`; `1.0` means the node does not
@@ -47,6 +46,26 @@ impl ValueNode {
     pub fn expected_value(&self) -> f64 {
         if self.participates() {
             self.p * self.raised_value()
+        } else {
+            self.realised(CoinState::Zero)
+        }
+    }
+
+    /// The phase-one realisation under `coin`: `x(v)/p(v)` or `0` for a
+    /// participating node, `x(v)` for `p = 1` and `0` for `p = 0`, whatever
+    /// the coin. Every execution of the process (central, estimator and
+    /// engine) realises values through this rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node participates and `coin` is undecided.
+    pub fn realised(&self, coin: CoinState) -> f64 {
+        if self.participates() {
+            match coin {
+                CoinState::Take => self.raised_value(),
+                CoinState::Zero => 0.0,
+                CoinState::Undecided => panic!("participating value node left undecided"),
+            }
         } else if self.p >= 1.0 {
             self.x
         } else {
@@ -58,8 +77,8 @@ impl ValueNode {
 /// A covering constraint of a rounding problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstraintNode {
-    /// Index of the original graph node that owns the constraint (the node
-    /// that joins the dominating set if the constraint is violated).
+    /// The graph node that owns the constraint (the node that joins the
+    /// dominating set if the constraint is violated).
     pub original: usize,
     /// The threshold `c(v) ∈ [0, 1]`.
     pub c: f64,
@@ -69,53 +88,48 @@ pub struct ConstraintNode {
 }
 
 /// A complete rounding problem: the input to the abstract randomized rounding
-/// process and to its derandomization.
+/// process and to its derandomization. Value node `v` belongs to graph node
+/// `v`, so a problem over an `n`-node graph has `n` values.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoundingProblem {
-    /// Number of nodes of the original graph.
-    pub n_original: usize,
-    /// The value nodes.
+    /// The value nodes, one per graph node.
     pub values: Vec<ValueNode>,
     /// The covering constraints.
     pub constraints: Vec<ConstraintNode>,
 }
 
 impl RoundingProblem {
-    /// Creates an empty problem over `n_original` original nodes.
-    pub fn new(n_original: usize) -> Self {
-        RoundingProblem {
-            n_original,
-            values: Vec::new(),
-            constraints: Vec::new(),
-        }
+    /// Creates an empty problem.
+    pub fn new() -> Self {
+        RoundingProblem::default()
     }
 
-    /// Adds a value node, returning its index.
+    /// Adds the value of the next graph node, returning its index.
     ///
     /// # Panics
     ///
-    /// Panics if `x` or `p` is outside `[0, 1]`, if `p < x` (the process
-    /// requires `p(v) ≥ x(v)`), or if `original` is out of range.
-    pub fn add_value(&mut self, original: usize, x: f64, p: f64) -> usize {
-        assert!(original < self.n_original, "original node out of range");
+    /// Panics if `x` or `p` is outside `[0, 1]`, or if `p < x` (the process
+    /// requires `p(v) ≥ x(v)`).
+    pub fn add_value(&mut self, x: f64, p: f64) -> usize {
         assert!((0.0..=1.0).contains(&x), "x must be in [0, 1], got {x}");
         assert!((0.0..=1.0).contains(&p), "p must be in [0, 1], got {p}");
         assert!(
             p >= x - 1e-12,
             "rounding probability p={p} must be at least x={x}"
         );
-        self.values.push(ValueNode { original, x, p });
+        self.values.push(ValueNode { x, p });
         self.values.len() - 1
     }
 
-    /// Adds a constraint node, returning its index.
+    /// Adds a constraint node owned by graph node `owner`, returning its
+    /// index.
     ///
     /// # Panics
     ///
     /// Panics if `c` is outside `[0, 1]`, a member index is invalid, or
-    /// `original` is out of range.
-    pub fn add_constraint(&mut self, original: usize, c: f64, members: Vec<usize>) -> usize {
-        assert!(original < self.n_original, "original node out of range");
+    /// `owner` has no value node yet.
+    pub fn add_constraint(&mut self, owner: usize, c: f64, members: Vec<usize>) -> usize {
+        assert!(owner < self.values.len(), "constraint owner out of range");
         assert!(
             (0.0..=1.0 + 1e-12).contains(&c),
             "c must be in [0, 1], got {c}"
@@ -124,7 +138,7 @@ impl RoundingProblem {
             assert!(m < self.values.len(), "member index {m} out of range");
         }
         self.constraints.push(ConstraintNode {
-            original,
+            original: owner,
             c: c.min(1.0),
             members,
         });
@@ -143,21 +157,18 @@ impl RoundingProblem {
         self.values.iter().map(|v| v.x).sum()
     }
 
-    /// Builds the output assignment on the original graph from final value
-    /// realisations and the set of violated constraints.
+    /// Builds the output assignment on the graph from final value
+    /// realisations (node `i` takes realisation `i`) and the set of violated
+    /// constraints (whose owners take `1`).
     pub fn assemble_output(
         &self,
         realised_values: &[f64],
         violated_constraints: &[usize],
     ) -> FractionalAssignment {
         assert_eq!(realised_values.len(), self.values.len());
-        let mut out = vec![0.0f64; self.n_original];
-        for (value_node, &val) in self.values.iter().zip(realised_values.iter()) {
-            out[value_node.original] = out[value_node.original].max(val.min(1.0));
-        }
+        let mut out: Vec<f64> = realised_values.iter().map(|val| val.min(1.0)).collect();
         for &ci in violated_constraints {
-            let owner = self.constraints[ci].original;
-            out[owner] = 1.0;
+            out[self.constraints[ci].original] = 1.0;
         }
         FractionalAssignment::from_values(out)
     }
@@ -180,42 +191,34 @@ mod tests {
     use super::*;
 
     fn toy_problem() -> RoundingProblem {
-        // Two original nodes; node 0 has a value of 0.5 rounded with p=0.5,
-        // node 1 keeps a deterministic 0.25; one constraint owned by node 1
-        // covered by both.
-        let mut p = RoundingProblem::new(2);
-        let a = p.add_value(0, 0.5, 0.5);
-        let b = p.add_value(1, 0.25, 1.0);
+        // Two nodes; node 0 has a value of 0.5 rounded with p=0.5, node 1
+        // keeps a deterministic 0.25; one constraint owned by node 1 covered
+        // by both.
+        let mut p = RoundingProblem::new();
+        let a = p.add_value(0.5, 0.5);
+        let b = p.add_value(0.25, 1.0);
         p.add_constraint(1, 1.0, vec![a, b]);
         p
     }
 
     #[test]
     fn value_node_derived_quantities() {
-        let v = ValueNode {
-            original: 0,
-            x: 0.2,
-            p: 0.5,
-        };
+        let v = ValueNode { x: 0.2, p: 0.5 };
         assert!((v.raised_value() - 0.4).abs() < 1e-12);
         assert!(v.participates());
         assert!((v.expected_value() - 0.2).abs() < 1e-12);
+        assert!((v.realised(CoinState::Take) - 0.4).abs() < 1e-12);
+        assert_eq!(v.realised(CoinState::Zero), 0.0);
 
-        let fixed = ValueNode {
-            original: 0,
-            x: 0.3,
-            p: 1.0,
-        };
+        let fixed = ValueNode { x: 0.3, p: 1.0 };
         assert!(!fixed.participates());
         assert_eq!(fixed.expected_value(), 0.3);
+        assert_eq!(fixed.realised(CoinState::Undecided), 0.3);
 
-        let zero = ValueNode {
-            original: 0,
-            x: 0.0,
-            p: 0.0,
-        };
+        let zero = ValueNode { x: 0.0, p: 0.0 };
         assert_eq!(zero.raised_value(), 0.0);
         assert_eq!(zero.expected_value(), 0.0);
+        assert_eq!(zero.realised(CoinState::Take), 0.0);
     }
 
     #[test]
@@ -239,21 +242,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be at least")]
     fn p_below_x_rejected() {
-        let mut p = RoundingProblem::new(1);
-        p.add_value(0, 0.5, 0.25);
+        let mut p = RoundingProblem::new();
+        p.add_value(0.5, 0.25);
     }
 
     #[test]
     #[should_panic(expected = "member index")]
     fn bad_member_rejected() {
-        let mut p = RoundingProblem::new(1);
+        let mut p = RoundingProblem::new();
+        p.add_value(0.5, 0.5);
         p.add_constraint(0, 1.0, vec![3]);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "owner out of range")]
     fn bad_original_rejected() {
-        let mut p = RoundingProblem::new(1);
-        p.add_value(5, 0.1, 0.5);
+        let mut p = RoundingProblem::new();
+        p.add_value(0.1, 0.5);
+        p.add_constraint(5, 1.0, vec![0]);
     }
 }

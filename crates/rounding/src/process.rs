@@ -16,8 +16,8 @@ use rand::Rng;
 /// The result of one execution of the rounding process.
 #[derive(Debug, Clone)]
 pub struct RoundedOutcome {
-    /// The new assignment on the original graph (maximum over value copies,
-    /// with violated constraint owners raised to 1).
+    /// The new assignment on the graph (each node's realised value, with
+    /// violated constraint owners raised to 1).
     pub output: FractionalAssignment,
     /// Realised phase-one value of every value node.
     pub realised_values: Vec<f64>,
@@ -47,22 +47,8 @@ pub fn execute_with_coins(problem: &RoundingProblem, coins: &[CoinState]) -> Rou
     let realised: Vec<f64> = problem
         .values
         .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            if v.participates() {
-                match coins[i] {
-                    CoinState::Take => v.raised_value(),
-                    CoinState::Zero => 0.0,
-                    CoinState::Undecided => {
-                        panic!("participating value node {i} left undecided")
-                    }
-                }
-            } else if v.p >= 1.0 {
-                v.x
-            } else {
-                0.0
-            }
-        })
+        .zip(coins)
+        .map(|(v, &coin)| v.realised(coin))
         .collect();
 
     let violated: Vec<usize> = problem
@@ -84,30 +70,20 @@ pub fn execute_with_coins(problem: &RoundingProblem, coins: &[CoinState]) -> Rou
     }
 }
 
-/// Executes the process with fully independent coins drawn from `rng`.
+/// Executes the process with fully independent coins drawn from `rng`, one
+/// draw per participating value node in index order; non-participating nodes
+/// never read their coin and get [`CoinState::Zero`].
 pub fn execute_with_rng<R: Rng + ?Sized>(problem: &RoundingProblem, rng: &mut R) -> RoundedOutcome {
     let coins: Vec<CoinState> = problem
         .values
         .iter()
         .map(|v| {
-            if v.participates() {
-                if rng.gen::<f64>() < v.p {
-                    CoinState::Take
-                } else {
-                    CoinState::Zero
-                }
+            if v.participates() && rng.gen::<f64>() < v.p {
+                CoinState::Take
             } else {
-                CoinState::Undecided
+                CoinState::Zero
             }
         })
-        .collect();
-    // Non-participating nodes never read their coin; normalise to Zero for
-    // cleanliness.
-    let coins: Vec<CoinState> = problem
-        .values
-        .iter()
-        .zip(coins)
-        .map(|(v, c)| if v.participates() { c } else { CoinState::Zero })
         .collect();
     execute_with_coins(problem, &coins)
 }
@@ -120,12 +96,8 @@ pub fn execute_with_kwise(problem: &RoundingProblem, generator: &KWiseGenerator)
         .iter()
         .enumerate()
         .map(|(i, v)| {
-            if v.participates() {
-                if generator.coin(i as u64, v.p) {
-                    CoinState::Take
-                } else {
-                    CoinState::Zero
-                }
+            if v.participates() && generator.coin(i as u64, v.p) {
+                CoinState::Take
             } else {
                 CoinState::Zero
             }
@@ -143,10 +115,10 @@ mod tests {
     use rand::SeedableRng;
 
     fn toy_problem() -> RoundingProblem {
-        let mut p = RoundingProblem::new(3);
-        let a = p.add_value(0, 0.5, 0.5);
-        let b = p.add_value(1, 0.5, 0.5);
-        let c = p.add_value(2, 0.25, 1.0);
+        let mut p = RoundingProblem::new();
+        let a = p.add_value(0.5, 0.5);
+        let b = p.add_value(0.5, 0.5);
+        let c = p.add_value(0.25, 1.0);
         p.add_constraint(0, 1.0, vec![a, b, c]);
         p.add_constraint(2, 0.25, vec![c]);
         p

@@ -23,7 +23,7 @@ use congest_mds::rounding::derandomize::{
     DerandomizeConfig,
 };
 use congest_mds::rounding::kwise::KWiseGenerator;
-use congest_mds::rounding::one_shot::OneShotRounding;
+use congest_mds::rounding::one_shot;
 use congest_mds::rounding::process::{execute_with_kwise, execute_with_rng};
 use congest_mds::rounding::EstimatorKind;
 use rand::rngs::StdRng;
@@ -48,7 +48,7 @@ fn main() {
     );
 
     // The one-shot rounding problem (Lemma 3.8).
-    let problem = OneShotRounding::on_graph(&graph, &initial.assignment).into_problem();
+    let problem = one_shot::on_graph(&graph, &initial.assignment);
 
     // (a) Truly random coins, averaged over many runs.
     let mut rng = StdRng::seed_from_u64(1);
@@ -74,11 +74,12 @@ fn main() {
     // The distance-two coloring of the constraint/value graph (Lemma 3.12):
     // same-colored values share no constraint, so a whole class can fix its
     // coins in one parallel step. `color_problem` is the exact grouping the
-    // Theorem 1.2 pipeline route uses; run in conflict order, the greedy
-    // classes come out as the schedule's steps.
-    let (coloring, _bipartite) = color_problem(&problem);
-    let schedule = DerandSchedule::conflict_order(&coloring.classes(), &problem);
-    assert_eq!(schedule.steps, coloring.classes());
+    // Theorem 1.2 pipeline route uses, and its classes are the schedule's
+    // steps.
+    let coloring = color_problem(&problem);
+    let schedule = DerandSchedule {
+        steps: coloring.classes(),
+    };
 
     // (c) The deterministic choice (Lemma 3.10 core), color class by class.
     let det = derandomize(

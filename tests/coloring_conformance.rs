@@ -19,7 +19,8 @@ use congest_mds::fractional::lp;
 use congest_mds::graphs::bipartite::BipartiteGraph;
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::problem_bipartite;
-use congest_mds::rounding::one_shot::OneShotRounding;
+use congest_mds::rounding::derandomize::DerandSchedule;
+use congest_mds::rounding::one_shot;
 use proptest::prelude::*;
 use threads::forced_threads;
 
@@ -135,7 +136,10 @@ proptest! {
 
     // The pipeline's own instances: degree-reduced (split) one-shot rounding
     // problems, where an owner hosts several constraint nodes — exactly the
-    // shape the Theorem 1.2 route colors at every rounding step.
+    // shape the Theorem 1.2 route colors at every rounding step. The route
+    // runs the color classes as its derandomization steps, which is sound
+    // because they are the conflict order of the class order: a smallest-free
+    // greedy class `c` waits exactly for class `c − 1`.
     #[test]
     fn degree_reduced_problem_coloring_conforms(
         which in 0u8..5,
@@ -146,8 +150,11 @@ proptest! {
     ) {
         let graph = sweep_graph(which, size, seed);
         let x = lp::degree_heuristic(&graph);
-        let problem = OneShotRounding::degree_reduced(&graph, &x, split).into_problem();
+        let problem = one_shot::degree_reduced(&graph, &x, split);
         let (b, left_owner, targets) = problem_bipartite(&problem);
         assert_conformance(&graph, &b, &left_owner, &targets, forced_threads(threads));
+        let classes = bipartite_distance_two_coloring(&b, &targets).classes();
+        let schedule = DerandSchedule::conflict_order(&classes, &problem);
+        assert_eq!(schedule.steps, classes);
     }
 }

@@ -12,7 +12,7 @@ use congest_mds::mds::pipeline::{theorem_1_1, theorem_1_2, MdsConfig};
 use congest_mds::mds::{exact, greedy, verify};
 use congest_mds::rounding::derandomize::{derandomize, DerandomizeConfig};
 use congest_mds::rounding::kwise::KWiseGenerator;
-use congest_mds::rounding::one_shot::OneShotRounding;
+use congest_mds::rounding::one_shot;
 use congest_mds::rounding::process::{execute_with_kwise, execute_with_rng};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,7 +60,7 @@ fn derandomization_anatomy_example_core_path() {
     let initial = initial_fractional_solution(&graph, &InitialSolutionConfig::default());
     assert!(initial.assignment.is_feasible_dominating_set(&graph));
 
-    let problem = OneShotRounding::on_graph(&graph, &initial.assignment).into_problem();
+    let problem = one_shot::on_graph(&graph, &initial.assignment);
 
     let mut rng = StdRng::seed_from_u64(1);
     for _ in 0..20 {
@@ -97,9 +97,9 @@ fn derandomization_anatomy_example_core_path() {
     };
     use congest_mds::rounding::EstimatorKind;
 
-    let (coloring, _bipartite) = color_problem(&problem);
-    let schedule = DerandSchedule::conflict_order(&coloring.classes(), &problem);
-    assert_eq!(schedule.len(), coloring.num_colors);
+    let schedule = DerandSchedule {
+        steps: color_problem(&problem).classes(),
+    };
     let central = derandomize(
         &problem,
         &DerandomizeConfig {

@@ -29,7 +29,7 @@ use congest_mds::rounding::derandomize::{
     DerandomizeConfig,
 };
 use congest_mds::rounding::kwise::KWiseGenerator;
-use congest_mds::rounding::one_shot::OneShotRounding;
+use congest_mds::rounding::one_shot;
 use congest_mds::rounding::EstimatorKind;
 use insomniac::insomniacs;
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn one_shot_derandomization_dominates_and_respects_its_bound(graph in graph_strategy()) {
         let x = lp::degree_heuristic(&graph);
-        let problem = OneShotRounding::on_graph(&graph, &x).into_problem();
+        let problem = one_shot::on_graph(&graph, &x);
         let out = derandomize(&problem, &DerandomizeConfig::default());
         prop_assert!(out.output.is_integral());
         prop_assert!(out.output.is_feasible_dominating_set(&graph));
@@ -413,7 +413,7 @@ proptest! {
         use rand::SeedableRng;
 
         let x = lp::degree_heuristic(&graph);
-        let problem = OneShotRounding::on_graph(&graph, &x).into_problem();
+        let problem = one_shot::on_graph(&graph, &x);
         let mut order = problem.participating_values();
         order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(shuffle));
         let order = vec![order];
@@ -458,7 +458,7 @@ proptest! {
         graph in family_graph_strategy(),
         threads in 2usize..6,
     ) {
-        let problem = OneShotRounding::on_graph(&graph, &lp::degree_heuristic(&graph)).into_problem();
+        let problem = one_shot::on_graph(&graph, &lp::degree_heuristic(&graph));
         let (bipartite, owners, targets) = pipeline::problem_bipartite(&problem);
         let coloring = || {
             distance_two_coloring_programs(&graph, &bipartite, &owners, &targets)
@@ -714,8 +714,7 @@ proptest! {
 
         let members: Vec<(ValueNode, CoinState)> = raw
             .into_iter()
-            .enumerate()
-            .map(|(i, (x, pf, tag))| {
+            .map(|(x, pf, tag)| {
                 // tag 3: non-participating (p = 1); otherwise p ∈ (x, 1).
                 let p = if tag == 3 {
                     1.0
@@ -727,7 +726,7 @@ proptest! {
                     1 => CoinState::Take,
                     _ => CoinState::Zero,
                 };
-                (ValueNode { original: i, x, p }, coin)
+                (ValueNode { x, p }, coin)
             })
             .collect();
         let kind = [

@@ -27,7 +27,7 @@ use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig, MdsResult};
 use congest_mds::mds::verify;
 use congest_mds::rounding::derandomize::{scheduled_derand_programs, DerandSchedule};
-use congest_mds::rounding::one_shot::OneShotRounding;
+use congest_mds::rounding::one_shot;
 use congest_mds::rounding::EstimatorKind;
 use congest_mds::transport::{
     FrameError, Role, SocketExecutor, SocketListener, SocketSession, TransportError,
@@ -416,7 +416,7 @@ fn socket_mixed_inbox_matches_its_all_sends_twin_over_loopback() {
 fn socket_sleeping_programs_match_their_insomniac_twins() {
     let graph = generators::unit_disk(60, 0.25, 3);
     let config = ExecutorConfig::default();
-    let problem = OneShotRounding::on_graph(&graph, &lp::degree_heuristic(&graph)).into_problem();
+    let problem = one_shot::on_graph(&graph, &lp::degree_heuristic(&graph));
     let (bipartite, owners, targets) = pipeline::problem_bipartite(&problem);
     let coloring = || {
         distance_two_coloring_programs(&graph, &bipartite, &owners, &targets)
