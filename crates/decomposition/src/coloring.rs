@@ -334,24 +334,26 @@ impl Wire for ColoringMessage {
     }
 }
 
-/// A member of an owned constraint, as tracked by the owner for the relay.
+/// A member of the executing node's owned constraints, as tracked by the
+/// owner for the relay: one per distinct member, however many of the owned
+/// constraints contain it.
 #[derive(Debug, Clone)]
 struct ConflictMember {
     /// The member's node id (equal to its right/value index).
     id: usize,
-    /// Whether the member is one of the coloring targets.
-    is_target: bool,
     /// The member's fixed color, once announced.
     color: Option<usize>,
+    /// Within a relay round, the position of the member's entry in the
+    /// round's list of `Forbid` messages; [`NO_DELTA`] otherwise.
+    delta: u32,
+    /// Whether the member is one of the coloring targets.
+    is_target: bool,
     /// Whether the color was fixed since the owner last relayed.
     fresh: bool,
 }
 
-/// One constraint (left node) owned by the executing node.
-#[derive(Debug, Clone)]
-struct OwnedConflict {
-    members: Vec<ConflictMember>,
-}
+/// [`ConflictMember::delta`] of a member no `Forbid` is addressed to yet.
+const NO_DELTA: u32 = u32::MAX;
 
 /// Per-node state machine of the measured distance-two coloring
 /// (substitution R4 made measured).
@@ -379,8 +381,11 @@ pub struct DistanceTwoColoringProgram {
     /// Forbidden colors accumulated from owner relays; at the decide round
     /// the co-members' colors of owned constraints join them.
     forbidden: Vec<bool>,
-    /// Constraints owned by this node (its left copies).
-    owned: Vec<OwnedConflict>,
+    /// Constraints owned by this node (its left copies), each as its
+    /// members' positions in `members`, in neighbor order.
+    owned: Vec<Vec<u32>>,
+    /// The distinct members of the owned constraints, sorted by id.
+    members: Vec<ConflictMember>,
 }
 
 impl DistanceTwoColoringProgram {
@@ -393,15 +398,13 @@ impl DistanceTwoColoringProgram {
         }
     }
 
-    /// Records a fixed color in the owner-side member states.
+    /// Records a fixed color in the owner-side member state of `id`, if `id`
+    /// is a member of an owned constraint.
     fn record_color(&mut self, id: usize, color: usize) {
-        for oc in &mut self.owned {
-            for m in &mut oc.members {
-                if m.id == id {
-                    m.color = Some(color);
-                    m.fresh = true;
-                }
-            }
+        if let Ok(i) = self.members.binary_search_by_key(&id, |m| m.id) {
+            let m = &mut self.members[i];
+            m.color = Some(color);
+            m.fresh = true;
         }
     }
 }
@@ -449,10 +452,14 @@ impl NodeProgram for DistanceTwoColoringProgram {
                 // once and never reads the set again, so the co-members'
                 // colors are marked into it in place.
                 for oc in &self.owned {
-                    if !oc.members.iter().any(|m| m.id == my_id) {
+                    if !oc
+                        .iter()
+                        .any(|&slot| self.members[slot as usize].id == my_id)
+                    {
                         continue;
                     }
-                    for m in &oc.members {
+                    for &slot in oc {
+                        let m = &self.members[slot as usize];
                         if m.id != my_id {
                             if let Some(c) = m.color {
                                 mark(&mut self.forbidden, c);
@@ -475,23 +482,32 @@ impl NodeProgram for DistanceTwoColoringProgram {
                 return RoundAction::Halt(self.my_color);
             }
             // Forward the freshly fixed colors of every owned constraint to
-            // its still-undecided targets (the distance-two relay).
+            // its still-undecided targets (the distance-two relay). Each
+            // target gets one message, sent in the order the scan first
+            // reaches it.
             let mut deltas: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut fresh: Vec<usize> = Vec::new();
             for oc in &self.owned {
-                let fresh: Vec<usize> = oc
-                    .members
-                    .iter()
-                    .filter(|m| m.fresh)
-                    .filter_map(|m| m.color)
-                    .collect();
+                fresh.clear();
+                fresh.extend(
+                    oc.iter()
+                        .map(|&slot| &self.members[slot as usize])
+                        .filter(|m| m.fresh)
+                        .filter_map(|m| m.color),
+                );
                 if fresh.is_empty() {
                     continue;
                 }
-                for m in &oc.members {
+                for &slot in oc {
+                    let m = &mut self.members[slot as usize];
                     if m.is_target && m.color.is_none() && m.id != my_id {
-                        match deltas.iter_mut().find(|(id, _)| *id == m.id) {
-                            Some((_, colors)) => colors.extend_from_slice(&fresh),
-                            None => deltas.push((m.id, fresh.clone())),
+                        if m.delta == NO_DELTA {
+                            // One entry per distinct member at most: fewer
+                            // than `n < u32::MAX`.
+                            m.delta = deltas.len() as u32;
+                            deltas.push((m.id, fresh.clone()));
+                        } else {
+                            deltas[m.delta as usize].1.extend_from_slice(&fresh);
                         }
                     }
                 }
@@ -501,10 +517,9 @@ impl NodeProgram for DistanceTwoColoringProgram {
                 colors.dedup();
                 outbox.send(NodeId(id), ColoringMessage::Forbid { colors });
             }
-            for oc in &mut self.owned {
-                for m in &mut oc.members {
-                    m.fresh = false;
-                }
+            for m in &mut self.members {
+                m.fresh = false;
+                m.delta = NO_DELTA;
             }
             RoundAction::SleepUntil(self.next_wake())
         }
@@ -540,6 +555,12 @@ pub fn distance_two_coloring_programs(
             b.right_count()
         ));
     }
+    if n >= u32::MAX as usize {
+        // The owner-side member positions are compacted to u32.
+        return Err(format!(
+            "network too large for the compact member index: {n} nodes"
+        ));
+    }
     if left_owner.len() != b.left_count() {
         return Err(format!(
             "{} left owners supplied for {} left (constraint) nodes",
@@ -571,32 +592,51 @@ pub fn distance_two_coloring_programs(
     }
 
     let schedule = coloring_schedule(b, targets);
-    let mut owned: Vec<Vec<OwnedConflict>> = vec![Vec::new(); n];
+    let mut owned_lefts: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (l, &owner) in left_owner.iter().enumerate() {
-        let members = b
-            .neighbors_of_left(l)
-            .iter()
-            .map(|&r| ConflictMember {
-                id: r,
-                is_target: schedule.step[r] != usize::MAX,
-                color: None,
-                fresh: false,
-            })
-            .collect();
-        owned[owner].push(OwnedConflict { members });
+        owned_lefts[owner].push(l);
     }
-    let programs = owned
+    let programs = owned_lefts
         .into_iter()
         .enumerate()
-        .map(|(v, owned)| DistanceTwoColoringProgram {
-            num_steps: schedule.num_steps,
-            my_step: match schedule.step[v] {
-                usize::MAX => None,
-                s => Some(s),
-            },
-            my_color: None,
-            forbidden: Vec::new(),
-            owned,
+        .map(|(v, lefts)| {
+            // Index the owned constraints' members by id once.
+            let mut ids: Vec<usize> = lefts
+                .iter()
+                .flat_map(|&l| b.neighbors_of_left(l).iter().copied())
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let owned = lefts
+                .iter()
+                .map(|&l| {
+                    b.neighbors_of_left(l)
+                        .iter()
+                        .map(|r| ids.binary_search(r).expect("indexed member") as u32)
+                        .collect()
+                })
+                .collect();
+            let members = ids
+                .into_iter()
+                .map(|r| ConflictMember {
+                    id: r,
+                    color: None,
+                    delta: NO_DELTA,
+                    is_target: schedule.step[r] != usize::MAX,
+                    fresh: false,
+                })
+                .collect();
+            DistanceTwoColoringProgram {
+                num_steps: schedule.num_steps,
+                my_step: match schedule.step[v] {
+                    usize::MAX => None,
+                    s => Some(s),
+                },
+                my_color: None,
+                forbidden: Vec::new(),
+                owned,
+                members,
+            }
         })
         .collect();
     Ok((programs, schedule))

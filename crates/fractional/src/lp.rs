@@ -15,7 +15,10 @@
 //! (`formulas::kmw_fractional_rounds`). [`central_mwu_reference`] replays
 //! the same update and halting rules centrally and is bit-identical to the
 //! engine run, rounds, messages and payloads included — the oracle the
-//! property tests compare against.
+//! property tests compare against. A node whose own constraint is covered
+//! sends only what its neighbors still read, its scores and values; the
+//! weight and best-server broadcasts of an iteration come from the owners of
+//! uncovered constraints alone.
 //!
 //! The module also exposes [`dual_lower_bound`], a certified feasible
 //! solution of the dual packing LP, used by the experiments to bound the
@@ -163,8 +166,8 @@ pub struct MwuParameters {
 ///    `w(v) = e^{-α·cov(v)}` of its own (still uncovered) constraint;
 /// 2. weights are exchanged and every node derives its server score
 ///    `s(u) = Σ_{v ∈ N⁺(u)} w(v)` — how much constraint weight it can serve;
-/// 3. scores are exchanged and every constraint owner derives its
-///    best-server score `m(v) = max_{u ∈ N⁺(v)} s(u)`;
+/// 3. scores are exchanged and the owner of every uncovered constraint
+///    derives its best-server score `m(v) = max_{u ∈ N⁺(v)} s(u)`;
 /// 4. maxima are exchanged and every node within a `(1-ε)` factor of the
 ///    best server of some uncovered constraint it serves multiplies its value
 ///    by `(1+ε)` (entering at the floor `Δ̃⁻²`).
@@ -186,6 +189,16 @@ pub struct MwuParameters {
 /// without the rule. If every node halts in iteration `i* < T` the run ends
 /// after `4i* + 2` rounds; [`central_mwu_reference`] reports the exact count.
 ///
+/// **Broadcasts.** Every live node broadcasts `x` at init and in step 4, and
+/// `s` in step 2. Only a node with `w > 0` broadcasts in steps 1 and 3:
+/// a missing weight reads as `0`, and `m(v)` is read only while `w(v) > 0`.
+/// A node with `w > 0` never halts in step 2, so a neighbor's `m` arrives
+/// exactly when that neighbor's constraint is uncovered, and step 4 tests
+/// every `m` it receives. Every sum starts at a non-negative own term, to
+/// which the `+0` of a missing entry adds nothing, so the values are
+/// bit-identical to a run in which covered nodes broadcast `w = 0` and `m`.
+/// [`MwuReplay::messages`] gives the resulting count per node.
+///
 /// All messages are single 64-bit values, charged per the workspace's
 /// convention for fractional payloads ([`congest_sim::MessageSize`] on
 /// `f64`). Strictly, the broadcast weights `e^{-α·cov}` carry a full float
@@ -200,8 +213,9 @@ pub struct DistributedLpProgram {
     /// first exchange — it starts at `e^0 = 1`, the weight at coverage `0`).
     w: f64,
     s: f64,
-    m: f64,
-    neighbor_w: Vec<f64>,
+    /// Whether the own constraint is uncovered and `s` is within a `(1-ε)`
+    /// factor of its best-server score; decided in step 3, read in step 4.
+    near_best_own: bool,
     iteration: usize,
 }
 
@@ -214,8 +228,7 @@ impl DistributedLpProgram {
             x: 0.0,
             w: 1.0,
             s: 0.0,
-            m: 0.0,
-            neighbor_w: Vec::new(),
+            near_best_own: false,
             iteration: 0,
         };
         vec![program; graph.n()]
@@ -226,8 +239,7 @@ impl NodeProgram for DistributedLpProgram {
     type Message = f64;
     type Output = f64;
 
-    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, f64>) {
-        self.neighbor_w = vec![0.0; ctx.degree()];
+    fn init(&mut self, _ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, f64>) {
         outbox.broadcast(self.x);
     }
 
@@ -259,21 +271,20 @@ impl NodeProgram for DistributedLpProgram {
                 if done {
                     return RoundAction::Halt(self.x);
                 }
-                outbox.broadcast(self.w);
+                // A covered constraint's weight is 0, which its neighbors
+                // read from a missing entry as well.
+                if self.w > 0.0 {
+                    outbox.broadcast(self.w);
+                }
                 RoundAction::Continue
             }
-            // Weights arrive: derive the server score. The fill of the
-            // per-neighbor weight cache and the score sum share one pass over
-            // the inbox slots; slot order equals the old cache-then-sum order,
-            // so the floating-point accumulation is bit-identical. Weights
-            // are never negative, so a zero score means every constraint in
-            // `N⁺(u)` is covered: the value is final and the node halts.
+            // Weights arrive: derive the server score. Weights are never
+            // negative, so a zero score means every constraint in `N⁺(u)` is
+            // covered: the value is final and the node halts.
             1 => {
                 self.s = self.w;
-                for (idx, (_, msg)) in inbox.iter_slots().enumerate() {
-                    let w = msg.copied().unwrap_or(0.0);
-                    self.neighbor_w[idx] = w;
-                    self.s += w;
+                for (_, msg) in inbox.iter_slots() {
+                    self.s += msg.copied().unwrap_or(0.0);
                 }
                 if self.s == 0.0 {
                     return RoundAction::Halt(self.x);
@@ -281,30 +292,28 @@ impl NodeProgram for DistributedLpProgram {
                 outbox.broadcast(self.s);
                 RoundAction::Continue
             }
-            // Scores arrive: derive the own-constraint best-server score.
+            // Scores arrive: the owner of an uncovered constraint derives its
+            // best-server score `m`, tests its own score against it and
+            // broadcasts it. Nobody reads the `m` of a covered constraint.
             2 => {
-                self.m = self.s;
-                for (_, msg) in inbox.iter() {
-                    self.m = self.m.max(*msg);
+                self.near_best_own = false;
+                if self.w > 0.0 {
+                    let mut m = self.s;
+                    for (_, msg) in inbox.iter() {
+                        m = m.max(*msg);
+                    }
+                    self.near_best_own = self.s >= (1.0 - p.epsilon) * m;
+                    outbox.broadcast(m);
                 }
-                outbox.broadcast(self.m);
                 RoundAction::Continue
             }
-            // Best-server maxima arrive: near-best servers of an uncovered
+            // Best-server maxima arrive, one from each neighbor with an
+            // uncovered constraint: near-best servers of an uncovered
             // constraint climb one rung of the (1+ε)-ladder.
             _ => {
                 let threshold = 1.0 - p.epsilon;
-                let mut qualifies = self.w > 0.0 && self.s >= threshold * self.m;
-                if !qualifies {
-                    for (idx, (_, msg)) in inbox.iter_slots().enumerate() {
-                        if let Some(&m) = msg {
-                            if self.neighbor_w[idx] > 0.0 && self.s >= threshold * m {
-                                qualifies = true;
-                                break;
-                            }
-                        }
-                    }
-                }
+                let qualifies =
+                    self.near_best_own || inbox.iter().any(|(_, &m)| self.s >= threshold * m);
                 if qualifies {
                     self.x = (self.x * (1.0 + p.epsilon)).max(p.floor).min(1.0);
                 }
@@ -325,9 +334,13 @@ pub struct MwuReplay {
     /// Rounds until the last node halts: `4i* + 2` if every node has halted
     /// by iteration `i* < T`, else `4T + 1`.
     pub rounds: u64,
-    /// Messages sent: `Σ deg(u)·b(u)`, where a node halting in iteration
-    /// `i_u` broadcasts in `b(u) = 4i_u + 2` rounds and one running to the
-    /// completion round in `4T + 1`.
+    /// Messages sent: `Σ deg(u)·b(u)`. A node halting in iteration `i_u`
+    /// (`i_u = T` for one that reaches the completion round), whose own
+    /// weight stays positive after the weight update of its first `c_u`
+    /// iterations, broadcasts `b(u) = 1 + 2i_u + 2c_u` times: `x` at init,
+    /// `s` and `x` per completed iteration, and `w` and `m` while its
+    /// constraint is uncovered. A never-covered node broadcasts `4T + 1`
+    /// times.
     pub messages: u64,
     /// Stored payloads: one per broadcast, `Σ b(u)` over non-isolated nodes.
     pub payloads: u64,
@@ -352,6 +365,9 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Mwu
     // The iteration each node halted in; `T` for one that reaches the
     // completion round.
     let mut halted_in = vec![p.iterations; n];
+    // How many iterations left each node's weight positive after the
+    // update: it broadcasts `w` and `m` in exactly those.
+    let mut uncovered_in = vec![0u64; n];
     let mut live = n;
     let coverage = |x: &[f64], v: usize| -> f64 {
         let mut cov = x[v];
@@ -366,6 +382,9 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Mwu
         for v in 0..n {
             if w[v] > 0.0 {
                 w[v] = constraint_weight(p.alpha, coverage(&x, v));
+                if w[v] > 0.0 {
+                    uncovered_in[v] += 1;
+                }
             }
         }
         for u in 0..n {
@@ -417,21 +436,22 @@ pub fn central_mwu_reference(graph: &Graph, config: &DistributedLpConfig) -> Mwu
             x[v] = 1.0;
         }
     }
-    // A node broadcasts in every round before the one it halts in (round
-    // 4i + 2 after halting in iteration i, round 4T + 1 at completion), so
-    // that round is also its broadcast count, and the run ends with the
-    // largest.
+    // A node halts in round 4i + 2 after halting in iteration i, and in
+    // round 4T + 1 at completion; the run ends with the largest. It
+    // broadcasts `x` at init, `s` and `x` in every iteration it completes,
+    // and `w` and `m` in every iteration its constraint is uncovered.
     let t = p.iterations as u64;
     let (mut rounds, mut messages, mut payloads) = (0, 0, 0);
-    for (u, &i) in halted_in.iter().enumerate() {
+    for (u, (&i, &c)) in halted_in.iter().zip(&uncovered_in).enumerate() {
         let i = i as u64;
-        let broadcasts = if i < t {
+        let halt_round = if i < t {
             4 * i + 2
         } else {
             formulas::mwu_fractional_rounds(t)
         };
+        let broadcasts = 1 + 2 * i + 2 * c;
         let degree = graph.degree(congest_sim::NodeId(u)) as u64;
-        rounds = rounds.max(broadcasts);
+        rounds = rounds.max(halt_round);
         messages += degree * broadcasts;
         if degree > 0 {
             payloads += broadcasts;
@@ -545,7 +565,68 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn program_state_holds_only_the_resolved_parameters() {
-        assert_eq!(std::mem::size_of::<DistributedLpProgram>(), 96);
+        // The parameters (32 B), `x`, `w`, `s`, the iteration and the
+        // near-best flag; no heap state.
+        assert_eq!(std::mem::size_of::<DistributedLpProgram>(), 72);
+    }
+
+    /// Delegates to the MWU program and asserts, after each of its weight
+    /// and best-server rounds, that a node whose own constraint is covered
+    /// queued nothing. Outputs the value and the number of rounds checked.
+    struct CoveredStaysQuiet(DistributedLpProgram, u64);
+
+    impl NodeProgram for CoveredStaysQuiet {
+        type Message = f64;
+        type Output = (f64, u64);
+
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, f64>) {
+            self.0.init(ctx, outbox);
+        }
+
+        fn round(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            inbox: &Inbox<'_, f64>,
+            outbox: &mut Outbox<'_, f64>,
+        ) -> RoundAction<(f64, u64)> {
+            let action = self.0.round(ctx, inbox, outbox);
+            if matches!((ctx.round - 1) % 4, 0 | 2) && self.0.w == 0.0 {
+                assert_eq!(outbox.queued(), 0, "{:?} in round {}", ctx.id, ctx.round);
+                self.1 += 1;
+            }
+            match action {
+                RoundAction::Halt(x) => RoundAction::Halt((x, self.1)),
+                RoundAction::Continue => RoundAction::Continue,
+                RoundAction::SleepUntil(r) => RoundAction::SleepUntil(r),
+            }
+        }
+    }
+
+    #[test]
+    fn covered_nodes_broadcast_neither_weight_nor_best_server_score() {
+        let config = DistributedLpConfig::with_epsilon(1.0 / 16.0);
+        for g in [
+            generators::gnp(40, 0.12, 7),
+            generators::star(1000),
+            generators::cycle(300),
+        ] {
+            let programs = DistributedLpProgram::programs(&g, &config)
+                .into_iter()
+                .map(|p| CoveredStaysQuiet(p, 0))
+                .collect();
+            let report = SyncExecutor
+                .run(&g, programs, &ExecutorConfig::default())
+                .unwrap();
+            let checked: u64 = report.outputs.iter().map(|&(_, c)| c).sum();
+            assert!(checked > 0, "no covered node ran a weight or maxima round");
+            let replay = central_mwu_reference(&g, &config);
+            let values: Vec<f64> = report.outputs.iter().map(|&(x, _)| x).collect();
+            assert_eq!(values, replay.assignment.values());
+            assert_eq!(
+                (report.rounds, report.messages, report.payloads),
+                (replay.rounds, replay.messages, replay.payloads)
+            );
+        }
     }
 
     #[test]

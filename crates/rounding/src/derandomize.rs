@@ -630,8 +630,15 @@ pub fn scheduled_derand_programs(
         }
     }
 
-    // Locality + (owner, member) uniqueness + same-step independence.
+    // Locality + (owner, member) uniqueness + same-step independence. Both
+    // checks are one compare per member: `owner_of_member[m]` is the last
+    // owner with an earlier constraint containing `m` (owners come in
+    // increasing order, so the marks never need a reset), and
+    // `constraint_of_step[s]` is the last constraint with a member deciding
+    // in step `s`.
     let mut owned: Vec<Vec<OwnedConstraint>> = vec![Vec::new(); n];
+    let mut owner_of_member = vec![usize::MAX; n];
+    let mut constraint_of_step = vec![usize::MAX; schedule.steps.len()];
     for (ci, c) in problem.constraints.iter().enumerate() {
         if c.original >= n {
             return Err(format!("constraint {ci} owner out of range"));
@@ -645,7 +652,6 @@ pub fn scheduled_derand_programs(
             ));
         }
         let owner = NodeId(c.original);
-        let mut steps_seen: Vec<usize> = Vec::new();
         let mut members = Vec::with_capacity(c.members.len());
         for &m in &c.members {
             if m != owner.0 && !graph.has_edge(owner, NodeId(m)) {
@@ -653,21 +659,18 @@ pub fn scheduled_derand_programs(
                     "constraint {ci}: member {m} is not in the inclusive neighborhood of owner {owner}"
                 ));
             }
-            if owned[owner.0]
-                .iter()
-                .any(|oc| oc.members.iter().any(|om| om.id == m))
-            {
+            if owner_of_member[m] == owner.0 {
                 return Err(format!(
                     "owner {owner} has several constraints containing member {m}"
                 ));
             }
             if let Some(s) = step_of[m] {
-                if steps_seen.contains(&s) {
+                if constraint_of_step[s] == ci {
                     return Err(format!(
                         "constraint {ci}: two members decide in step {s}; steps must be independent"
                     ));
                 }
-                steps_seen.push(s);
+                constraint_of_step[s] = ci;
             }
             members.push(MemberState {
                 id: m,
@@ -679,6 +682,9 @@ pub fn scheduled_derand_programs(
                     CoinState::Zero
                 },
             });
+        }
+        for &m in &c.members {
+            owner_of_member[m] = owner.0;
         }
         owned[owner.0].push(OwnedConstraint { c: c.c, members });
     }
@@ -1169,5 +1175,20 @@ mod tests {
         let err = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
             .unwrap_err();
         assert!(err.contains("increasing-owner grouping"), "{err}");
+
+        // One owner with two constraints that share a member.
+        let mut problem = RoundingProblem::new();
+        for _ in 0..4 {
+            problem.add_value(0.3, 0.5);
+        }
+        problem.add_constraint(1, 1.0, vec![0, 1]);
+        problem.add_constraint(1, 1.0, vec![1, 2]);
+        let schedule = DerandSchedule::conflict_order(&[vec![0, 1, 2, 3]], &problem);
+        let err = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
+            .unwrap_err();
+        assert!(
+            err.contains("several constraints containing member 1"),
+            "{err}"
+        );
     }
 }

@@ -374,14 +374,17 @@ proptest! {
 
     // The measured distributed MWU solver is bit-identical to its central
     // oracle and to itself across executors (R1 made measured), and the
-    // replay of its halting rule gives the engine's exact rounds, messages
-    // and payloads.
+    // replay of its halting and broadcast rules gives the engine's exact
+    // rounds, messages and payloads. ε is the pipeline's 1/16 or the
+    // default 0.25; a truncated T makes the completion round do real work.
     #[test]
     fn distributed_mwu_equals_central_oracle(
         graph in graph_strategy(),
         threads in 2usize..6,
+        epsilon in (0usize..2).prop_map(|i| [1.0 / 16.0, 0.25][i]),
+        iterations in (0u8..2, 1usize..41).prop_map(|(auto, t)| (auto == 0).then_some(t)),
     ) {
-        let config = lp::DistributedLpConfig::default();
+        let config = lp::DistributedLpConfig { epsilon, iterations };
         let oracle = lp::central_mwu_reference(&graph, &config);
         let exec_config = ExecutorConfig::default();
         let seq = SyncExecutor
