@@ -99,7 +99,9 @@ impl NodeProgram for WaveMin {
         inbox: &Inbox<'_, u32>,
         outbox: &mut Outbox<'_, u32>,
     ) -> RoundAction<u32> {
-        let heard = inbox.iter().map(|(_, &m)| m).min().unwrap_or(u32::MAX);
+        let heard = inbox
+            .iter_or(&u32::MAX)
+            .fold(u32::MAX, |heard, &m| heard.min(m));
         if ctx.round >= FLOOD_ROUNDS {
             return RoundAction::Halt(self.label.min(heard));
         }

@@ -58,6 +58,14 @@ impl<'a> NodeContext<'a> {
 /// CSR order, so iteration is sorted by sender and [`Inbox::from`] is an
 /// `O(log deg)` binary search (at most one message per neighbor per round —
 /// the CONGEST contract).
+///
+/// Which reader to use: a program that folds every neighbor's message into
+/// one value (a sum, a maximum, a minimum), where a silent neighbor counts
+/// as the fold's identity, reads with [`Inbox::iter_or`]. It picks between
+/// the table entry and the identity without a branch, which pays when
+/// senders fall silent in no predictable pattern. A program that acts per
+/// sender, or must tell silence from a message, matches with
+/// [`Inbox::iter`], [`Inbox::iter_slots`] or [`Inbox::from`].
 #[derive(Debug, Clone, Copy)]
 pub struct Inbox<'a, M> {
     senders: &'a [NodeId],
@@ -104,6 +112,31 @@ impl<'a, M> Inbox<'a, M> {
             .iter()
             .enumerate()
             .map(|(i, &s)| (s, self.get(i, s)))
+    }
+
+    /// Iterates over every neighbor slot's message in CSR order, yielding
+    /// `absent` for a neighbor that sent nothing: the same sequence as
+    /// `iter_slots().map(|(_, m)| m.unwrap_or(absent))`. Pass the identity
+    /// of the fold that consumes it (`0` for a sum, `-∞` for a maximum).
+    ///
+    /// The table read has no branch on the entry's discriminant: both
+    /// candidates are one-element slices, and
+    /// [`std::hint::select_unpredictable`] picks one with a conditional
+    /// move, so a table with silent senders in random places costs no
+    /// mispredictions. Only the edge-slot lookup of a round that mixes
+    /// sends and broadcasts branches.
+    pub fn iter_or(&self, absent: &'a M) -> impl Iterator<Item = &'a M> + '_ {
+        let absent = std::slice::from_ref(absent);
+        self.senders
+            .iter()
+            .enumerate()
+            .map(move |(i, &s)| match self.slots.get(i) {
+                Some(Some(m)) => m,
+                _ => {
+                    let entry = &self.table[s.0];
+                    &std::hint::select_unpredictable(entry.is_some(), entry.as_slice(), absent)[0]
+                }
+            })
     }
 
     /// The message received from `sender`, if any. `O(log deg)`.
@@ -365,6 +398,20 @@ pub trait NodeProgram {
 mod tests {
     use super::*;
 
+    /// `iter_or` is `iter_slots` with each silent neighbor read as
+    /// `absent`.
+    fn assert_iter_or_reads_silence_as<M: Copy + PartialEq + std::fmt::Debug>(
+        inbox: &Inbox<'_, M>,
+        absent: M,
+    ) {
+        let folded: Vec<M> = inbox.iter_or(&absent).copied().collect();
+        let slotted: Vec<M> = inbox
+            .iter_slots()
+            .map(|(_, m)| *m.unwrap_or(&absent))
+            .collect();
+        assert_eq!(folded, slotted);
+    }
+
     #[test]
     fn inbox_lookup_by_sender_is_binary_search_over_sorted_senders() {
         let senders = [NodeId(1), NodeId(3), NodeId(7)];
@@ -406,6 +453,10 @@ mod tests {
         assert_eq!(inbox.from(NodeId(5)), None, "silent neighbor");
         assert_eq!(inbox.from(NodeId(4)), None, "table entry of a non-neighbor");
         assert_eq!(inbox.len(), 3);
+        let folded: Vec<_> = inbox.iter_or(&u32::MAX).copied().collect();
+        assert_eq!(folded, vec![10, 30, u32::MAX, 70]);
+        assert_iter_or_reads_silence_as(&inbox, u32::MAX);
+        assert_iter_or_reads_silence_as(&inbox, 0);
     }
 
     /// With no per-edge message delivered, executors pass an empty edge
@@ -423,8 +474,14 @@ mod tests {
         assert_eq!(inbox.from(NodeId(2)), None);
         assert_eq!(inbox.from(NodeId(3)), None, "not a neighbor");
         assert_eq!(inbox.len(), 2);
+        let folded: Vec<_> = inbox.iter_or(&0).copied().collect();
+        assert_eq!(folded, vec![1, 0, 9]);
+        assert_iter_or_reads_silence_as(&inbox, 0);
         let silent: [Option<u32>; 5] = [None; 5];
-        assert!(Inbox::over(&senders, &[], &silent).is_empty());
+        let silent = Inbox::over(&senders, &[], &silent);
+        assert!(silent.is_empty());
+        assert_eq!(silent.iter_or(&3).copied().collect::<Vec<_>>(), vec![3; 3]);
+        assert_iter_or_reads_silence_as(&silent, 3);
     }
 
     #[test]
@@ -433,6 +490,8 @@ mod tests {
         assert!(inbox.is_empty());
         assert_eq!(inbox.len(), 0);
         assert_eq!(inbox.from(NodeId(0)), None);
+        assert_eq!(inbox.iter_or(&0).count(), 0);
+        assert_iter_or_reads_silence_as(&inbox, 0);
     }
 
     #[test]

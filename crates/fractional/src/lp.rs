@@ -199,6 +199,27 @@ pub struct MwuParameters {
 /// bit-identical to a run in which covered nodes broadcast `w = 0` and `m`.
 /// [`MwuReplay::messages`] gives the resulting count per node.
 ///
+/// **Folds.** Every step reads its inbox with [`Inbox::iter_or`], which
+/// yields a neighbor that sent nothing as the fold's identity, so the gather
+/// does not branch on which neighbors fell silent. In steps 2 and 4 those
+/// are the covered ones, about a quarter of the live node-iterations on
+/// `gnm(10⁴, 4·10⁴)`, in no predictable pattern.
+///
+/// - steps 1 and 2 sum values and weights with identity `0`;
+/// - step 3 takes the best-server maximum, starting at the own score, with
+///   identity `-∞`;
+/// - step 4 compares `s` with `(1-ε)·min m` over the received maxima, with
+///   identity `+∞`, which no finite score reaches when no neighbor's
+///   constraint is uncovered. This is the same decision as asking whether
+///   `s ≥ (1-ε)·m` for some received `m`: `1-ε ≥ 1/2` is positive, and an
+///   IEEE product with a positive constant is monotone in the other factor,
+///   so the least of the rounded products `(1-ε)·m` is the rounded product
+///   with the least `m`.
+///
+/// Adding `+0` to a non-negative sum, or taking the maximum with `-∞`,
+/// leaves the running value as it was, so steps 1 to 3 compute what loops
+/// over the received messages alone compute, bit for bit.
+///
 /// All messages are single 64-bit values, charged per the workspace's
 /// convention for fractional payloads ([`congest_sim::MessageSize`] on
 /// `f64`). Strictly, the broadcast weights `e^{-α·cov}` carry a full float
@@ -258,10 +279,7 @@ impl NodeProgram for DistributedLpProgram {
             0 => {
                 let done = self.iteration >= p.iterations;
                 if self.w > 0.0 {
-                    let mut cov = self.x;
-                    for (_, msg) in inbox.iter_slots() {
-                        cov += msg.copied().unwrap_or(0.0);
-                    }
+                    let cov = inbox.iter_or(&0.0).fold(self.x, |cov, x| cov + x);
                     if !done {
                         self.w = constraint_weight(p.alpha, cov);
                     } else if cov < 1.0 - COVERAGE_TOL {
@@ -282,10 +300,7 @@ impl NodeProgram for DistributedLpProgram {
             // negative, so a zero score means every constraint in `N⁺(u)` is
             // covered: the value is final and the node halts.
             1 => {
-                self.s = self.w;
-                for (_, msg) in inbox.iter_slots() {
-                    self.s += msg.copied().unwrap_or(0.0);
-                }
+                self.s = inbox.iter_or(&0.0).fold(self.w, |s, w| s + w);
                 if self.s == 0.0 {
                     return RoundAction::Halt(self.x);
                 }
@@ -298,10 +313,9 @@ impl NodeProgram for DistributedLpProgram {
             2 => {
                 self.near_best_own = false;
                 if self.w > 0.0 {
-                    let mut m = self.s;
-                    for (_, msg) in inbox.iter() {
-                        m = m.max(*msg);
-                    }
+                    let m = inbox
+                        .iter_or(&f64::NEG_INFINITY)
+                        .fold(self.s, |m, &s| m.max(s));
                     self.near_best_own = self.s >= (1.0 - p.epsilon) * m;
                     outbox.broadcast(m);
                 }
@@ -309,11 +323,16 @@ impl NodeProgram for DistributedLpProgram {
             }
             // Best-server maxima arrive, one from each neighbor with an
             // uncovered constraint: near-best servers of an uncovered
-            // constraint climb one rung of the (1+ε)-ladder.
+            // constraint climb one rung of the (1+ε)-ladder. A server near
+            // the best of some neighbor's constraint is near the best of the
+            // one with the least `m` (see **Folds** above).
             _ => {
-                let threshold = 1.0 - p.epsilon;
-                let qualifies =
-                    self.near_best_own || inbox.iter().any(|(_, &m)| self.s >= threshold * m);
+                let least = || {
+                    inbox
+                        .iter_or(&f64::INFINITY)
+                        .fold(f64::INFINITY, |least, &m| least.min(m))
+                };
+                let qualifies = self.near_best_own || self.s >= (1.0 - p.epsilon) * least();
                 if qualifies {
                     self.x = (self.x * (1.0 + p.epsilon)).max(p.floor).min(1.0);
                 }

@@ -149,9 +149,9 @@ impl MixedAction {
 /// Min-id flood whose nodes mix the four [`MixedAction`]s and halt at
 /// staggered times (`depth + id % 3`). The output digests every
 /// `(sender, message)` pair of every inbox — read through `iter`,
-/// `iter_slots`, `from` and `len` — so any difference in what a node heard
-/// shows up in the outputs. With `sends_only` every broadcast is replaced
-/// by one explicit send per neighbor: the all-sends twin.
+/// `iter_slots`, `iter_or`, `from` and `len` — so any difference in what a
+/// node heard shows up in the outputs. With `sends_only` every broadcast is
+/// replaced by one explicit send per neighbor: the all-sends twin.
 pub struct MixedFlood {
     best: u64,
     digest: usize,
@@ -220,6 +220,10 @@ impl NodeProgram for MixedFlood {
         for (sender, &m) in inbox.iter() {
             self.best = self.best.min(m >> 8);
             digest = digest.wrapping_mul(31).wrapping_add(sender.0);
+        }
+        // A silent neighbor folds in as `u64::MAX`, which no message is.
+        for &m in inbox.iter_or(&u64::MAX) {
+            digest = digest.wrapping_mul(1_000_033).wrapping_add(m as usize);
         }
         self.digest = digest;
         if ctx.round >= self.depth + (ctx.id.0 % 3) as u64 {
