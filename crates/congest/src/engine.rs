@@ -57,18 +57,18 @@
 //! (see `crate::topology`), so repeated runs and multi-phase compositions
 //! share the `O(m log Δ)` setup.
 //!
-//! Every run produces a [`RunReport`] with per-round [`RoundStats`]; the
-//! report feeds the same [`RoundLedger`] used for closed-form charging via
-//! [`RunReport::charge`], which records the run as one measured
-//! [`PhaseCost`], so measured and formula-derived round counts flow through
-//! one accounting path.
+//! Every run produces a [`RunReport`] with per-round [`RoundStats`];
+//! [`crate::ComposedProgram::measured`] records it as one measured
+//! [`PhaseCost`] in the same [`crate::RoundLedger`] that
+//! [`crate::RoundLedger::charge`] fills with closed-form phases, so measured
+//! and formula-derived round counts land in one ledger.
 
 use crate::ledger::{PhaseCost, PhaseMode, PhaseSpec};
 use crate::message::MessageSize;
 use crate::program::{
     Inbox, NodeContext, NodeProgram, OutMsg, Outbox, Pending, RoundAction, INVALID_SLOT,
 };
-use crate::{Graph, NodeId, RoundLedger};
+use crate::{Graph, NodeId};
 use std::error::Error;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -147,15 +147,6 @@ pub struct RunReport<O> {
 }
 
 impl<O> RunReport<O> {
-    /// Records this run in `ledger` as one [`PhaseMode::Measured`] phase.
-    /// This is the unified instrumentation path: algorithms executed on the
-    /// engine and algorithms charged in closed form land in the same
-    /// [`RoundLedger`], and `spec`'s formula becomes the paper column, so
-    /// reports can compare measured vs claimed.
-    pub fn charge(&self, ledger: &mut RoundLedger, spec: PhaseSpec) {
-        ledger.phases.push(self.cost(spec, 0));
-    }
-
     /// The measured [`PhaseCost`] of this run under `spec`, stamped with the
     /// wall time the caller observed around it.
     pub(crate) fn cost(&self, spec: PhaseSpec, wall_nanos: u64) -> PhaseCost {
@@ -1537,28 +1528,5 @@ mod tests {
                 .unwrap();
             assert_eq!(seq, par, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn report_charges_ledger_through_unified_path() {
-        use crate::ledger::PhaseKind;
-        let g = path_graph(5);
-        let report = SyncExecutor
-            .run(&g, min_id_programs(5, 5), &ExecutorConfig::default())
-            .unwrap();
-        let mut ledger = RoundLedger::new();
-        report.charge(
-            &mut ledger,
-            PhaseSpec::new(PhaseKind::Other, "min-id flood"),
-        );
-        report.charge(
-            &mut ledger,
-            PhaseSpec::new(PhaseKind::Other, "min-id flood vs diameter bound").with_formula(5),
-        );
-        assert_eq!(ledger.total_simulated_rounds(), 2 * report.rounds);
-        assert_eq!(ledger.total_messages(), 2 * report.messages);
-        assert_eq!(ledger.measured_rounds(None), 2 * report.rounds);
-        assert_eq!(ledger.phases()[1].formula_rounds, Some(5));
-        assert_eq!(ledger.phases()[1].mode, PhaseMode::Measured);
     }
 }

@@ -9,11 +9,11 @@
 //! paper), so experiments can report either view and compare the two.
 //!
 //! Every phase is recorded exactly once, as one [`PhaseCost`], by the code
-//! that runs or composes it. There is one charge path per [`PhaseMode`]:
+//! that runs or composes it. There is one recording path per [`PhaseMode`]:
 //! [`RoundLedger::charge`] records a centrally simulated phase and
-//! [`crate::RunReport::charge`] a phase that ran on the engine;
-//! [`crate::ComposedProgram::measured`] also stamps the engine wall time.
-//! Consumers tell phases apart by [`PhaseKind`], never by name.
+//! [`crate::ComposedProgram::measured`] a phase that ran on the engine,
+//! stamped with its wall time. Consumers tell phases apart by
+//! [`PhaseKind`], never by name.
 
 use std::fmt;
 
@@ -550,8 +550,10 @@ mod tests {
     fn measured_charges_record_stored_payloads() {
         let mut l = RoundLedger::new();
         l.charge(PhaseSpec::new(PhaseKind::Coloring, "closed form"), 2, 10);
-        run(4, 40, 10).charge(&mut l, PhaseSpec::new(PhaseKind::Coloring, "broadcast"));
-        run(5, 40, 10).charge(&mut l, spec("broadcast with bound").with_formula(99));
+        l.phases
+            .push(run(4, 40, 10).cost(PhaseSpec::new(PhaseKind::Coloring, "broadcast"), 0));
+        l.phases
+            .push(run(5, 40, 10).cost(spec("broadcast with bound").with_formula(99), 0));
         assert_eq!(
             l.phases()[0].payloads,
             10,
@@ -574,9 +576,7 @@ mod tests {
 
     #[test]
     fn phase_costs_compare_accounting_but_not_wall_time() {
-        let mut l = RoundLedger::new();
-        run(3, 6, 2).charge(&mut l, spec("phase"));
-        let base = l.phases()[0].clone();
+        let base = run(3, 6, 2).cost(spec("phase"), 0);
         let with = |f: fn(&mut PhaseCost)| {
             let mut p = base.clone();
             f(&mut p);

@@ -35,7 +35,8 @@
 //!   it was measured or charged, the simulated cost and the closed-form cost
 //!   stated in the paper, messages, payloads and engine wall time, so
 //!   experiments can report either cost and split it by component. Measured
-//!   engine runs feed the same ledger through [`engine::RunReport::charge`].
+//!   engine runs feed the same ledger through
+//!   [`compose::ComposedProgram::measured`].
 //!
 //! # Example
 //!

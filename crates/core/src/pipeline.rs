@@ -34,8 +34,8 @@
 //! is measured, with one interleaved accounting stream either way. That
 //! engine run is the pipeline's only cost model.
 //! [`central_oracle`] retains the pure in-memory implementation of the same
-//! decisions and charges nothing beyond its Part I record; the engine
-//! execution is property-tested bit-identical to it on both executors
+//! decisions and records nothing: its ledger is empty. The engine execution
+//! is property-tested bit-identical to it on both executors
 //! (`tests/properties.rs`).
 //!
 //! The paper's constants (`F = 256·ε⁻³·ln Δ̃`, `s = 64·ε⁻²·ln Δ̃`) make Part II
@@ -142,7 +142,7 @@ pub struct MdsResult {
     /// Round/message accounting across all parts: one record per phase, in
     /// execution order. Every record of a [`run_on`] ledger is an engine run
     /// ([`congest_sim::PhaseMode::Measured`]); a [`central_oracle`] ledger
-    /// holds only the Part I record.
+    /// is empty.
     pub ledger: RoundLedger,
     /// Per-stage size/fractionality trajectory (experiment E5).
     pub stages: Vec<StageRecord>,
@@ -158,10 +158,8 @@ impl MdsResult {
         self.dominating_set.len()
     }
 
-    /// Rounds actually executed on the engine across all measured phases.
-    /// A [`central_oracle`] run reports its Part I record only: the rounds
-    /// of [`FractionalMethod::Kw05`], `0` under
-    /// [`FractionalMethod::DistributedMwu`] (charged from its replay).
+    /// Rounds actually executed on the engine across all measured phases
+    /// (`0` for [`central_oracle`] runs, whose ledger is empty).
     pub fn measured_engine_rounds(&self) -> u64 {
         self.ledger.measured_rounds(None)
     }
@@ -169,14 +167,14 @@ impl MdsResult {
     /// Rounds the measured Lemma 3.12 distance-two coloring phases spent on
     /// the engine, summed over all rounding steps (`0` on the
     /// network-decomposition route and for [`central_oracle`] runs, whose
-    /// ledger is their Part I record).
+    /// ledger is empty).
     pub fn measured_coloring_rounds(&self) -> u64 {
         self.ledger.measured_rounds(Some(PhaseKind::Coloring))
     }
 
     /// Rounds the measured GK18-carving network decomposition spent on the
     /// engine (`0` on the coloring routes and for [`central_oracle`] runs,
-    /// whose ledger is their Part I record).
+    /// whose ledger is empty).
     pub fn measured_netdecomp_rounds(&self) -> u64 {
         self.ledger.measured_rounds(Some(PhaseKind::NetDecomp))
     }
@@ -494,13 +492,7 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                     programs,
                 )
                 .expect("network decomposition program is well-formed");
-            assert_eq!(
-                report.rounds,
-                formulas::measured_netdecomp_rounds(
-                    schedule.num_phases as u64,
-                    schedule.total_wave_depth()
-                )
-            );
+            assert_eq!(report.rounds, schedule.wave_rounds());
             assert!(
                 report.rounds <= charge,
                 "measured netdecomp rounds {} exceed the Theorem 3.2 charge {charge}",
@@ -537,18 +529,17 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
 }
 
 /// The pure in-memory implementation of the pipeline: identical decisions,
-/// no engine. Part I runs through [`initial_fractional_solution`]; every
-/// rounding step takes its groups from the central decomposition
-/// ([`strong_diameter_decomposition`]) or from the problem's central coloring
-/// ([`color_problem`]) and fixes its coins with the central [`derandomize`].
+/// no engine. Part I runs through [`initial_fractional_solution`] (the one
+/// exception: [`FractionalMethod::Kw05`] has no central replay, so it runs
+/// on [`SyncExecutor`] there); every rounding step takes its groups from the
+/// central decomposition ([`strong_diameter_decomposition`]) or from the
+/// problem's central coloring ([`color_problem`]) and fixes its coins with
+/// the central [`derandomize`].
 /// Retained as the oracle every composed run is property-tested equal to
 /// (`tests/properties.rs`), and usable where no executor is wanted.
 ///
 /// The pipeline's round accounting is the engine run of [`run_on`]; the
-/// oracle charges nothing of its own. Its ledger is the record
-/// [`initial_fractional_solution`] returns, which holds measured engine
-/// rounds only under [`FractionalMethod::Kw05`] (KW05 has no central replay,
-/// so Lemma 2.1 runs it on the engine).
+/// oracle records nothing, so its ledger is empty.
 pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
     let initial = initial_fractional_solution(graph, &part_one_config(config));
     let nd_groups = match config.route {
@@ -579,7 +570,7 @@ pub fn central_oracle(graph: &Graph, config: &MdsConfig) -> MdsResult {
     MdsResult {
         dominating_set: assignment.selected_nodes(),
         assignment,
-        ledger: initial.ledger,
+        ledger: RoundLedger::new(),
         stages,
         lp_lower_bound: initial.lp_lower_bound,
         epsilon: config.epsilon,
@@ -689,6 +680,7 @@ mod tests {
                     assert_eq!(sync.stages, oracle.stages);
                     assert_eq!(par.dominating_set, oracle.dominating_set);
                     assert_eq!(par.ledger, sync.ledger);
+                    assert!(oracle.ledger.phases().is_empty(), "{config:?}");
                 }
             }
         }
@@ -1011,31 +1003,6 @@ mod tests {
         // steps, so no charged phase spends rounds.
         assert_eq!(result.measured_engine_rounds(), 98);
         assert_eq!(result.ledger.total_simulated_rounds(), 98);
-        // The oracle runs KW05 on the engine too, and reports it as measured.
-        assert_eq!(
-            central_oracle(&g, &config).measured_engine_rounds(),
-            kw05.simulated_rounds
-        );
-    }
-
-    #[test]
-    fn central_oracle_ledger_is_its_part_one_record() {
-        let g = generators::gnp(60, 0.1, 3);
-        for fractional in [quick_config().fractional, FractionalMethod::Kw05] {
-            for route in [DerandRoute::Coloring, DerandRoute::NetworkDecomposition] {
-                let config = MdsConfig {
-                    route,
-                    fractional,
-                    ..quick_config()
-                };
-                let part_one = initial_fractional_solution(&g, &part_one_config(&config));
-                assert_eq!(
-                    central_oracle(&g, &config).ledger,
-                    part_one.ledger,
-                    "{config:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1049,15 +1016,24 @@ mod tests {
                 route,
                 ..quick_config()
             };
-            let charged = initial_fractional_solution(&g, &part_one_config(&config)).ledger;
-            let charged = &charged.phases()[0];
+            let replay = mds_fractional::lp::central_mwu_reference(
+                &g,
+                &distributed_mwu_config(
+                    &DistributedLpConfig::default(),
+                    part_one_config(&config).epsilon,
+                ),
+            );
             let measured = run(&g, &config).ledger;
             let measured = &measured.phases()[0];
             assert_eq!((measured.kind, measured.mode), (Fractional, Measured));
             assert_eq!(measured.simulated_rounds, 502);
             assert_eq!(
-                (measured.simulated_rounds, measured.messages),
-                (charged.simulated_rounds, charged.messages),
+                (
+                    measured.simulated_rounds,
+                    measured.messages,
+                    measured.payloads
+                ),
+                (replay.rounds, replay.messages, replay.payloads),
                 "{config:?}"
             );
         }

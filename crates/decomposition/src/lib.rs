@@ -42,6 +42,6 @@ pub mod spanner;
 pub use cluster::{Cluster, ClusterGraph};
 pub use netdecomp::{
     assemble_decomposition, carving_schedule, clusters_from_schedule, netdecomp_programs,
-    netdecomp_programs_from_schedule, strong_diameter_decomposition, CarvingSchedule,
-    DecompositionConfig, NetDecompOutput, NetDecompProgram, NetworkDecomposition,
+    strong_diameter_decomposition, CarvingSchedule, DecompositionConfig, NetDecompOutput,
+    NetDecompProgram, NetworkDecomposition,
 };

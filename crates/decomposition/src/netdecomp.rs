@@ -112,19 +112,18 @@ impl NetworkDecomposition {
 }
 
 /// The static carving plan of the decomposition: who is clustered in which
-/// phase, who carves, and how the phases tile the round timeline. Every
-/// field is a function of the identifiers and the topology only, so the
-/// central oracle and the distributed program derive the identical plan —
-/// while the spanning trees and leader announcements exist nowhere in the
-/// plan; they emerge from the join waves themselves.
+/// phase, who carves, and how deep each phase's join wave runs. Every field
+/// is a decision of the carving, a function of the identifiers and the
+/// topology only, so the central oracle and the distributed program derive
+/// the identical plan. The round windows follow from the wave depths, and
+/// the spanning trees and leader announcements exist nowhere in the plan;
+/// they emerge from the join waves themselves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CarvingSchedule {
     /// The separation parameter `k` the schedule was carved for.
     pub k: usize,
     /// Phase (= cluster color) in which each node is clustered.
     pub phase: Vec<usize>,
-    /// Number of phases (= number of colors).
-    pub num_phases: usize,
     /// Whether each node is a carve center — the start of the ID-ordered
     /// ball carving, which is always the minimum member identifier of its
     /// cluster and therefore doubles as the cluster leader.
@@ -132,15 +131,14 @@ pub struct CarvingSchedule {
     /// Per phase, the maximum join-wave depth `D_p` (the deepest cluster
     /// tree of the phase).
     pub wave_depth: Vec<usize>,
-    /// Per phase, the first sending round `A_p` of its window:
-    /// `A_0 = 0` and `A_{p+1} = A_p + D_p + 1`, so windows are disjoint and
-    /// receivers attribute joins to phases purely by timing.
-    pub phase_start: Vec<usize>,
-    /// The exact engine round count `Σ_p (D_p + 1)`; every node halts there.
-    pub total_rounds: usize,
 }
 
 impl CarvingSchedule {
+    /// Number of phases (= number of colors): one wave depth per phase.
+    pub fn num_phases(&self) -> usize {
+        self.wave_depth.len()
+    }
+
     /// Total join-wave depth `Σ_p D_p` across all phases.
     pub fn total_wave_depth(&self) -> u64 {
         self.wave_depth.iter().map(|&d| d as u64).sum()
@@ -149,7 +147,7 @@ impl CarvingSchedule {
     /// The exact measured round count of the schedule,
     /// [`formulas::measured_netdecomp_rounds`].
     pub fn wave_rounds(&self) -> u64 {
-        formulas::measured_netdecomp_rounds(self.num_phases as u64, self.total_wave_depth())
+        formulas::measured_netdecomp_rounds(self.num_phases() as u64, self.total_wave_depth())
     }
 }
 
@@ -206,21 +204,11 @@ pub fn carving_schedule(graph: &Graph, k: usize, config: &DecompositionConfig) -
         }
     }
 
-    let num_phases = wave_depth.len();
-    let mut phase_start = Vec::with_capacity(num_phases);
-    let mut next = 0usize;
-    for &d in &wave_depth {
-        phase_start.push(next);
-        next += d + 1;
-    }
     CarvingSchedule {
         k,
         phase,
-        num_phases,
         center,
         wave_depth,
-        phase_start,
-        total_rounds: next,
     }
 }
 
@@ -239,7 +227,7 @@ pub fn clusters_from_schedule(graph: &Graph, schedule: &CarvingSchedule) -> Clus
     // the nodes, so every node is set by exactly one wave.
     let mut dist = vec![usize::MAX; n];
     let mut queue = VecDeque::new();
-    for p in 0..schedule.num_phases {
+    for p in 0..schedule.num_phases() {
         for c in 0..n {
             if !schedule.center[c] || schedule.phase[c] != p {
                 continue;
@@ -442,9 +430,9 @@ impl Wire for NetDecompOutput {
 #[derive(Debug, Clone)]
 pub struct NetDecompProgram {
     /// First sending round `A_p` of this node's phase.
-    phase_start: u64,
-    /// Round at which every node halts (`Σ_p (D_p + 1)`).
-    total_rounds: u64,
+    window_start: u64,
+    /// Round at which every node halts ([`CarvingSchedule::wave_rounds`]).
+    halt_round: u64,
     /// Whether this node opens its phase as a carve center.
     center: bool,
     leader: Option<usize>,
@@ -459,7 +447,7 @@ impl NodeProgram for NetDecompProgram {
     fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, usize>) {
         if self.center {
             self.leader = Some(ctx.id.0);
-            if self.phase_start == 0 {
+            if self.window_start == 0 {
                 outbox.broadcast(ctx.id.0);
             }
         }
@@ -472,10 +460,10 @@ impl NodeProgram for NetDecompProgram {
         outbox: &mut Outbox<'_, usize>,
     ) -> RoundAction<NetDecompOutput> {
         if self.center {
-            if ctx.round == self.phase_start {
+            if ctx.round == self.window_start {
                 outbox.broadcast(ctx.id.0);
             }
-        } else if self.leader.is_none() && ctx.round > self.phase_start {
+        } else if self.leader.is_none() && ctx.round > self.window_start {
             // A message arriving in this node's phase window was sent by a
             // same-phase (hence same-cluster) neighbor one step closer to
             // the center: earlier phases finished sending before A_p, later
@@ -491,11 +479,11 @@ impl NodeProgram for NetDecompProgram {
             if let Some(l) = leader {
                 self.leader = Some(l);
                 self.parent = parent;
-                self.depth = (ctx.round - self.phase_start) as usize;
+                self.depth = (ctx.round - self.window_start) as usize;
                 outbox.broadcast(l);
             }
         }
-        if ctx.round >= self.total_rounds {
+        if ctx.round >= self.halt_round {
             debug_assert!(self.leader.is_some(), "node missed its join wave");
             RoundAction::Halt(NetDecompOutput {
                 leader: self.leader.unwrap_or(ctx.id.0),
@@ -508,70 +496,12 @@ impl NodeProgram for NetDecompProgram {
     }
 }
 
-/// Builds one [`NetDecompProgram`] per node from an already-computed
-/// [`CarvingSchedule`], validating that the schedule fits the network.
-///
-/// # Errors
-///
-/// Returns a description of the misalignment.
-pub fn netdecomp_programs_from_schedule(
-    graph: &Graph,
-    schedule: &CarvingSchedule,
-) -> Result<Vec<NetDecompProgram>, String> {
-    let n = graph.n();
-    if schedule.phase.len() != n || schedule.center.len() != n {
-        return Err(format!(
-            "carving schedule is not graph-aligned: {} phase entries and {} center flags for an {n}-node network",
-            schedule.phase.len(),
-            schedule.center.len()
-        ));
-    }
-    if schedule.wave_depth.len() != schedule.num_phases
-        || schedule.phase_start.len() != schedule.num_phases
-    {
-        return Err(format!(
-            "schedule windows are malformed: {} wave depths and {} phase starts for {} phases",
-            schedule.wave_depth.len(),
-            schedule.phase_start.len(),
-            schedule.num_phases
-        ));
-    }
-    let mut next = 0usize;
-    for p in 0..schedule.num_phases {
-        if schedule.phase_start[p] != next {
-            return Err(format!(
-                "phase windows do not tile: phase {p} starts at {} instead of {next}",
-                schedule.phase_start[p]
-            ));
-        }
-        next += schedule.wave_depth[p] + 1;
-    }
-    if schedule.total_rounds != next {
-        return Err(format!(
-            "phase windows do not tile: {} total rounds recorded, windows end at {next}",
-            schedule.total_rounds
-        ));
-    }
-    for (v, &p) in schedule.phase.iter().enumerate() {
-        if p >= schedule.num_phases {
-            return Err(format!("node {v}: phase {p} out of range"));
-        }
-    }
-    Ok((0..n)
-        .map(|v| NetDecompProgram {
-            phase_start: schedule.phase_start[schedule.phase[v]] as u64,
-            total_rounds: schedule.total_rounds as u64,
-            center: schedule.center[v],
-            leader: None,
-            parent: None,
-            depth: 0,
-        })
-        .collect())
-}
-
 /// Computes the carving schedule of `graph` and builds one
 /// [`NetDecompProgram`] per node, together with the schedule the programs
-/// follow.
+/// follow. Phase `p`'s window opens at `A_p = Σ_{q<p} (D_q + 1)`, so the
+/// windows are disjoint and receivers attribute joins to phases purely by
+/// timing; every node halts at [`CarvingSchedule::wave_rounds`], where the
+/// last window ends.
 ///
 /// # Panics
 ///
@@ -582,8 +512,29 @@ pub fn netdecomp_programs(
     config: &DecompositionConfig,
 ) -> (Vec<NetDecompProgram>, CarvingSchedule) {
     let schedule = carving_schedule(graph, k, config);
-    let programs = netdecomp_programs_from_schedule(graph, &schedule)
-        .expect("a freshly carved schedule is graph-aligned");
+    let window_starts: Vec<u64> = schedule
+        .wave_depth
+        .iter()
+        .scan(0u64, |next, &d| {
+            let start = *next;
+            *next += d as u64 + 1;
+            Some(start)
+        })
+        .collect();
+    let halt_round = schedule.wave_rounds();
+    let programs = schedule
+        .phase
+        .iter()
+        .zip(&schedule.center)
+        .map(|(&p, &center)| NetDecompProgram {
+            window_start: window_starts[p],
+            halt_round,
+            center,
+            leader: None,
+            parent: None,
+            depth: 0,
+        })
+        .collect();
     (programs, schedule)
 }
 
@@ -684,7 +635,7 @@ mod tests {
         assert_eq!(
             report.rounds,
             formulas::measured_netdecomp_rounds(
-                schedule.num_phases as u64,
+                schedule.num_phases() as u64,
                 schedule.total_wave_depth()
             )
         );
@@ -734,7 +685,7 @@ mod tests {
         // The degenerate one-center instance on the engine: one phase of
         // depth 1, so the run spends exactly two rounds.
         let (_, report, schedule) = check_measured(&g, 2);
-        assert_eq!(schedule.num_phases, 1);
+        assert_eq!(schedule.num_phases(), 1);
         assert_eq!(report.rounds, 2);
     }
 
@@ -801,16 +752,10 @@ mod tests {
     fn schedule_windows_tile_the_timeline() {
         let g = generators::grid(7, 9);
         let schedule = carving_schedule(&g, 2, &DecompositionConfig::default());
-        let mut next = 0usize;
-        for p in 0..schedule.num_phases {
-            assert_eq!(schedule.phase_start[p], next);
-            next += schedule.wave_depth[p] + 1;
-        }
-        assert_eq!(schedule.total_rounds, next);
-        assert_eq!(schedule.wave_rounds(), next as u64);
-        // The wave depth of a phase is its deepest cluster tree.
+        // Phase p's window is D_p + 1 rounds long, and D_p is the phase's
+        // deepest cluster tree, so every join lands inside its own window.
         let clusters = clusters_from_schedule(&g, &schedule);
-        for p in 0..schedule.num_phases {
+        for p in 0..schedule.num_phases() {
             let deepest = clusters
                 .clusters
                 .iter()
@@ -864,33 +809,5 @@ mod tests {
         let (_, report, _) = check_measured(&g, 2);
         let isolated = (0..g.n()).filter(|&v| g.degree(NodeId(v)) == 0).count();
         assert_eq!(report.payloads, (g.n() - isolated) as u64);
-    }
-
-    #[test]
-    fn from_schedule_validation_rejects_misaligned_plans() {
-        let g = generators::path(6);
-        let schedule = carving_schedule(&g, 2, &DecompositionConfig::default());
-
-        // Plan carved for a different graph.
-        let err = netdecomp_programs_from_schedule(&generators::path(4), &schedule).unwrap_err();
-        assert!(err.contains("graph-aligned"), "{err}");
-
-        // Windows that do not tile the timeline.
-        let mut shifted = schedule.clone();
-        shifted.total_rounds += 1;
-        let err = netdecomp_programs_from_schedule(&g, &shifted).unwrap_err();
-        assert!(err.contains("do not tile"), "{err}");
-
-        // A phase index beyond the recorded phase count.
-        let mut wild = schedule.clone();
-        wild.phase[3] = wild.num_phases + 7;
-        let err = netdecomp_programs_from_schedule(&g, &wild).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
-
-        // Truncated window tables.
-        let mut torn = schedule;
-        torn.wave_depth.pop();
-        let err = netdecomp_programs_from_schedule(&g, &torn).unwrap_err();
-        assert!(err.contains("malformed"), "{err}");
     }
 }

@@ -14,17 +14,15 @@
 //! (`mds_core::pipeline::run_on`) runs them as one measured engine phase and
 //! applies [`apply_lemma21_floor`] to the outputs; the floor is local
 //! arithmetic and spends no round, so it has no ledger record.
-//! [`initial_fractional_solution`] is the executor-free form the central
-//! oracle and the randomized baselines use.
+//! [`initial_fractional_solution`] computes the same values for the central
+//! oracle and the randomized baselines and records nothing: the engine run
+//! is Part I's one record.
 
 use crate::cfds::FractionalAssignment;
 use crate::kw05::{self, Kw05Program};
 use crate::lp::{self, DistributedLpConfig};
 use crate::transmittable;
-use congest_sim::ledger::formulas;
-use congest_sim::{
-    Executor, ExecutorConfig, Graph, PhaseKind, PhaseSpec, RoundLedger, SyncExecutor,
-};
+use congest_sim::{Executor, ExecutorConfig, Graph, SyncExecutor};
 
 /// Which fractional solver produces the pre-floor solution. Neither takes
 /// parameters: each runs with the fixed setting its variant documents.
@@ -102,57 +100,36 @@ pub struct InitialSolution {
     pub floor: f64,
     /// A certified lower bound on the LP optimum (and hence on the MDS size).
     pub lp_lower_bound: f64,
-    /// The solver's one Part I record (see [`initial_fractional_solution`]).
-    pub ledger: RoundLedger,
-}
-
-/// A Part I phase: every ledger entry of Lemma 2.1 is [`PhaseKind::Fractional`].
-fn part_one(name: &str) -> PhaseSpec {
-    PhaseSpec::new(PhaseKind::Fractional, name)
 }
 
 /// Computes the initial fractional dominating set of Lemma 2.1 without an
-/// executor in scope. Its ledger holds the one Part I record: under
-/// [`FractionalMethod::DistributedMwu`] the exact rounds and messages of
-/// [`lp::central_mwu_reference`], charged (bit-identical to the engine run,
+/// executor in scope: under [`FractionalMethod::DistributedMwu`] the values
+/// of [`lp::central_mwu_reference`] (bit-identical to the engine run,
 /// proptest-enforced); under [`FractionalMethod::Kw05`], which has no
-/// central replay, a measured run on [`SyncExecutor`].
+/// central replay, the outputs of a plain [`SyncExecutor`] run. It records
+/// no cost: the pipeline's engine run is Part I's one record.
 pub fn initial_fractional_solution(
     graph: &Graph,
     config: &InitialSolutionConfig,
 ) -> InitialSolution {
     let epsilon = config.epsilon.max(1e-6);
-    let mut ledger = RoundLedger::new();
-
     let values = match config.method {
-        FractionalMethod::DistributedMwu => {
-            let replay = lp::central_mwu_reference(
-                graph,
-                &distributed_mwu_config(&DistributedLpConfig::default(), epsilon),
-            );
-            ledger.charge(
-                part_one("part I: distributed MWU covering LP (central oracle)")
-                    .with_formula(formulas::kmw_fractional_rounds(graph.max_degree(), epsilon)),
-                replay.rounds,
-                replay.messages,
-            );
-            replay.assignment.values().to_vec()
-        }
+        FractionalMethod::DistributedMwu => lp::central_mwu_reference(
+            graph,
+            &distributed_mwu_config(&DistributedLpConfig::default(), epsilon),
+        )
+        .assignment
+        .values()
+        .to_vec(),
         FractionalMethod::Kw05 => {
-            let k = kw05::default_k(graph);
-            let report = SyncExecutor
+            SyncExecutor
                 .run(
                     graph,
-                    vec![Kw05Program::new(k); graph.n()],
+                    vec![Kw05Program::new(kw05::default_k(graph)); graph.n()],
                     &ExecutorConfig::default(),
                 )
-                .expect("KW05 program is well-formed");
-            report.charge(
-                &mut ledger,
-                part_one("part I: KW05 local fractional solution (measured)")
-                    .with_formula(formulas::kw05_rounds(k)),
-            );
-            report.outputs
+                .expect("KW05 program is well-formed")
+                .outputs
         }
     };
 
@@ -161,7 +138,6 @@ pub fn initial_fractional_solution(
         assignment,
         floor,
         lp_lower_bound: lp::dual_lower_bound(graph),
-        ledger,
     }
 }
 
@@ -178,7 +154,6 @@ mod tests {
         assert!(out.assignment.is_feasible_dominating_set(&g));
         assert!(out.assignment.fractionality() >= out.floor - 1e-12);
         assert!(out.floor > 0.0);
-        assert!(out.ledger.total_simulated_rounds() > 0);
     }
 
     #[test]
@@ -207,7 +182,6 @@ mod tests {
             let out = initial_fractional_solution(&g, &cfg);
             assert!(out.assignment.is_feasible_dominating_set(&g));
             assert!(out.lp_lower_bound <= out.assignment.size() + 1e-9);
-            assert_eq!(out.ledger.phases().len(), 1);
         }
     }
 

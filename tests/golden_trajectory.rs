@@ -2,8 +2,9 @@
 //! trajectory of a fixed-seed Theorem 1.1, Theorem 1.2 and Corollary 1.3 run
 //! are serialized field-by-field and compared against the checked-in files
 //! under `tests/golden/`, so future refactors cannot silently change the
-//! round accounting of any route. Wall time is host-dependent and never
-//! serialized.
+//! round accounting of any route. Each ledger record is written once, as one
+//! `phase[i]` block of its accounting fields. Wall time is host-dependent and
+//! never serialized.
 //!
 //! On mismatch the actual serialization is written to
 //! `target/golden-actual/<route>.txt` (uploaded as a CI artifact) and the
@@ -42,20 +43,16 @@ fn serialize(route: &str, result: &MdsResult) -> String {
         };
         let _ = writeln!(out, "phase[{i}].name={}", p.name);
         let _ = writeln!(out, "phase[{i}].mode={mode}");
-        let _ = writeln!(out, "phase[{i}].rounds={}", p.simulated_rounds);
-        let _ = writeln!(out, "phase[{i}].messages={}", p.messages);
-    }
-    for (i, p) in result.ledger.phases().iter().enumerate() {
-        let _ = writeln!(out, "ledger[{i}].name={}", p.name);
-        let _ = writeln!(out, "ledger[{i}].simulated_rounds={}", p.simulated_rounds);
+        let _ = writeln!(out, "phase[{i}].simulated_rounds={}", p.simulated_rounds);
         let _ = writeln!(
             out,
-            "ledger[{i}].formula_rounds={}",
+            "phase[{i}].formula_rounds={}",
             p.formula_rounds
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "-".to_owned())
         );
-        let _ = writeln!(out, "ledger[{i}].messages={}", p.messages);
+        let _ = writeln!(out, "phase[{i}].messages={}", p.messages);
+        let _ = writeln!(out, "phase[{i}].payloads={}", p.payloads);
     }
     let _ = writeln!(
         out,
@@ -68,6 +65,7 @@ fn serialize(route: &str, result: &MdsResult) -> String {
         result.ledger.total_formula_rounds()
     );
     let _ = writeln!(out, "totals.messages={}", result.ledger.total_messages());
+    let _ = writeln!(out, "totals.payloads={}", result.ledger.total_payloads());
     let _ = writeln!(
         out,
         "totals.measured_engine_rounds={}",

@@ -287,7 +287,7 @@ fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
     let empty = Graph::empty(0);
     let (nd, report, schedule) = measured_decomposition(&empty);
     assert_eq!(report.rounds, 0);
-    assert_eq!(schedule.num_phases, 0);
+    assert_eq!(schedule.num_phases(), 0);
     assert!(nd.clusters.is_empty());
     let nd_config = MdsConfig {
         route: DerandRoute::NetworkDecomposition,
@@ -305,7 +305,7 @@ fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
     // charge still covers it.
     let edgeless = Graph::empty(5);
     let (nd, report, schedule) = measured_decomposition(&edgeless);
-    assert_eq!(schedule.num_phases, 1);
+    assert_eq!(schedule.num_phases(), 1);
     assert_eq!(report.rounds, 1);
     assert_eq!(report.messages, 0);
     assert_eq!(nd.clusters.len(), 5);
@@ -327,23 +327,10 @@ fn netdecomp_program_survives_empty_edgeless_and_single_node_graphs() {
 
 #[test]
 fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
-    use congest_mds::decomposition::netdecomp::{
-        carving_schedule, netdecomp_programs, netdecomp_programs_from_schedule, DecompositionConfig,
-    };
+    use congest_mds::decomposition::netdecomp::{netdecomp_programs, DecompositionConfig};
 
     let g = generators::path(6);
     let config = DecompositionConfig::default();
-
-    // A schedule carved for a different network is rejected up front.
-    let schedule = carving_schedule(&generators::path(4), 2, &config);
-    let err = netdecomp_programs_from_schedule(&g, &schedule).unwrap_err();
-    assert!(err.contains("graph-aligned"), "{err}");
-
-    // A corrupted phase index is rejected.
-    let mut wild = carving_schedule(&g, 2, &config);
-    wild.phase[2] = wild.num_phases + 3;
-    let err = netdecomp_programs_from_schedule(&g, &wild).unwrap_err();
-    assert!(err.contains("out of range"), "{err}");
 
     // Feeding a phase built for the wrong graph through the composer fails
     // with the engine's alignment error and leaves no ledger trace — the
@@ -398,7 +385,7 @@ fn degenerate_one_center_instance_spends_the_floored_charge() {
     assert_eq!(oracle.num_colors(), 1);
     let (nd, report, schedule) = measured_decomposition(&g);
     assert_eq!(nd.clusters, oracle.clusters);
-    assert_eq!(schedule.num_phases, 1);
+    assert_eq!(schedule.num_phases(), 1);
     assert_eq!(schedule.total_wave_depth(), 1);
     assert_eq!(report.rounds, formulas::measured_netdecomp_rounds(1, 1));
     assert_eq!(report.rounds, 2);

@@ -655,7 +655,7 @@ proptest! {
         prop_assert_eq!(
             nd_phase.simulated_rounds,
             formulas::measured_netdecomp_rounds(
-                schedule.num_phases as u64,
+                schedule.num_phases() as u64,
                 schedule.total_wave_depth()
             )
         );
